@@ -48,18 +48,23 @@ race-shard:
 	$(GO) test -race -count=3 -run 'Sharded|ShardLane|AccessBatch|AssignClusters|MergedEventOrder' . ./internal/shard
 
 # Stress the serving layer under the race detector: N concurrent
-# clients against a live molcached instance, then assert the journal is
-# gap-free and the /metrics totals match (the CI race-serve job).
+# clients against a live molcached instance (and a Shutdown cutting in
+# on them), then assert the journal is gap-free, replays to the live
+# state and matches the /metrics totals (the CI race-serve job). Every
+# connection goroutine reaches simulator state under the server's lock,
+# so each test runs ten times to vary the interleavings.
 race-serve:
-	$(GO) test -race -count=1 -run 'TestRaceServe' ./internal/server
+	$(GO) test -race -count=10 -run '^(TestRaceServe|TestShutdownUnderLoad)$$' ./internal/server
+	$(GO) test -race -count=10 -run '^TestServedTrafficOracle$$' .
 
 # Just the hot-path micro benches (fast; includes the telemetry
 # overhead comparison).
 bench-micro:
 	$(GO) test -bench 'Access|CMPStep|WorkloadGeneration' -benchmem -run=NONE .
 
-# Fuzz the trace and checkpoint decoders, the molvet directive parser
-# and the molcached wire-protocol decoder (FUZZTIME per target).
+# Fuzz the trace and checkpoint decoders, the molvet directive parser,
+# the molcached wire-protocol decoder and its journal batch decoder
+# (FUZZTIME per target).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCompressedReader -fuzztime $(FUZZTIME) ./internal/trace
@@ -67,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run '^$$' -fuzz FuzzServerDecode -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME) ./internal/server
 
 # Start molsim with -serve, curl every introspection endpoint and assert
 # well-formed, non-empty output (the CI smoke for the live observability

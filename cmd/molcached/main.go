@@ -53,8 +53,6 @@ func run() error {
 		seed         = flag.Uint64("seed", 2006, "replacement randomness seed")
 		goal         = flag.Float64("goal", 0.2, "default tenant miss-rate goal")
 		period       = flag.Uint64("period", 0, "initial resize period in accesses (0 = paper default)")
-		shards       = flag.Int("shards", 1, "cluster shards for the epoch-parallel engine")
-		batchMax     = flag.Int("batch", 256, "max requests folded into one simulator batch")
 		addrBits     = flag.Uint("addr-bits", 26, "per-tenant address-space width in bits")
 		publishEvery = flag.Uint64("publish-every", 8192, "refresh the obs snapshot every N accesses")
 		journalPath  = flag.String("journal", "", "MOLC1 access journal path (empty disables)")
@@ -74,8 +72,6 @@ func run() error {
 		ObsListen:      *serve,
 		Molecular:      mcfg,
 		Resize:         resize.Config{Period: *period, DefaultGoal: *goal},
-		Shards:         *shards,
-		BatchMax:       *batchMax,
 		AddrBits:       *addrBits,
 		PublishEvery:   *publishEvery,
 		JournalPath:    *journalPath,
@@ -104,8 +100,8 @@ func run() error {
 	// Install the signal handler before the demo: a SIGTERM mid-demo
 	// must still shut down gracefully (and write the checkpoint). The
 	// only goroutine-touching construct in this main is the signal
-	// channel; everything else lives behind internal/server's batch
-	// channel contract.
+	// channel; everything else lives behind internal/server's one lock
+	// over simulation state.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 

@@ -5,10 +5,10 @@
 // end state — per-access Results (asserted inside ReplayJournal),
 // ledgers, probe histograms, telemetry registries, ordered event
 // streams, resize decision logs and structural invariant captures — at
-// live and replay shard counts {1, 4}, across fault campaigns and a
+// replay shard counts {1, 4}, across fault campaigns and a
 // checkpoint/warm-restart cycle. Any divergence means the network
-// layer, batching, journaling or restore path added semantic drift the
-// cache model did not see.
+// layer, journaling or restore path added semantic drift the cache
+// model did not see.
 package molcache_test
 
 import (
@@ -28,7 +28,7 @@ import (
 )
 
 // servedOracleConfig is a 4-cluster geometry (8 tiles, 128 molecules)
-// so live and replay shard counts up to 4 each own whole clusters.
+// so replay shard counts up to 4 each own whole clusters.
 func servedOracleConfig() molecular.Config {
 	return molecular.Config{
 		TotalSize:        1 * addr.MB,
@@ -112,65 +112,58 @@ func compareServedState(t *testing.T, label string, srv *server.Server, rep *ser
 
 // TestServedTrafficOracle is the headline lock: three tenants driven
 // concurrently over real TCP connections, then the journal replayed
-// offline at shard counts {1, 4} against live servers also running at
-// shard counts {1, 4}. Per-access Result identity is asserted inside
-// ReplayJournal; the end-state comparison covers everything else.
+// offline at shard counts {1, 4}. Per-access Result identity is
+// asserted inside ReplayJournal; the end-state comparison covers
+// everything else.
 func TestServedTrafficOracle(t *testing.T) {
-	for _, liveShards := range []int{1, 4} {
-		liveShards := liveShards
-		t.Run(fmt.Sprintf("live-shards=%d", liveShards), func(t *testing.T) {
-			t.Parallel()
-			f := servertest.Boot(t, servertest.Options{
-				Molecular: servedOracleConfig(),
-				Shards:    liveShards,
-			})
-			tenants := []struct {
-				name string
-				goal float64
-				lf   int
-				seed uint64
-				ops  int
-				keys int
-			}{
-				{"web", 0.05, 2, 11, 1500, 64},
-				{"api", 0.2, 0, 22, 1500, 512},
-				{"scan", 0.4, 0, 33, 1500, 4096},
-			}
-			var wg sync.WaitGroup
-			errs := make([]error, len(tenants))
-			for i, tn := range tenants {
-				c := f.Client()
-				if _, err := c.Tenant(tn.name, tn.goal, tn.lf); err != nil {
-					t.Fatalf("TENANT %s: %v", tn.name, err)
-				}
-				i, tn := i, tn
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_, errs[i] = c.Drive(tn.name, tn.seed, tn.ops, tn.keys)
-				}()
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("drive %s: %v", tenants[i].name, err)
-				}
-			}
-			if err := f.Server.Shutdown(); err != nil {
-				t.Fatalf("Shutdown: %v", err)
-			}
+	f := servertest.Boot(t, servertest.Options{Molecular: servedOracleConfig()})
+	tenants := []struct {
+		name string
+		goal float64
+		lf   int
+		seed uint64
+		ops  int
+		keys int
+	}{
+		{"web", 0.05, 2, 11, 1500, 64},
+		{"api", 0.2, 0, 22, 1500, 512},
+		{"scan", 0.4, 0, 33, 1500, 4096},
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(tenants))
+	for i, tn := range tenants {
+		c := f.Client()
+		if _, err := c.Tenant(tn.name, tn.goal, tn.lf); err != nil {
+			t.Fatalf("TENANT %s: %v", tn.name, err)
+		}
+		i, tn := i, tn
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = c.Drive(tn.name, tn.seed, tn.ops, tn.keys)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("drive %s: %v", tenants[i].name, err)
+		}
+	}
+	if err := f.Server.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 
-			for _, replayShards := range []int{1, 4} {
-				label := fmt.Sprintf("live=%d/replay=%d", liveShards, replayShards)
-				rep, err := server.ReplayJournalFile(f.JournalPath, server.ReplayOptions{Shards: replayShards})
-				if err != nil {
-					t.Fatalf("%s: replay: %v", label, err)
-				}
-				if rep.Tenants != len(tenants) || rep.Accesses == 0 {
-					t.Fatalf("%s: replay saw %d tenants / %d accesses", label, rep.Tenants, rep.Accesses)
-				}
-				compareServedState(t, label, f.Server, rep, true)
+	for _, shards := range []int{1, 4} {
+		shards := shards
+		t.Run(fmt.Sprintf("replay-shards=%d", shards), func(t *testing.T) {
+			rep, err := server.ReplayJournalFile(f.JournalPath, server.ReplayOptions{Shards: shards})
+			if err != nil {
+				t.Fatalf("replay: %v", err)
 			}
+			if rep.Tenants != len(tenants) || rep.Accesses == 0 {
+				t.Fatalf("replay saw %d tenants / %d accesses", rep.Tenants, rep.Accesses)
+			}
+			compareServedState(t, t.Name(), f.Server, rep, true)
 		})
 	}
 }

@@ -155,11 +155,12 @@ func DefaultConfig() Config {
 			// and exposes only the passive ShardLane protocol, so the
 			// untracked-execution-stream argument holds everywhere else.
 			"internal/shard",
-			// The serving layer runs connection goroutines that decode
-			// and reply only; the single sim goroutine owns the cache,
-			// controller, journal and tenant table, and requests cross
-			// between them on channels. cmd/molcached itself only makes
-			// the signal channel its main loop blocks on.
+			// The serving layer runs one goroutine per connection; each
+			// reaches the simulator, journal, value store and tenant
+			// table only inside a critical section under the server's
+			// one mutex, so the access stream stays a single ordered
+			// sequence. cmd/molcached itself only makes the signal
+			// channel its main loop blocks on.
 			"internal/server",
 			"cmd/molcached",
 		},

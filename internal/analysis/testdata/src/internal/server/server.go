@@ -6,10 +6,10 @@
 // library control flow on a malformed request (a panic-discipline
 // finding). Its import path ends in internal/server, so the
 // suffix-matched scoping treats it exactly like the real package —
-// which also means the connection goroutine and request channel below
-// must NOT be diagnosed: internal/server is on the concurrency
-// allow-list, because the serving layer's contract confines the cache
-// to a single sim goroutine and crosses requests over channels. The
+// which also means the goroutine and channel below must NOT be
+// diagnosed: internal/server is on the concurrency allow-list, because
+// the serving layer's contract lets a connection goroutine reach the
+// cache only under the server's one lock. The
 // literal label-block counter and the documented panic at the bottom
 // are the sanctioned patterns and must stay diagnostic-free. The golden
 // test pins every expected diagnostic; edits here must be mirrored in

@@ -26,11 +26,15 @@ func Dial(address string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
 	return &Client{
 		conn: conn,
 		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
-	}, nil
+	}
 }
 
 // Close sends QUIT best-effort and closes the connection.
@@ -154,6 +158,9 @@ func (c *Client) Get(tenant, key string) (value []byte, hit, found bool, err err
 	buf := make([]byte, n+2)
 	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return nil, false, false, err
+	}
+	if buf[n] != '\r' || buf[n+1] != '\n' {
+		return nil, false, false, fmt.Errorf("server: GET value of %d bytes is not followed by CRLF", n)
 	}
 	return buf[:n:n], hit, true, nil
 }

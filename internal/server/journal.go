@@ -2,10 +2,13 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 
 	"molcache/internal/engine"
@@ -20,21 +23,25 @@ import (
 // (snapshot.FrameWriter), one frame per record. Frame kinds are named
 // by their single section:
 //
-//	config  genesis record: the molecular/resize configurations, fault
-//	        campaign, address-mapping width and tracer ring size — a
-//	        journal is self-describing, replayable with no side channel;
-//	tenant  one TENANT admin action (region creation or goal update),
-//	        stamped with the access count it happened at;
-//	batch   one admitted access run: the refs in service order plus the
-//	        engine Results the live server computed for them.
+//	config  genesis record (JSON): the molecular/resize configurations,
+//	        fault campaign, address-mapping width and tracer ring size —
+//	        a journal is self-describing, replayable with no side channel;
+//	tenant  one TENANT admin action (JSON: region creation or goal
+//	        update), stamped with the access count it happened at;
+//	batch2  one admitted access run in the binary layout of appendBatch:
+//	        the refs in service order plus the Results the live server
+//	        computed for them.
 //
 // Journaling Results makes the differential oracle per-access: replay
 // recomputes every Result offline and any divergence names the exact
-// sequence number, not just a drifted end state.
+// sequence number, not just a drifted end state. Earlier builds wrote
+// JSON batch frames under the kind "batch"; ReadJournal rejects them
+// by name rather than misreading them.
 const (
-	frameConfig = "config"
-	frameTenant = "tenant"
-	frameBatch  = "batch"
+	frameConfig    = "config"
+	frameTenant    = "tenant"
+	frameBatch     = "batch2"
+	frameBatchJSON = "batch"
 )
 
 // JournalConfig is the genesis frame: everything an offline replayer
@@ -67,9 +74,153 @@ type TenantRecord struct {
 type BatchRecord struct {
 	// First is the 1-based sequence number of Refs[0]; a gap-free
 	// journal has First == previous last + 1.
-	First   uint64          `json:"first"`
-	Refs    []trace.Ref     `json:"refs"`
-	Results []engine.Result `json:"results"`
+	First   uint64
+	Refs    []trace.Ref
+	Results []engine.Result
+}
+
+// A batch2 payload is a run of varints (encoding/binary's unsigned
+// uvarint, and zigzag varint for the Result counts):
+//
+//	first  uvarint  sequence number of the first access
+//	count  uvarint  accesses in the frame, at least 1
+//	per access, in service order:
+//	  addr   uvarint  Ref.Addr XOR ASID<<36, so an address inside its
+//	                  tenant's space costs at most 4 bytes for the
+//	                  default 26-bit space
+//	  asid   uvarint  at most 0xFFFF
+//	  cpu    uvarint  at most 0xFF
+//	  kind   uvarint  at most 0xFF
+//	  flags  uvarint  bit 0 Hit, bit 1 RemoteTileHit, no other bits
+//	  LinesFetched, LinesEvicted, Writebacks, TagProbes, DataReads
+//	         varint each
+//
+// minAccessBytes is the smallest encoding of one access (one byte per
+// field), which bounds the count a payload can claim.
+const minAccessBytes = 10
+
+const (
+	flagHit = 1 << iota
+	flagRemoteTileHit
+)
+
+// appendBatch appends the batch2 payload of one access run to b.
+func appendBatch(b []byte, first uint64, refs []trace.Ref, results []engine.Result) []byte {
+	b = binary.AppendUvarint(b, first)
+	b = binary.AppendUvarint(b, uint64(len(refs)))
+	for i, r := range refs {
+		b = binary.AppendUvarint(b, r.Addr^uint64(r.ASID)<<asidShift)
+		b = binary.AppendUvarint(b, uint64(r.ASID))
+		b = binary.AppendUvarint(b, uint64(r.CPU))
+		b = binary.AppendUvarint(b, uint64(r.Kind))
+		res := &results[i]
+		var flags uint64
+		if res.Hit {
+			flags |= flagHit
+		}
+		if res.RemoteTileHit {
+			flags |= flagRemoteTileHit
+		}
+		b = binary.AppendUvarint(b, flags)
+		b = binary.AppendVarint(b, int64(res.LinesFetched))
+		b = binary.AppendVarint(b, int64(res.LinesEvicted))
+		b = binary.AppendVarint(b, int64(res.Writebacks))
+		b = binary.AppendVarint(b, int64(res.TagProbes))
+		b = binary.AppendVarint(b, int64(res.DataReads))
+	}
+	return b
+}
+
+// payloadReader decodes a batch2 payload; the first failure sticks.
+type payloadReader struct {
+	p   []byte
+	err string
+}
+
+func (r *payloadReader) uvarint(field string, max uint64) uint64 {
+	if r.err != "" {
+		return 0
+	}
+	v, n := binary.Uvarint(r.p)
+	switch {
+	case n == 0:
+		r.err = "truncated varint in " + field
+	case n < 0:
+		r.err = "varint overflows 64 bits in " + field
+	case v > max:
+		r.err = fmt.Sprintf("%s %d wider than its %d-bit field", field, v, bits.Len64(max))
+	default:
+		r.p = r.p[n:]
+	}
+	return v
+}
+
+func (r *payloadReader) int(field string) int {
+	if r.err != "" {
+		return 0
+	}
+	v, n := binary.Varint(r.p)
+	switch {
+	case n == 0:
+		r.err = "truncated varint in " + field
+	case n < 0:
+		r.err = "varint overflows 64 bits in " + field
+	case int64(int(v)) != v:
+		r.err = fmt.Sprintf("%s %d overflows int", field, v)
+	default:
+		r.p = r.p[n:]
+	}
+	return int(v)
+}
+
+// decodeBatch parses a batch2 payload. Any malformed, truncated or
+// over-long payload is a *JournalError; a payload cannot make it
+// allocate more than its own length allows.
+func decodeBatch(seq uint64, p []byte) (*BatchRecord, error) {
+	r := payloadReader{p: p}
+	first := r.uvarint("first", math.MaxUint64)
+	count := r.uvarint("count", math.MaxUint64)
+	switch {
+	case r.err != "":
+		return nil, errJournal(seq, "batch frame: %s", r.err)
+	case count == 0:
+		return nil, errJournal(seq, "batch frame holds no accesses")
+	case count > uint64(len(r.p))/minAccessBytes:
+		return nil, errJournal(seq, "batch frame claims %d accesses, its %d remaining bytes hold at most %d",
+			count, len(r.p), len(r.p)/minAccessBytes)
+	}
+	rec := &BatchRecord{
+		First:   first,
+		Refs:    make([]trace.Ref, count),
+		Results: make([]engine.Result, count),
+	}
+	for i := range rec.Refs {
+		addr := r.uvarint("addr", math.MaxUint64)
+		asid := r.uvarint("asid", math.MaxUint16)
+		rec.Refs[i] = trace.Ref{
+			Addr: addr ^ asid<<asidShift,
+			ASID: uint16(asid),
+			CPU:  uint8(r.uvarint("cpu", math.MaxUint8)),
+			Kind: trace.Kind(r.uvarint("kind", math.MaxUint8)),
+		}
+		flags := r.uvarint("flags", flagHit|flagRemoteTileHit)
+		rec.Results[i] = engine.Result{
+			Hit:           flags&flagHit != 0,
+			LinesFetched:  r.int("LinesFetched"),
+			LinesEvicted:  r.int("LinesEvicted"),
+			Writebacks:    r.int("Writebacks"),
+			TagProbes:     r.int("TagProbes"),
+			DataReads:     r.int("DataReads"),
+			RemoteTileHit: flags&flagRemoteTileHit != 0,
+		}
+		if r.err != "" {
+			return nil, errJournal(seq, "batch frame access %d: %s", i, r.err)
+		}
+	}
+	if len(r.p) != 0 {
+		return nil, errJournal(seq, "batch frame has %d trailing bytes", len(r.p))
+	}
+	return rec, nil
 }
 
 // JournalError is the typed error for journal structure violations:
@@ -94,60 +245,61 @@ type Frame struct {
 	Batch  *BatchRecord
 }
 
-func decodeFrame(sections []snapshot.Section) (Frame, error) {
+// decodeFrame decodes one frame read at access count seq.
+func decodeFrame(seq uint64, sections []snapshot.Section) (Frame, error) {
 	if len(sections) != 1 {
-		return Frame{}, errJournal(0, "frame has %d sections, want 1", len(sections))
+		return Frame{}, errJournal(seq, "frame has %d sections, want 1", len(sections))
 	}
 	s := sections[0]
 	var f Frame
 	var err error
 	switch s.Name {
+	case frameBatch:
+		f.Batch, err = decodeBatch(seq, s.Payload)
+		return f, err
 	case frameConfig:
 		f.Config = new(JournalConfig)
 		err = json.Unmarshal(s.Payload, f.Config)
 	case frameTenant:
 		f.Tenant = new(TenantRecord)
 		err = json.Unmarshal(s.Payload, f.Tenant)
-	case frameBatch:
-		f.Batch = new(BatchRecord)
-		err = json.Unmarshal(s.Payload, f.Batch)
+	case frameBatchJSON:
+		return Frame{}, errJournal(seq, "JSON %q frame from an older build; this build reads binary %q frames",
+			frameBatchJSON, frameBatch)
 	default:
-		return Frame{}, errJournal(0, "unknown frame kind %q", s.Name)
+		return Frame{}, errJournal(seq, "unknown frame kind %q", s.Name)
 	}
 	if err != nil {
-		return Frame{}, errJournal(0, "decode %s frame: %v", s.Name, err)
+		return Frame{}, errJournal(seq, "decode %s frame: %v", s.Name, err)
 	}
 	return f, nil
-}
-
-func encodeFrame(kind string, v any) ([]snapshot.Section, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("server: encode %s frame: %w", kind, err)
-	}
-	return []snapshot.Section{{Name: kind, Payload: payload}}, nil
 }
 
 // Journal is the server's append-side handle: buffered writes, access
 // sequence accounting, explicit Sync.
 type Journal struct {
-	f      *os.File
-	bw     *bufio.Writer
-	fw     *snapshot.FrameWriter
-	seq    uint64
-	frames uint64
+	f       *os.File
+	bw      *bufio.Writer
+	fw      *snapshot.FrameWriter
+	payload []byte // Batch's encoding buffer, reused across frames
+	seq     uint64
+	frames  uint64
 }
 
-func (j *Journal) writeFrame(kind string, v any) error {
-	sections, err := encodeFrame(kind, v)
-	if err != nil {
-		return err
-	}
-	if err := j.fw.WriteFrame(sections); err != nil {
+func (j *Journal) writeFrame(kind string, payload []byte) error {
+	if err := j.fw.WriteFrame([]snapshot.Section{{Name: kind, Payload: payload}}); err != nil {
 		return err
 	}
 	j.frames++
 	return nil
+}
+
+func (j *Journal) writeJSON(kind string, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("server: encode %s frame: %w", kind, err)
+	}
+	return j.writeFrame(kind, payload)
 }
 
 // CreateJournal creates (truncating) the journal at path and writes the
@@ -159,7 +311,7 @@ func CreateJournal(path string, cfg JournalConfig) (*Journal, error) {
 	}
 	j := &Journal{f: f, bw: bufio.NewWriter(f)}
 	j.fw = snapshot.NewFrameWriter(j.bw)
-	if err := j.writeFrame(frameConfig, cfg); err != nil {
+	if err := j.writeJSON(frameConfig, cfg); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -201,7 +353,7 @@ func (j *Journal) Tenant(rec TenantRecord) error {
 		return nil
 	}
 	rec.At = j.seq
-	return j.writeFrame(frameTenant, rec)
+	return j.writeJSON(frameTenant, rec)
 }
 
 // Batch appends one admitted access run with its live Results.
@@ -209,8 +361,8 @@ func (j *Journal) Batch(refs []trace.Ref, results []engine.Result) error {
 	if j == nil || len(refs) == 0 {
 		return nil
 	}
-	rec := BatchRecord{First: j.seq + 1, Refs: refs, Results: results}
-	if err := j.writeFrame(frameBatch, rec); err != nil {
+	j.payload = appendBatch(j.payload[:0], j.seq+1, refs, results)
+	if err := j.writeFrame(frameBatch, j.payload); err != nil {
 		return err
 	}
 	j.seq += uint64(len(refs))
@@ -271,7 +423,7 @@ func ReadJournal(r io.Reader) (JournalConfig, []Frame, error) {
 		if err != nil {
 			return cfg, frames, errJournal(seq, "frame %d: %v", i, err)
 		}
-		frame, err := decodeFrame(sections)
+		frame, err := decodeFrame(seq, sections)
 		if err != nil {
 			return cfg, frames, err
 		}

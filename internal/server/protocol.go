@@ -2,17 +2,17 @@
 // daemon where each tenant is an ASID with its own molecular cache
 // region, miss-rate SLO goal and line factor. The wire protocol is a
 // memcached-style text protocol; every admitted access is decoded to a
-// block address, batched through the sharded engine, and journaled to
-// a MOLC1-framed access log that an offline Simulator can replay
-// byte-identically (the served-traffic differential oracle — see
+// block address, run through the simulator's serial access path, and
+// journaled to a MOLC1-framed access log that an offline Simulator can
+// replay byte-identically (the served-traffic differential oracle — see
 // replay.go and DESIGN.md §14).
 //
-// Concurrency contract (pinned by the molvet concurrency fixture): one
-// goroutine per client connection decodes requests and writes replies;
-// a single sim goroutine owns the cache, controller, value store and
-// journal. Connection goroutines never touch simulation state — every
-// request crosses to the sim goroutine through the batch channel and
-// comes back on a per-request reply channel.
+// Concurrency contract: one goroutine per client connection decodes a
+// request, runs its critical section under the server's one mutex —
+// the store change, Simulator.Access, the journal frame and any due
+// obs publish — and writes the reply after unlocking. The mutex guards
+// the simulator, value store, tenant table and journal; nothing else
+// touches them while the server runs, and there is no request queue.
 package server
 
 import (
@@ -21,6 +21,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"molcache/internal/trace"
 )
@@ -114,27 +115,30 @@ type Request struct {
 // readLine reads one \n-terminated line of at most MaxLineLen bytes
 // (terminator excluded), tolerating an optional \r before the \n.
 // A clean end of input is io.EOF; an unterminated trailing line is a
-// typed truncation error.
+// typed truncation error. A line that arrives in one piece is returned
+// as the reader's own buffer, valid only until the next read from br.
 func readLine(br *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		line = append(line, frag...)
-		if err == nil {
-			break
-		}
-		if err == bufio.ErrBufferFull {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// Longer than the reader's buffer: copy the fragments out
+		// before the next read overwrites them.
+		line = append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
 			if len(line) > MaxLineLen+1 {
 				return nil, errProto(ErrLineTooLong, "line exceeds %d bytes", MaxLineLen)
 			}
-			continue
+			var frag []byte
+			frag, err = br.ReadSlice('\n')
+			line = append(line, frag...)
 		}
-		if err == io.EOF {
-			if len(line) == 0 {
-				return nil, io.EOF
-			}
-			return nil, errProto(ErrTruncated, "unterminated line at end of input")
+	}
+	if err == io.EOF {
+		if len(line) == 0 {
+			return nil, io.EOF
 		}
+		return nil, errProto(ErrTruncated, "unterminated line at end of input")
+	}
+	if err != nil {
 		return nil, err
 	}
 	line = line[:len(line)-1]
@@ -146,6 +150,24 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	}
 	return line, nil
 }
+
+// nextField returns the first field of s at or after byte i and the
+// index just past it (an empty field when none is left). Fields are
+// split at runs of unicode.IsSpace, as strings.Fields splits them.
+func nextField(s string, i int) (string, int) {
+	start := strings.IndexFunc(s[i:], notSpace)
+	if start < 0 {
+		return "", len(s)
+	}
+	start += i
+	end := strings.IndexFunc(s[start:], unicode.IsSpace)
+	if end < 0 {
+		return s[start:], len(s)
+	}
+	return s[start : start+end], start + end
+}
+
+func notSpace(r rune) bool { return !unicode.IsSpace(r) }
 
 func validTenantName(s string) bool {
 	if len(s) == 0 || len(s) > MaxTenantLen {
@@ -176,9 +198,6 @@ func validKey(s string) bool {
 }
 
 func parseTenantKey(req *Request, args []string) *ProtocolError {
-	if len(args) != 2 {
-		return errProto(ErrBadArgs, "%s wants <tenant> <key>, got %d arguments", req.Verb, len(args))
-	}
 	if !validTenantName(args[0]) {
 		return errProto(ErrBadTenant, "tenant name %q must be [A-Za-z0-9_-]{1,%d}", args[0], MaxTenantLen)
 	}
@@ -189,30 +208,51 @@ func parseTenantKey(req *Request, args []string) *ProtocolError {
 	return nil
 }
 
+// maxFields is the most fields a valid request line has (SET and
+// TENANT with a line factor: the verb and three arguments).
+const maxFields = 4
+
 // ReadRequest decodes the next request from br. Malformed input yields
 // a typed *ProtocolError (never a panic); a clean end of input yields
-// io.EOF. This is the surface FuzzServerDecode exercises.
+// io.EOF. This is the surface FuzzServerDecode exercises. The line is
+// converted to a string once and every field is a substring of it, so
+// a GET or DEL costs one allocation and a SET two (the line and the
+// value).
 func ReadRequest(br *bufio.Reader) (Request, error) {
 	line, err := readLine(br)
 	if err != nil {
 		return Request{}, err
 	}
-	fields := strings.Fields(string(line))
-	if len(fields) == 0 {
+	s := string(line)
+	// fields holds the first maxFields fields; n counts them all, so an
+	// over-long line is still rejected with its true argument count.
+	var fields [maxFields]string
+	n := 0
+	for i := 0; ; n++ {
+		var f string
+		if f, i = nextField(s, i); f == "" {
+			break
+		}
+		if n < maxFields {
+			fields[n] = f
+		}
+	}
+	if n == 0 {
 		return Request{}, errProto(ErrBadVerb, "empty command line")
 	}
 	req := Request{Verb: Verb(fields[0])}
+	nargs := n - 1
 	args := fields[1:]
 	switch req.Verb {
 	case VerbPing, VerbQuit:
-		if len(args) != 0 {
+		if nargs != 0 {
 			return Request{}, errProto(ErrBadArgs, "%s takes no arguments", req.Verb)
 		}
 		return req, nil
 
 	case VerbTenant:
-		if len(args) != 2 && len(args) != 3 {
-			return Request{}, errProto(ErrBadArgs, "TENANT wants <name> <goal> [<linefactor>], got %d arguments", len(args))
+		if nargs != 2 && nargs != 3 {
+			return Request{}, errProto(ErrBadArgs, "TENANT wants <name> <goal> [<linefactor>], got %d arguments", nargs)
 		}
 		if !validTenantName(args[0]) {
 			return Request{}, errProto(ErrBadTenant, "tenant name %q must be [A-Za-z0-9_-]{1,%d}", args[0], MaxTenantLen)
@@ -223,7 +263,7 @@ func ReadRequest(br *bufio.Reader) (Request, error) {
 			return Request{}, errProto(ErrBadGoal, "goal %q must be a float in (0,1)", args[1])
 		}
 		req.Goal = goal
-		if len(args) == 3 {
+		if nargs == 3 {
 			lf, err := strconv.Atoi(args[2])
 			if err != nil || lf < 1 || lf > 1024 {
 				return Request{}, errProto(ErrBadArgs, "line factor %q must be an integer in [1,1024]", args[2])
@@ -233,14 +273,17 @@ func ReadRequest(br *bufio.Reader) (Request, error) {
 		return req, nil
 
 	case VerbGet, VerbDel:
-		if pe := parseTenantKey(&req, args); pe != nil {
+		if nargs != 2 {
+			return Request{}, errProto(ErrBadArgs, "%s wants <tenant> <key>, got %d arguments", req.Verb, nargs)
+		}
+		if pe := parseTenantKey(&req, args[:2]); pe != nil {
 			return Request{}, pe
 		}
 		return req, nil
 
 	case VerbSet:
-		if len(args) != 3 {
-			return Request{}, errProto(ErrBadArgs, "SET wants <tenant> <key> <nbytes>, got %d arguments", len(args))
+		if nargs != 3 {
+			return Request{}, errProto(ErrBadArgs, "SET wants <tenant> <key> <nbytes>, got %d arguments", nargs)
 		}
 		if pe := parseTenantKey(&req, args[:2]); pe != nil {
 			return Request{}, pe

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"io"
 	"strings"
 	"testing"
+
+	"molcache/internal/addr"
 )
 
 func decodeOne(t *testing.T, input string) (Request, error) {
@@ -135,6 +138,16 @@ func TestBlockAddrDeterministicAndConfined(t *testing.T) {
 	if a1 != a2 {
 		t.Fatalf("blockAddr not deterministic: %#x vs %#x", a1, a2)
 	}
+	// The in-place hash is FNV-64a: a journal written before it replays
+	// to the same refs.
+	for _, key := range []string{"", "user:17", "k00042", strings.Repeat("\xfe", 250)} {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		want := addr.LineAlign(uint64(3)<<asidShift|h.Sum64()&addr.Mask(26), 64)
+		if got := blockAddr(3, key, 26, 64); got != want {
+			t.Errorf("blockAddr(%q) = %#x, hash/fnv gives %#x", key, got, want)
+		}
+	}
 	if a1%64 != 0 {
 		t.Errorf("blockAddr not line-aligned: %#x", a1)
 	}
@@ -144,4 +157,75 @@ func TestBlockAddrDeterministicAndConfined(t *testing.T) {
 	if blockAddr(4, "user:17", 26, 64)>>36 != 4 {
 		t.Errorf("different ASIDs must map to disjoint bases")
 	}
+}
+
+func TestReadRequestWhitespace(t *testing.T) {
+	// Fields split at every unicode.IsSpace run, as strings.Fields
+	// splits them: tabs, vertical tabs, form feeds, stray CRs and the
+	// Latin-1 and Unicode spaces all separate arguments.
+	cases := []struct {
+		input string
+		want  Request
+	}{
+		{"GET\tweb\tk\r\n", Request{Verb: VerbGet, Tenant: "web", Key: "k"}},
+		{"  GET  web   k  \r\n", Request{Verb: VerbGet, Tenant: "web", Key: "k"}},
+		{"GET web\vk\f\r\n", Request{Verb: VerbGet, Tenant: "web", Key: "k"}},
+		{"GET web\rk\r\n", Request{Verb: VerbGet, Tenant: "web", Key: "k"}},
+		{"GET web k　\r\n", Request{Verb: VerbGet, Tenant: "web", Key: "k"}},
+		{"DEL web \u0085k\r\n", Request{Verb: VerbDel, Tenant: "web", Key: "k"}},
+	}
+	for _, tc := range cases {
+		got, err := decodeOne(t, tc.input)
+		if err != nil {
+			t.Errorf("ReadRequest(%q): %v", tc.input, err)
+			continue
+		}
+		if got.Verb != tc.want.Verb || got.Tenant != tc.want.Tenant || got.Key != tc.want.Key {
+			t.Errorf("ReadRequest(%q) = %+v, want %+v", tc.input, got, tc.want)
+		}
+	}
+	// Invalid UTF-8 is not a separator: the key keeps the byte and is
+	// then rejected as non-printable.
+	if _, err := decodeOne(t, "GET web k\xffey\r\n"); err == nil {
+		t.Error("ReadRequest accepted a key holding an invalid UTF-8 byte")
+	}
+}
+
+// TestReadRequestAllocs pins the decoder's garbage: a GET or DEL costs
+// the one string conversion of its line, a SET that plus its value.
+func TestReadRequestAllocs(t *testing.T) {
+	cases := []struct {
+		name  string
+		input string
+		want  float64
+	}{
+		{"get", "GET web user:17\r\n", 1},
+		{"del", "DEL web user:17\r\n", 1},
+		{"set", "SET web user:17 64\r\n" + strings.Repeat("v", 64) + "\r\n", 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			br := bufio.NewReader(&cycleReader{data: []byte(tc.input)})
+			got := testing.AllocsPerRun(200, func() {
+				if _, err := ReadRequest(br); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != tc.want {
+				t.Errorf("%s: %v allocations per request, want %v", tc.name, got, tc.want)
+			}
+		})
+	}
+}
+
+// cycleReader repeats data forever without allocating.
+type cycleReader struct {
+	data []byte
+	off  int
+}
+
+func (r *cycleReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.off:])
+	r.off = (r.off + n) % len(r.data)
+	return n, nil
 }

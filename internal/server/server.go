@@ -5,17 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"net"
 	"os"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync"
-
-	"io"
 
 	"molcache"
 	"molcache/internal/addr"
+	"molcache/internal/engine"
 	"molcache/internal/faults"
 	"molcache/internal/molecular"
 	"molcache/internal/obs"
@@ -41,12 +41,6 @@ type Config struct {
 	// count, so journal replay re-delivers it identically).
 	Faults faults.Campaign
 
-	// Shards runs the access pipeline epoch-parallel over cluster
-	// shards (default 1; clamped to [1, clusters] by the engine).
-	Shards int
-	// BatchMax bounds how many queued requests fold into one simulator
-	// batch (default 256).
-	BatchMax int
 	// AddrBits is each tenant's address-space width: keys hash into
 	// [0, 2^AddrBits) within a per-ASID base (default 26, max 36).
 	AddrBits uint
@@ -54,7 +48,8 @@ type Config struct {
 	// replayer must use the same size for event-stream identity.
 	EventRing int
 	// PublishEvery refreshes the obs snapshot every N accesses
-	// (default 8192; the sim loop also publishes at boot and shutdown).
+	// (default 8192; the server also publishes at boot, on every TENANT
+	// request and at shutdown).
 	PublishEvery uint64
 	// MaxTenants bounds TENANT registrations (default 1024).
 	MaxTenants int
@@ -68,12 +63,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 256
-	}
 	if c.AddrBits == 0 {
 		c.AddrBits = 26
 	}
@@ -93,14 +82,23 @@ func (c Config) withDefaults() Config {
 // the workload-generator convention, so AddrBits may be at most 36.
 const asidShift = 36
 
+// FNV-64a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // blockAddr maps a tenant's key to its line-aligned block address:
 // FNV-64a of the key masked to the tenant's address-space width, offset
 // into the per-ASID base. Deterministic, so the journal needs only the
-// resulting refs.
+// resulting refs. The hash runs over the string in place.
 func blockAddr(asid uint16, key string, addrBits uint, lineSize uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	a := uint64(asid)<<asidShift | (h.Sum64() & addr.Mask(addrBits))
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	a := uint64(asid)<<asidShift | (h & addr.Mask(addrBits))
 	return addr.LineAlign(a, lineSize)
 }
 
@@ -113,19 +111,39 @@ type Tenant struct {
 	LineFactor int     `json:"line_factor,omitempty"`
 }
 
-// request crosses from a connection goroutine to the sim goroutine;
-// the response comes back on the buffered reply channel.
-type request struct {
-	req  Request
-	resp chan response
-}
-
+// response is a request's outcome, handed from its critical section to
+// the reply writer.
 type response struct {
 	err   *ProtocolError
 	asid  uint16
 	hit   bool
 	found bool
 	value []byte
+}
+
+// errShuttingDown answers every request that reaches its critical
+// section after Shutdown began.
+var errShuttingDown = &ProtocolError{Code: ErrShutdown, Detail: "server is shutting down"}
+
+// counters are the server-plane counters a request touches, resolved
+// once in New so a request never builds or looks up a metric name.
+type counters struct {
+	requests                                          map[Verb]*telemetry.Counter
+	accesses, notFound, protocolErrors, journalErrors *telemetry.Counter
+}
+
+func newCounters(reg *telemetry.Registry) counters {
+	c := counters{
+		requests:       make(map[Verb]*telemetry.Counter),
+		accesses:       reg.Counter("molcache_server_accesses_total"),
+		notFound:       reg.Counter("molcache_server_notfound_total"),
+		protocolErrors: reg.Counter("molcache_server_protocol_errors_total"),
+		journalErrors:  reg.Counter("molcache_server_journal_errors_total"),
+	}
+	for _, v := range []Verb{VerbTenant, VerbGet, VerbSet, VerbDel, VerbPing, VerbQuit} {
+		c.requests[v] = reg.Counter("molcache_server_requests_total{verb=" + string(v) + "}")
+	}
+	return c
 }
 
 // Server is a running molcached instance.
@@ -135,29 +153,28 @@ type Server struct {
 	ln     net.Listener
 	obsSrv *obs.Server
 
-	// Sim-goroutine-owned state: the simulator, engine, journal, value
-	// store and tenant table. Connection goroutines reach it only
-	// through reqCh (the molvet-fixture-pinned contract).
+	// mu is the one lock over simulation state: the simulator, journal,
+	// value store, tenant table and publish cursor below. A connection
+	// goroutine holds it for one request's critical section; Shutdown
+	// takes it to stop admitting and again to close the journal.
+	mu       sync.Mutex
 	sim      *molcache.Simulator
-	eng      *molcache.ShardedEngine
+	lineSize uint64
 	journal  *Journal
 	store    map[string]map[string][]byte
 	tenants  map[string]*Tenant
-	byASID   map[uint16]*Tenant
 	nextASID uint16
 	pubAt    uint64
+	stopping bool
 
 	tr      *telemetry.Tracer
 	reg     *telemetry.Registry // sim-plane: attached, replay-comparable
 	servReg *telemetry.Registry // server-plane: request/journal counters
+	ctr     counters
 	tap     *obs.EventTap
 	pub     *obs.Publisher
 
-	reqCh  chan *request
-	stopCh chan struct{}
-	doneCh chan struct{}
-
-	mu     sync.Mutex
+	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	connWG sync.WaitGroup
 	closed bool
@@ -208,17 +225,14 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		store:    make(map[string]map[string][]byte),
 		tenants:  make(map[string]*Tenant),
-		byASID:   make(map[uint16]*Tenant),
 		nextASID: 1,
 		tr:       telemetry.NewTracer(cfg.EventRing),
 		reg:      telemetry.NewRegistry(),
 		servReg:  telemetry.NewRegistry(),
 		pub:      obs.NewPublisher(),
-		reqCh:    make(chan *request, 1024),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
+	s.ctr = newCounters(s.servReg)
 	s.tap = obs.NewEventTap(nil)
 	s.tr.SetSink(s.tap)
 
@@ -247,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ln = ln
 
-	go s.simLoop()
+	s.publish()
 	go s.acceptLoop()
 	return s, nil
 }
@@ -277,7 +291,7 @@ func (s *Server) coldStart() error {
 		return err
 	}
 	s.sim = sim
-	s.eng = sim.Sharded(s.cfg.Shards)
+	s.lineSize = sim.Cache.Config().LineSize
 	if s.cfg.JournalPath != "" {
 		j, err := CreateJournal(s.cfg.JournalPath, s.journalConfig())
 		if err != nil {
@@ -343,7 +357,7 @@ func (s *Server) restore() error {
 	}
 
 	s.sim = sim
-	s.eng = sim.Sharded(s.cfg.Shards)
+	s.lineSize = sim.Cache.Config().LineSize
 	s.journal = j
 	s.nextASID = st.NextASID
 	if store == nil {
@@ -357,14 +371,14 @@ func (s *Server) restore() error {
 		}
 		tc := t
 		s.tenants[t.Name] = &tc
-		s.byASID[t.ASID] = &tc
 	}
 	s.warm = true
 	return nil
 }
 
 // writeCheckpoint packs tenant table + store + simulator into one
-// crash-safe MOLC1 container. Runs only after the sim loop has drained.
+// crash-safe MOLC1 container. Shutdown runs it under mu, after the last
+// critical section.
 func (s *Server) writeCheckpoint() error {
 	simBytes, err := s.sim.EncodeCheckpoint()
 	if err != nil {
@@ -415,8 +429,8 @@ func (s *Server) WarmStarted() bool { return s.warm }
 func (s *Server) RestoreErr() error { return s.restoreErr }
 
 // Sim exposes the simulator for oracle comparison. Callers must only
-// touch it after Shutdown has returned (the sim goroutine owns it
-// while the server runs).
+// touch it after Shutdown has returned (connection goroutines change
+// it under the server's lock while the server runs).
 func (s *Server) Sim() *molcache.Simulator { return s.sim }
 
 // Tracer returns the sim-plane event tracer (same post-Shutdown rule).
@@ -435,38 +449,36 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		s.mu.Lock()
+		s.connMu.Lock()
 		if s.closed {
-			s.mu.Unlock()
+			s.connMu.Unlock()
 			c.Close()
 			return
 		}
 		s.conns[c] = struct{}{}
 		s.connWG.Add(1)
-		s.mu.Unlock()
+		s.connMu.Unlock()
 		s.servReg.Counter("molcache_server_connections_total").Inc()
 		go s.serveConn(c)
 	}
 }
 
 func (s *Server) removeConn(c net.Conn) {
-	s.mu.Lock()
+	s.connMu.Lock()
 	delete(s.conns, c)
-	s.mu.Unlock()
+	s.connMu.Unlock()
 }
 
-func writeLine(bw *bufio.Writer, line string) error {
-	if _, err := bw.WriteString(line); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString("\r\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
+// writeErr writes an ERR reply. Replies go to the connection's
+// bufio.Writer piece by piece, so writing one allocates nothing; the
+// writer's error is sticky, so only the closing Flush needs checking.
 func writeErr(bw *bufio.Writer, pe *ProtocolError) error {
-	return writeLine(bw, "ERR "+pe.Code+" "+pe.Detail)
+	bw.WriteString("ERR ")
+	bw.WriteString(pe.Code)
+	bw.WriteByte(' ')
+	bw.WriteString(pe.Detail)
+	bw.WriteString("\r\n")
+	return bw.Flush()
 }
 
 func hitToken(hit bool) string {
@@ -474,6 +486,32 @@ func hitToken(hit bool) string {
 		return "HIT"
 	}
 	return "MISS"
+}
+
+// writeReply writes a successful request's reply.
+func writeReply(bw *bufio.Writer, verb Verb, resp response) error {
+	switch {
+	case verb == VerbTenant:
+		bw.WriteString("OK ")
+		bw.Write(strconv.AppendUint(bw.AvailableBuffer(), uint64(resp.asid), 10))
+	case !resp.found:
+		bw.WriteString("NOTFOUND")
+	case verb == VerbGet:
+		bw.WriteString("VALUE ")
+		bw.WriteString(hitToken(resp.hit))
+		bw.WriteByte(' ')
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(resp.value)), 10))
+		bw.WriteString("\r\n")
+		bw.Write(resp.value)
+	case verb == VerbSet:
+		bw.WriteString("STORED ")
+		bw.WriteString(hitToken(resp.hit))
+	case verb == VerbDel:
+		bw.WriteString("DELETED ")
+		bw.WriteString(hitToken(resp.hit))
+	}
+	bw.WriteString("\r\n")
+	return bw.Flush()
 }
 
 func (s *Server) serveConn(c net.Conn) {
@@ -490,7 +528,7 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 			var pe *ProtocolError
 			if errors.As(err, &pe) {
-				s.servReg.Counter("molcache_server_protocol_errors_total").Inc()
+				s.ctr.protocolErrors.Inc()
 				writeErr(bw, pe)
 				if pe.Fatal() {
 					return
@@ -499,183 +537,96 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 			return
 		}
-		s.servReg.Counter("molcache_server_requests_total{verb=" + string(req.Verb) + "}").Inc()
+		s.ctr.requests[req.Verb].Inc()
 		switch req.Verb {
 		case VerbPing:
-			if writeLine(bw, "PONG") != nil {
+			bw.WriteString("PONG\r\n")
+			if bw.Flush() != nil {
 				return
 			}
 			continue
 		case VerbQuit:
-			writeLine(bw, "BYE")
+			bw.WriteString("BYE\r\n")
+			bw.Flush()
 			return
 		}
-		r := &request{req: req, resp: make(chan response, 1)}
-		select {
-		case s.reqCh <- r:
-		case <-s.stopCh:
-			writeErr(bw, errProto(ErrShutdown, "server is shutting down"))
-			return
-		}
-		resp := <-r.resp
+		resp := s.handle(req)
 		if resp.err != nil {
-			if writeErr(bw, resp.err) != nil {
+			if writeErr(bw, resp.err) != nil || resp.err == errShuttingDown {
 				return
 			}
 			continue
 		}
-		var werr error
-		switch req.Verb {
-		case VerbTenant:
-			werr = writeLine(bw, fmt.Sprintf("OK %d", resp.asid))
-		case VerbGet:
-			if !resp.found {
-				werr = writeLine(bw, "NOTFOUND")
-				break
-			}
-			if _, werr = fmt.Fprintf(bw, "VALUE %s %d\r\n", hitToken(resp.hit), len(resp.value)); werr != nil {
-				break
-			}
-			if _, werr = bw.Write(resp.value); werr != nil {
-				break
-			}
-			if _, werr = bw.WriteString("\r\n"); werr != nil {
-				break
-			}
-			werr = bw.Flush()
-		case VerbSet:
-			werr = writeLine(bw, "STORED "+hitToken(resp.hit))
-		case VerbDel:
-			if !resp.found {
-				werr = writeLine(bw, "NOTFOUND")
-				break
-			}
-			werr = writeLine(bw, "DELETED "+hitToken(resp.hit))
-		}
-		if werr != nil {
+		if writeReply(bw, req.Verb, resp) != nil {
 			return
 		}
 	}
 }
 
-// simLoop is the single goroutine that owns the simulator. It drains
-// queued requests into bounded batches, applies store mutations and
-// admits accesses in arrival order, runs one engine batch per admitted
-// run, journals it, then replies.
-func (s *Server) simLoop() {
-	defer close(s.doneCh)
-	s.publish()
-	batch := make([]*request, 0, s.cfg.BatchMax)
-	for {
-		r, ok := <-s.reqCh
-		if !ok {
-			break
-		}
-		batch = append(batch[:0], r)
-		draining := true
-		for draining && len(batch) < s.cfg.BatchMax {
-			select {
-			case r2, ok2 := <-s.reqCh:
-				if !ok2 {
-					draining = false
-					break
-				}
-				batch = append(batch, r2)
-			default:
-				draining = false
-			}
-		}
-		s.process(batch)
-		if at := s.sim.Cache.Addresses(); at-s.pubAt >= s.cfg.PublishEvery {
-			s.publish()
-		}
+// handle runs one TENANT, GET, SET or DEL request's critical section:
+// under mu it applies the store change, admits the access through the
+// serial Simulator.Access path, journals it, and publishes when the
+// access count has advanced PublishEvery past the last publish. A GET's
+// value is safe to write after unlocking: a stored value slice is
+// never modified, only replaced.
+func (s *Server) handle(req Request) response {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopping {
+		return response{err: errShuttingDown}
 	}
-	s.publish()
-}
-
-// process services one batch of requests in order. TENANT admin actions
-// are run boundaries: the accesses before one are admitted to the
-// engine (and journaled) before the tenant table changes.
-func (s *Server) process(batch []*request) {
-	var refs []trace.Ref
-	var pend []*request
-	var resps []response
-	lineSize := s.sim.Cache.Config().LineSize
-
-	flush := func() {
-		if len(refs) == 0 {
-			return
-		}
-		results := s.eng.AccessBatch(refs)
-		if err := s.journal.Batch(refs, results); err != nil {
-			// A dead journal invalidates the oracle, not the service:
-			// count it and keep serving.
-			s.servReg.Counter("molcache_server_journal_errors_total").Inc()
-		}
-		s.servReg.Counter("molcache_server_accesses_total").Add(uint64(len(refs)))
-		s.servReg.Counter("molcache_server_batches_total").Inc()
-		for i, pr := range pend {
-			resp := resps[i]
-			resp.hit = results[i].Hit
-			pr.resp <- resp
-		}
-		refs = refs[:0]
-		pend = pend[:0]
-		resps = resps[:0]
+	if req.Verb == VerbTenant {
+		resp := s.handleTenant(req)
+		// Tenant admin ops are rare and observable: republish so
+		// /tenants reflects the change immediately rather than at the
+		// next PublishEvery boundary.
+		s.publish()
+		return resp
 	}
-
-	for _, r := range batch {
-		req := r.req
-		if req.Verb == VerbTenant {
-			flush()
-			r.resp <- s.handleTenant(req)
-			// Tenant admin ops are rare and observable: republish so
-			// /tenants reflects the change immediately rather than at
-			// the next PublishEvery boundary.
-			s.publish()
-			continue
-		}
-		t, ok := s.tenants[req.Tenant]
-		if !ok {
-			r.resp <- response{err: errProto(ErrUnknownTenant, "tenant %q is not registered", req.Tenant)}
-			continue
-		}
-		keys := s.store[req.Tenant]
-		var resp response
-		switch req.Verb {
-		case VerbGet:
-			v, present := keys[req.Key]
-			if !present {
-				s.servReg.Counter("molcache_server_notfound_total").Inc()
-				r.resp <- response{}
-				continue
-			}
-			resp = response{found: true, value: v}
-		case VerbSet:
-			keys[req.Key] = req.Value
-			resp = response{found: true}
-		case VerbDel:
-			if _, present := keys[req.Key]; !present {
-				s.servReg.Counter("molcache_server_notfound_total").Inc()
-				r.resp <- response{}
-				continue
-			}
-			delete(keys, req.Key)
-			resp = response{found: true}
-		}
-		refs = append(refs, trace.Ref{
-			Addr: blockAddr(t.ASID, req.Key, s.cfg.AddrBits, lineSize),
-			ASID: t.ASID,
-			Kind: req.Verb.RefKind(),
-		})
-		pend = append(pend, r)
-		resps = append(resps, resp)
+	t, ok := s.tenants[req.Tenant]
+	if !ok {
+		return response{err: errProto(ErrUnknownTenant, "tenant %q is not registered", req.Tenant)}
 	}
-	flush()
+	keys := s.store[req.Tenant]
+	resp := response{found: true}
+	switch req.Verb {
+	case VerbGet:
+		v, present := keys[req.Key]
+		if !present {
+			s.ctr.notFound.Inc()
+			return response{}
+		}
+		resp.value = v
+	case VerbSet:
+		keys[req.Key] = req.Value
+	case VerbDel:
+		if _, present := keys[req.Key]; !present {
+			s.ctr.notFound.Inc()
+			return response{}
+		}
+		delete(keys, req.Key)
+	}
+	ref := trace.Ref{
+		Addr: blockAddr(t.ASID, req.Key, s.cfg.AddrBits, s.lineSize),
+		ASID: t.ASID,
+		Kind: req.Verb.RefKind(),
+	}
+	res := s.sim.Access(ref)
+	if err := s.journal.Batch([]trace.Ref{ref}, []engine.Result{res}); err != nil {
+		// A dead journal invalidates the oracle, not the service:
+		// count it and keep serving.
+		s.ctr.journalErrors.Inc()
+	}
+	s.ctr.accesses.Inc()
+	if s.sim.Cache.Addresses()-s.pubAt >= s.cfg.PublishEvery {
+		s.publish()
+	}
+	resp.hit = res.Hit
+	return resp
 }
 
 // handleTenant registers a tenant (creating its region) or updates an
-// existing tenant's goal. Runs on the sim goroutine.
+// existing tenant's goal. Runs under mu.
 func (s *Server) handleTenant(req Request) response {
 	if t, ok := s.tenants[req.Tenant]; ok {
 		if req.LineFactor != 0 && req.LineFactor != t.LineFactor {
@@ -690,7 +641,7 @@ func (s *Server) handleTenant(req Request) response {
 			if err := s.journal.Tenant(TenantRecord{
 				ASID: t.ASID, Name: t.Name, Goal: t.Goal, Update: true,
 			}); err != nil {
-				s.servReg.Counter("molcache_server_journal_errors_total").Inc()
+				s.ctr.journalErrors.Inc()
 			}
 		}
 		return response{asid: t.ASID}
@@ -711,19 +662,18 @@ func (s *Server) handleTenant(req Request) response {
 	s.nextASID++
 	t := &Tenant{Name: req.Tenant, ASID: asid, Goal: req.Goal, LineFactor: req.LineFactor}
 	s.tenants[t.Name] = t
-	s.byASID[asid] = t
 	s.store[t.Name] = make(map[string][]byte)
 	if err := s.journal.Tenant(TenantRecord{
 		ASID: asid, Name: t.Name, Goal: t.Goal, LineFactor: t.LineFactor,
 	}); err != nil {
-		s.servReg.Counter("molcache_server_journal_errors_total").Inc()
+		s.ctr.journalErrors.Inc()
 	}
 	return response{asid: asid}
 }
 
-// publish collects an immutable obs.State (sim-goroutine contract),
-// extends it with the tenant view and the server-plane metrics, and
-// installs it for the HTTP handlers.
+// publish collects an immutable obs.State, extends it with the tenant
+// view and the server-plane metrics, and installs it for the HTTP
+// handlers. Runs under mu (or before the server accepts connections).
 func (s *Server) publish() {
 	st := obs.Collect(s.sim.Cache, s.sim.Controller, s.reg)
 	st.Tenants = s.collectTenants(st)
@@ -776,24 +726,30 @@ func mergeSnapshots(sim, serv telemetry.Snapshot) telemetry.Snapshot {
 	return sim
 }
 
-// Shutdown gracefully stops the server: no new connections, existing
-// connections closed, queued requests drained through the simulator,
-// the journal synced and closed, a final obs snapshot published, and —
-// when configured — a checkpoint written. The obs server stays up for
-// post-mortem scraping until Close. Safe to call more than once.
+// Shutdown gracefully stops the server: it stops admitting requests
+// (a critical section already running finishes first, because this
+// waits for the lock; later ones answer ERR shutting-down), stops
+// accepting, closes every connection and waits for its goroutine,
+// then publishes a final obs snapshot, syncs and closes the journal
+// and — when configured — writes a checkpoint. The obs server stays up
+// for post-mortem scraping until Close. Safe to call more than once.
 func (s *Server) Shutdown() error {
 	s.shutdownOnce.Do(func() {
-		close(s.stopCh)
-		s.ln.Close()
 		s.mu.Lock()
+		s.stopping = true
+		s.mu.Unlock()
+		s.ln.Close()
+		s.connMu.Lock()
 		s.closed = true
 		for c := range s.conns {
 			c.Close()
 		}
-		s.mu.Unlock()
+		s.connMu.Unlock()
 		s.connWG.Wait()
-		close(s.reqCh)
-		<-s.doneCh
+
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.publish()
 		if err := s.journal.Close(); err != nil {
 			s.shutdownErr = err
 		}

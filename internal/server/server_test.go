@@ -1,16 +1,19 @@
 // Server behavior tests: protocol semantics end to end over real TCP
-// connections, the tenant admin surface, obs integration, and the
-// race-serve harness (TestRaceServe, run under -race by `make
-// race-serve`) proving N concurrent clients leave a gap-free journal
-// whose access count matches the served /metrics totals.
+// connections, the tenant admin surface, obs integration, the served
+// path's allocation budget, and the race-serve harness (TestRaceServe
+// and TestShutdownUnderLoad, run under -race by `make race-serve`)
+// proving N concurrent clients leave a gap-free journal whose access
+// count matches the served /metrics totals and the simulator's clock.
 package server_test
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -216,7 +219,7 @@ func TestRaceServe(t *testing.T) {
 		ops     = 400
 		keys    = 64
 	)
-	f := servertest.Boot(t, servertest.Options{Obs: true, Shards: 2})
+	f := servertest.Boot(t, servertest.Options{Obs: true})
 	stats := make([]server.DriveStats, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
@@ -306,5 +309,162 @@ func TestRaceServe(t *testing.T) {
 	live := f.Server.Sim()
 	if !reflect.DeepEqual(*live.Cache.Ledger(), *rep.Sim.Cache.Ledger()) {
 		t.Errorf("ledger diverged: live %+v, replay %+v", *live.Cache.Ledger(), *rep.Sim.Cache.Ledger())
+	}
+}
+
+// TestShutdownUnderLoad: Shutdown while 8 clients are in the middle of
+// Drive. Critical sections already running finish, later requests are
+// refused, and the journal holds exactly the accesses the simulator
+// ran: gap-free, replaying to the live ledger, with no access run after
+// the journal closed.
+func TestShutdownUnderLoad(t *testing.T) {
+	const clients = 8
+	f := servertest.Boot(t, servertest.Options{Obs: true})
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		i := i
+		c := f.Client()
+		tenant := fmt.Sprintf("tenant-%d", i)
+		if _, err := c.Tenant(tenant, 0.2, 0); err != nil {
+			t.Fatalf("TENANT %s: %v", tenant, err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Far more operations than run before Shutdown cuts in.
+			_, errs[i] = c.Drive(tenant, uint64(i+1), 1<<30, 64)
+		}()
+	}
+	// Shut down once the load is visibly under way.
+	deadline := time.Now().Add(servertestTimeout)
+	for {
+		body, err := servertest.GetBody(f.Server.ObsURL() + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		snap, err := telemetry.ParsePrometheus(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("parse /metrics: %v", err)
+		}
+		if snap.Counters["molcache_server_accesses_total"] >= 2000 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("load did not reach 2000 accesses")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := f.Server.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		var pe *server.ProtocolError
+		switch {
+		case err == nil:
+			t.Errorf("client %d finished its drive: Shutdown did not stop it", i)
+		case errors.As(err, &pe) && pe.Code != server.ErrShutdown:
+			t.Errorf("client %d: %v, want a closed connection or %s", i, err, server.ErrShutdown)
+		}
+	}
+
+	_, frames, err := server.ReadJournalFile(f.JournalPath)
+	if err != nil {
+		t.Fatalf("journal not clean after shutdown under load: %v", err)
+	}
+	var journaled uint64
+	for _, fr := range frames {
+		if fr.Batch != nil {
+			journaled += uint64(len(fr.Batch.Refs))
+		}
+	}
+	live := f.Server.Sim()
+	if ran := live.Cache.Addresses(); ran != journaled || ran != f.Server.JournalSeq() {
+		t.Errorf("simulator ran %d accesses, journal file holds %d, journal seq %d",
+			ran, journaled, f.Server.JournalSeq())
+	}
+	rep, err := server.ReplayJournalFile(f.JournalPath, server.ReplayOptions{})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !reflect.DeepEqual(*live.Cache.Ledger(), *rep.Sim.Cache.Ledger()) {
+		t.Errorf("ledger diverged: live %+v, replay %+v", *live.Cache.Ledger(), *rep.Sim.Cache.Ledger())
+	}
+}
+
+// TestServedPathAllocs pins the served request path's garbage: a raw
+// client that allocates nothing sends pre-rendered GETs and SETs (three
+// to one) over preloaded keys to a live server with its journal on and
+// the daemon's publish cadence, and the whole process may allocate at
+// most 3 times per request.
+func TestServedPathAllocs(t *testing.T) {
+	const (
+		keys   = 512
+		rounds = 24
+	)
+	f := servertest.Boot(t, servertest.Options{NoCheckpoint: true, PublishEvery: 8192})
+	c := f.Client()
+	if _, err := c.Tenant("web", 0.2, 0); err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte{'v'}, 64)
+	reqs := make([][]byte, keys)
+	for k := range reqs {
+		key := fmt.Sprintf("k%04d", k)
+		if _, err := c.Set("web", key, value); err != nil {
+			t.Fatal(err)
+		}
+		if k%4 == 0 {
+			reqs[k] = []byte(fmt.Sprintf("SET web %s %d\r\n%s\r\n", key, len(value), value))
+		} else {
+			reqs[k] = []byte(fmt.Sprintf("GET web %s\r\n", key))
+		}
+	}
+	conn, err := net.Dial("tcp", f.Server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 4096)
+	// do sends one request and reads its whole reply: one line for a
+	// SET, a line plus the newline-free value line for a GET.
+	do := func(req []byte) {
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		lines := 2
+		if req[0] == 'S' {
+			lines = 1
+		}
+		n := 0
+		for lines > 0 {
+			m, err := conn.Read(buf[n:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines -= bytes.Count(buf[n:n+m], []byte{'\n'})
+			n += m
+		}
+		if !bytes.HasPrefix(buf[:n], []byte("VALUE ")) && !bytes.HasPrefix(buf[:n], []byte("STORED ")) {
+			t.Fatalf("reply %q to %q", buf[:n], req)
+		}
+	}
+	for _, req := range reqs {
+		do(req)
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for r := 0; r < rounds; r++ {
+		for _, req := range reqs {
+			do(req)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perReq := float64(m1.Mallocs-m0.Mallocs) / float64(rounds*keys)
+	t.Logf("%.2f heap allocations per request", perReq)
+	if perReq > 3 {
+		t.Errorf("served path makes %.2f heap allocations per request, want at most 3", perReq)
 	}
 }

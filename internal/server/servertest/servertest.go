@@ -22,8 +22,6 @@ type Options struct {
 	Molecular    molecular.Config
 	Resize       resize.Config
 	Faults       faults.Campaign
-	Shards       int
-	BatchMax     int
 	AddrBits     uint
 	EventRing    int
 	PublishEvery uint64
@@ -89,8 +87,6 @@ func (f *Fixture) config() server.Config {
 		Molecular:      f.opts.Molecular,
 		Resize:         f.opts.Resize,
 		Faults:         f.opts.Faults,
-		Shards:         f.opts.Shards,
-		BatchMax:       f.opts.BatchMax,
 		AddrBits:       f.opts.AddrBits,
 		EventRing:      f.opts.EventRing,
 		PublishEvery:   f.opts.PublishEvery,

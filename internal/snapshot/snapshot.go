@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Magic identifies a MOLC1 snapshot file.
@@ -70,6 +71,13 @@ func errf(section, format string, args ...any) *Error {
 // Encode serializes sections into a MOLC1 container. Section names must
 // be non-empty, unique, NUL-free and at most 16 bytes.
 func Encode(sections []Section) ([]byte, error) {
+	return appendEncode(nil, sections)
+}
+
+// appendEncode appends the MOLC1 container of sections to dst. Offsets
+// in the section table count from the container's first byte, not
+// dst's.
+func appendEncode(dst []byte, sections []Section) ([]byte, error) {
 	if len(sections) > 0xFFFF {
 		return nil, fmt.Errorf("snapshot: %d sections exceed the uint16 count field", len(sections))
 	}
@@ -93,7 +101,12 @@ func Encode(sections []Section) ([]byte, error) {
 	for _, s := range sections {
 		total += len(s.Payload)
 	}
-	out := make([]byte, total)
+	base := len(dst)
+	dst = slices.Grow(dst, total)[:base+total]
+	out := dst[base:]
+	// A reused dst holds stale bytes; the encoding below writes every
+	// byte except the names' NUL padding and the reserved fields.
+	clear(out[:headerLen+tableLen])
 	copy(out, Magic)
 	out[5] = Version
 	binary.LittleEndian.PutUint16(out[6:], uint16(len(sections)))
@@ -109,7 +122,7 @@ func Encode(sections []Section) ([]byte, error) {
 		off += uint64(len(s.Payload))
 	}
 	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(out[headerLen:headerLen+tableLen]))
-	return out, nil
+	return dst, nil
 }
 
 // Decode parses a MOLC1 container, verifying the header, the table

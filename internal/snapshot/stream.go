@@ -16,27 +16,28 @@ const MaxFrameLen = 64 << 20
 // every frame carries the container's own section and payload CRCs and
 // a torn tail is detectable as a short read.
 type FrameWriter struct {
-	w io.Writer
+	w   io.Writer
+	buf []byte // the frame being written, reused across frames
 }
 
 // NewFrameWriter wraps w. The caller owns buffering and sync.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-// WriteFrame encodes sections as one container and appends it.
+// WriteFrame encodes sections as one container and appends it. The
+// frame is built in a buffer the writer reuses, so once the buffer has
+// grown a stream of small frames allocates nothing.
 func (fw *FrameWriter) WriteFrame(sections []Section) error {
-	data, err := Encode(sections)
+	buf, err := appendEncode(append(fw.buf[:0], 0, 0, 0, 0), sections)
 	if err != nil {
 		return err
 	}
-	if len(data) > MaxFrameLen {
-		return errf("frame", "frame length %d exceeds cap %d", len(data), MaxFrameLen)
+	fw.buf = buf
+	n := len(buf) - 4
+	if n > MaxFrameLen {
+		return errf("frame", "frame length %d exceeds cap %d", n, MaxFrameLen)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = fw.w.Write(data)
+	binary.LittleEndian.PutUint32(buf, uint32(n))
+	_, err = fw.w.Write(buf)
 	return err
 }
 

@@ -82,3 +82,39 @@ func TestFrameCorruptContainer(t *testing.T) {
 		t.Fatalf("corrupt container: got %v, want typed *Error", err)
 	}
 }
+
+// TestFrameWriterReusesBuffer: a frame written after a larger one must
+// carry none of the larger frame's bytes, and a steady stream of small
+// frames allocates nothing.
+func TestFrameWriterReusesBuffer(t *testing.T) {
+	var got, want bytes.Buffer
+	fw := NewFrameWriter(&got)
+	frames := [][]Section{
+		{{Name: "a-long-name-16by", Payload: bytes.Repeat([]byte{0xEE}, 300)}, {Name: "two", Payload: []byte{1}}},
+		{{Name: "b", Payload: []byte("x")}},
+	}
+	for _, f := range frames {
+		if err := fw.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		data, err := Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write([]byte{byte(len(data)), byte(len(data) >> 8), 0, 0})
+		want.Write(data)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("frames written through a reused buffer differ from Encode's bytes")
+	}
+
+	fw = NewFrameWriter(io.Discard)
+	payload := bytes.Repeat([]byte{1}, 24)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := fw.WriteFrame([]Section{{Name: "batch2", Payload: payload}}); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("WriteFrame: %v allocations per frame, want 0", allocs)
+	}
+}

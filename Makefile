@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race race-shard race-serve vet lint bench bench-micro fuzz faults obs-smoke soak clean
+.PHONY: all build test race race-serve vet lint bench bench-micro fuzz faults obs-smoke soak clean
 
 all: build vet lint test
 
@@ -28,24 +28,15 @@ lint:
 # BENCH_OUT receives the access-path benchmark snapshot (ns/op,
 # allocs/op and fast-over-reference speedup per configuration);
 # BENCH_OBS_OUT the span-tracing overhead snapshot (disabled, unsampled,
-# sampled and always-on variants); BENCH_SHARD_OUT the sharded-engine
-# scaling snapshot (serial vs shards {2,4,8} × batch sizes). All are
-# telemetry JSON — the machine-readable perf trajectories CI archives.
+# sampled and always-on variants). Both are telemetry JSON — the
+# machine-readable perf trajectories CI archives.
 BENCH_OUT ?= BENCH_access.json
 BENCH_OBS_OUT ?= BENCH_obs.json
-BENCH_SHARD_OUT ?= BENCH_shard.json
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
 	BENCH_OUT=$(BENCH_OUT) $(GO) test -run '^TestWriteAccessBench$$' -count=1 .
 	BENCH_OBS_OUT=$(BENCH_OBS_OUT) $(GO) test -run '^TestWriteObsBench$$' -count=1 .
-	BENCH_SHARD_OUT=$(BENCH_SHARD_OUT) $(GO) test -run '^TestWriteShardBench$$' -count=1 .
-
-# Stress the sharded engine's determinism under the race detector:
-# repeated runs shake out goroutine interleavings the single pass might
-# miss (the CI race-stress job).
-race-shard:
-	$(GO) test -race -count=3 -run 'Sharded|ShardLane|AccessBatch|AssignClusters|MergedEventOrder' . ./internal/shard
 
 # Stress the serving layer under the race detector: N concurrent
 # clients against a live molcached instance (and a Shutdown cutting in

@@ -35,7 +35,6 @@ import (
 	"molcache/internal/molecular"
 	"molcache/internal/obs"
 	"molcache/internal/resize"
-	"molcache/internal/shard"
 	"molcache/internal/stats"
 	"molcache/internal/tabletext"
 	"molcache/internal/telemetry"
@@ -55,8 +54,6 @@ func main() {
 	list := flag.Bool("list", false, "list available workloads and exit")
 	faultsPath := flag.String("faults", "", "fault campaign JSON to inject (molecular caches only)")
 	refProbe := flag.Bool("reference-probe", false, "use the linear probe oracle instead of the fast-path block index (molecular caches only; results are identical, simulation is slower)")
-	shards := flag.Int("shards", 0, "replay -trace through the epoch-parallel sharded engine with N cluster shards (0: serial loop; molecular caches only; results are identical)")
-	batchSize := flag.Int("batch", 4096, "with -shards, accesses per AccessBatch epoch window")
 	checkEvery := flag.Uint64("check-invariants", 0, "audit structural invariants every N L2 accesses (0 disables)")
 	checkpointPath := flag.String("checkpoint", "", "write a crash-safe MOLC1 checkpoint here at run end (molecular caches only)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "with -checkpoint, also rewrite the checkpoint every N L2 accesses (0: only at run end)")
@@ -228,20 +225,9 @@ func main() {
 		names map[uint16]string
 		chk   *invariant.Checker
 	)
-	if *shards > 0 {
-		if mol == nil {
-			log.Fatal("-shards requires a molecular cache")
-		}
-		if *traceIn == "" {
-			log.Fatal("-shards applies to -trace replay (the CMP substrate generates references one at a time)")
-		}
-		if *batchSize <= 0 {
-			log.Fatal("-batch must be positive")
-		}
-	}
 	switch {
 	case *traceIn != "":
-		asids, names, chk = replayTrace(*traceIn, l2, mol, ctrl, *checkEvery, onAccess, *shards, *batchSize)
+		asids, names, chk = replayTrace(*traceIn, l2, mol, ctrl, *checkEvery, onAccess)
 	case *mix != "":
 		asids, names, chk, err = runMix(*mix, l2, ctrl, *refs, *seed, *checkEvery, onAccess)
 		if err != nil {
@@ -437,14 +423,9 @@ func runMix(mix string, l2 engine.Cache, ctrl *resize.Controller,
 
 // replayTrace feeds a recorded binary trace straight into the cache.
 // onAccess, when non-nil, runs after every access (the -serve publish
-// hook). With shards > 0 the replay streams through the epoch-parallel
-// sharded engine in windows of batch accesses — results and end state
-// are identical to the serial loop; only the invariant/publish hooks
-// move to window boundaries (they observe the cache, and the cache is
-// only quiescent between batches).
+// hook).
 func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
-	ctrl *resize.Controller, checkEvery uint64, onAccess func(),
-	shards, batch int) ([]uint16, map[uint16]string, *invariant.Checker) {
+	ctrl *resize.Controller, checkEvery uint64, onAccess func()) ([]uint16, map[uint16]string, *invariant.Checker) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -464,7 +445,15 @@ func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
 	}
 	seen := map[uint16]bool{}
 	var asids []uint16
-	note := func(ref trace.Ref) {
+	for {
+		ref, err := r.Read()
+		if err != nil {
+			break
+		}
+		l2.Access(ref)
+		if ctrl != nil {
+			ctrl.Tick()
+		}
 		if chk != nil {
 			chk.Tick()
 		}
@@ -474,44 +463,6 @@ func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
 		if !seen[ref.ASID] {
 			seen[ref.ASID] = true
 			asids = append(asids, ref.ASID)
-		}
-	}
-	if shards > 0 {
-		eng := shard.New(mol, ctrl, shards)
-		log.Printf("sharded replay: %d shards (requested %d), %d-access batches", eng.Shards(), shards, batch)
-		buf := make([]trace.Ref, 0, batch)
-		flush := func() {
-			if len(buf) == 0 {
-				return
-			}
-			eng.AccessBatch(buf)
-			for _, ref := range buf {
-				note(ref)
-			}
-			buf = buf[:0]
-		}
-		for {
-			ref, err := r.Read()
-			if err != nil {
-				break
-			}
-			buf = append(buf, ref)
-			if len(buf) == batch {
-				flush()
-			}
-		}
-		flush()
-	} else {
-		for {
-			ref, err := r.Read()
-			if err != nil {
-				break
-			}
-			l2.Access(ref)
-			if ctrl != nil {
-				ctrl.Tick()
-			}
-			note(ref)
 		}
 	}
 	names := map[uint16]string{}

@@ -40,7 +40,7 @@ func TestUnknownRuleExitsWithKnownList(t *testing.T) {
 }
 
 func TestRulesFlagAcceptsRegisteredSubset(t *testing.T) {
-	code, stdout, stderr := molvet(t, "-rules", "lane-confinement,lock-order", "./internal/shard")
+	code, stdout, stderr := molvet(t, "-rules", "concurrency,lock-order", "./internal/server")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stdout: %s stderr: %s", code, stdout, stderr)
 	}

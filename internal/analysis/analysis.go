@@ -72,21 +72,6 @@ type Config struct {
 	// or create channels.
 	ConcurrencyAllowed []string
 
-	// LaneRootPackages are the packages whose go statements root the
-	// lane-confinement walk — the only place shard goroutines are born.
-	LaneRootPackages []string
-	// LanePackages are the packages whose stores the lane-confinement
-	// rule classifies once reached from a shard goroutine.
-	LanePackages []string
-	// LaneSerialFuncs are boundary-serial functions (Type.Method or
-	// plain function names): bodies that only ever run between epochs,
-	// so their shared-state stores are sanctioned.
-	LaneSerialFuncs []string
-	// LaneSafeCalls are out-of-walk methods (Type.Method) that are safe
-	// from a shard lane even though they belong to shared structures
-	// (e.g. NoC traversal into a lane-private stats sink).
-	LaneSafeCalls []string
-
 	// Snapshots are the persisted structs whose fields snapshot-coverage
 	// diffs against their capture/restore closures.
 	Snapshots []SnapshotSurface
@@ -138,7 +123,6 @@ func DefaultConfig() Config {
 			"internal/noc",
 			"internal/faults",
 			"internal/runner",
-			"internal/shard",
 		},
 		MapOrderExtra: []string{
 			"internal/telemetry",
@@ -150,11 +134,6 @@ func DefaultConfig() Config {
 			// broadcast next to the single-threaded simulation; its
 			// handlers only ever read published immutable snapshots.
 			"internal/obs",
-			// The sharded access engine owns the epoch worker
-			// goroutines; internal/molecular itself stays goroutine-free
-			// and exposes only the passive ShardLane protocol, so the
-			// untracked-execution-stream argument holds everywhere else.
-			"internal/shard",
 			// The serving layer runs one goroutine per connection; each
 			// reaches the simulator, journal, value store and tenant
 			// table only inside a critical section under the server's
@@ -163,24 +142,6 @@ func DefaultConfig() Config {
 			// channel its main loop blocks on.
 			"internal/server",
 			"cmd/molcached",
-		},
-
-		LaneRootPackages: []string{"internal/shard"},
-		LanePackages: []string{
-			"internal/molecular",
-			"internal/shard",
-		},
-		LaneSerialFuncs: []string{
-			// MergeLanes is the epoch barrier: it folds every lane's
-			// private deltas into the shared cache after the workers join.
-			"Cache.MergeLanes",
-		},
-		LaneSafeCalls: []string{
-			// TraverseInto accumulates into the caller-supplied Stats —
-			// the lane's private copy on the shard path.
-			"Mesh.TraverseInto",
-			// DelayWindowAt is a pure read of the materialized campaign.
-			"Injector.DelayWindowAt",
 		},
 
 		Snapshots: []SnapshotSurface{
@@ -213,31 +174,22 @@ func DefaultConfig() Config {
 
 		HotPathRoots: []string{
 			"Cache.Access",
-			"Cache.AccessBatch",
-			"Engine.Access",
-			"Engine.AccessBatch",
 		},
 		HotPathPackages: []string{
 			"internal/molecular",
-			"internal/shard",
 		},
 		HotPathStops: []string{
-			// Sanctioned slow paths off the fast path: structural growth,
-			// degradation and the trace emission tail may allocate.
+			// Sanctioned slow paths off the fast path: structural growth
+			// and degradation may allocate.
 			"Cache.CreateRegion",
-			"Cache.growMolecules",
+			"Cache.Grow",
 			"Cache.RetireMolecule",
 			"Cache.CorruptLine",
-			"Cache.emitLane",
-			// Epoch fan-out spawns goroutines by design; its cost is
-			// amortized over the whole epoch.
-			"Engine.runEpoch",
 		},
 
 		LockPackages: []string{
 			"internal/obs",
 			"internal/telemetry",
-			"internal/shard",
 			"internal/server",
 		},
 	}

@@ -45,8 +45,6 @@ func TestRegisteredRules(t *testing.T) {
 		"concurrency",
 		"determinism",
 		"hotpath-alloc",
-		"lane-confinement",
-		"lock-copy",
 		"lock-order",
 		"map-order",
 		"panic-discipline",

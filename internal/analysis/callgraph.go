@@ -36,17 +36,14 @@ type FuncNode struct {
 	// Pkg is the declaring package.
 	Pkg *Package
 	// Name is the package-relative display name: "Cache.Access" for a
-	// method, "RestoreCache" for a function, "runEpoch$1" for the first
-	// literal created inside runEpoch.
+	// method, "RestoreCache" for a function, "Run$1" for the first
+	// literal created inside Run.
 	Name string
 	// Body is the function body.
 	Body *ast.BlockStmt
 	// Calls are the resolved callees: direct and literal calls in
 	// source order, then CHA targets of interface calls (sorted).
 	Calls []*FuncNode
-	// GoTargets are the callees this body launches with a go statement,
-	// in source order. Every GoTarget is also in Calls.
-	GoTargets []*FuncNode
 
 	callSet map[*FuncNode]bool
 }
@@ -137,16 +134,8 @@ func (g *CallGraph) Dump(trimPrefix string) string {
 	var b strings.Builder
 	for _, n := range g.nodes {
 		callees := make([]string, 0, len(n.Calls))
-		goSet := map[*FuncNode]bool{}
-		for _, t := range n.GoTargets {
-			goSet[t] = true
-		}
 		for _, c := range n.Calls {
-			s := short(c)
-			if goSet[c] {
-				s = "go " + s
-			}
-			callees = append(callees, s)
+			callees = append(callees, short(c))
 		}
 		sort.Strings(callees)
 		fmt.Fprintf(&b, "%s -> [%s]\n", short(n), strings.Join(callees, ", "))
@@ -244,13 +233,6 @@ func (g *CallGraph) buildEdges(n *FuncNode) {
 				g.buildEdges(ln)
 			}
 			return false
-		case *ast.GoStmt:
-			// The spawned callee is resolved by the CallExpr visit; mark
-			// it as a go target too.
-			if t := g.calleeNodes(p, x.Call); len(t) > 0 {
-				n.GoTargets = append(n.GoTargets, t...)
-			}
-			return true
 		case *ast.CallExpr:
 			for _, t := range g.calleeNodes(p, x) {
 				n.addCall(t)
@@ -317,7 +299,7 @@ func (g *CallGraph) implementations(iface types.Type, method string) []*FuncNode
 
 // funcDisplayName renders a function object as "Recv.Name" for methods
 // or "Name" for plain functions — the form Config fields like
-// LaneSerialFuncs and HotPathRoots use.
+// HotPathRoots and HotPathStops use.
 func funcDisplayName(obj *types.Func) string {
 	sig, _ := obj.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {

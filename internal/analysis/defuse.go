@@ -2,8 +2,7 @@ package analysis
 
 // Intraprocedural def/use helpers shared by the dataflow rules:
 // field-mention tracking over go/types objects (snapshot-coverage) and
-// lvalue/receiver chain classification (lane-confinement,
-// hotpath-alloc).
+// static expression types (hotpath-alloc, lock-order).
 
 import (
 	"go/ast"
@@ -69,48 +68,6 @@ func samePackageClosure(g *CallGraph, roots []*FuncNode, pkgPath string) []*Func
 	return out
 }
 
-// chainRoot walks an lvalue or receiver expression (c.regions[i].lines)
-// down to its base identifier and reports whether the chain passes
-// through a lane-owned type (a named type whose name contains
-// "Lane"/"lane" — the accessLane/ShardLane protocol convention) or
-// through the shared Cache. Classification is first-hit-wins walking
-// from the leaf toward the base: the innermost owner decides, so
-// c.lane.hits is lane-owned even though the chain starts at the Cache,
-// while e.cache.total is shared even though e is a local.
-func chainRoot(p *Package, e ast.Expr) (base *ast.Ident, viaLane, viaCache bool) {
-	note := func(t types.Type) {
-		if viaLane || viaCache {
-			return
-		}
-		if isLaneType(t) {
-			viaLane = true
-		} else if isCacheType(t) {
-			viaCache = true
-		}
-	}
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			note(p.typeOf(x))
-			return x, viaLane, viaCache
-		case *ast.SelectorExpr:
-			note(p.typeOf(x.X))
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.CallExpr:
-			// A store through a call result (f().x = v) has no stable
-			// base; classify by the call's own type.
-			note(p.typeOf(x))
-			return nil, viaLane, viaCache
-		default:
-			return nil, viaLane, viaCache
-		}
-	}
-}
-
 // typeOf returns the static type of e, or nil.
 func (p *Package) typeOf(e ast.Expr) types.Type {
 	if tv, ok := p.Info.Types[e]; ok {
@@ -125,54 +82,4 @@ func (p *Package) typeOf(e ast.Expr) types.Type {
 		}
 	}
 	return nil
-}
-
-// isLaneType reports whether t (or its pointee) is a named type whose
-// name marks it lane-owned under the ShardLane protocol.
-func isLaneType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	name := named.Obj().Name()
-	return len(name) >= 4 && (containsFold(name, "Lane"))
-}
-
-// containsFold reports whether s contains sub, ASCII case-insensitive
-// on the first letter only ("Lane" matches both ShardLane and
-// laneBuffer's "lane").
-func containsFold(s, sub string) bool {
-	if len(sub) == 0 {
-		return true
-	}
-	lower := sub[0] | 0x20
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i]|0x20 == lower && s[i+1:i+len(sub)] == sub[1:] {
-			return true
-		}
-	}
-	return false
-}
-
-// isCacheType reports whether t (or its pointee) is the shared
-// molecular Cache type — the shared-state root the lane rule polices.
-func isCacheType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Cache" && obj.Pkg() != nil && matchSuffix(obj.Pkg().Path(), "internal/molecular")
 }

@@ -24,9 +24,9 @@ func TestParseDirectiveTable(t *testing.T) {
 			reason: "seeded RNG is part of the spec",
 		},
 		{
-			text: "//molvet:ignore lane-confinement merge runs after the join barrier",
-			ok:   true, kind: directiveIgnore, rule: "lane-confinement",
-			reason: "merge runs after the join barrier",
+			text: "//molvet:ignore lock-order the inner lock is released before the outer",
+			ok:   true, kind: directiveIgnore, rule: "lock-order",
+			reason: "the inner lock is released before the outer",
 		},
 		{
 			text: "//molvet:transient rebuilt from the restored clock",

@@ -78,7 +78,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fixture := range []string{"internal/cache", "internal/engine", "internal/molecular", "internal/obs", "internal/server", "internal/shard"} {
+	for _, fixture := range []string{"internal/cache", "internal/engine", "internal/molecular", "internal/obs", "internal/server"} {
 		name := strings.TrimPrefix(fixture, "internal/")
 		t.Run(name, func(t *testing.T) {
 			l, err := NewLoader(root)

@@ -118,47 +118,15 @@ func isMapType(t types.Type) bool {
 	return ok
 }
 
-// lockTypes are the sync/atomic types whose by-value copy is a bug.
-var lockTypes = map[string]map[string]bool{
-	"sync": {
-		"Mutex": true, "RWMutex": true, "WaitGroup": true,
-		"Once": true, "Cond": true, "Map": true, "Pool": true,
-	},
-	"sync/atomic": {
-		"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-		"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-	},
+// lookupIdent resolves an identifier's object (use or def).
+func lookupIdent(p *Package, id *ast.Ident) types.Object {
+	if obj := p.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return p.Info.Defs[id]
 }
 
-// containsLock reports whether t transitively contains a sync or atomic
-// type that must not be copied. The seen set breaks type cycles.
-func containsLock(t types.Type) bool {
-	return containsLockSeen(t, map[types.Type]bool{})
-}
-
-func containsLockSeen(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if pkg := obj.Pkg(); pkg != nil {
-			if names, ok := lockTypes[pkg.Path()]; ok && names[obj.Name()] {
-				return true
-			}
-		}
-		return containsLockSeen(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockSeen(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockSeen(u.Elem(), seen)
-	}
-	return false
+// packageLevel reports whether v is a package-level variable.
+func packageLevel(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

@@ -1,12 +1,12 @@
 package analysis
 
-// Module is the cross-package view the dataflow rules (lane-confinement,
-// snapshot-coverage, hotpath-alloc, lock-order) check: every loaded
+// Module is the cross-package view the dataflow rules
+// (snapshot-coverage, hotpath-alloc, lock-order) check: every loaded
 // package of one sweep, plus the shared CHA call graph built lazily over
 // them. The per-file AST rules see one Package at a time; module rules
 // see the whole set, so a contract whose two halves live in different
-// packages (shard goroutine roots in internal/shard, the lane pipeline
-// in internal/molecular) is checkable at all.
+// packages (a lock acquired in internal/server while internal/obs holds
+// its own) is checkable at all.
 //
 // The expensive artifacts are cached across rules: packages are loaded
 // and type-checked once by the Loader, and the call graph is built once

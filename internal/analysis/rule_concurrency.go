@@ -7,13 +7,11 @@ import (
 
 // concurrencyRule confines goroutines and channels to the packages that
 // own scheduling (internal/runner), observability (internal/telemetry,
-// internal/obs) and the epoch-parallel access engine (internal/shard).
+// internal/obs) and serving (internal/server, cmd/molcached).
 // Everything else in the simulation stack is single-threaded by
-// construction — that is what makes `-jobs N` and sharded replay safe:
-// jobs share no mutable state, shard workers only touch cluster-
-// confined state behind the ShardLane protocol, and a `go` statement
-// anywhere else would be an untracked execution stream the determinism
-// contract cannot see.
+// construction — that is what makes `-jobs N` safe: jobs share no
+// mutable state, and a `go` statement anywhere else would be an
+// untracked execution stream the determinism contract cannot see.
 type concurrencyRule struct{}
 
 func init() { Register(concurrencyRule{}) }
@@ -21,7 +19,7 @@ func init() { Register(concurrencyRule{}) }
 func (concurrencyRule) Name() string { return "concurrency" }
 
 func (concurrencyRule) Doc() string {
-	return "go statements and channel creation only in the concurrency-owning packages (runner, telemetry, obs, shard)"
+	return "go statements and channel creation only in the concurrency-owning packages (runner, telemetry, obs, server)"
 }
 
 func (r concurrencyRule) Check(cfg Config, pkg *Package) []Diagnostic {

@@ -1,15 +1,13 @@
 package analysis
 
 // hotpath-alloc: the access fast path stays allocation-free. The
-// 0 allocs/op numbers behind BENCH_access and BENCH_shard are a load-
-// bearing property (the differential oracle replays millions of
-// accesses), and they are one innocent fmt.Errorf away from quietly
-// regressing. This rule walks the call-graph closure of the configured
-// HotPathRoots (Cache.Access / AccessBatch and the shard engine's batch
-// entry), bounded to HotPathPackages and cut at the sanctioned
-// HotPathStops (growth, retirement, corruption and trace-emission slow
-// paths), and flags the allocation idioms the compiler will not keep on
-// the stack:
+// 0 allocs/op numbers behind BENCH_access are a load-bearing property
+// (the differential oracle replays millions of accesses), and they are
+// one innocent fmt.Errorf away from quietly regressing. This rule walks
+// the call-graph closure of the configured HotPathRoots (Cache.Access),
+// bounded to HotPathPackages and cut at the sanctioned HotPathStops
+// (growth, retirement and corruption slow paths), and flags the
+// allocation idioms the compiler will not keep on the stack:
 //
 //   - fmt package calls (Sprintf/Errorf format-and-box on every call)
 //   - escaping composite literals (&T{...})
@@ -39,7 +37,7 @@ type hotpathRule struct{}
 func (hotpathRule) Name() string { return "hotpath-alloc" }
 
 func (hotpathRule) Doc() string {
-	return "the Access/AccessBatch fast-path closure is free of fmt calls, escaping literals, boxing and retained appends"
+	return "the Access fast-path closure is free of fmt calls, escaping literals, boxing and retained appends"
 }
 
 // Check is a no-op: the rule runs once per module via CheckModule.

@@ -1,7 +1,7 @@
 package analysis
 
 // lock-order: a global mutex-acquisition graph over the concurrent
-// packages (obs, telemetry, shard). Lock identity is the declared
+// packages (obs, telemetry, server). Lock identity is the declared
 // types.Var — the struct field or package-level variable holding the
 // sync.Mutex/RWMutex — so every instance of a type shares one node and
 // the order is a static, whole-program property. Within each function
@@ -32,7 +32,7 @@ type lockRule struct{}
 func (lockRule) Name() string { return "lock-order" }
 
 func (lockRule) Doc() string {
-	return "mutex acquisition order is globally consistent across obs/telemetry/shard (no cycles, no re-entry)"
+	return "mutex acquisition order is globally consistent across obs/telemetry/server (no cycles, no re-entry)"
 }
 
 // Check is a no-op: the rule runs once per module via CheckModule.

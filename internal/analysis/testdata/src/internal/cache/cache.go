@@ -1,15 +1,15 @@
-// Package cache is a molvet fixture seeded with determinism, map-order,
-// lock-copy and panic-discipline violations. Its import path ends in
+// Package cache is a molvet fixture seeded with determinism, map-order
+// and panic-discipline violations. Its import path ends in
 // internal/cache, so the suffix-matched rule scoping treats it exactly
 // like the real simulation package. The golden test pins every expected
 // diagnostic; edits here must be mirrored in testdata/cache.golden.
+// By-value lock copies are left to go vet's copylocks check.
 package cache
 
 import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 )
 
@@ -53,17 +53,6 @@ func Misdirected(m map[string]int) int {
 		return v
 	}
 	return 0
-}
-
-// Guarded pairs a mutex with the counter it protects.
-type Guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Snapshot takes a Guarded by value, copying its mutex (lock-copy).
-func Snapshot(g Guarded) int {
-	return g.n
 }
 
 // Explode aborts on negative input instead of returning an error, and

@@ -51,44 +51,6 @@ type Cache interface {
 	Name() string
 }
 
-// Batcher is implemented by cache models that can service a batch of
-// references in one call — either a plain fold over Access or, for the
-// sharded molecular engine, a concurrent epoch-merged run. The contract
-// is strict equivalence: AccessBatch(refs) must return exactly the
-// Results the same refs would have produced through sequential Access
-// calls, with identical side effects on ledgers and telemetry.
-type Batcher interface {
-	AccessBatch(refs []trace.Ref) []Result
-}
-
-// RunBatch replays a trace through c in batches of batch refs, using
-// the model's AccessBatch when it has one and falling back to Run
-// otherwise. A batch <= 0 means one batch for the whole trace.
-func RunBatch(c Cache, refs []trace.Ref, batch int) (hits, misses uint64) {
-	b, ok := c.(Batcher)
-	if !ok {
-		return Run(c, refs)
-	}
-	if batch <= 0 {
-		batch = len(refs)
-	}
-	for len(refs) > 0 {
-		n := len(refs)
-		if n > batch {
-			n = batch
-		}
-		for _, res := range b.AccessBatch(refs[:n]) {
-			if res.Hit {
-				hits++
-			} else {
-				misses++
-			}
-		}
-		refs = refs[n:]
-	}
-	return hits, misses
-}
-
 // Spanner is implemented by cache models whose access pipeline supports
 // span-level tracing (the molecular cache; the set-associative
 // baselines have no pipeline worth tracing).

@@ -392,64 +392,6 @@ func (in *Injector) NoCDelayAt(at uint64) *NoCDelay {
 	return nil
 }
 
-// DelayWindowAt is NoCDelayAt without the delivery-counter side effect:
-// a pure lookup of the window covering access count at. Shard lanes use
-// it so concurrent epochs never mutate injector state; each lane counts
-// the delayed lookups it observed and the epoch merge folds them back in
-// with AddDelayedLookups.
-func (in *Injector) DelayWindowAt(at uint64) *NoCDelay {
-	if in == nil {
-		return nil
-	}
-	for i := range in.delays {
-		d := &in.delays[i]
-		if d.At > at {
-			break // sorted by At; nothing later can cover at
-		}
-		end := d.At + d.Duration
-		if end == d.At {
-			end = d.At + 1
-		}
-		if at < end {
-			return d
-		}
-	}
-	return nil
-}
-
-// AddDelayedLookups folds lane-counted delayed lookups into Stats (the
-// epoch-merge counterpart of DelayWindowAt).
-func (in *Injector) AddDelayedLookups(n uint64) {
-	if in == nil {
-		return
-	}
-	in.stats.NoCDelayedLookups += n
-}
-
-// NextScheduledAt returns the earliest access count with an undelivered
-// hard failure or line corruption, and false when the remaining schedule
-// is empty. The sharded engine plans epoch boundaries with it: any
-// access at or past this count must execute serially so fault delivery
-// happens on the exact logical clock the serial engine would use.
-func (in *Injector) NextScheduledAt() (uint64, bool) {
-	if in == nil {
-		return 0, false
-	}
-	next := uint64(0)
-	ok := false
-	if in.failCursor < len(in.failures) {
-		next = in.failures[in.failCursor].At
-		ok = true
-	}
-	if in.corruptCursor < len(in.corruptions) {
-		if at := in.corruptions[in.corruptCursor].At; !ok || at < next {
-			next = at
-			ok = true
-		}
-	}
-	return next, ok
-}
-
 // PendingFailures returns the number of hard failures not yet delivered
 // (the remaining schedule; a finished campaign reports 0).
 func (in *Injector) PendingFailures() int {

@@ -137,6 +137,12 @@ type Cache struct {
 	// the lookup paths consult it on every access and every tile probe.
 	//molvet:transient memo re-derived from the restored region set
 	sharedRegion *Region
+	// lastRegion memoizes the region of the most recent access: traces
+	// are bursty per application and regions are never deleted, so a
+	// single ASID comparison replaces the map lookup on nearly every
+	// access.
+	//molvet:transient access-path memo; the first access after a restore re-derives it from regions
+	lastRegion *Region
 	// molsByID indexes every molecule by its global ID (fault targeting
 	// and invariant capture).
 	molsByID []*Molecule
@@ -166,6 +172,11 @@ type Cache struct {
 	//molvet:transient live attachment re-wired on restore; its counters checkpoint via noc.Stats
 	mesh         *noc.Mesh
 	remoteCycles uint64
+	// remote accumulates the NoC cycles charged by the access in flight;
+	// finish folds it into remoteCycles once the modelled service time
+	// has consumed it.
+	//molvet:transient per-access scratch, zeroed at the start of every access
+	remote uint64
 
 	// tracer, reg and ins are the telemetry attachments (all nil by
 	// default: the access path pays two pointer checks when disabled).
@@ -180,13 +191,6 @@ type Cache struct {
 	// access pipeline (AttachSpans).
 	//molvet:transient telemetry attachment re-established after restore
 	spans *telemetry.SpanTracer
-
-	// lane is the serial execution stream: its destination pointers alias
-	// the cache's own accumulators, so the pipeline body (which only ever
-	// talks to a lane) writes serial accesses straight through. Shard
-	// lanes (lane.go) point the same fields at lane-local deltas instead.
-	//molvet:transient alias block rebuilt by initSerialLane from the restored accumulators
-	lane accessLane
 
 	// faults, when attached, schedules hard failures, corruptions and
 	// NoC delays against the access count; deg counts what was absorbed.
@@ -216,7 +220,6 @@ func New(cfg Config) (*Cache, error) {
 		probes:      stats.NewHistogram(cfg.MoleculesPerTile()*cfg.TilesPerCluster + 1),
 		src:         rng.New(cfg.Seed ^ 0x5eed),
 	}
-	c.initSerialLane()
 	molID := 0
 	for ci := 0; ci < cfg.Clusters; ci++ {
 		cl := &Cluster{id: ci}
@@ -402,23 +405,6 @@ func (c *Cache) Grow(r *Region, n int) (got int, err error) {
 	if n < 0 {
 		return 0, fmt.Errorf("molecular: Grow with negative count %d", n)
 	}
-	got = c.growMolecules(r, n)
-	if got > 0 {
-		if c.ins != nil {
-			c.ins.grows.Add(uint64(got))
-		}
-		if c.tracer != nil {
-			c.tracer.Region(telemetry.KindRegionGrow, c.addresses, r.asid, got, r.count)
-		}
-	}
-	return got, nil
-}
-
-// growMolecules is Grow's allocation loop without the telemetry: the
-// mid-access re-grow path (a region whose every molecule was retired)
-// shares it but must route its grow event through the lane so shard
-// lanes buffer it for the epoch merge.
-func (c *Cache) growMolecules(r *Region, n int) (got int) {
 	cl := r.home.cluster
 	for i := 0; i < n; i++ {
 		m := cl.takeFreePreferring(r.home)
@@ -438,7 +424,15 @@ func (c *Cache) growMolecules(r *Region, n int) (got int) {
 		r.attach(m, row)
 		got++
 	}
-	return got
+	if got > 0 {
+		if c.ins != nil {
+			c.ins.grows.Add(uint64(got))
+		}
+		if c.tracer != nil {
+			c.tracer.Region(telemetry.KindRegionGrow, c.addresses, r.asid, got, r.count)
+		}
+	}
+	return got, nil
 }
 
 // Shrink withdraws up to n molecules (never below one), flushing each and
@@ -547,73 +541,50 @@ func (c *Cache) Access(ref trace.Ref) engine.Result {
 
 // AttachSpans binds a span tracer to the access pipeline (access ->
 // region lookup -> tag probe -> NoC transit -> fill). Nil detaches.
-func (c *Cache) AttachSpans(st *telemetry.SpanTracer) {
-	c.spans = st
-	c.lane.spans = st
-}
+func (c *Cache) AttachSpans(st *telemetry.SpanTracer) { c.spans = st }
 
 // Spans returns the attached span tracer (nil when span tracing is off).
 func (c *Cache) Spans() *telemetry.SpanTracer { return c.spans }
 
-// access is the span-instrumented serial body behind Access: it
-// advances the cache's logical clocks, delivers scheduled faults, and
-// runs the shared pipeline on the serial lane.
+// access is the span-instrumented body behind Access: it advances the
+// cache's logical clocks, delivers scheduled faults, then runs region
+// lookup, tag probing, and the fill on a miss.
 func (c *Cache) access(ref trace.Ref) engine.Result {
 	c.clock++
 	c.addresses++
-	ln := &c.lane
-	ln.seq = c.addresses
-	ln.clock = c.clock
-	ln.remote = 0
+	c.remote = 0
 	if c.faults != nil {
 		c.applyScheduledFaults()
 	}
-	return c.pipeline(ln, ref)
-}
-
-// pipeline is the access pipeline body shared by the serial and sharded
-// engines: region lookup, tag probing, and the fill on a miss. All
-// mutable per-stream state goes through the lane — the serial lane
-// writes straight into the cache's accumulators; shard lanes buffer
-// deltas for the epoch merge (lane.go). Region auto-admission is a
-// coordinator-only mutation, so a shard lane handed an unadmitted ASID
-// panics: that is an epoch-planner bug, never a data condition.
-func (c *Cache) pipeline(ln *accessLane, ref trace.Ref) engine.Result {
-	ln.spans.Begin("molcache_access_region_lookup")
-	r := ln.lastRegion
+	c.spans.Begin("molcache_access_region_lookup")
+	r := c.lastRegion
 	if r == nil || r.asid != ref.ASID {
 		r = c.regions[ref.ASID]
 		if r == nil {
-			if ln.shard {
-				// The epoch planner ends an epoch before any first-touch
-				// access so auto-admit runs serially at the coordinator;
-				// reaching this branch on a shard lane is a planner bug.
-				panic(fmt.Sprintf("molecular: shard lane saw unadmitted ASID %d", ref.ASID))
-			}
 			var err error
 			r, err = c.CreateRegion(ref.ASID, RegionOptions{HomeCluster: -1, HomeTile: -1})
 			if err != nil {
 				// Auto-admit can fail once degradation has exhausted the
 				// placement space; serve the access uncached instead of dying.
-				ln.spans.End()
-				return c.bypassMiss(ln, nil, ref, engine.Result{})
+				c.spans.End()
+				return c.bypassMiss(nil, ref, engine.Result{})
 			}
 		}
-		ln.lastRegion = r
+		c.lastRegion = r
 	}
-	ln.spans.End()
+	c.spans.End()
 	block := ref.Addr >> c.lineShift
 	write := kindIsWrite(ref.Kind)
 
 	var res engine.Result
 	var unreachable bool
 	if c.refProbe {
-		unreachable = c.referenceLookup(ln, r, block, write, &res)
+		unreachable = c.referenceLookup(r, block, write, &res)
 	} else {
-		unreachable = c.fastLookup(ln, r, block, write, &res)
+		unreachable = c.fastLookup(r, block, write, &res)
 	}
 	if res.Hit {
-		c.finish(ln, r, ref, &res)
+		c.finish(r, ref, &res)
 		return res
 	}
 
@@ -622,35 +593,27 @@ func (c *Cache) pipeline(ln *accessLane, ref trace.Ref) engine.Result {
 		// Every molecule was retired out from under the region; try to
 		// re-grow from healthy spares now rather than waiting for the
 		// next resize epoch, and serve uncached if none exist.
-		if got := c.growMolecules(r, 1); got == 0 {
-			return c.bypassMiss(ln, r, ref, res)
-		} else {
-			if c.ins != nil {
-				c.ins.grows.Add(uint64(got))
-			}
-			c.emitLane(ln, telemetry.Event{
-				At: ln.seq, Kind: telemetry.KindRegionGrow, ASID: r.asid,
-				Value: int64(got), Aux: int64(r.count),
-			})
+		if got, _ := c.Grow(r, 1); got == 0 {
+			return c.bypassMiss(r, ref, res)
 		}
 	}
 	if unreachable {
 		// A contributing tile never answered, so the line may still be
 		// resident there; filling now could duplicate it. Serve uncached.
-		return c.bypassMiss(ln, r, ref, res)
+		return c.bypassMiss(r, ref, res)
 	}
-	ln.spans.Begin("molcache_access_fill")
+	c.spans.Begin("molcache_access_fill")
 	victim := r.victim(ref.Addr, block)
 	if r.lineFactor > 1 {
 		c.invalidateCompanions(r, victim, block)
 	}
-	evicted, wb := r.fillVictim(victim, block, write, ln.clock)
+	evicted, wb := r.fillVictim(victim, block, write, c.clock)
 	r.rowMiss[victim.row]++
 	res.LinesFetched = r.lineFactor
 	res.LinesEvicted = evicted
 	res.Writebacks = wb
-	ln.spans.EndValue(int64(wb))
-	c.finish(ln, r, ref, &res)
+	c.spans.EndValue(int64(wb))
+	c.finish(r, ref, &res)
 	return res
 }
 
@@ -663,7 +626,7 @@ func (c *Cache) pipeline(ln *accessLane, ref trace.Ref) engine.Result {
 // tiles still happens per tile (mesh latency, NoC fault windows and
 // retry accounting are per-traversal effects), but no molecule is
 // scanned.
-func (c *Cache) fastLookup(ln *accessLane, r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
+func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
 	shared := c.sharedRegion
 	sharedHere := shared != nil && shared.home.cluster == r.home.cluster
 	hitM := r.index.get(block)
@@ -675,11 +638,11 @@ func (c *Cache) fastLookup(ln *accessLane, r *Region, block uint64, write bool, 
 	}
 
 	// Stage 1: home tile (plus any shared molecules resident there).
-	ln.spans.Begin("molcache_access_tag_probe")
+	c.spans.Begin("molcache_access_tag_probe")
 	res.TagProbes = c.tileProbes(r, shared, r.home)
-	ln.spans.EndValue(int64(res.TagProbes))
+	c.spans.EndValue(int64(res.TagProbes))
 	if hitM != nil && hitM.tile == r.home {
-		hitM.recordHit(block, write, ln.clock)
+		hitM.recordHit(block, write, c.clock)
 		res.Hit = true
 		res.DataReads = 1
 		if c.ins != nil {
@@ -697,24 +660,24 @@ func (c *Cache) fastLookup(ln *accessLane, r *Region, block uint64, write bool, 
 		if len(r.byTile[t.id]) == 0 && (shared == nil || len(shared.byTile[t.id]) == 0) {
 			continue
 		}
-		if !c.ulmoTraverse(ln, r.home.id, t.id) {
+		if !c.ulmoTraverse(r.home.id, t.id) {
 			// The delay fault outlasted the Ulmo's retry budget: this
 			// tile's molecules are unreachable for the current access —
 			// even when the index knows the line is resident there.
 			unreachable = true
 			continue
 		}
-		ln.spans.Begin("molcache_access_tag_probe")
+		c.spans.Begin("molcache_access_tag_probe")
 		p := c.tileProbes(r, shared, t)
-		ln.spans.EndValue(int64(p))
+		c.spans.EndValue(int64(p))
 		res.TagProbes += p
 		if hitM != nil && hitM.tile == t {
-			hitM.recordHit(block, write, ln.clock)
+			hitM.recordHit(block, write, c.clock)
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.DataReads = 1
 			// The data line rides the mesh back to the home tile.
-			c.laneTraverse(ln, t.id, r.home.id)
+			c.traverse(t.id, r.home.id)
 			if c.ins != nil {
 				c.ins.indexHits.Inc()
 			}
@@ -728,17 +691,17 @@ func (c *Cache) fastLookup(ln *accessLane, r *Region, block uint64, write bool, 
 // differential oracle: every eligible molecule on each searched tile is
 // scanned until the line is found. Results, ledgers and molecule state
 // are identical to fastLookup's; only the discovery mechanics differ.
-func (c *Cache) referenceLookup(ln *accessLane, r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
+func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
 	// Stage 1: home tile (plus any shared molecules resident there).
-	ln.spans.Begin("molcache_access_tag_probe")
-	if hit, probes := c.probeTile(ln, r, r.home, block, write); hit {
-		ln.spans.EndValue(int64(probes))
+	c.spans.Begin("molcache_access_tag_probe")
+	if hit, probes := c.probeTile(r, r.home, block, write); hit {
+		c.spans.EndValue(int64(probes))
 		res.Hit = true
 		res.TagProbes = probes
 		res.DataReads = 1
 		return false
 	} else {
-		ln.spans.EndValue(int64(probes))
+		c.spans.EndValue(int64(probes))
 		res.TagProbes += probes
 	}
 
@@ -753,21 +716,21 @@ func (c *Cache) referenceLookup(ln *accessLane, r *Region, block uint64, write b
 		if len(r.byTile[t.id]) == 0 && (shared == nil || len(shared.byTile[t.id]) == 0) {
 			continue
 		}
-		if !c.ulmoTraverse(ln, r.home.id, t.id) {
+		if !c.ulmoTraverse(r.home.id, t.id) {
 			unreachable = true
 			continue
 		}
-		ln.spans.Begin("molcache_access_tag_probe")
-		if hit, probes := c.probeTile(ln, r, t, block, write); hit {
-			ln.spans.EndValue(int64(probes))
+		c.spans.Begin("molcache_access_tag_probe")
+		if hit, probes := c.probeTile(r, t, block, write); hit {
+			c.spans.EndValue(int64(probes))
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.TagProbes += probes
 			res.DataReads = 1
-			c.laneTraverse(ln, t.id, r.home.id)
+			c.traverse(t.id, r.home.id)
 			return false
 		} else {
-			ln.spans.EndValue(int64(probes))
+			c.spans.EndValue(int64(probes))
 			res.TagProbes += probes
 		}
 	}
@@ -791,13 +754,13 @@ func (c *Cache) tileProbes(r, shared *Region, t *Tile) int {
 // probeTile is the reference path's per-tile scan: the region's
 // molecules on tile t (and t's shared-bit molecules) are searched
 // linearly, returning hit status and the number of molecules activated.
-func (c *Cache) probeTile(ln *accessLane, r *Region, t *Tile, block uint64, write bool) (bool, int) {
+func (c *Cache) probeTile(r *Region, t *Tile, block uint64, write bool) (bool, int) {
 	own := r.byTile[t.id]
 	probes := len(own)
 	hit := false
 	for _, m := range own {
 		if m.contains(block) {
-			m.recordHit(block, write, ln.clock)
+			m.recordHit(block, write, c.clock)
 			hit = true
 			break
 		}
@@ -809,7 +772,7 @@ func (c *Cache) probeTile(ln *accessLane, r *Region, t *Tile, block uint64, writ
 		if !hit {
 			for _, m := range sh {
 				if m.contains(block) {
-					m.recordHit(block, write, ln.clock)
+					m.recordHit(block, write, c.clock)
 					hit = true
 					break
 				}
@@ -864,31 +827,25 @@ const (
 // and — when telemetry is attached — the counters and the access event.
 // r may be nil for an access bypassed before any region existed (the
 // auto-admit failure path); cache-wide accounting still happens.
-func (c *Cache) finish(ln *accessLane, r *Region, ref trace.Ref, res *engine.Result) {
-	ln.global.Record(res.Hit)
+func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
+	c.global.Record(res.Hit)
 	if r != nil {
 		// r.appCell is r's cell in c.ledger, cached at region creation —
 		// this is c.ledger.Record(ref.ASID, …) without the map lookup.
-		// The cache-wide total goes through the lane so shard lanes
-		// accumulate a delta instead of racing on c.ledger.Total.
-		ln.ledgerTotal.Record(res.Hit)
+		c.ledger.Total.Record(res.Hit)
 		r.appCell.Record(res.Hit)
 		r.window.Record(res.Hit)
 		r.ledger.Record(res.Hit)
 		r.occupancySum += uint64(r.count)
 	} else {
-		// Auto-admit failure: serial-only (shard lanes never run an
-		// access whose region is missing), so the plain ledger path —
-		// which bumps the same Total the serial lane aliases — is safe.
-		//molvet:ignore lane-confinement auto-admit failures are boundary-serial; the epoch planner cuts before any access whose region is missing
 		c.ledger.Record(ref.ASID, res.Hit)
 	}
-	ln.probes.Observe(uint64(res.TagProbes))
+	c.probes.Observe(uint64(res.TagProbes))
 	if c.ins != nil {
 		// Modelled service time: the cmp substrate's default L2-hit
 		// latency as the base, the miss's memory latency when the line
 		// was fetched, plus whatever NoC transit this access incurred.
-		svc := float64(serviceHitCycles + ln.remote)
+		svc := float64(serviceHitCycles + c.remote)
 		if !res.Hit {
 			svc += serviceMissCycles
 		}
@@ -909,15 +866,14 @@ func (c *Cache) finish(ln *accessLane, r *Region, ref trace.Ref, res *engine.Res
 		c.ins.writebacks.Add(uint64(res.Writebacks))
 		c.ins.linesFetched.Add(uint64(res.LinesFetched))
 	}
-	// Fold this access's NoC transit into the lane's destination (the
-	// cache's RemoteCycles for the serial lane, an epoch delta for shard
-	// lanes) now that the service-time calculation has consumed it.
-	*ln.sinkRemote += ln.remote
-	c.emitLane(ln, telemetry.Event{
-		At: ln.seq, Kind: telemetry.KindAccess, ASID: ref.ASID, Addr: ref.Addr,
-		Hit: res.Hit, Remote: res.RemoteTileHit,
-		Value: int64(res.TagProbes), Aux: int64(res.Writebacks),
-	})
+	c.remoteCycles += c.remote
+	if c.tracer != nil {
+		c.tracer.Emit(telemetry.Event{
+			At: c.addresses, Kind: telemetry.KindAccess, ASID: ref.ASID, Addr: ref.Addr,
+			Hit: res.Hit, Remote: res.RemoteTileHit,
+			Value: int64(res.TagProbes), Aux: int64(res.Writebacks),
+		})
+	}
 }
 
 // Contains reports whether the line holding a is resident in any molecule

@@ -217,34 +217,38 @@ func (c *Cache) applyScheduledFaults() {
 // ulmoTraverse accounts one Ulmo request traversal between tiles as a
 // NoC-transit span whose value is the cycles charged (base hops plus
 // any fault-retry penalty).
-func (c *Cache) ulmoTraverse(ln *accessLane, from, to int) bool {
-	ln.spans.Begin("molcache_access_noc_transit")
-	start := ln.remote
-	ok := c.ulmoHop(ln, from, to)
-	ln.spans.EndValue(int64(ln.remote - start))
+func (c *Cache) ulmoTraverse(from, to int) bool {
+	c.spans.Begin("molcache_access_noc_transit")
+	start := c.remote
+	ok := c.ulmoHop(from, to)
+	c.spans.EndValue(int64(c.remote - start))
 	return ok
+}
+
+// traverse accounts one mesh traversal for the access in flight and
+// returns the base latency charged (0 with no mesh attached).
+func (c *Cache) traverse(from, to int) uint64 {
+	if c.mesh == nil {
+		return 0
+	}
+	lat, err := c.mesh.Traverse(from, to)
+	if err != nil {
+		return 0
+	}
+	c.remote += lat
+	return lat
 }
 
 // ulmoHop is ulmoTraverse's body: it applies any active NoC fault
 // window — each dropped response costs a retransmission with linearly
 // growing backoff, and a fault outlasting the retry budget reports the
 // tile unreachable for this access.
-func (c *Cache) ulmoHop(ln *accessLane, from, to int) (reachable bool) {
-	base := c.laneTraverse(ln, from, to)
+func (c *Cache) ulmoHop(from, to int) (reachable bool) {
+	base := c.traverse(from, to)
 	if c.faults == nil {
 		return true
 	}
-	// Delay windows are a pure function of the access count, so shard
-	// lanes look them up without touching injector state; the delivered-
-	// lookup counter is lane-accumulated and folded in at the merge.
-	var d *faults.NoCDelay
-	if ln.shard {
-		if d = c.faults.DelayWindowAt(ln.seq); d != nil {
-			ln.delayed++
-		}
-	} else {
-		d = c.faults.NoCDelayAt(ln.seq)
-	}
+	d := c.faults.NoCDelayAt(c.addresses)
 	if d == nil {
 		return true
 	}
@@ -262,11 +266,11 @@ func (c *Cache) ulmoHop(ln *accessLane, from, to int) (reachable bool) {
 			penalty += base
 		}
 	}
-	ln.remote += penalty
+	c.remote += penalty
 	retries := uint64(attempts - 1)
-	ln.deg.NoCRetries += retries
+	c.deg.NoCRetries += retries
 	if abandoned {
-		ln.deg.NoCAbandonedLookups++
+		c.deg.NoCAbandonedLookups++
 	}
 	if c.ins != nil {
 		c.ins.nocRetries.Add(retries)
@@ -274,14 +278,16 @@ func (c *Cache) ulmoHop(ln *accessLane, from, to int) (reachable bool) {
 			c.ins.nocAbandoned.Inc()
 		}
 	}
-	aux := int64(0)
-	if abandoned {
-		aux = 1
+	if c.tracer != nil {
+		aux := int64(0)
+		if abandoned {
+			aux = 1
+		}
+		c.tracer.Emit(telemetry.Event{
+			At: c.addresses, Kind: telemetry.KindNoCFault,
+			Value: int64(retries), Aux: aux,
+		})
 	}
-	c.emitLane(ln, telemetry.Event{
-		At: ln.seq, Kind: telemetry.KindNoCFault,
-		Value: int64(retries), Aux: aux,
-	})
 	return !abandoned
 }
 
@@ -292,11 +298,11 @@ func (c *Cache) ulmoHop(ln *accessLane, from, to int) (reachable bool) {
 // access whose region could not even be auto-admitted. All bypasses
 // flow through finish, so ledger, probe-histogram and telemetry
 // accounting is uniform with cached accesses.
-func (c *Cache) bypassMiss(ln *accessLane, r *Region, ref trace.Ref, res engine.Result) engine.Result {
-	ln.deg.UncachedBypasses++
+func (c *Cache) bypassMiss(r *Region, ref trace.Ref, res engine.Result) engine.Result {
+	c.deg.UncachedBypasses++
 	if c.ins != nil {
 		c.ins.bypasses.Inc()
 	}
-	c.finish(ln, r, ref, &res)
+	c.finish(r, ref, &res)
 	return res
 }

@@ -140,34 +140,6 @@ func (m *Mesh) Traverse(from, to int) (uint64, error) {
 	return lat, nil
 }
 
-// TraverseInto is Traverse accounting the message into s instead of the
-// mesh's own counters. Shard lanes use it so mesh traffic observed on a
-// concurrent lane stays lane-local until the epoch merge folds it back
-// with Add; the latency histogram is still observed directly because its
-// cells are atomic and its integral sums are order-independent.
-func (m *Mesh) TraverseInto(s *Stats, from, to int) (uint64, error) {
-	h, err := m.Hops(from, to)
-	if err != nil {
-		return 0, err
-	}
-	s.Messages++
-	s.Hops += uint64(h)
-	if h == 0 {
-		s.LocalMessages++
-	}
-	lat := uint64(h) * m.hopLatency
-	m.latHist.Observe(float64(lat))
-	return lat, nil
-}
-
-// Add folds externally accumulated traffic counters into the mesh
-// (the epoch-merge counterpart of TraverseInto).
-func (m *Mesh) Add(s Stats) {
-	m.msgs += s.Messages
-	m.hops += s.Hops
-	m.local += s.LocalMessages
-}
-
 // Stats reports accumulated traffic.
 type Stats struct {
 	// Messages is the number of accounted messages.

@@ -294,27 +294,6 @@ func (c *Controller) CyclesSpent() uint64 { return c.cycles }
 // Period returns the current (global) resize period.
 func (c *Controller) Period() uint64 { return c.period }
 
-// Trigger returns the configured trigger kind. The sharded engine reads
-// it to decide whether epoch boundaries can be planned on the global
-// access clock (Constant, AdaptiveGlobal) or whether it must fall back
-// to serial execution (AdaptivePerApp fires on per-app ledger counts
-// that move mid-epoch).
-func (c *Controller) Trigger() TriggerKind { return c.cfg.Trigger }
-
-// NextTriggerAt returns the cache-wide address count at which the next
-// resize pass fires, and false for triggers that are not scheduled on
-// the global access clock (AdaptivePerApp). Epoch planners end an epoch
-// before this count so Tick observes the exact address the serial
-// engine would have.
-func (c *Controller) NextTriggerAt() (uint64, bool) {
-	switch c.cfg.Trigger {
-	case Constant, AdaptiveGlobal:
-		return c.nextAt, true
-	default:
-		return 0, false
-	}
-}
-
 // state returns (creating if needed) the per-app state.
 func (c *Controller) state(asid uint16) *appState {
 	s := c.apps[asid]

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"molcache"
-	"molcache/internal/engine"
 	"molcache/internal/molecular"
 	"molcache/internal/telemetry"
 )
@@ -24,12 +23,12 @@ import (
 // recomputed Result plus the end-state ledgers, histograms, telemetry
 // and decision logs proves the network layer added no semantic drift.
 
-// ReplayOptions tunes a replay run.
-type ReplayOptions struct {
-	// Shards replays through the epoch-parallel engine when > 1
-	// (default 1: the serial Simulator loop).
-	Shards int
-}
+// ReplayOptions is accepted and ignored: a replay always runs the
+// serial Simulator path.
+//
+// Deprecated: its only field selected the removed sharded engine.
+// _bench/serve.go is the last caller that passes it.
+type ReplayOptions struct{}
 
 // ReplayError reports a divergence between the journal and the offline
 // recomputation, naming the 1-based access sequence number.
@@ -57,7 +56,7 @@ type Replay struct {
 
 // ReplayJournal replays a journal stream through a fresh simulator,
 // asserting per-access Result identity against the journaled Results.
-func ReplayJournal(r io.Reader, opts ReplayOptions) (*Replay, error) {
+func ReplayJournal(r io.Reader, _ ReplayOptions) (*Replay, error) {
 	cfg, frames, err := ReadJournal(r)
 	if err != nil {
 		return nil, err
@@ -75,10 +74,6 @@ func ReplayJournal(r io.Reader, opts ReplayOptions) (*Replay, error) {
 	sim.AttachTelemetry(rep.Tracer, rep.Registry)
 	if err := sim.InjectFaults(cfg.Faults); err != nil {
 		return nil, err
-	}
-	var batcher engine.Batcher = sim
-	if opts.Shards > 1 {
-		batcher = sim.Sharded(opts.Shards)
 	}
 	var seq uint64
 	for _, f := range frames {
@@ -102,7 +97,7 @@ func ReplayJournal(r io.Reader, opts ReplayOptions) (*Replay, error) {
 			rep.Tenants++
 		case f.Batch != nil:
 			rec := f.Batch
-			results := batcher.AccessBatch(rec.Refs)
+			results := sim.AccessBatch(rec.Refs)
 			for i := range results {
 				if results[i] != rec.Results[i] {
 					return nil, &ReplayError{

@@ -141,10 +141,6 @@ func (w *Window) Roll() HitMiss {
 // counters (checkpoint restore).
 func (w *Window) Restore(hm HitMiss) { w.cur = hm }
 
-// Add accumulates externally counted hits and misses into the current
-// window (epoch merges fold shard-lane deltas in with this).
-func (w *Window) Add(hm HitMiss) { w.cur.Add(hm) }
-
 // Histogram is a fixed-bucket counter for small non-negative integers
 // (e.g. probes per access). Values beyond the last bucket land in it.
 type Histogram struct {
@@ -172,36 +168,6 @@ func (h *Histogram) Observe(v uint64) {
 	if v > h.Max {
 		h.Max = v
 	}
-}
-
-// Merge accumulates another histogram with the same bucket geometry.
-// Counts and sums are commutative, so merging per-shard histograms in
-// any order reproduces the serial observation stream exactly. Merging
-// histograms with different bucket counts is a programming error and
-// panics.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(o.Buckets) != len(h.Buckets) {
-		panic(fmt.Sprintf("stats: merging histogram with %d buckets into %d",
-			len(o.Buckets), len(h.Buckets)))
-	}
-	for i, v := range o.Buckets {
-		h.Buckets[i] += v
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-}
-
-// Reset zeroes the histogram in place, keeping the bucket geometry.
-func (h *Histogram) Reset() {
-	for i := range h.Buckets {
-		h.Buckets[i] = 0
-	}
-	h.Count = 0
-	h.Sum = 0
-	h.Max = 0
 }
 
 // Mean returns the average observed value.

@@ -82,23 +82,6 @@ type SpanTracer struct {
 	spans   []SpanEvent
 	sampled uint64 // accesses selected by StartAccess
 	drops   uint64 // spans lost to the buffer limit or the depth cap
-
-	// Batch-recording mode (NewSpanBatchRecorder): marks delimit each
-	// sampled access so DrainBatches can hand the spans to a master
-	// tracer for deterministic renumbering at the epoch merge.
-	batch bool
-	marks []spanMark
-}
-
-// spanMark delimits one sampled access inside a batch recorder.
-type spanMark struct {
-	at        uint64
-	asid      uint16
-	baseNow   uint64 // lane logical clock at StartAccess
-	firstSpan int    // index of the access's first span
-	baseDrops uint64
-	ticks     uint64 // lane clock advance, filled at FinishAccess
-	drops     uint64 // depth-cap drops, filled at FinishAccess
 }
 
 // NewSpanTracer builds a tracer sampling one access in every (default
@@ -114,96 +97,8 @@ func NewSpanTracer(every uint64, limit int) *SpanTracer {
 	return &SpanTracer{every: every, limit: limit}
 }
 
-// NewSpanBatchRecorder builds the shard-lane counterpart of a master
-// SpanTracer: same 1-in-N sampling (stateless on the access count, so
-// lanes agree with the serial tracer on which accesses are sampled),
-// but spans are recorded in lane-local logical time with per-access
-// marks and never dropped to a limit — the master tracer's limit is
-// applied when AppendBatch folds the batches back in, preserving the
-// serial tracer's exact drop accounting.
-func NewSpanBatchRecorder(every uint64) *SpanTracer {
-	if every == 0 {
-		every = DefaultSpanSample
-	}
-	const unlimited = int(^uint(0) >> 1)
-	return &SpanTracer{every: every, limit: unlimited, batch: true}
-}
-
-// SpanBatch is one sampled access's spans as recorded on a shard lane:
-// Start values are in the lane's logical time, anchored by BaseNow, and
-// Ticks is how far the lane clock advanced across the access. The epoch
-// merge rebases them onto the master clock with AppendBatch.
-type SpanBatch struct {
-	At      uint64
-	ASID    uint16
-	BaseNow uint64
-	Ticks   uint64
-	Drops   uint64
-	Spans   []SpanEvent
-}
-
-// DrainBatches returns the recorded accesses as batches, in recording
-// order, and resets the recorder's buffers for the next epoch. The
-// lane clock keeps running — BaseNow anchors each batch, so rebasing
-// is unaffected.
-func (st *SpanTracer) DrainBatches() []SpanBatch {
-	if st == nil || len(st.marks) == 0 {
-		return nil
-	}
-	out := make([]SpanBatch, len(st.marks))
-	for i, m := range st.marks {
-		end := len(st.spans)
-		if i+1 < len(st.marks) {
-			end = st.marks[i+1].firstSpan
-		}
-		out[i] = SpanBatch{
-			At:      m.at,
-			ASID:    m.asid,
-			BaseNow: m.baseNow,
-			Ticks:   m.ticks,
-			Drops:   m.drops,
-			Spans:   append([]SpanEvent(nil), st.spans[m.firstSpan:end]...),
-		}
-	}
-	st.spans = st.spans[:0]
-	st.marks = st.marks[:0]
-	st.drops = 0
-	return out
-}
-
-// AppendBatch folds one lane-recorded access into the master tracer:
-// the access counts as sampled, its spans are rebased from lane time
-// onto the master clock and appended under the master's buffer limit,
-// and the master clock advances by the access's tick count whether or
-// not spans were kept — exactly the bookkeeping the serial tracer
-// would have done running the access inline.
-func (st *SpanTracer) AppendBatch(b SpanBatch) {
-	if st == nil {
-		return
-	}
-	st.sampled++
-	st.drops += b.Drops
-	for _, sp := range b.Spans {
-		if len(st.spans) >= st.limit {
-			st.drops++
-			continue
-		}
-		sp.Start = sp.Start - b.BaseNow + st.now
-		st.spans = append(st.spans, sp)
-	}
-	st.now += b.Ticks
-}
-
 // Enabled reports whether the tracer records spans (false for nil).
 func (st *SpanTracer) Enabled() bool { return st != nil }
-
-// Every returns the 1-in-N sampling rate (0 for nil).
-func (st *SpanTracer) Every() uint64 {
-	if st == nil {
-		return 0
-	}
-	return st.every
-}
 
 // StartAccess decides, purely from the access count, whether the
 // access about to run is sampled; when it is, the tracer activates and
@@ -219,14 +114,6 @@ func (st *SpanTracer) StartAccess(at uint64, asid uint16) bool {
 	st.asid = asid
 	st.depth = 0
 	st.sampled++
-	if st.batch {
-		st.marks = append(st.marks, spanMark{
-			at: at, asid: asid,
-			baseNow:   st.now,
-			firstSpan: len(st.spans),
-			baseDrops: st.drops,
-		})
-	}
 	return true
 }
 
@@ -238,11 +125,6 @@ func (st *SpanTracer) FinishAccess() {
 		return
 	}
 	st.drops += uint64(st.depth)
-	if st.batch && st.active && len(st.marks) > 0 {
-		m := &st.marks[len(st.marks)-1]
-		m.ticks = st.now - m.baseNow
-		m.drops = st.drops - m.baseDrops
-	}
 	st.active = false
 	st.depth = 0
 }

@@ -39,7 +39,6 @@ import (
 	"molcache/internal/partition"
 	"molcache/internal/power"
 	"molcache/internal/resize"
-	"molcache/internal/shard"
 	"molcache/internal/stackdist"
 	"molcache/internal/stats"
 	"molcache/internal/telemetry"
@@ -187,13 +186,6 @@ type (
 	DegradationStats = molecular.DegradationStats
 	// RetireReport describes one molecule retirement.
 	RetireReport = molecular.RetireReport
-
-	// ShardedEngine replays references through a molecular cache on
-	// multiple goroutines (one per cluster shard) with epoch-based
-	// synchronization; its AccessBatch is byte-identical to the serial
-	// per-access loop at any shard count. Build one with NewShardedEngine
-	// or Simulator.Sharded.
-	ShardedEngine = shard.Engine
 
 	// InvariantSnapshot is a pure-data capture of simulator state for
 	// auditing.
@@ -494,9 +486,8 @@ func (s *Simulator) Access(r Ref) AccessResult {
 	return res
 }
 
-// AccessBatch applies a batch of references — the fold of Access, so a
-// Simulator satisfies engine.Batcher and drivers can amortize per-call
-// overhead uniformly. For concurrent batches use Sharded.
+// AccessBatch applies a batch of references in order and returns their
+// results — the fold of Access.
 func (s *Simulator) AccessBatch(refs []Ref) []AccessResult {
 	out := make([]AccessResult, len(refs))
 	for i, r := range refs {
@@ -505,21 +496,11 @@ func (s *Simulator) AccessBatch(refs []Ref) []AccessResult {
 	return out
 }
 
-// Sharded wraps the simulator in an epoch-parallel engine running the
-// access pipeline across `shards` cluster shards (clamped to
-// [1, clusters]). The engine's AccessBatch returns exactly the Results
-// — and leaves exactly the ledgers, telemetry, decision logs and
-// structural state — the serial Access loop would have; see
-// internal/shard for the determinism argument.
-func (s *Simulator) Sharded(shards int) *ShardedEngine {
-	return shard.New(s.Cache, s.Controller, shards)
-}
-
-// NewShardedEngine builds an epoch-parallel engine over a cache and
-// controller directly (ctrl may be nil when no resizing is driven).
-func NewShardedEngine(c *MolecularCache, ctrl *Controller, shards int) *ShardedEngine {
-	return shard.New(c, ctrl, shards)
-}
+// Sharded returns s: batches always run serially.
+//
+// Deprecated: the sharded replay engine was removed. _bench/serve.go's
+// journal re-drive is the last caller; use AccessBatch directly.
+func (s *Simulator) Sharded(int) *Simulator { return s }
 
 // Run replays a reference slice through the simulator and returns the
 // per-ASID ledger.

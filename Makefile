@@ -58,8 +58,6 @@ bench-micro:
 # (FUZZTIME per target).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzCompressedReader -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzParseTextLine -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run '^$$' -fuzz FuzzServerDecode -fuzztime $(FUZZTIME) ./internal/server

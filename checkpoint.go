@@ -24,9 +24,9 @@ import (
 //
 // Restores are corruption-tolerant: envelope damage (truncation, bit
 // flips, version skew) and semantic damage (states a healthy simulator
-// cannot reach) surface as typed errors naming the failing section, and
-// RestoreOrColdStart degrades to a fresh simulator while counting the
-// failure on the molcache_snapshot_restore_failures metric. Every
+// cannot reach) surface as typed errors naming the failing section, so
+// a caller can fall back to a cold start (molcached's boot does, and
+// counts the failure on molcache_server_restore_failures_total). Every
 // successful restore passes the full invariant suite before the engine
 // resumes.
 
@@ -262,28 +262,4 @@ func RestoreSimulator(path string, tr *Tracer, reg *Registry) (*Simulator, error
 		return nil, fmt.Errorf("molcache: read checkpoint %s: %w", path, err)
 	}
 	return RestoreSimulatorBytes(data, tr, reg)
-}
-
-// RestoreOrColdStart attempts a restore from path; on any failure —
-// unreadable file, corrupted envelope, inconsistent state — it reports
-// the failure on reg's molcache_snapshot_restore_failures counter and
-// falls back to a cold-started simulator built from the given configs.
-// The returned restoreErr is nil on a successful restore and carries
-// the (already absorbed) failure otherwise; err is non-nil only when
-// even the cold start fails.
-func RestoreOrColdStart(path string, mcfg MolecularConfig, rcfg ResizeConfig,
-	tr *Tracer, reg *Registry) (sim *Simulator, restoreErr, err error) {
-	sim, restoreErr = RestoreSimulator(path, tr, reg)
-	if restoreErr == nil {
-		return sim, nil, nil
-	}
-	if reg != nil {
-		reg.Counter("molcache_snapshot_restore_failures").Inc()
-	}
-	sim, err = NewSimulator(mcfg, rcfg)
-	if err != nil {
-		return nil, restoreErr, err
-	}
-	sim.AttachTelemetry(tr, reg)
-	return sim, restoreErr, nil
 }

@@ -196,64 +196,3 @@ func TestRestoreCorruptionTyped(t *testing.T) {
 		})
 	}
 }
-
-// TestRestoreOrColdStart checks the degraded path: a missing or damaged
-// checkpoint falls back to a cold-started simulator, reports the
-// absorbed failure, and ticks molcache_snapshot_restore_failures.
-func TestRestoreOrColdStart(t *testing.T) {
-	mcfg, rcfg := ckptConfig()
-	dir := t.TempDir()
-
-	t.Run("missing-file", func(t *testing.T) {
-		reg := molcache.NewRegistry()
-		sim, restoreErr, err := molcache.RestoreOrColdStart(
-			filepath.Join(dir, "nope.molc"), mcfg, rcfg, nil, reg)
-		if err != nil {
-			t.Fatalf("cold start failed: %v", err)
-		}
-		if sim == nil || restoreErr == nil {
-			t.Fatalf("want fallback sim + absorbed error, got sim=%v restoreErr=%v", sim, restoreErr)
-		}
-		if got := reg.Counter("molcache_snapshot_restore_failures").Value(); got != 1 {
-			t.Errorf("restore failure counter = %d, want 1", got)
-		}
-		// The fallback simulator must be serviceable.
-		sim.Access(molcache.Ref{Addr: 0x1000, ASID: 1})
-	})
-
-	t.Run("corrupt-file", func(t *testing.T) {
-		path := filepath.Join(dir, "garbage.molc")
-		if err := os.WriteFile(path, []byte("MOLC1 but not really"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reg := molcache.NewRegistry()
-		sim, restoreErr, err := molcache.RestoreOrColdStart(path, mcfg, rcfg, nil, reg)
-		if err != nil || sim == nil || restoreErr == nil {
-			t.Fatalf("want fallback, got sim=%v restoreErr=%v err=%v", sim, restoreErr, err)
-		}
-		var se *molcache.SnapshotError
-		if !errors.As(restoreErr, &se) {
-			t.Errorf("absorbed error is not typed: %v", restoreErr)
-		}
-		if got := reg.Counter("molcache_snapshot_restore_failures").Value(); got != 1 {
-			t.Errorf("restore failure counter = %d, want 1", got)
-		}
-	})
-
-	t.Run("healthy-file", func(t *testing.T) {
-		path := filepath.Join(dir, "good.molc")
-		seedReg := molcache.NewRegistry()
-		seed, _ := ckptSim(t, seedReg)
-		if err := seed.Checkpoint(path); err != nil {
-			t.Fatal(err)
-		}
-		reg := molcache.NewRegistry()
-		sim, restoreErr, err := molcache.RestoreOrColdStart(path, mcfg, rcfg, nil, reg)
-		if err != nil || restoreErr != nil || sim == nil {
-			t.Fatalf("healthy restore: sim=%v restoreErr=%v err=%v", sim, restoreErr, err)
-		}
-		if got := reg.Counter("molcache_snapshot_restore_failures").Value(); got != 0 {
-			t.Errorf("restore failure counter = %d, want 0", got)
-		}
-	})
-}

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -227,7 +228,10 @@ func main() {
 	)
 	switch {
 	case *traceIn != "":
-		asids, names, chk = replayTrace(*traceIn, l2, mol, ctrl, *checkEvery, onAccess)
+		asids, names, chk, err = replayTrace(*traceIn, l2, mol, ctrl, *checkEvery, onAccess)
+		if err != nil {
+			log.Fatal(err)
+		}
 	case *mix != "":
 		asids, names, chk, err = runMix(*mix, l2, ctrl, *refs, *seed, *checkEvery, onAccess)
 		if err != nil {
@@ -423,17 +427,19 @@ func runMix(mix string, l2 engine.Cache, ctrl *resize.Controller,
 
 // replayTrace feeds a recorded binary trace straight into the cache.
 // onAccess, when non-nil, runs after every access (the -serve publish
-// hook).
+// hook). Only a clean end of the trace ends the replay: a damaged trace
+// (a record cut short, an unknown kind byte, a read error) is an error
+// naming the file, not a report on the prefix before the damage.
 func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
-	ctrl *resize.Controller, checkEvery uint64, onAccess func()) ([]uint16, map[uint16]string, *invariant.Checker) {
+	ctrl *resize.Controller, checkEvery uint64, onAccess func()) ([]uint16, map[uint16]string, *invariant.Checker, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, nil, err
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	var chk *invariant.Checker
 	if checkEvery > 0 {
@@ -447,8 +453,11 @@ func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
 	var asids []uint16
 	for {
 		ref, err := r.Read()
-		if err != nil {
+		if err == io.EOF {
 			break
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 		l2.Access(ref)
 		if ctrl != nil {
@@ -469,7 +478,7 @@ func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
 	for _, a := range asids {
 		names[a] = fmt.Sprintf("asid%d", a)
 	}
-	return asids, names, chk
+	return asids, names, chk, nil
 }
 
 // report prints per-application results and molecular internals.

@@ -1,0 +1,84 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"molcache/internal/cache"
+	"molcache/internal/trace"
+)
+
+// writeTrace records n references from two ASIDs as an MTR1 file and
+// returns its path.
+func writeTrace(t *testing.T, n int) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		ref := trace.Ref{Addr: uint64(i) * 64, ASID: uint16(1 + i%2), Kind: trace.Read}
+		if i%3 == 0 {
+			ref.Kind = trace.Write
+		}
+		if err := w.Write(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "refs.mtr")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// replayCounting replays path into a small traditional cache and
+// returns how many references reached it.
+func replayCounting(t *testing.T, path string) (int, []uint16, error) {
+	t.Helper()
+	l2, err := cache.New(cache.Config{Size: 64 << 10, Ways: 4, LineSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	asids, _, _, err := replayTrace(path, l2, nil, nil, 0, func() { replayed++ })
+	return replayed, asids, err
+}
+
+func TestReplayTraceIntact(t *testing.T) {
+	const n = 1000
+	replayed, asids, err := replayCounting(t, writeTrace(t, n))
+	if err != nil {
+		t.Fatalf("replay of an intact trace: %v", err)
+	}
+	if replayed != n {
+		t.Errorf("replayed %d refs, want all %d", replayed, n)
+	}
+	if len(asids) != 2 || asids[0] != 1 || asids[1] != 2 {
+		t.Errorf("asids = %v, want [1 2] in first-seen order", asids)
+	}
+}
+
+// TestReplayTraceTruncated: a trace cut mid-record is an error naming
+// the file, not a normal report on the prefix before the cut.
+func TestReplayTraceTruncated(t *testing.T) {
+	path := writeTrace(t, 1000)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2+5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = replayCounting(t, path)
+	if err == nil {
+		t.Fatal("replay of a truncated trace succeeded, want an error")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("error %q should name the file and the truncation", err)
+	}
+}

@@ -1,8 +1,8 @@
 // End-to-end integration tests: the full pipeline the paper's
 // methodology describes — workload models into the CMP substrate,
-// L1-miss trace capture, trace serialization round trips, replay into
+// L1-miss trace capture, a trace serialization round trip, replay into
 // the molecular cache under the resize controller, and QoS metrics —
-// exercised through the public facade plus the trace formats.
+// exercised through the public facade plus the trace format.
 package molcache_test
 
 import (
@@ -44,22 +44,15 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal("no L1 misses captured")
 	}
 
-	// Stage 2: the trace must survive both serializations bit for bit.
-	var fixed, compact bytes.Buffer
+	// Stage 2: the trace must survive serialization bit for bit.
+	var fixed bytes.Buffer
 	fw := trace.NewWriter(&fixed)
-	cw := trace.NewCompressedWriter(&compact)
 	for _, r := range captured {
 		if err := fw.Write(r); err != nil {
 			t.Fatal(err)
 		}
-		if err := cw.Write(r); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := trace.NewReader(&fixed)
@@ -70,21 +63,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := trace.NewCompressedReader(&compact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCompact, err := cr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromFixed) != len(captured) || len(fromCompact) != len(captured) {
-		t.Fatalf("lengths diverged: %d fixed, %d compact, %d live",
-			len(fromFixed), len(fromCompact), len(captured))
+	if len(fromFixed) != len(captured) {
+		t.Fatalf("lengths diverged: %d decoded, %d live", len(fromFixed), len(captured))
 	}
 	for i := range captured {
-		if fromFixed[i] != captured[i] || fromCompact[i] != captured[i] {
-			t.Fatalf("record %d diverged across formats", i)
+		if fromFixed[i] != captured[i] {
+			t.Fatalf("record %d diverged through the trace format", i)
 		}
 	}
 
@@ -97,7 +81,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := sim.Run(fromCompact)
+	ledger := sim.Run(fromFixed)
 
 	manual, err := molcache.NewSimulator(mcfg, rcfg)
 	if err != nil {

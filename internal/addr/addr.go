@@ -39,28 +39,12 @@ func LineAlign(a, lineSize uint64) uint64 {
 	return a &^ (lineSize - 1)
 }
 
-// BlockIndex returns the line-granular block number of address a,
-// i.e. a / lineSize for power-of-two lineSize.
-func BlockIndex(a, lineSize uint64) uint64 {
-	return a >> Log2(lineSize)
-}
-
 // Mask returns a mask with the low n bits set.
 func Mask(n uint) uint64 {
 	if n >= 64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << n) - 1
-}
-
-// AlignDown rounds v down to a multiple of align (power of two).
-func AlignDown(v, align uint64) uint64 {
-	return v &^ (align - 1)
-}
-
-// AlignUp rounds v up to a multiple of align (power of two).
-func AlignUp(v, align uint64) uint64 {
-	return (v + align - 1) &^ (align - 1)
 }
 
 // Bytes formats a byte count using binary units (KB/MB) the way the paper

@@ -62,24 +62,6 @@ func TestLineAlign(t *testing.T) {
 	}
 }
 
-func TestBlockIndex(t *testing.T) {
-	if got := BlockIndex(0x1000, 64); got != 0x40 {
-		t.Errorf("BlockIndex = %d, want 64", got)
-	}
-}
-
-func TestAlignUpDown(t *testing.T) {
-	if got := AlignUp(100, 64); got != 128 {
-		t.Errorf("AlignUp(100,64) = %d, want 128", got)
-	}
-	if got := AlignUp(128, 64); got != 128 {
-		t.Errorf("AlignUp(128,64) = %d, want 128", got)
-	}
-	if got := AlignDown(100, 64); got != 64 {
-		t.Errorf("AlignDown(100,64) = %d, want 64", got)
-	}
-}
-
 func TestMask(t *testing.T) {
 	if got := Mask(0); got != 0 {
 		t.Errorf("Mask(0) = %#x, want 0", got)

@@ -87,9 +87,6 @@ func (g *CallGraph) NodeFor(obj *types.Func) *FuncNode {
 	return g.byObj[obj.Origin()]
 }
 
-// LitNode returns the node of a function literal, or nil.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
 // Lookup finds the node named name ("Cache.Access" or "RestoreCache")
 // in a package matching the import-path suffix, or nil.
 func (g *CallGraph) Lookup(pkgSuffix, name string) *FuncNode {

@@ -9,7 +9,9 @@ import (
 	"molcache/internal/trace"
 )
 
-// Config describes a traditional set-associative cache.
+// Config describes a traditional set-associative cache. Write misses
+// always allocate (the paper's L2s are write-allocate write-back; both
+// our L1 and L2 use it); it is the only supported mode.
 type Config struct {
 	// Size is the total data capacity in bytes (power of two).
 	Size uint64
@@ -22,10 +24,6 @@ type Config struct {
 	Policy PolicyKind
 	// Seed seeds the Random policy.
 	Seed uint64
-	// WriteAllocate controls whether write misses allocate (the paper's
-	// L2s are write-allocate write-back; both our L1 and L2 use it).
-	// It is the only supported mode and exists for documentation.
-	WriteAllocate bool
 }
 
 // Validate checks the geometry.
@@ -264,19 +262,6 @@ func (c *Cache) ValidLines() int {
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
-
-// OccupancyByASID returns the number of resident lines per ASID,
-// the quantity Suh-style partitioning schemes meter. Exposed for the
-// interference analysis in the Table 1 experiment.
-func (c *Cache) OccupancyByASID() map[uint16]int {
-	out := make(map[uint16]int)
-	for i := range c.lines {
-		if c.lines[i].valid {
-			out[c.lines[i].asid]++
-		}
-	}
-	return out
-}
 
 // Flush invalidates the whole cache, returning the number of dirty lines
 // that a real cache would have written back.

@@ -16,7 +16,6 @@ import (
 	"molcache/internal/coherence"
 	"molcache/internal/engine"
 	"molcache/internal/stats"
-	"molcache/internal/telemetry"
 	"molcache/internal/trace"
 	"molcache/internal/workload"
 )
@@ -112,14 +111,6 @@ type System struct {
 	// OnL2Access, when set, observes every L2 access (the resize
 	// controller's Tick hooks in here).
 	OnL2Access func(trace.Ref, engine.Result)
-
-	// tracer, reg, l2Accesses and latency are the telemetry
-	// attachments (nil by default; issue pays two pointer checks when
-	// telemetry is off).
-	tracer     *telemetry.Tracer
-	reg        *telemetry.Registry
-	l2Accesses *telemetry.Counter
-	latency    *telemetry.Histogram
 }
 
 // New builds a CMP over the shared L2.
@@ -154,9 +145,6 @@ func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	if err != nil {
 		return err
 	}
-	if s.reg != nil {
-		l1.AttachTelemetry(s.reg, l1Instance(uint8(len(s.cores))))
-	}
 	s.cores = append(s.cores, &core{
 		id:   uint8(len(s.cores)),
 		asid: asid,
@@ -165,9 +153,6 @@ func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	})
 	return nil
 }
-
-// Cores returns the number of attached cores.
-func (s *System) Cores() int { return len(s.cores) }
 
 // L2 returns the shared cache.
 func (s *System) L2() engine.Cache { return s.l2 }
@@ -296,9 +281,6 @@ func (s *System) issue(c *core) {
 	if l1res.Hit {
 		c.cycles += s.cfg.Latency.L1Hit
 		c.readyAt += s.cfg.Latency.L1Hit
-		if s.latency != nil {
-			s.latency.Observe(float64(s.cfg.Latency.L1Hit))
-		}
 		return
 	}
 
@@ -306,9 +288,6 @@ func (s *System) issue(c *core) {
 		s.captured = append(s.captured, ref)
 	}
 	l2res := s.l2.Access(ref)
-	if s.l2Accesses != nil {
-		s.l2Accesses.Inc()
-	}
 	if s.OnL2Access != nil {
 		s.OnL2Access(ref, l2res)
 	}
@@ -318,9 +297,6 @@ func (s *System) issue(c *core) {
 	}
 	c.cycles += lat
 	c.readyAt += lat
-	if s.latency != nil {
-		s.latency.Observe(float64(lat))
-	}
 }
 
 // apply performs the cache-side effects of a directory action:

@@ -10,11 +10,7 @@
 // cache model.
 package coherence
 
-import (
-	"fmt"
-
-	"molcache/internal/telemetry"
-)
+import "fmt"
 
 // State is a MESI line state.
 type State uint8
@@ -88,11 +84,6 @@ type entry struct {
 type Directory struct {
 	lines map[uint64]*entry
 	stats Stats
-
-	// tracer and ins are the telemetry attachments (nil by default:
-	// each request pays one pointer check when telemetry is off).
-	tracer *telemetry.Tracer
-	ins    *dirInstruments
 }
 
 // NewDirectory returns an empty directory.
@@ -143,11 +134,9 @@ func (d *Directory) Read(line uint64, cacheID int) (Action, error) {
 		// written back.
 		act.DowngradeMask = 1 << uint(e.owner)
 		d.stats.Downgrades++
-		d.observeDowngrade(line)
 		if e.dirty {
 			act.WritebackFrom = e.owner
 			d.stats.Writebacks++
-			d.observeWriteback()
 			e.dirty = false
 		}
 		e.owner = -1
@@ -181,15 +170,14 @@ func (d *Directory) Write(line uint64, cacheID int) (Action, error) {
 		// S -> M: invalidate the other sharers.
 		d.stats.OwnershipUpgrades++
 		act.InvalidateMask = e.sharers &^ bit
-		d.observeInvalidations(line, d.countInvalidations(act.InvalidateMask))
+		d.countInvalidations(act.InvalidateMask)
 	default:
 		// Write miss: invalidate everyone; a dirty owner writes back.
 		act.InvalidateMask = e.sharers
-		d.observeInvalidations(line, d.countInvalidations(act.InvalidateMask))
+		d.countInvalidations(act.InvalidateMask)
 		if e.owner >= 0 && e.dirty {
 			act.WritebackFrom = e.owner
 			d.stats.Writebacks++
-			d.observeWriteback()
 		}
 	}
 	e.sharers = bit
@@ -225,15 +213,11 @@ func (d *Directory) Evict(line uint64, cacheID int) error {
 // Lines returns the number of tracked lines (test aid).
 func (d *Directory) Lines() int { return len(d.lines) }
 
-// countInvalidations adds one invalidation per set bit, returning the
-// number of copies killed.
-func (d *Directory) countInvalidations(mask uint16) int {
-	n := 0
+// countInvalidations adds one invalidation per set bit.
+func (d *Directory) countInvalidations(mask uint16) {
 	for ; mask != 0; mask &= mask - 1 {
 		d.stats.Invalidations++
-		n++
 	}
-	return n
 }
 
 // checkCacheID validates a requestor against the sharer-bitmask bound.

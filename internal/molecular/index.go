@@ -74,9 +74,6 @@ func (r *Region) fillVictim(victim *Molecule, block uint64, write bool, clock ui
 	return evicted, writebacks
 }
 
-// IndexSize returns the number of resident lines the index tracks.
-func (r *Region) IndexSize() int { return r.index.size() }
-
 // IndexSnapshot returns the index as block → molecule ID — the invariant
 // checker's (and property tests') view of the fast-path structure.
 func (r *Region) IndexSnapshot() map[uint64]int {

@@ -99,12 +99,6 @@ func (m *Molecule) MissCount() uint64 { return m.missCount }
 // Hits returns lifetime hits since assignment.
 func (m *Molecule) Hits() uint64 { return m.hits }
 
-// eligible reports whether the molecule's decode stage lets a request
-// from asid proceed (the Figure 3 comparator-plus-shared-bit mux).
-func (m *Molecule) eligible(asid uint16) bool {
-	return m.shared || (m.owned && m.asid == asid)
-}
-
 // index maps a block number to the molecule's direct-mapped slot.
 func (m *Molecule) index(block uint64) int {
 	return int(block % uint64(len(m.lines)))

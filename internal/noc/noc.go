@@ -4,10 +4,11 @@
 // sweeps of sibling tiles, inter-cluster coherence — pay a hop latency
 // and a wire energy per traversed link.
 //
-// The model is deliberately minimal (XY dimension-ordered routing, no
-// contention) because the paper's evaluation only needs the energy and
-// latency *asymmetry* between local and remote molecules; it slots into
-// the molecular cache's lookup and the power model's per-access energy.
+// The model is deliberately minimal (a message pays the Manhattan hop
+// count, with no contention) because the paper's evaluation only needs
+// the energy and latency *asymmetry* between local and remote
+// molecules; it slots into the molecular cache's lookup and the power
+// model's per-access energy.
 package noc
 
 import (
@@ -87,7 +88,7 @@ func (m *Mesh) coord(id int) (x, y int, err error) {
 	return id % m.w, id / m.w, nil
 }
 
-// Hops returns the XY-routed link count between two nodes.
+// Hops returns the Manhattan link count between two nodes.
 func (m *Mesh) Hops(from, to int) (int, error) {
 	fx, fy, err := m.coord(from)
 	if err != nil {
@@ -98,29 +99,6 @@ func (m *Mesh) Hops(from, to int) (int, error) {
 		return 0, err
 	}
 	return abs(fx-tx) + abs(fy-ty), nil
-}
-
-// Route returns the XY dimension-ordered path (inclusive of endpoints).
-func (m *Mesh) Route(from, to int) ([]int, error) {
-	fx, fy, err := m.coord(from)
-	if err != nil {
-		return nil, err
-	}
-	tx, ty, err := m.coord(to)
-	if err != nil {
-		return nil, err
-	}
-	path := []int{from}
-	x, y := fx, fy
-	for x != tx {
-		x += sign(tx - x)
-		path = append(path, y*m.w+x)
-	}
-	for y != ty {
-		y += sign(ty - y)
-		path = append(path, y*m.w+x)
-	}
-	return path, nil
 }
 
 // Traverse accounts one message from -> to and returns its latency in
@@ -195,14 +173,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-func sign(v int) int {
-	if v < 0 {
-		return -1
-	}
-	if v > 0 {
-		return 1
-	}
-	return 0
 }

@@ -59,26 +59,6 @@ func TestHopsManhattan(t *testing.T) {
 	}
 }
 
-func TestRouteIsConnectedAndMinimal(t *testing.T) {
-	m := MustNew(5, 3, 0, 0)
-	path, err := m.Route(2, 13) // (2,0) -> (3,2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hops, _ := m.Hops(2, 13)
-	if len(path) != hops+1 {
-		t.Fatalf("path length %d, want %d", len(path), hops+1)
-	}
-	if path[0] != 2 || path[len(path)-1] != 13 {
-		t.Errorf("path endpoints wrong: %v", path)
-	}
-	for i := 1; i < len(path); i++ {
-		if h, _ := m.Hops(path[i-1], path[i]); h != 1 {
-			t.Errorf("non-adjacent step %d -> %d", path[i-1], path[i])
-		}
-	}
-}
-
 func TestTraverseAccounting(t *testing.T) {
 	m := MustNew(4, 4, 3, 0.1)
 	lat, err := m.Traverse(0, 15)

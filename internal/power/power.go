@@ -185,15 +185,6 @@ func Model(g Geometry, t Tech) (Estimate, error) {
 	return best, nil
 }
 
-// MustModel is Model for static geometries; it panics on error.
-func MustModel(g Geometry, t Tech) Estimate {
-	e, err := Model(g, t)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // evaluate scores one (Ndwl, Ndbl) organization. ok=false marks
 // infeasible splits (sub-array degenerates).
 func evaluate(g Geometry, t Tech, ndwl, ndbl int) (Estimate, bool) {

@@ -283,15 +283,10 @@ type Journal struct {
 	fw      *snapshot.FrameWriter
 	payload []byte // Batch's encoding buffer, reused across frames
 	seq     uint64
-	frames  uint64
 }
 
 func (j *Journal) writeFrame(kind string, payload []byte) error {
-	if err := j.fw.WriteFrame([]snapshot.Section{{Name: kind, Payload: payload}}); err != nil {
-		return err
-	}
-	j.frames++
-	return nil
+	return j.fw.WriteFrame([]snapshot.Section{{Name: kind, Payload: payload}})
 }
 
 func (j *Journal) writeJSON(kind string, v any) error {
@@ -342,7 +337,7 @@ func OpenJournal(path string) (*Journal, JournalConfig, error) {
 		f.Close()
 		return nil, JournalConfig{}, fmt.Errorf("server: seek journal end: %w", err)
 	}
-	j := &Journal{f: f, bw: bufio.NewWriter(f), seq: seq, frames: uint64(len(frames))}
+	j := &Journal{f: f, bw: bufio.NewWriter(f), seq: seq}
 	j.fw = snapshot.NewFrameWriter(j.bw)
 	return j, cfg, nil
 }
@@ -375,14 +370,6 @@ func (j *Journal) Seq() uint64 {
 		return 0
 	}
 	return j.seq
-}
-
-// Frames returns the number of frames written or scanned.
-func (j *Journal) Frames() uint64 {
-	if j == nil {
-		return 0
-	}
-	return j.frames
 }
 
 // Sync flushes buffered frames and fsyncs the file.

@@ -214,7 +214,7 @@ func (s *Server) journalConfig() JournalConfig {
 
 // New builds and starts a server: warm-restores from CheckpointPath
 // when a checkpoint exists (falling back to a cold start on corruption,
-// counted on molcache_server_restore_failures), opens or creates the
+// counted on molcache_server_restore_failures_total), opens or creates the
 // journal, mounts the obs plane, and begins accepting connections.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -274,7 +274,7 @@ func (s *Server) boot() error {
 				return nil
 			} else {
 				s.restoreErr = err
-				s.servReg.Counter("molcache_server_restore_failures").Inc()
+				s.servReg.Counter("molcache_server_restore_failures_total").Inc()
 			}
 		}
 	}

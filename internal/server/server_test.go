@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -20,6 +21,7 @@ import (
 
 	"molcache/internal/server"
 	"molcache/internal/server/servertest"
+	"molcache/internal/snapshot"
 	"molcache/internal/telemetry"
 )
 
@@ -155,6 +157,63 @@ func TestShutdownRefusesNewWork(t *testing.T) {
 	// Shutdown is idempotent.
 	if err := f.Server.Shutdown(); err != nil {
 		t.Errorf("second Shutdown: %v", err)
+	}
+}
+
+// TestColdStartOnCorruptCheckpoint drives boot's fallback: a checkpoint
+// with one flipped byte is rejected with a typed error, counted on the
+// server plane, and the server cold-starts and serves.
+func TestColdStartOnCorruptCheckpoint(t *testing.T) {
+	f := servertest.Boot(t, servertest.Options{Obs: true})
+	c := f.Client()
+	if _, err := c.Tenant("web", 0.2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Set("web", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Server.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	data, err := os.ReadFile(f.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(f.CheckpointPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f.Reboot()
+
+	if f.Server.WarmStarted() {
+		t.Fatal("booted warm from a corrupted checkpoint")
+	}
+	var se *snapshot.Error
+	if !errors.As(f.Server.RestoreErr(), &se) {
+		t.Errorf("RestoreErr() = %v, want a *snapshot.Error", f.Server.RestoreErr())
+	}
+	body, err := servertest.GetBody(f.Server.ObsURL() + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	snap, err := telemetry.ParsePrometheus(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("parse /metrics: %v", err)
+	}
+	if got := snap.Counters["molcache_server_restore_failures_total"]; got != 1 {
+		t.Errorf("molcache_server_restore_failures_total = %v, want 1", got)
+	}
+
+	c = f.Client()
+	if _, err := c.Tenant("web", 0.2, 0); err != nil {
+		t.Fatalf("TENANT after cold start: %v", err)
+	}
+	if _, err := c.Set("web", "k2", []byte("v2")); err != nil {
+		t.Fatalf("SET after cold start: %v", err)
+	}
+	got, _, found, err := c.Get("web", "k2")
+	if err != nil || !found || string(got) != "v2" {
+		t.Errorf("GET after cold start = %q found=%v err=%v, want \"v2\"", got, found, err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package servertest boots molcached servers on ephemeral ports for
 // integration tests: a fixture owning the journal/checkpoint paths, a
-// deterministic workload client, and a Restart helper that exercises
-// the SIGTERM-checkpoint → warm-restore path in-process.
+// deterministic workload client, and Reboot/Restart helpers that
+// exercise the SIGTERM-checkpoint → restore-or-cold-start path
+// in-process.
 package servertest
 
 import (
@@ -119,23 +120,29 @@ func (f *Fixture) Client() *server.Client {
 	return c
 }
 
-// Restart gracefully shuts the running server down (writing its
-// checkpoint) and boots a fresh one from the same paths — the SIGTERM +
-// warm-restore cycle, in-process. It fails the test if the new server
-// did not warm-restore.
+// Reboot closes the running server (its Shutdown writes the checkpoint,
+// unless the test already shut it down) and boots a fresh one from the
+// same paths, warm or cold.
+func (f *Fixture) Reboot() {
+	f.T.Helper()
+	if err := f.Server.Close(); err != nil {
+		f.T.Fatalf("servertest: shutdown: %v", err)
+	}
+	f.Server = f.start()
+}
+
+// Restart reboots the server — the SIGTERM + warm-restore cycle,
+// in-process — and fails the test if the new server did not
+// warm-restore.
 func (f *Fixture) Restart() {
 	f.T.Helper()
 	if f.CheckpointPath == "" {
 		f.T.Fatal("servertest: Restart needs a checkpoint path")
 	}
-	if err := f.Server.Close(); err != nil {
-		f.T.Fatalf("servertest: shutdown: %v", err)
-	}
-	f.Server = f.start()
+	f.Reboot()
 	if !f.Server.WarmStarted() {
 		f.T.Fatalf("servertest: expected warm restore, got cold start (restore err: %v)", f.Server.RestoreErr())
 	}
-	f.T.Cleanup(func() { f.Server.Close() })
 }
 
 // WaitHealthy polls the obs /healthz endpoint until it answers 200 or

@@ -1,7 +1,7 @@
 // Package stats provides the counters and aggregations every cache model
 // in the repository reports through: hit/miss ledgers (global and
-// per-ASID), sliding miss-rate windows for the resize controller, simple
-// histograms, and summary statistics for the experiment tables.
+// per-ASID), sliding miss-rate windows for the resize controller and
+// simple histograms.
 package stats
 
 import (
@@ -177,69 +177,3 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.Sum) / float64(h.Count)
 }
-
-// Summary holds descriptive statistics of a float64 sample.
-type Summary struct {
-	N        int
-	Mean     float64
-	Min, Max float64
-	StdDev   float64
-	P50, P90 float64
-}
-
-// Summarize computes descriptive statistics; it returns the zero Summary
-// for an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	varSum := 0.0
-	for _, x := range xs {
-		d := x - s.Mean
-		varSum += d * d
-	}
-	s.StdDev = sqrt(varSum / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = quantile(sorted, 0.50)
-	s.P90 = quantile(sorted, 0.90)
-	return s
-}
-
-// quantile returns the q-quantile of a sorted sample using nearest-rank.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// sqrt computes the square root via Newton iterations; good to ~1e-12
-// relative for the magnitudes used here.
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-// Sqrt exposes the local square root for packages that need one without
-// importing math (kept consistent with Summarize's internals).
-func Sqrt(x float64) float64 { return sqrt(x) }

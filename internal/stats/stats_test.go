@@ -111,43 +111,3 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("Mean = %v", got)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if math.Abs(s.Mean-3) > 1e-12 {
-		t.Errorf("Mean = %v, want 3", s.Mean)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("StdDev = %v, want sqrt(2)", s.StdDev)
-	}
-	if s.P50 != 3 {
-		t.Errorf("P50 = %v, want 3", s.P50)
-	}
-	if s.P90 != 4 { // nearest-rank on index int(0.9*4)=3
-		t.Errorf("P90 = %v, want 4", s.P90)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s != (Summary{}) {
-		t.Errorf("Summarize(nil) = %+v, want zero", s)
-	}
-}
-
-func TestSqrtMatchesMath(t *testing.T) {
-	f := func(v uint32) bool {
-		x := float64(v) / 1000
-		got := Sqrt(x)
-		want := math.Sqrt(x)
-		return math.Abs(got-want) <= 1e-9*(1+want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if Sqrt(-1) != 0 || Sqrt(0) != 0 {
-		t.Error("Sqrt of non-positive should be 0")
-	}
-}

@@ -61,6 +61,8 @@ const (
 	// KindInvalidate is a coherence invalidation of a peer cache's copy.
 	KindInvalidate
 	// KindDowngrade is a coherence M/E -> S demotion of a peer's copy.
+	// No component emits it; it keeps its slot so the kinds after it
+	// keep their values.
 	KindDowngrade
 	// KindMoleculeRetire is a hard molecule failure: the molecule was
 	// flushed, withdrawn from its region and permanently retired. Value

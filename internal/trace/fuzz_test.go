@@ -6,34 +6,22 @@ import (
 	"testing"
 )
 
-// encodeSeed builds a small valid binary trace for the fuzz corpora.
-func encodeSeed(t testing.TB, compressed bool) []byte {
+// encodeSeed builds a small valid binary trace for the fuzz corpus.
+func encodeSeed(t testing.TB) []byte {
 	refs := []Ref{
 		{Addr: 0x1000, ASID: 1, CPU: 0, Kind: Read},
 		{Addr: 0x1040, ASID: 1, CPU: 0, Kind: Write},
 		{Addr: 0xffff_ffff_0000, ASID: 0xFFFF, CPU: 3, Kind: Read},
 	}
 	var buf bytes.Buffer
-	if compressed {
-		w := NewCompressedWriter(&buf)
-		for _, r := range refs {
-			if err := w.Write(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
+	w := NewWriter(&buf)
+	for _, r := range refs {
+		if err := w.Write(r); err != nil {
 			t.Fatal(err)
 		}
-	} else {
-		w := NewWriter(&buf)
-		for _, r := range refs {
-			if err := w.Write(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -63,7 +51,7 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("MTR1"))
 	f.Add([]byte("MTR1 truncated record"))
 	f.Add([]byte("not a trace at all"))
-	f.Add(encodeSeed(f, false))
+	f.Add(encodeSeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode arbitrary bytes: errors are fine, panics are not.
 		if r, err := NewReader(bytes.NewReader(data)); err == nil {
@@ -99,108 +87,6 @@ func FuzzReader(f *testing.F) {
 			if got[i] != refs[i] {
 				t.Fatalf("record %d: wrote %v, read %v", i, refs[i], got[i])
 			}
-		}
-	})
-}
-
-// FuzzCompressedReader does the same for the delta/varint format, whose
-// decoder has real parsing state (tag bits, varints, per-ASID address
-// bases) and therefore real crash surface.
-func FuzzCompressedReader(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("MTC1"))
-	f.Add([]byte("MTC1\x00"))
-	f.Add([]byte("MTC1\x03\x01\x02\x80"))
-	f.Add([]byte("MTC1\x02\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
-	f.Add(encodeSeed(f, true))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, err := NewCompressedReader(bytes.NewReader(data)); err == nil {
-			if refs, err := r.ReadAll(); err == nil {
-				// A cleanly-decoded stream must re-encode losslessly.
-				var buf bytes.Buffer
-				w := NewCompressedWriter(&buf)
-				for _, ref := range refs {
-					if err := w.Write(ref); err != nil {
-						t.Fatalf("re-encode %v: %v", ref, err)
-					}
-				}
-				if err := w.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				r2, err := NewCompressedReader(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("reopen re-encoding: %v", err)
-				}
-				got, err := r2.ReadAll()
-				if err != nil {
-					t.Fatalf("decode re-encoding: %v", err)
-				}
-				if len(got) != len(refs) {
-					t.Fatalf("re-encode %d records, got %d", len(refs), len(got))
-				}
-				for i := range refs {
-					if got[i] != refs[i] {
-						t.Fatalf("record %d: had %v, got %v", i, refs[i], got[i])
-					}
-				}
-			}
-		}
-
-		// And the writer handles arbitrary records: encode records
-		// derived from the input and verify the decode matches.
-		refs := refsFromBytes(data)
-		var buf bytes.Buffer
-		w := NewCompressedWriter(&buf)
-		for _, ref := range refs {
-			if err := w.Write(ref); err != nil {
-				t.Fatalf("Write(%v): %v", ref, err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewCompressedReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("reopen own encoding: %v", err)
-		}
-		got, err := r.ReadAll()
-		if err != nil {
-			t.Fatalf("decode own encoding: %v", err)
-		}
-		if len(got) != len(refs) {
-			t.Fatalf("round trip %d records, got %d", len(refs), len(got))
-		}
-		for i := range refs {
-			if got[i] != refs[i] {
-				t.Fatalf("record %d: wrote %v, read %v", i, refs[i], got[i])
-			}
-		}
-	})
-}
-
-// FuzzParseTextLine guards the din-style text parser.
-func FuzzParseTextLine(f *testing.F) {
-	f.Add("R 1 0 0x1000")
-	f.Add("W 65535 255 0xffffffffffffffff")
-	f.Add("")
-	f.Add("X 1 2 3")
-	f.Add("R -1 0 0x0")
-	f.Fuzz(func(t *testing.T, line string) {
-		ref, err := ParseTextLine(line)
-		if err != nil {
-			return
-		}
-		// A parsed record survives the write-parse round trip.
-		var buf bytes.Buffer
-		if err := WriteText(&buf, []Ref{ref}); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseTextLine(string(bytes.TrimSpace(buf.Bytes())))
-		if err != nil {
-			t.Fatalf("re-parse of %q (from %v): %v", buf.String(), ref, err)
-		}
-		if back != ref {
-			t.Fatalf("round trip: %v -> %q -> %v", ref, buf.String(), back)
 		}
 	})
 }

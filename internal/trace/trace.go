@@ -1,5 +1,6 @@
 // Package trace defines the memory-reference record that flows between
-// every component of the simulator, plus binary and text serializations.
+// every component of the simulator, its binary serialization (MTR1) and a
+// text dump.
 //
 // The paper's methodology is trace-driven: a CMP simulator (SESC there,
 // internal/cmp here) records the L1-data miss stream, and the cache under
@@ -13,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Kind distinguishes reads from writes.
@@ -113,6 +112,7 @@ func (tw *Writer) Flush() error {
 // Reader decodes the binary trace format.
 type Reader struct {
 	r *bufio.Reader
+	n uint64 // records decoded so far
 }
 
 // ErrBadMagic is returned by NewReader when the stream does not start
@@ -135,20 +135,27 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Read returns the next record, or io.EOF at the end of the trace.
+// Read returns the next record, or io.EOF at the end of the trace. A
+// record cut short or carrying a kind byte other than Read or Write is
+// an error naming the record's index.
 func (tr *Reader) Read() (Ref, error) {
 	var buf [recordSize]byte
 	if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return Ref{}, fmt.Errorf("trace: truncated record: %w", err)
+			return Ref{}, fmt.Errorf("trace: truncated record %d: %w", tr.n, err)
 		}
 		return Ref{}, err
 	}
+	kind := Kind(buf[11])
+	if kind != Read && kind != Write {
+		return Ref{}, fmt.Errorf("trace: record %d: unknown kind byte %d", tr.n, buf[11])
+	}
+	tr.n++
 	return Ref{
 		Addr: binary.LittleEndian.Uint64(buf[0:8]),
 		ASID: binary.LittleEndian.Uint16(buf[8:10]),
 		CPU:  buf[10],
-		Kind: Kind(buf[11]),
+		Kind: kind,
 	}, nil
 }
 
@@ -167,8 +174,8 @@ func (tr *Reader) ReadAll() ([]Ref, error) {
 	}
 }
 
-// WriteText emits a human-readable one-record-per-line form:
-// "R|W <asid> <cpu> <hex addr>". It is the din-like interchange format.
+// WriteText emits a human-readable one-record-per-line dump:
+// "R|W <asid> <cpu> <hex addr>" (tracegen -dump).
 func WriteText(w io.Writer, refs []Ref) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range refs {
@@ -177,72 +184,6 @@ func WriteText(w io.Writer, refs []Ref) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParseTextLine parses one line of the text format.
-func ParseTextLine(line string) (Ref, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 4 {
-		return Ref{}, fmt.Errorf("trace: want 4 fields, got %d in %q", len(fields), line)
-	}
-	var r Ref
-	switch fields[0] {
-	case "R", "r":
-		r.Kind = Read
-	case "W", "w":
-		r.Kind = Write
-	default:
-		return Ref{}, fmt.Errorf("trace: bad kind %q", fields[0])
-	}
-	asid, err := strconv.ParseUint(fields[1], 10, 16)
-	if err != nil {
-		return Ref{}, fmt.Errorf("trace: bad asid %q: %w", fields[1], err)
-	}
-	cpu, err := strconv.ParseUint(fields[2], 10, 8)
-	if err != nil {
-		return Ref{}, fmt.Errorf("trace: bad cpu %q: %w", fields[2], err)
-	}
-	addr, err := strconv.ParseUint(strings.TrimPrefix(fields[3], "0x"), 16, 64)
-	if err != nil {
-		return Ref{}, fmt.Errorf("trace: bad addr %q: %w", fields[3], err)
-	}
-	r.ASID = uint16(asid)
-	r.CPU = uint8(cpu)
-	r.Addr = addr
-	return r, nil
-}
-
-// ReadText parses the text format produced by WriteText. Blank lines and
-// lines starting with '#' are skipped.
-func ReadText(r io.Reader) ([]Ref, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var out []Ref
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		ref, err := ParseTextLine(line)
-		if err != nil {
-			return out, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		out = append(out, ref)
-	}
-	return out, sc.Err()
-}
-
-// FilterASID returns the subsequence of refs issued by asid.
-func FilterASID(refs []Ref, asid uint16) []Ref {
-	var out []Ref
-	for _, r := range refs {
-		if r.ASID == asid {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Interleave merges per-source reference streams round-robin, one record

@@ -89,59 +89,46 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	refs := sampleRefs()
+// TestUnknownKindRejected: a kind byte other than Read (0) or Write (1)
+// is an error naming the record, not a silent read.
+func TestUnknownKindRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteText(&buf, refs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, refs) {
-		t.Errorf("text round trip mismatch:\ngot  %v\nwant %v", got, refs)
-	}
-}
-
-func TestReadTextSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# header\n\nR 1 0 0x40\n  \nW 2 1 0x80\n"
-	got, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Ref{
-		{Addr: 0x40, ASID: 1, CPU: 0, Kind: Read},
-		{Addr: 0x80, ASID: 2, CPU: 1, Kind: Write},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestParseTextLineErrors(t *testing.T) {
-	bad := []string{
-		"R 1 0",      // too few fields
-		"X 1 0 0x40", // bad kind
-		"R notanum 0 0x40",
-		"R 1 999 0x40 extra",
-		"R 1 0 zz",
-	}
-	for _, line := range bad {
-		if _, err := ParseTextLine(line); err == nil {
-			t.Errorf("ParseTextLine(%q) succeeded, want error", line)
+	w := NewWriter(&buf)
+	for _, r := range sampleRefs() {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(magic)+1*recordSize+11] = 2 // record 1's kind byte
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(); err != nil {
+		t.Fatalf("record 0: %v", err)
+	}
+	_, err = r.Read()
+	if err == nil || !strings.Contains(err.Error(), "record 1") || !strings.Contains(err.Error(), "kind byte 2") {
+		t.Errorf("Read of record 1 = %v, want an unknown-kind error naming record 1", err)
+	}
 }
 
-func TestFilterASID(t *testing.T) {
-	refs := sampleRefs()
-	got := FilterASID(refs, 2)
-	if len(got) != 1 || got[0].Addr != 0xdeadbeef {
-		t.Errorf("FilterASID = %v", got)
+// TestWriteTextFormat pins the dump format tracegen -dump prints.
+func TestWriteTextFormat(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteText(&buf, sampleRefs()); err != nil {
+		t.Fatal(err)
 	}
-	if got := FilterASID(refs, 99); got != nil {
-		t.Errorf("FilterASID(absent) = %v, want nil", got)
+	want := "R 1 0 0x1000\n" +
+		"W 2 1 0xdeadbeef\n" +
+		"R 65535 255 0xffffffffffffffc0\n" +
+		"W 0 0 0x0\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteText =\n%s\nwant\n%s", got, want)
 	}
 }
 

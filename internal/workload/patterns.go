@@ -334,12 +334,3 @@ func (p *Phased) Next() Access {
 	p.left--
 	return p.phases[p.idx].Gen.Next()
 }
-
-// Take materializes the next n accesses from g.
-func Take(g Generator, n int) []Access {
-	out := make([]Access, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}

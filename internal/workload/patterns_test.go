@@ -146,14 +146,6 @@ func TestPhasedCycles(t *testing.T) {
 	}
 }
 
-func TestTake(t *testing.T) {
-	s := NewStream("s", 0, 1024, 0, rng.New(10))
-	a := Take(s, 5)
-	if len(a) != 5 || a[4].Addr != 16 {
-		t.Errorf("Take = %v", a)
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	cases := []struct {
 		name string

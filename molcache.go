@@ -153,8 +153,6 @@ type (
 	// Registry is a live metrics registry of counters, gauges and
 	// histograms with Prometheus-text and JSON snapshot exporters.
 	Registry = telemetry.Registry
-	// MetricsSnapshot is a point-in-time registry capture.
-	MetricsSnapshot = telemetry.Snapshot
 	// ProfileConfig wires -cpuprofile / -memprofile / -trace flags.
 	ProfileConfig = telemetry.ProfileConfig
 	// SpanTracer samples accesses deterministically (1 in every) and
@@ -192,9 +190,6 @@ type (
 	InvariantSnapshot = invariant.Snapshot
 	// InvariantViolation is one broken structural invariant.
 	InvariantViolation = invariant.Violation
-	// InvariantChecker audits a snapshot source every N ticks or on
-	// demand.
-	InvariantChecker = invariant.Checker
 )
 
 // Reference kinds.
@@ -287,12 +282,6 @@ func EstimateMolecularPower(g MolecularPowerGeometry) (MolecularPowerEstimate, e
 	return power.ModelMolecular(g, power.Tech70)
 }
 
-// NewMesh builds a w x h tile interconnection mesh (zero latency/energy
-// arguments select the 70nm defaults).
-func NewMesh(w, h int, hopLatency uint64, hopEnergy float64) (*Mesh, error) {
-	return noc.New(w, h, hopLatency, hopEnergy)
-}
-
 // MeshForTiles builds a near-square mesh sized for n tiles.
 func MeshForTiles(n int) (*Mesh, error) { return noc.ForTiles(n) }
 
@@ -347,56 +336,9 @@ func NewSpanTracer(every uint64, limit int) *SpanTracer {
 	return telemetry.NewSpanTracer(every, limit)
 }
 
-// ParseMetricsJSON parses a JSON metrics snapshot (Snapshot.JSON's
-// output) back into a MetricsSnapshot.
-func ParseMetricsJSON(data []byte) (MetricsSnapshot, error) {
-	return telemetry.ParseJSON(data)
-}
-
-// ParseMetricsPrometheus parses a Prometheus text-format page
-// (Snapshot.Prometheus's output) back into a MetricsSnapshot.
-func ParseMetricsPrometheus(r io.Reader) (MetricsSnapshot, error) {
-	return telemetry.ParsePrometheus(r)
-}
-
-// ParseFaultCampaign parses a JSON fault campaign (unknown fields are
-// rejected).
-func ParseFaultCampaign(data []byte) (FaultCampaign, error) {
-	return faults.Parse(data)
-}
-
-// LoadFaultCampaign reads and parses a JSON fault campaign file.
-func LoadFaultCampaign(path string) (FaultCampaign, error) {
-	return faults.Load(path)
-}
-
-// NewFaultInjector validates a campaign and prepares it for delivery;
-// attach it with MolecularCache.AttachFaults or Simulator.InjectFaults.
-func NewFaultInjector(c FaultCampaign) (*FaultInjector, error) {
-	return faults.NewInjector(c)
-}
-
-// CaptureInvariants snapshots a molecular cache's structural state for
-// invariant checking.
-func CaptureInvariants(c *MolecularCache) InvariantSnapshot {
-	return invariant.CaptureCache(c)
-}
-
 // CheckInvariants audits a snapshot and returns every violation found.
 func CheckInvariants(s InvariantSnapshot) []InvariantViolation {
 	return invariant.Check(s)
-}
-
-// NewInvariantChecker audits a molecular cache every `every` ticks
-// (0 disables periodic audits; Run audits on demand).
-func NewInvariantChecker(c *MolecularCache, every uint64) *InvariantChecker {
-	return invariant.NewChecker(invariant.CacheSource(c), every)
-}
-
-// NewSystemInvariantChecker audits a whole CMP — the shared L2's
-// structure plus MESI directory/L1 agreement.
-func NewSystemInvariantChecker(sys *System, every uint64) *InvariantChecker {
-	return invariant.NewChecker(invariant.SystemSource(sys), every)
 }
 
 // NewMemorySink buffers traced events in memory.

@@ -400,23 +400,37 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 }
 
 // BenchmarkCMPStep measures the full CMP substrate pipeline (generator ->
-// L1 -> coherence -> L2) per reference.
+// L1 -> coherence -> L2) per reference: four SPEC cores, and the
+// replay benchmark's set-up (the twelve-app mixed workload over the
+// 1 MB 4-way L2 with L1-miss capture on).
 func BenchmarkCMPStep(b *testing.B) {
-	l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-	sys, err := molcache.NewSystem(l2, molcache.SystemConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := uint16(1); i <= 4; i++ {
-		gen := workload.MustNew(workload.SPECNames[i-1], uint64(i)<<36, uint64(i))
-		if err := sys.AddCore(i, gen); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Step()
+	for _, bc := range []struct {
+		name    string
+		apps    []string
+		capture bool
+	}{
+		{"spec4", workload.SPECNames[:4], false},
+		{"mix12-capture", workload.MixedNames, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
+			sys, err := molcache.NewSystem(l2, molcache.SystemConfig{CaptureL1Misses: bc.capture})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, name := range bc.apps {
+				asid := uint16(i + 1)
+				gen := workload.MustNew(name, uint64(asid)<<36, uint64(asid))
+				if err := sys.AddCore(asid, gen); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Step()
+			}
+		})
 	}
 }
 

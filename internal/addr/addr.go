@@ -3,7 +3,10 @@
 // geometries, so index/tag extraction reduces to shifts and masks.
 package addr
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // IsPow2 reports whether v is a positive power of two.
 func IsPow2(v uint64) bool {
@@ -15,12 +18,7 @@ func Log2(v uint64) uint {
 	if v == 0 {
 		panic("addr: Log2 of zero")
 	}
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return uint(bits.Len64(v) - 1)
 }
 
 // CheckPow2 returns an error naming the parameter if v is not a positive

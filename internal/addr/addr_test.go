@@ -92,13 +92,27 @@ func TestBytes(t *testing.T) {
 	}
 }
 
-// Property: for any v>0, 1<<Log2(v) <= v < 1<<(Log2(v)+1).
+// loopLog2 is the shift loop Log2 replaced, kept as its reference.
+func loopLog2(v uint64) uint {
+	var n uint
+	for v > 1 {
+		v >>= 1
+		n++
+	}
+	return n
+}
+
+// Property: for any v>0, Log2 agrees with the shift loop and
+// 1<<Log2(v) <= v < 1<<(Log2(v)+1).
 func TestLog2Property(t *testing.T) {
 	f := func(v uint64) bool {
 		if v == 0 {
 			return true
 		}
 		n := Log2(v)
+		if n != loopLog2(v) {
+			return false
+		}
 		lo := uint64(1) << n
 		if v < lo {
 			return false
@@ -108,8 +122,17 @@ func TestLog2Property(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Error(err)
+	}
+	// Random uint64s are almost all above 2^56; sweep every bit width
+	// too, at both ends of each power-of-two range.
+	for n := uint(0); n < 64; n++ {
+		for _, v := range []uint64{1 << n, 1<<n | (1<<n - 1)} {
+			if got, want := Log2(v), loopLog2(v); got != want {
+				t.Errorf("Log2(%#x) = %d, want %d", v, got, want)
+			}
+		}
 	}
 }
 

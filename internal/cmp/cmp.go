@@ -104,7 +104,6 @@ type System struct {
 	// line is a no-op and the hit/miss behaviour stays exact.
 	dir *coherence.Directory
 
-	l1Ledger stats.Ledger // per-ASID L1 hit/miss
 	captured []trace.Ref
 	issued   uint64
 
@@ -157,8 +156,21 @@ func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 // L2 returns the shared cache.
 func (s *System) L2() engine.Cache { return s.l2 }
 
-// L1Ledger returns per-ASID L1 hit/miss counts.
-func (s *System) L1Ledger() *stats.Ledger { return &s.l1Ledger }
+// L1Ledger returns per-ASID L1 hit/miss counts: the sum of the cores'
+// private L1 ledgers, each of which records every reference its core
+// issues under the core's ASID. It is built on each call, so changing
+// it does not affect the system.
+func (s *System) L1Ledger() *stats.Ledger {
+	var sum stats.Ledger
+	for _, c := range s.cores {
+		l := c.l1.Ledger()
+		sum.Total.Add(l.Total)
+		for _, asid := range l.ASIDs() {
+			sum.AppRef(asid).Add(l.App(asid))
+		}
+	}
+	return &sum
+}
 
 // Coherence returns protocol event counts.
 func (s *System) Coherence() CoherenceStats {
@@ -231,8 +243,9 @@ func (s *System) Cycle() uint64 {
 	return max
 }
 
-// CoreCPI returns cycles-per-reference for the core running asid
-// (0 when several cores share the ASID sums are combined).
+// CoreCPI returns cycles per reference for asid: the cycles of every
+// core running the ASID divided by their references, or 0 when no such
+// core has issued any.
 func (s *System) CoreCPI(asid uint16) float64 {
 	var cycles, refs uint64
 	for _, c := range s.cores {
@@ -258,7 +271,6 @@ func (s *System) issue(c *core) {
 	line := addr.LineAlign(ref.Addr, s.cfg.L1.LineSize)
 
 	l1res := c.l1.Access(ref)
-	s.l1Ledger.Record(ref.ASID, l1res.Hit)
 	c.refs++
 
 	// Drive the MESI directory: every write consults it (a write hit on

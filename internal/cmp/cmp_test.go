@@ -1,6 +1,10 @@
 package cmp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"molcache/internal/addr"
@@ -268,5 +272,53 @@ func TestMESIDowngradeKeepsPeerCopy(t *testing.T) {
 	}
 	if co.Invalidations != 0 {
 		t.Errorf("read triggered invalidations: %+v", co)
+	}
+}
+
+// captureDigestWant is the sha256 of the mix12 capture below: the
+// captured L1-miss stream, the L2 ledger and the coherence counters.
+// It pins the substrate's simulated behaviour, so a change to the
+// ledger, directory or issue path that alters any simulated number
+// fails here.
+const captureDigestWant = "ab5a048b8d6164bfb0204142c2e8453e092e9de92c116336e9d3d1cc6e0b1a32"
+
+// TestCaptureDigest captures the twelve-app MixedNames mix over the
+// 1 MB 4-way reference L2 (the set-up of the replay benchmark, shortened
+// to 200K processor references) and checks its digest.
+func TestCaptureDigest(t *testing.T) {
+	const seed = 2006
+	l2 := sharedL2()
+	s := MustNew(l2, Config{CaptureL1Misses: true})
+	for i, name := range workload.MixedNames {
+		asid := uint16(i + 1)
+		gen := workload.MustNew(name, uint64(asid)<<36, seed+uint64(asid)*1000)
+		if err := s.AddCore(asid, gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run(200_000)
+	// The L1 ledger, summed over the cores, counts every issued
+	// reference and every captured miss.
+	if l1 := s.L1Ledger().Total; l1.Accesses() != s.Issued() || l1.Misses != uint64(len(s.Captured())) {
+		t.Errorf("L1 ledger %+v, want %d accesses and %d misses", l1, s.Issued(), len(s.Captured()))
+	}
+
+	h := sha256.New()
+	var buf [12]byte
+	for _, r := range s.Captured() {
+		binary.LittleEndian.PutUint64(buf[0:8], r.Addr)
+		binary.LittleEndian.PutUint16(buf[8:10], r.ASID)
+		buf[10], buf[11] = r.CPU, byte(r.Kind)
+		h.Write(buf[:])
+	}
+	led := l2.Ledger()
+	fmt.Fprintf(h, "total %d %d\n", led.Total.Hits, led.Total.Misses)
+	for _, asid := range led.ASIDs() {
+		hm := led.App(asid)
+		fmt.Fprintf(h, "asid %d %d %d\n", asid, hm.Hits, hm.Misses)
+	}
+	fmt.Fprintf(h, "coherence %+v\n", s.Coherence())
+	if got := hex.EncodeToString(h.Sum(nil)); got != captureDigestWant {
+		t.Errorf("capture digest = %s, want %s (%d refs captured)", got, captureDigestWant, len(s.Captured()))
 	}
 }

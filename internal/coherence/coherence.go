@@ -10,7 +10,10 @@
 // cache model.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a MESI line state.
 type State uint8
@@ -71,7 +74,8 @@ type Stats struct {
 	OwnershipUpgrades uint64 // S -> M (invalidating other sharers)
 }
 
-// entry is one line's directory record.
+// entry is one line's directory record. A tracked line always has at
+// least one sharer, so sharers == 0 marks an empty table slot.
 type entry struct {
 	sharers uint16
 	// owner holds the single E/M holder (-1 when the line is Shared
@@ -80,24 +84,9 @@ type entry struct {
 	dirty bool
 }
 
-// Directory is the protocol engine.
-type Directory struct {
-	lines map[uint64]*entry
-	stats Stats
-}
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{lines: make(map[uint64]*entry)}
-}
-
-// Stats returns accumulated protocol counters.
-func (d *Directory) Stats() Stats { return d.stats }
-
-// StateOf reports cache's state for a line (a testing/inspection aid).
-func (d *Directory) StateOf(line uint64, cacheID int) State {
-	e := d.lines[line]
-	if e == nil || e.sharers&(1<<uint(cacheID)) == 0 {
+// state is cacheID's MESI state under e.
+func (e *entry) state(cacheID int) State {
+	if e.sharers&(1<<uint(cacheID)) == 0 {
 		return Invalid
 	}
 	if e.owner == int8(cacheID) {
@@ -109,6 +98,120 @@ func (d *Directory) StateOf(line uint64, cacheID int) State {
 	return Shared
 }
 
+// slot is one cell of the directory's line table, the entry stored
+// inline beside its line address.
+type slot struct {
+	line uint64
+	e    entry
+}
+
+// minSlots is the line table's initial capacity.
+const minSlots = 64
+
+// lineHashMul is 2^64 / φ, the Fibonacci-hashing multiplier (the same
+// one the molecular cache's block index uses): the high bits of the
+// product avalanche well even for line-aligned addresses.
+const lineHashMul = 0x9e3779b97f4a7c15
+
+// Directory is the protocol engine. Its line table is open-addressed
+// with linear probing over a power-of-two slot array: a request costs
+// one multiply and, at the load the table keeps (at most 3/4), a probe
+// or two, with no heap object per line. Evict deletes by backward
+// shift, so the table never holds tombstones.
+type Directory struct {
+	slots []slot
+	// shift is 64 - log2(len(slots)): the hash's high bits are the
+	// home slot.
+	shift uint
+	live  int
+	stats Stats
+}
+
+// NewDirectory returns an empty directory.
+func NewDirectory() *Directory { return &Directory{} }
+
+// Stats returns accumulated protocol counters.
+func (d *Directory) Stats() Stats { return d.stats }
+
+// StateOf reports cache's state for a line (a testing/inspection aid).
+func (d *Directory) StateOf(line uint64, cacheID int) State {
+	i, ok := d.find(line)
+	if !ok {
+		return Invalid
+	}
+	return d.slots[i].e.state(cacheID)
+}
+
+// home returns line's home slot.
+func (d *Directory) home(line uint64) uint64 {
+	return (line * lineHashMul) >> d.shift
+}
+
+// find returns the slot holding line and true, or, when line is not
+// tracked, the empty slot that ends its probe chain and false.
+func (d *Directory) find(line uint64) (uint64, bool) {
+	if len(d.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(d.slots) - 1)
+	for i := d.home(line); ; i = (i + 1) & mask {
+		s := &d.slots[i]
+		if s.e.sharers == 0 {
+			return i, false
+		}
+		if s.line == line {
+			return i, true
+		}
+	}
+}
+
+// insert tracks a new line at i, the empty slot find returned for it,
+// growing the table first when the insert would pass 3/4 load.
+func (d *Directory) insert(i, line uint64, e entry) {
+	if (d.live+1)*4 > len(d.slots)*3 {
+		d.grow()
+		i, _ = d.find(line)
+	}
+	d.slots[i] = slot{line: line, e: e}
+	d.live++
+}
+
+// grow doubles the table and re-homes every tracked line.
+func (d *Directory) grow() {
+	old := d.slots
+	size := max(2*len(old), minSlots)
+	d.slots = make([]slot, size)
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s.e.sharers == 0 {
+			continue
+		}
+		i := d.home(s.line)
+		for d.slots[i].e.sharers != 0 {
+			i = (i + 1) & mask
+		}
+		d.slots[i] = s
+	}
+}
+
+// remove empties slot i by backward shift: each later entry of the
+// probe run whose home does not lie between the hole and itself moves
+// back into the hole, so every remaining line stays reachable from its
+// home without tombstones.
+func (d *Directory) remove(i uint64) {
+	mask := uint64(len(d.slots) - 1)
+	for j := (i + 1) & mask; d.slots[j].e.sharers != 0; j = (j + 1) & mask {
+		if (j-d.home(d.slots[j].line))&mask < (j-i)&mask {
+			continue // its home is in (i, j]: it must stay after i
+		}
+		d.slots[i] = d.slots[j]
+		i = j
+	}
+	d.slots[i] = slot{}
+	d.live--
+}
+
 // Read processes a processor read from cacheID and returns the actions.
 // A cache ID outside [0, MaxCaches) is rejected with an error and does
 // not perturb directory state.
@@ -117,16 +220,17 @@ func (d *Directory) Read(line uint64, cacheID int) (Action, error) {
 		return Action{WritebackFrom: -1}, err
 	}
 	d.stats.Reads++
-	e := d.lines[line]
 	bit := uint16(1) << uint(cacheID)
-	if e == nil {
+	i, ok := d.find(line)
+	if !ok {
 		// First touch: Exclusive.
-		d.lines[line] = &entry{sharers: bit, owner: int8(cacheID)}
+		d.insert(i, line, entry{sharers: bit, owner: int8(cacheID)})
 		return Action{NewState: Exclusive, WritebackFrom: -1}, nil
 	}
+	e := &d.slots[i].e
 	if e.sharers&bit != 0 {
 		// Already holding: state unchanged.
-		return Action{NewState: d.StateOf(line, cacheID), WritebackFrom: -1}, nil
+		return Action{NewState: e.state(cacheID), WritebackFrom: -1}, nil
 	}
 	act := Action{NewState: Shared, WritebackFrom: -1}
 	if e.owner >= 0 {
@@ -154,11 +258,12 @@ func (d *Directory) Write(line uint64, cacheID int) (Action, error) {
 	}
 	d.stats.Writes++
 	bit := uint16(1) << uint(cacheID)
-	e := d.lines[line]
-	if e == nil {
-		d.lines[line] = &entry{sharers: bit, owner: int8(cacheID), dirty: true}
+	i, ok := d.find(line)
+	if !ok {
+		d.insert(i, line, entry{sharers: bit, owner: int8(cacheID), dirty: true})
 		return Action{NewState: Modified, WritebackFrom: -1}, nil
 	}
+	e := &d.slots[i].e
 	act := Action{NewState: Modified, WritebackFrom: -1}
 	switch {
 	case e.owner == int8(cacheID):
@@ -194,10 +299,11 @@ func (d *Directory) Evict(line uint64, cacheID int) error {
 	if err := checkCacheID(cacheID); err != nil {
 		return err
 	}
-	e := d.lines[line]
-	if e == nil {
+	i, ok := d.find(line)
+	if !ok {
 		return nil
 	}
+	e := &d.slots[i].e
 	bit := uint16(1) << uint(cacheID)
 	e.sharers &^= bit
 	if e.owner == int8(cacheID) {
@@ -205,13 +311,13 @@ func (d *Directory) Evict(line uint64, cacheID int) error {
 		e.dirty = false
 	}
 	if e.sharers == 0 {
-		delete(d.lines, line)
+		d.remove(i)
 	}
 	return nil
 }
 
 // Lines returns the number of tracked lines (test aid).
-func (d *Directory) Lines() int { return len(d.lines) }
+func (d *Directory) Lines() int { return d.live }
 
 // countInvalidations adds one invalidation per set bit.
 func (d *Directory) countInvalidations(mask uint16) {
@@ -244,7 +350,9 @@ type LineInfo struct {
 // EachLine calls fn for every tracked line. Read-only; iteration order
 // is unspecified.
 func (d *Directory) EachLine(fn func(LineInfo)) {
-	for line, e := range d.lines {
-		fn(LineInfo{Line: line, Sharers: e.sharers, Owner: int(e.owner), Dirty: e.dirty})
+	for i := range d.slots {
+		if s := &d.slots[i]; s.e.sharers != 0 {
+			fn(LineInfo{Line: s.line, Sharers: s.e.sharers, Owner: int(s.e.owner), Dirty: s.e.dirty})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -157,70 +158,184 @@ func TestCacheIDBounds(t *testing.T) {
 	}
 }
 
-// Protocol invariants under random operation sequences:
-//  1. at most one cache in M or E per line;
+// mesiModel is the shadow the property tests drive beside a Directory:
+// every cache's state for each line, changed only by the actions the
+// directory returns.
+type mesiModel map[uint64][]State
+
+// step applies one operation (0 read, 1 write, 2 evict) to d and the
+// model, and reports whether the line still satisfies the protocol
+// invariants:
+//  1. at most one cache in M or E;
 //  2. if any cache is in S, no cache is in M or E;
-//  3. the directory's answer to StateOf is consistent with a shadow
-//     model applying the returned actions.
+//  3. StateOf agrees with the model for every cache.
+func (m mesiModel) step(d *Directory, kind int, line uint64, c int) bool {
+	st := m[line]
+	if st == nil {
+		st = make([]State, MaxCaches)
+		m[line] = st
+	}
+	if kind == 2 {
+		d.Evict(line, c)
+		st[c] = Invalid
+	} else {
+		var act Action
+		if kind == 0 {
+			act, _ = d.Read(line, c)
+		} else {
+			act, _ = d.Write(line, c)
+		}
+		for cc := range st {
+			if act.InvalidateMask&(1<<uint(cc)) != 0 {
+				st[cc] = Invalid
+			}
+			if act.DowngradeMask&(1<<uint(cc)) != 0 {
+				st[cc] = Shared
+			}
+		}
+		st[c] = act.NewState
+	}
+	owners, sharers := 0, 0
+	for cc, s := range st {
+		switch s {
+		case Modified, Exclusive:
+			owners++
+		case Shared:
+			sharers++
+		}
+		if d.StateOf(line, cc) != s {
+			return false
+		}
+	}
+	return owners <= 1 && (owners == 0 || sharers == 0)
+}
+
+// sameLines reports whether d tracks exactly the lines some cache of
+// the model holds, with the model's sharer sets: Lines() counts them and
+// EachLine visits each exactly once.
+func (m mesiModel) sameLines(d *Directory) bool {
+	live := map[uint64]uint16{}
+	for line, st := range m {
+		var mask uint16
+		for c, s := range st {
+			if s != Invalid {
+				mask |= 1 << uint(c)
+			}
+		}
+		if mask != 0 {
+			live[line] = mask
+		}
+	}
+	if d.Lines() != len(live) {
+		return false
+	}
+	seen := map[uint64]bool{}
+	ok := true
+	d.EachLine(func(li LineInfo) {
+		if seen[li.Line] || live[li.Line] != li.Sharers {
+			ok = false
+		}
+		seen[li.Line] = true
+	})
+	return ok && len(seen) == len(live)
+}
+
+// wideLines returns 4096 distinct line addresses: 0, the top of the
+// address space, a dense line-aligned run from 0 and random 64-bit
+// values (nearly all of them high).
+func wideLines(r *rand.Rand) []uint64 {
+	seen := map[uint64]bool{}
+	var out []uint64
+	add := func(v uint64) {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	add(^uint64(0))
+	add(1 << 63)
+	for k := uint64(0); len(out) < 2048; k++ {
+		add(k * 64)
+	}
+	for len(out) < 4096 {
+		add(r.Uint64())
+	}
+	return out
+}
+
+// wrapped reports whether some tracked line sits below its home slot,
+// i.e. its probe chain wrapped past the end of the table.
+func wrapped(d *Directory) bool {
+	for i, s := range d.slots {
+		if s.e.sharers != 0 && d.home(s.line) > uint64(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// Protocol invariants under random operation sequences, checked against
+// the shadow model after every operation.
 func TestMESIInvariantsProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		d := NewDirectory()
-		shadow := map[uint64]map[int]State{} // line -> cache -> state
-		apply := func(line uint64, act Action, requestor int) {
-			m := shadow[line]
-			if m == nil {
-				m = map[int]State{}
-				shadow[line] = m
-			}
-			for c := 0; c < 4; c++ {
-				if act.InvalidateMask&(1<<uint(c)) != 0 {
-					m[c] = Invalid
-				}
-				if act.DowngradeMask&(1<<uint(c)) != 0 {
-					m[c] = Shared
-				}
-			}
-			m[requestor] = act.NewState
-		}
+		m := mesiModel{}
 		for _, op := range ops {
-			line := uint64(op % 8)
-			c := int(op>>3) % 4
-			var act Action
-			switch (op >> 6) % 3 {
-			case 0:
-				act, _ = d.Read(line, c)
-			case 1:
-				act, _ = d.Write(line, c)
-			case 2:
-				d.Evict(line, c)
-				if m := shadow[line]; m != nil {
-					m[c] = Invalid
-				}
-				continue
-			}
-			apply(line, act, c)
-			// Invariants over the shadow state.
-			owners, sharers := 0, 0
-			for cc, st := range shadow[line] {
-				switch st {
-				case Modified, Exclusive:
-					owners++
-				case Shared:
-					sharers++
-				}
-				if d.StateOf(line, cc) != st {
-					return false
-				}
-			}
-			if owners > 1 || (owners > 0 && sharers > 0) {
+			if !m.step(d, int(op>>6)%3, uint64(op%8), int(op>>3)%4) {
 				return false
 			}
 		}
-		return true
+		return m.sameLines(d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+
+	// The wide variant spreads 4096 lines over the address space, so
+	// the line table grows, probe chains wrap past its end, and evicts
+	// delete lines out of the middle of chains. The first half of each
+	// run mostly reads and writes; the second mostly evicts.
+	t.Run("wide", func(t *testing.T) {
+		const ops, caches = 24000, 4
+		var grew, wrapSeen bool
+		deletes := 0
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			lines := wideLines(r)
+			d := NewDirectory()
+			m := mesiModel{}
+			for i := 0; i < ops; i++ {
+				kind := r.Intn(10)
+				switch {
+				case i < ops/2 && kind < 8, i >= ops/2 && kind < 2:
+					kind %= 2
+				default:
+					kind = 2
+				}
+				n := d.Lines()
+				if !m.step(d, kind, lines[r.Intn(len(lines))], r.Intn(caches)) {
+					return false
+				}
+				if d.Lines() < n {
+					deletes++
+				}
+				if i%1000 == 999 {
+					wrapSeen = wrapSeen || wrapped(d)
+					if !m.sameLines(d) {
+						return false
+					}
+				}
+			}
+			grew = grew || len(d.slots) >= 4096
+			return m.sameLines(d)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
+			t.Error(err)
+		}
+		if !grew || !wrapSeen || deletes < 1000 {
+			t.Errorf("wide runs did not exercise the table: grew=%v wrapped=%v deletes=%d", grew, wrapSeen, deletes)
+		}
+	})
 }
 
 func TestStateString(t *testing.T) {

@@ -6,7 +6,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // HitMiss is a basic hit/miss counter pair.
@@ -55,11 +55,22 @@ func (h HitMiss) String() string {
 	return fmt.Sprintf("hits=%d misses=%d missRate=%.4f", h.Hits, h.Misses, h.MissRate())
 }
 
+// denseASIDs bounds the ASIDs whose cells live in the ledger's directly
+// indexed table. Cache models name their applications with small
+// consecutive ASIDs, so Record costs a bounds check and a load instead
+// of a map lookup; larger ASIDs (SharedASID 65535, for one) fall back to
+// an overflow map.
+const denseASIDs = 256
+
 // Ledger tracks hit/miss counts globally and per ASID. The zero value is
 // ready to use.
 type Ledger struct {
-	Total  HitMiss
-	perApp map[uint16]*HitMiss
+	Total HitMiss
+	// dense[asid] is the cell of an ASID below denseASIDs, nil until
+	// first use. The table grows on demand; the cells it points to
+	// never move, so AppRef pointers survive growth.
+	dense    []*HitMiss
+	overflow map[uint16]*HitMiss
 }
 
 // Record adds one access for the given ASID.
@@ -70,42 +81,79 @@ func (l *Ledger) Record(asid uint16, hit bool) {
 
 // AppRef returns the stable counter cell for one ASID, creating it if
 // needed. The pointer stays valid until Reset; hot paths cache it so a
-// per-access Record needs no map lookup (the caller must still bump
+// per-access Record needs no lookup at all (the caller must still bump
 // Total itself).
 func (l *Ledger) AppRef(asid uint16) *HitMiss {
-	if l.perApp == nil {
-		l.perApp = make(map[uint16]*HitMiss)
+	if int(asid) < len(l.dense) && l.dense[asid] != nil {
+		return l.dense[asid]
 	}
-	hm := l.perApp[asid]
-	if hm == nil {
-		hm = &HitMiss{}
-		l.perApp[asid] = hm
+	return l.newCell(asid)
+}
+
+// newCell is AppRef's slow path: the first use of an ASID, or any use of
+// an ASID beyond the dense table.
+func (l *Ledger) newCell(asid uint16) *HitMiss {
+	if asid >= denseASIDs {
+		if l.overflow == nil {
+			l.overflow = make(map[uint16]*HitMiss)
+		}
+		hm := l.overflow[asid]
+		if hm == nil {
+			hm = &HitMiss{}
+			l.overflow[asid] = hm
+		}
+		return hm
 	}
+	if int(asid) >= len(l.dense) {
+		n := 16
+		for n <= int(asid) {
+			n <<= 1
+		}
+		grown := make([]*HitMiss, n)
+		copy(grown, l.dense)
+		l.dense = grown
+	}
+	hm := &HitMiss{}
+	l.dense[asid] = hm
 	return hm
 }
 
 // App returns the counters for one ASID (zero value if never seen).
 func (l *Ledger) App(asid uint16) HitMiss {
-	if hm := l.perApp[asid]; hm != nil {
-		return *hm
+	var hm *HitMiss
+	if int(asid) < len(l.dense) {
+		hm = l.dense[asid]
+	} else {
+		hm = l.overflow[asid]
 	}
-	return HitMiss{}
+	if hm == nil {
+		return HitMiss{}
+	}
+	return *hm
 }
 
 // ASIDs returns the sorted list of ASIDs with recorded accesses.
 func (l *Ledger) ASIDs() []uint16 {
-	ids := make([]uint16, 0, len(l.perApp))
-	for id := range l.perApp {
+	ids := make([]uint16, 0, len(l.dense)+len(l.overflow))
+	for id, hm := range l.dense {
+		if hm != nil {
+			ids = append(ids, uint16(id))
+		}
+	}
+	// Every overflow ASID is above every dense one.
+	n := len(ids)
+	for id := range l.overflow {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids[n:])
 	return ids
 }
 
 // Reset clears all counters.
 func (l *Ledger) Reset() {
 	l.Total = HitMiss{}
-	l.perApp = nil
+	l.dense = nil
+	l.overflow = nil
 }
 
 // SetApp overwrites the counters for one ASID, creating the cell if

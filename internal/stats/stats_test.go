@@ -61,21 +61,72 @@ func TestLedgerPerApp(t *testing.T) {
 	}
 }
 
-// Property: ledger total always equals the sum over apps.
+// Property: over ASIDs drawn from the whole uint16 range (half of them
+// folded below 512, so the dense table and the overflow both fill),
+// the ledger total equals the sum over apps, every recorded ASID is
+// listed, and ASIDs() is strictly increasing.
 func TestLedgerConsistencyProperty(t *testing.T) {
 	f := func(events []uint16) bool {
 		var l Ledger
+		want := map[uint16]bool{}
 		for i, e := range events {
-			l.Record(e%4, i%3 == 0)
+			if i%2 == 0 {
+				e %= 512
+			}
+			want[e] = true
+			l.Record(e, i%3 == 0)
+		}
+		ids := l.ASIDs()
+		if len(ids) != len(want) {
+			return false
 		}
 		var sum HitMiss
-		for _, id := range l.ASIDs() {
+		for i, id := range ids {
+			if !want[id] || (i > 0 && ids[i-1] >= id) {
+				return false
+			}
 			sum.Add(l.App(id))
 		}
 		return sum == l.Total
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// AppRef cells never move: growing the dense table, adding overflow
+// ASIDs and SetApp all leave earlier pointers live, and Record lands in
+// the cell a hot path cached.
+func TestAppRefStable(t *testing.T) {
+	var l Ledger
+	one := l.AppRef(1)
+	shared := l.AppRef(65535)
+	set := l.SetApp(3, HitMiss{Hits: 7, Misses: 2})
+	if l.AppRef(3) != set {
+		t.Fatal("SetApp and AppRef hand out different cells for a new ASID")
+	}
+	for asid := uint16(4); asid < denseASIDs+10; asid++ {
+		l.Record(asid, asid%2 == 0)
+	}
+	if l.AppRef(1) != one || l.AppRef(65535) != shared || l.AppRef(3) != set {
+		t.Fatal("cells moved when the dense table grew")
+	}
+	if got := l.SetApp(1, HitMiss{Hits: 5}); got != one {
+		t.Fatal("SetApp replaced an existing dense cell")
+	}
+	if got := l.SetApp(65535, HitMiss{Misses: 4}); got != shared {
+		t.Fatal("SetApp replaced an existing overflow cell")
+	}
+	one.Record(true)
+	shared.Record(false)
+	if got := l.App(1); got != (HitMiss{Hits: 6}) {
+		t.Errorf("App(1) = %+v, want hits=6", got)
+	}
+	if got := l.App(65535); got != (HitMiss{Misses: 5}) {
+		t.Errorf("App(65535) = %+v, want misses=5", got)
+	}
+	if got := l.App(3); got != (HitMiss{Hits: 7, Misses: 2}) {
+		t.Errorf("App(3) = %+v, want hits=7 misses=2", got)
 	}
 }
 
@@ -109,5 +160,27 @@ func TestHistogram(t *testing.T) {
 	}
 	if got := h.Mean(); math.Abs(got-13.0/5) > 1e-12 {
 		t.Errorf("Mean = %v", got)
+	}
+}
+
+// BenchmarkLedgerRecord measures one Record: a single application, the
+// twelve of the paper's mixed workload in turn, and the shared-region
+// ASID, which lives in the overflow map.
+func BenchmarkLedgerRecord(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		asids []uint16
+	}{
+		{"1-asid", []uint16{1}},
+		{"12-asids", []uint16{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+		{"shared-asid", []uint16{65535}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var l Ledger
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Record(bc.asids[i%len(bc.asids)], i&3 != 0)
+			}
+		})
 	}
 }

@@ -185,9 +185,6 @@ type (
 	// RetireReport describes one molecule retirement.
 	RetireReport = molecular.RetireReport
 
-	// InvariantSnapshot is a pure-data capture of simulator state for
-	// auditing.
-	InvariantSnapshot = invariant.Snapshot
 	// InvariantViolation is one broken structural invariant.
 	InvariantViolation = invariant.Violation
 )
@@ -334,11 +331,6 @@ func NewRegistry() *Registry { return telemetry.NewRegistry() }
 // (<= 0 selects the default). A nil *SpanTracer is a valid no-op.
 func NewSpanTracer(every uint64, limit int) *SpanTracer {
 	return telemetry.NewSpanTracer(every, limit)
-}
-
-// CheckInvariants audits a snapshot and returns every violation found.
-func CheckInvariants(s InvariantSnapshot) []InvariantViolation {
-	return invariant.Check(s)
 }
 
 // NewMemorySink buffers traced events in memory.

@@ -15,6 +15,7 @@ import (
 	"molcache"
 	"molcache/internal/addr"
 	"molcache/internal/cache"
+	"molcache/internal/cmp"
 	"molcache/internal/experiments"
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
@@ -203,20 +204,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // ablationTrace captures one 12-benchmark L1-miss trace for the ablations.
 var ablationTrace = sync.OnceValue(func() []trace.Ref {
-	l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-	sim, err := molcache.NewSystem(l2, molcache.SystemConfig{CaptureL1Misses: true})
+	refs, err := cmp.CaptureMix(workload.MixedNames, 6_000_000, 2006)
 	if err != nil {
 		panic(err)
 	}
-	for i, name := range workload.MixedNames {
-		asid := uint16(i + 1)
-		gen := workload.MustNew(name, uint64(asid)<<36, 2006+uint64(asid)*1000)
-		if err := sim.AddCore(asid, gen); err != nil {
-			panic(err)
-		}
-	}
-	sim.Run(6_000_000)
-	return sim.Captured()
+	return refs
 })
 
 // replayAblation replays the shared trace into one molecular config and

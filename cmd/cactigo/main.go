@@ -13,8 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
-	"strings"
 
 	"molcache/internal/addr"
 	"molcache/internal/power"
@@ -40,12 +38,12 @@ func main() {
 		printSweep()
 		return
 	}
-	sz, err := parseSize(*size)
+	sz, err := addr.ParseBytes(*size)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *mol {
-		ms, err := parseSize(*molecule)
+		ms, err := addr.ParseBytes(*molecule)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -105,20 +103,4 @@ func printSweep() {
 			fmt.Sprintf("%.2f", e.PowerWatts(e.FrequencyMHz())))
 	}
 	fmt.Println(t)
-}
-
-func parseSize(s string) (uint64, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	mul := uint64(1)
-	switch {
-	case strings.HasSuffix(u, "MB"):
-		mul, u = addr.MB, strings.TrimSuffix(u, "MB")
-	case strings.HasSuffix(u, "KB"):
-		mul, u = addr.KB, strings.TrimSuffix(u, "KB")
-	}
-	n, err := strconv.ParseUint(u, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mul, nil
 }

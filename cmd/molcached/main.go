@@ -163,7 +163,7 @@ func parseCacheSpec(spec string, seed uint64) (molecular.Config, error) {
 	if !strings.EqualFold(parts[0], "molecular") || len(parts) != 4 {
 		return molecular.Config{}, fmt.Errorf("cache spec needs molecular:SIZE:CxT:POLICY, got %q", spec)
 	}
-	size, err := parseSize(parts[1])
+	size, err := addr.ParseBytes(parts[1])
 	if err != nil {
 		return molecular.Config{}, err
 	}
@@ -197,20 +197,4 @@ func parseCacheSpec(spec string, seed uint64) (molecular.Config, error) {
 		Policy:          policy,
 		Seed:            seed,
 	}, nil
-}
-
-func parseSize(s string) (uint64, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	mul := uint64(1)
-	switch {
-	case strings.HasSuffix(u, "MB"):
-		mul, u = addr.MB, strings.TrimSuffix(u, "MB")
-	case strings.HasSuffix(u, "KB"):
-		mul, u = addr.KB, strings.TrimSuffix(u, "KB")
-	}
-	n, err := strconv.ParseUint(u, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mul, nil
 }

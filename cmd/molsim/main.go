@@ -54,7 +54,6 @@ func main() {
 	seed := flag.Uint64("seed", 2006, "simulation seed")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	faultsPath := flag.String("faults", "", "fault campaign JSON to inject (molecular caches only)")
-	refProbe := flag.Bool("reference-probe", false, "use the linear probe oracle instead of the fast-path block index (molecular caches only; results are identical, simulation is slower)")
 	checkEvery := flag.Uint64("check-invariants", 0, "audit structural invariants every N L2 accesses (0 disables)")
 	checkpointPath := flag.String("checkpoint", "", "write a crash-safe MOLC1 checkpoint here at run end (molecular caches only)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "with -checkpoint, also rewrite the checkpoint every N L2 accesses (0: only at run end)")
@@ -151,12 +150,6 @@ func main() {
 		}
 	}
 
-	if *refProbe {
-		if mol == nil {
-			log.Fatal("-reference-probe requires a molecular cache")
-		}
-		mol.UseReferenceProbe(true)
-	}
 	if pipe.Spans != nil {
 		if !engine.AttachSpans(l2, pipe.Spans) {
 			log.Print("-trace-out: this cache has no traceable access pipeline; the span trace will be empty")
@@ -307,7 +300,7 @@ func buildCache(spec string, seed uint64) (engine.Cache, *molecular.Cache, error
 		if len(parts) != 4 {
 			return nil, nil, fmt.Errorf("molecular spec needs molecular:SIZE:CxT:POLICY, got %q", spec)
 		}
-		size, err := parseSize(parts[1])
+		size, err := addr.ParseBytes(parts[1])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -349,7 +342,7 @@ func buildCache(spec string, seed uint64) (engine.Cache, *molecular.Cache, error
 	if len(parts) != 2 {
 		return nil, nil, fmt.Errorf("traditional spec needs SIZE:WAYS, got %q", spec)
 	}
-	size, err := parseSize(parts[0])
+	size, err := addr.ParseBytes(parts[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -357,38 +350,18 @@ func buildCache(spec string, seed uint64) (engine.Cache, *molecular.Cache, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("bad ways %q", parts[1])
 	}
-	c, err := cache.New(cache.Config{Size: size, Ways: ways, LineSize: 64, Seed: seed})
+	c, err := cache.New(cache.Config{Size: size, Ways: ways, LineSize: 64})
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, nil, nil
 }
 
-// parseSize accepts "512KB", "2MB", "6MB", or raw bytes.
-func parseSize(s string) (uint64, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	mul := uint64(1)
-	switch {
-	case strings.HasSuffix(u, "MB"):
-		mul, u = addr.MB, strings.TrimSuffix(u, "MB")
-	case strings.HasSuffix(u, "KB"):
-		mul, u = addr.KB, strings.TrimSuffix(u, "KB")
-	}
-	n, err := strconv.ParseUint(u, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mul, nil
-}
-
 // runMix drives the CMP substrate over the shared cache. onAccess,
 // when non-nil, runs after every L2 access (the -serve publish hook).
 func runMix(mix string, l2 engine.Cache, ctrl *resize.Controller,
 	refs int, seed uint64, checkEvery uint64, onAccess func()) ([]uint16, map[uint16]string, *invariant.Checker, error) {
-	sys, err := cmp.New(l2, cmp.Config{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	sys := cmp.New(l2, cmp.Config{})
 	var chk *invariant.Checker
 	if checkEvery > 0 {
 		chk = invariant.NewChecker(invariant.SystemSource(sys), checkEvery)
@@ -406,20 +379,17 @@ func runMix(mix string, l2 engine.Cache, ctrl *resize.Controller,
 			}
 		}
 	}
+	apps := strings.Split(mix, ",")
 	var asids []uint16
 	names := map[uint16]string{}
-	for i, name := range strings.Split(mix, ",") {
-		name = strings.TrimSpace(name)
+	for i := range apps {
+		apps[i] = strings.TrimSpace(apps[i])
 		asid := uint16(i + 1)
-		gen, err := workload.New(name, uint64(asid)<<36, seed+uint64(asid)*1000)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := sys.AddCore(asid, gen); err != nil {
-			return nil, nil, nil, err
-		}
 		asids = append(asids, asid)
-		names[asid] = name
+		names[asid] = apps[i]
+	}
+	if err := sys.AddMix(apps, seed); err != nil {
+		return nil, nil, nil, err
 	}
 	sys.Run(refs)
 	return asids, names, chk, nil

@@ -82,3 +82,19 @@ func TestReplayTraceTruncated(t *testing.T) {
 		t.Errorf("error %q should name the file and the truncation", err)
 	}
 }
+
+// TestBuildCacheRejectsOverflowingSize: a size whose bytes overflow
+// uint64 is rejected, not wrapped around to a small cache.
+func TestBuildCacheRejectsOverflowingSize(t *testing.T) {
+	for _, spec := range []string{
+		"17592186044417MB:4",                      // 2^64 + 1 MB: would wrap to 1MB:4
+		"molecular:18014398509481985KB:1x4:Randy", // 2^64 + 1 KB
+	} {
+		if c, _, err := buildCache(spec, 1); err == nil {
+			t.Errorf("buildCache(%q) built %s, want an error", spec, c.Name())
+		}
+	}
+	if _, _, err := buildCache("1MB:4", 1); err != nil {
+		t.Errorf("buildCache(1MB:4): %v", err)
+	}
+}

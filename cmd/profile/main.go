@@ -13,15 +13,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
 	"strings"
 
 	"molcache/internal/addr"
-	"molcache/internal/cache"
 	"molcache/internal/cmp"
 	"molcache/internal/stackdist"
 	"molcache/internal/tabletext"
-	"molcache/internal/workload"
 )
 
 func main() {
@@ -35,36 +32,28 @@ func main() {
 	seed := flag.Uint64("seed", 2006, "simulation seed")
 	flag.Parse()
 
-	targetBytes, err := parseSize(*size)
+	targetBytes, err := addr.ParseBytes(*size)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Capture the L1-miss stream (the reference stream an L2 sees).
-	l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-	sys, err := cmp.New(l2, cmp.Config{CaptureL1Misses: true})
+	apps := strings.Split(*mix, ",")
+	names := map[uint16]string{}
+	var asids []uint16
+	for i := range apps {
+		apps[i] = strings.TrimSpace(apps[i])
+		asid := uint16(i + 1)
+		names[asid] = apps[i]
+		asids = append(asids, asid)
+	}
+	captured, err := cmp.CaptureMix(apps, *refs, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	names := map[uint16]string{}
-	var asids []uint16
-	for i, name := range strings.Split(*mix, ",") {
-		name = strings.TrimSpace(name)
-		asid := uint16(i + 1)
-		gen, err := workload.New(name, uint64(asid)<<36, *seed+uint64(asid)*1000)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.AddCore(asid, gen); err != nil {
-			log.Fatal(err)
-		}
-		names[asid] = name
-		asids = append(asids, asid)
-	}
-	sys.Run(*refs)
 
 	prof := stackdist.New(64)
-	for _, r := range sys.Captured() {
+	for _, r := range captured {
 		prof.Record(r.ASID, r.Addr)
 	}
 
@@ -118,20 +107,4 @@ func main() {
 	}
 	fmt.Println(ot)
 	fmt.Printf("predicted average deviation: %.4f\n", alloc.PredictedDeviation)
-}
-
-func parseSize(s string) (uint64, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	mul := uint64(1)
-	switch {
-	case strings.HasSuffix(u, "MB"):
-		mul, u = addr.MB, strings.TrimSuffix(u, "MB")
-	case strings.HasSuffix(u, "KB"):
-		mul, u = addr.KB, strings.TrimSuffix(u, "KB")
-	}
-	n, err := strconv.ParseUint(u, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mul, nil
 }

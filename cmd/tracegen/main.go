@@ -16,11 +16,8 @@ import (
 	"os"
 	"strings"
 
-	"molcache/internal/addr"
-	"molcache/internal/cache"
 	"molcache/internal/cmp"
 	"molcache/internal/trace"
-	"molcache/internal/workload"
 )
 
 func main() {
@@ -72,44 +69,34 @@ func main() {
 // raw processor stream.
 func generate(mix string, refs int, raw bool, seed uint64) []trace.Ref {
 	names := strings.Split(mix, ",")
-	if raw {
-		var streams [][]trace.Ref
-		for i, name := range names {
-			asid := uint16(i + 1)
-			gen, err := workload.New(strings.TrimSpace(name), uint64(asid)<<36, seed+uint64(asid)*1000)
-			if err != nil {
-				log.Fatal(err)
-			}
-			n := refs / len(names)
-			s := make([]trace.Ref, n)
-			for j := 0; j < n; j++ {
-				a := gen.Next()
-				s[j] = trace.Ref{Addr: a.Addr, ASID: asid, CPU: uint8(i), Kind: trace.Read}
-				if a.Write {
-					s[j].Kind = trace.Write
-				}
-			}
-			streams = append(streams, s)
-		}
-		return trace.Interleave(streams...)
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-	l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-	sys, err := cmp.New(l2, cmp.Config{CaptureL1Misses: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, name := range names {
-		asid := uint16(i + 1)
-		gen, err := workload.New(strings.TrimSpace(name), uint64(asid)<<36, seed+uint64(asid)*1000)
+	if !raw {
+		captured, err := cmp.CaptureMix(names, refs, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sys.AddCore(asid, gen); err != nil {
+		return captured
+	}
+	var streams [][]trace.Ref
+	for i, name := range names {
+		asid, gen, err := cmp.MixApp(i, name, seed)
+		if err != nil {
 			log.Fatal(err)
 		}
+		n := refs / len(names)
+		s := make([]trace.Ref, n)
+		for j := 0; j < n; j++ {
+			a := gen.Next()
+			s[j] = trace.Ref{Addr: a.Addr, ASID: asid, CPU: uint8(i), Kind: trace.Read}
+			if a.Write {
+				s[j].Kind = trace.Write
+			}
+		}
+		streams = append(streams, s)
 	}
-	sys.Run(refs)
-	return sys.Captured()
+	return trace.Interleave(streams...)
 }
 
 func dumpTrace(path string) {

@@ -21,12 +21,11 @@ func main() {
 	fmt.Println("a benchmark's miss rate depends on its co-runners.")
 	fmt.Println()
 	alone := map[string]float64{}
-	for i, name := range mix {
+	for _, name := range mix {
 		l2 := newShared()
 		sys := newSystem(l2, []string{name})
 		sys.Run(refs / 4)
 		alone[name] = l2.Ledger().App(1).MissRate()
-		_ = i
 	}
 	sharedL2 := newShared()
 	sharedSys := newSystem(sharedL2, mix)
@@ -34,15 +33,10 @@ func main() {
 
 	// The replay trace comes from the paper's reference configuration
 	// (a 1MB 4-way shared L2), as in the SESC-to-Dinero methodology.
-	refL2, err := molcache.NewTraditional(molcache.TraditionalConfig{
-		Size: 1 << 20, Ways: 4, LineSize: 64,
-	})
+	captured, err := molcache.CaptureMix(mix, refs, 2006)
 	if err != nil {
 		log.Fatal(err)
 	}
-	refSys := newSystem(refL2, mix)
-	refSys.Run(refs)
-	captured := refSys.Captured()
 	fmt.Printf("%-8s  %-12s  %s\n", "app", "alone", "with all four")
 	for i, name := range mix {
 		fmt.Printf("%-8s  %-12.3f  %.3f\n",
@@ -105,19 +99,12 @@ func newShared() *molcache.TraditionalCache {
 
 // newSystem builds the CMP with one core per benchmark (ASIDs 1..n).
 func newSystem(l2 molcache.Cache, names []string) *molcache.System {
-	sys, err := molcache.NewSystem(l2, molcache.SystemConfig{CaptureL1Misses: true})
+	sys, err := molcache.NewSystem(l2, molcache.SystemConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, name := range names {
-		asid := uint16(i + 1)
-		gen, err := molcache.NewWorkload(name, uint64(asid)<<36, 2006+uint64(asid)*1000)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.AddCore(asid, gen); err != nil {
-			log.Fatal(err)
-		}
+	if err := sys.AddMix(names, 2006); err != nil {
+		log.Fatal(err)
 	}
 	return sys
 }

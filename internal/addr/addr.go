@@ -6,6 +6,8 @@ package addr
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
+	"strings"
 )
 
 // IsPow2 reports whether v is a positive power of two.
@@ -56,6 +58,30 @@ func Bytes(v uint64) string {
 	default:
 		return fmt.Sprintf("%dB", v)
 	}
+}
+
+// ParseBytes parses a byte count the way the commands take cache sizes:
+// a decimal count with an optional KB or MB suffix in any case, with
+// optional surrounding spaces ("512KB", "2mb", "65536"). A count whose
+// bytes overflow uint64 is an error, not a wrapped-around size.
+func ParseBytes(s string) (uint64, error) {
+	u := strings.ToUpper(strings.TrimSpace(s))
+	mul := uint64(1)
+	switch {
+	case strings.HasSuffix(u, "MB"):
+		mul, u = MB, strings.TrimSuffix(u, "MB")
+	case strings.HasSuffix(u, "KB"):
+		mul, u = KB, strings.TrimSuffix(u, "KB")
+	}
+	n, err := strconv.ParseUint(u, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	hi, bytes := bits.Mul64(n, mul)
+	if hi != 0 {
+		return 0, fmt.Errorf("bad size %q: more than 2^64-1 bytes", s)
+	}
+	return bytes, nil
 }
 
 // KB and MB are convenience multipliers for cache geometry literals.

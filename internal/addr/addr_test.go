@@ -147,3 +147,38 @@ func TestLineAlignProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseBytes(t *testing.T) {
+	good := []struct {
+		in   string
+		want uint64
+	}{
+		{"65536", 65536},
+		{"0", 0},
+		{"512KB", 512 * KB},
+		{"2MB", 2 * MB},
+		{"2mb", 2 * MB},
+		{"1Kb", KB},
+		{"  6MB ", 6 * MB},
+		{"17592186044415MB", (1<<44 - 1) * MB},
+		{"18014398509481983KB", (1<<54 - 1) * KB},
+		{"18446744073709551615", ^uint64(0)},
+	}
+	for _, c := range good {
+		if got, err := ParseBytes(c.in); err != nil || got != c.want {
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	bad := []string{
+		"", "MB", "2 MB", "-1", "+1", "1.5MB", "2GB", "2B", "0x10",
+		"18446744073709551616", // one past uint64 before any suffix
+		"17592186044416MB",     // exactly 2^64 bytes
+		"17592186044417MB",     // 2^64 + 1 MB: would wrap to 1 MB
+		"18014398509481985KB",  // 2^64 + 1 KB: would wrap to 1 KB
+	}
+	for _, in := range bad {
+		if got, err := ParseBytes(in); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want an error", in, got)
+		}
+	}
+}

@@ -1,3 +1,7 @@
+// Package cache implements the trace-driven set-associative LRU caches
+// the paper uses as baselines (direct mapped through 8-way, Figure 5 and
+// Table 2) and as the shared L2 of the motivating Table 1 experiment. It
+// is the repository's stand-in for the authors' modified Dinero.
 package cache
 
 import (
@@ -9,9 +13,10 @@ import (
 	"molcache/internal/trace"
 )
 
-// Config describes a traditional set-associative cache. Write misses
-// always allocate (the paper's L2s are write-allocate write-back; both
-// our L1 and L2 use it); it is the only supported mode.
+// Config describes a traditional set-associative cache. Replacement is
+// LRU and write misses always allocate (the paper's L2s are
+// write-allocate write-back; both our L1 and L2 use it); these are the
+// only supported modes.
 type Config struct {
 	// Size is the total data capacity in bytes (power of two).
 	Size uint64
@@ -20,10 +25,6 @@ type Config struct {
 	// LineSize is the block size in bytes (power of two), 64 in all of
 	// the paper's configurations.
 	LineSize uint64
-	// Policy selects the replacement policy; LRU when empty.
-	Policy PolicyKind
-	// Seed seeds the Random policy.
-	Seed uint64
 }
 
 // Validate checks the geometry.
@@ -36,11 +37,6 @@ func (c Config) Validate() error {
 	}
 	if c.Ways < 1 {
 		return fmt.Errorf("cache: ways must be >= 1, got %d", c.Ways)
-	}
-	switch c.Policy {
-	case "", LRU, FIFO, Random, PLRU:
-	default:
-		return fmt.Errorf("cache: unknown policy kind %q", c.Policy)
 	}
 	if !addr.IsPow2(uint64(c.Ways)) {
 		return fmt.Errorf("cache: ways must be a power of two, got %d", c.Ways)
@@ -62,7 +58,9 @@ func (c Config) Name() string {
 }
 
 // line is one cache line's metadata. Data contents are never modelled;
-// a trace-driven simulator only needs tags and state bits.
+// a trace-driven simulator only needs tags and state bits. The LRU
+// stamps sit in a slice of their own so that a line stays 16 bytes and
+// a 4-way set's tags share one 64-byte host cache line.
 type line struct {
 	tag   uint64
 	asid  uint16
@@ -70,17 +68,19 @@ type line struct {
 	dirty bool
 }
 
-// Cache is a trace-driven set-associative cache with write-back,
+// Cache is a trace-driven set-associative LRU cache with write-back,
 // write-allocate semantics. It implements engine.Cache.
 type Cache struct {
-	cfg    Config
-	sets   int
-	ways   int
-	shift  uint // log2(lineSize)
-	mask   uint64
-	lines  []line // sets*ways, way-major within a set
-	policy Policy
-	ledger stats.Ledger
+	cfg     Config
+	sets    int
+	ways    int
+	shift   uint // log2(lineSize)
+	setBits uint // log2(sets)
+	mask    uint64
+	lines   []line   // sets*ways, way-major within a set
+	stamps  []uint64 // LRU recency, parallel to lines: the clock at each line's last fill or hit
+	clock   uint64   // advances once per access
+	ledger  stats.Ledger
 
 	// ins holds the telemetry instruments (nil by default: the access
 	// path pays one pointer check when metrics are off).
@@ -91,25 +91,19 @@ var _ engine.Cache = (*Cache)(nil)
 
 // New builds a cache from cfg.
 func New(cfg Config) (*Cache, error) {
-	if cfg.Policy == "" {
-		cfg.Policy = LRU
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	sets := int(cfg.Size / cfg.LineSize / uint64(cfg.Ways))
-	policy, err := NewPolicy(cfg.Policy, sets, cfg.Ways, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 	return &Cache{
-		cfg:    cfg,
-		sets:   sets,
-		ways:   cfg.Ways,
-		shift:  addr.Log2(cfg.LineSize),
-		mask:   uint64(sets - 1),
-		lines:  make([]line, sets*cfg.Ways),
-		policy: policy,
+		cfg:     cfg,
+		sets:    sets,
+		ways:    cfg.Ways,
+		shift:   addr.Log2(cfg.LineSize),
+		setBits: addr.Log2(uint64(sets)),
+		mask:    uint64(sets - 1),
+		lines:   make([]line, sets*cfg.Ways),
+		stamps:  make([]uint64, sets*cfg.Ways),
 	}, nil
 }
 
@@ -134,21 +128,23 @@ func (c *Cache) Ledger() *stats.Ledger { return &c.ledger }
 // Access implements engine.Cache.
 func (c *Cache) Access(r trace.Ref) engine.Result {
 	block := r.Addr >> c.shift
-	set := int(block & c.mask)
-	tag := block >> addr.Log2(uint64(c.sets))
-	base := set * c.ways
+	tag := block >> c.setBits
+	base := int(block&c.mask) * c.ways
+	set := c.lines[base : base+c.ways]
+	stamps := c.stamps[base : base+c.ways]
+	c.clock++
 
 	res := engine.Result{TagProbes: c.ways, DataReads: 1}
 
 	// Parallel tag match across the set.
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
+	for w := range set {
+		ln := &set[w]
 		if ln.valid && ln.tag == tag {
 			if r.Kind == trace.Write {
 				ln.dirty = true
 			}
 			ln.asid = r.ASID
-			c.policy.Touch(set, w)
+			stamps[w] = c.clock
 			res.Hit = true
 			c.ledger.Record(r.ASID, true)
 			c.ins.record(true, res.TagProbes, 0)
@@ -156,29 +152,34 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 		}
 	}
 
-	// Miss: fill an invalid way if one exists, else evict.
+	// Miss: fill the lowest invalid way if one exists, else evict the
+	// least recently used way (smallest stamp, lowest way on a tie).
 	way := -1
-	for w := 0; w < c.ways; w++ {
-		if !c.lines[base+w].valid {
+	for w := range set {
+		if !set[w].valid {
 			way = w
 			break
 		}
 	}
 	if way < 0 {
-		way = c.policy.Victim(set)
-		victim := &c.lines[base+way]
+		way = 0
+		for w := 1; w < len(stamps); w++ {
+			if stamps[w] < stamps[way] {
+				way = w
+			}
+		}
 		res.LinesEvicted = 1
-		if victim.dirty {
+		if set[way].dirty {
 			res.Writebacks = 1
 		}
 	}
-	c.lines[base+way] = line{
+	stamps[way] = c.clock
+	set[way] = line{
 		tag:   tag,
 		asid:  r.ASID,
 		valid: true,
 		dirty: r.Kind == trace.Write,
 	}
-	c.policy.Insert(set, way)
 	res.LinesFetched = 1
 	c.ledger.Record(r.ASID, false)
 	c.ins.record(false, res.TagProbes, res.Writebacks)
@@ -189,15 +190,14 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 // read-only probe used by coherence and by tests; it does not perturb
 // replacement state.
 func (c *Cache) Contains(a uint64) bool {
-	_, _, ln := c.find(a)
-	return ln != nil
+	return c.find(a) != nil
 }
 
 // Invalidate drops the line holding a if resident, returning whether it
 // was dirty (the caller models the resulting writeback). Used by the
 // coherence protocol in internal/cmp.
 func (c *Cache) Invalidate(a uint64) (wasPresent, wasDirty bool) {
-	_, _, ln := c.find(a)
+	ln := c.find(a)
 	if ln == nil {
 		return false, false
 	}
@@ -211,7 +211,7 @@ func (c *Cache) Invalidate(a uint64) (wasPresent, wasDirty bool) {
 // implies). It reports whether the line was present and whether it was
 // dirty.
 func (c *Cache) Downgrade(a uint64) (present, wasDirty bool) {
-	_, _, ln := c.find(a)
+	ln := c.find(a)
 	if ln == nil {
 		return false, false
 	}
@@ -221,17 +221,16 @@ func (c *Cache) Downgrade(a uint64) (present, wasDirty bool) {
 }
 
 // find locates the resident line for address a.
-func (c *Cache) find(a uint64) (set, way int, ln *line) {
+func (c *Cache) find(a uint64) *line {
 	block := a >> c.shift
-	set = int(block & c.mask)
-	tag := block >> addr.Log2(uint64(c.sets))
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w].valid && c.lines[base+w].tag == tag {
-			return set, w, &c.lines[base+w]
+	tag := block >> c.setBits
+	base := int(block&c.mask) * c.ways
+	for w := base; w < base+c.ways; w++ {
+		if c.lines[w].valid && c.lines[w].tag == tag {
+			return &c.lines[w]
 		}
 	}
-	return 0, 0, nil
+	return nil
 }
 
 // EachLine calls fn for every resident line with its reconstructed
@@ -244,7 +243,7 @@ func (c *Cache) EachLine(fn func(a uint64, asid uint16, dirty bool)) {
 			continue
 		}
 		set := uint64(i / c.ways)
-		a := ((ln.tag << addr.Log2(uint64(c.sets))) | set) << c.shift
+		a := ((ln.tag << c.setBits) | set) << c.shift
 		fn(a, ln.asid, ln.dirty)
 	}
 }

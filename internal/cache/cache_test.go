@@ -1,15 +1,18 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"molcache/internal/engine"
+	"molcache/internal/rng"
 	"molcache/internal/trace"
 )
 
 // tiny returns a 4-set, 2-way, 64B-line cache (512B) for targeted tests.
-func tiny(policy PolicyKind) *Cache {
-	return MustNew(Config{Size: 512, Ways: 2, LineSize: 64, Policy: policy})
+func tiny() *Cache {
+	return MustNew(Config{Size: 512, Ways: 2, LineSize: 64})
 }
 
 func read(a uint64) trace.Ref  { return trace.Ref{Addr: a, Kind: trace.Read} }
@@ -45,7 +48,7 @@ func TestName(t *testing.T) {
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	if c.Access(read(0x1000)).Hit {
 		t.Error("cold access hit")
 	}
@@ -61,7 +64,7 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	// Set stride is 4 sets * 64B = 256B; these three map to set 0.
 	a, b, x := uint64(0), uint64(256), uint64(512)
 	c.Access(read(a))
@@ -79,24 +82,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestFIFOIgnoresTouches(t *testing.T) {
-	c := tiny(FIFO)
-	a, b, x := uint64(0), uint64(256), uint64(512)
-	c.Access(read(a))
-	c.Access(read(b))
-	c.Access(read(a)) // touching a must NOT protect it under FIFO
-	c.Access(read(x))
-	// Probe b first: probing a would miss and refill, evicting b.
-	if !c.Access(read(b)).Hit {
-		t.Error("FIFO evicted the newer line b")
-	}
-	if c.Access(read(a)).Hit {
-		t.Error("FIFO kept the oldest line a")
-	}
-}
-
 func TestWritebackOnDirtyEviction(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	c.Access(write(0))  // dirty
 	c.Access(read(256)) // clean
 	res := c.Access(read(512))
@@ -110,7 +97,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 }
 
 func TestWriteHitMarksDirty(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	c.Access(read(0))
 	c.Access(write(0)) // hit, marks dirty
 	c.Access(read(256))
@@ -141,7 +128,7 @@ func TestTagProbesEqualWays(t *testing.T) {
 }
 
 func TestLedgerPerASID(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	c.Access(trace.Ref{Addr: 0, ASID: 1})
 	c.Access(trace.Ref{Addr: 0, ASID: 1})
 	c.Access(trace.Ref{Addr: 64, ASID: 2})
@@ -154,7 +141,7 @@ func TestLedgerPerASID(t *testing.T) {
 }
 
 func TestInvalidateAndContains(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	c.Access(write(0x40))
 	if !c.Contains(0x40) || !c.Contains(0x7f) {
 		t.Error("Contains missed a resident line")
@@ -173,7 +160,7 @@ func TestInvalidateAndContains(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	c.Access(write(0))
 	c.Access(read(64))
 	if wb := c.Flush(); wb != 1 {
@@ -184,63 +171,11 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestPLRUVictimIsNotMRU(t *testing.T) {
-	c := MustNew(Config{Size: 1024, Ways: 4, LineSize: 64, Policy: PLRU})
-	// Fill set 0 (set stride = 4 sets * 64 = 256).
-	for i := uint64(0); i < 4; i++ {
-		c.Access(read(i * 256))
-	}
-	c.Access(read(3 * 256)) // make way of addr 768 MRU
-	c.Access(read(4 * 256)) // force eviction
-	if !c.Access(read(3 * 256)).Hit {
-		t.Error("PLRU evicted the MRU line")
-	}
-}
-
-func TestPLRURejectsNonPow2(t *testing.T) {
-	if _, err := newPLRU(4, 3); err == nil {
-		t.Fatal("PLRU with 3 ways accepted")
-	}
-	if _, err := NewPolicy(PLRU, 4, 3, 0); err == nil {
-		t.Fatal("NewPolicy(PLRU, 3 ways) accepted")
-	}
-	if _, err := NewPolicy("Bogus", 4, 4, 0); err == nil {
-		t.Fatal("unknown policy kind accepted")
-	}
-	if _, err := New(Config{Size: 1024, Ways: 4, LineSize: 64, Policy: "Bogus"}); err == nil {
-		t.Fatal("cache with unknown policy kind accepted")
-	}
-}
-
-func TestRandomPolicyDeterministicBySeed(t *testing.T) {
-	mk := func(seed uint64) []int {
-		p, err := NewPolicy(Random, 1, 8, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]int, 50)
-		for i := range out {
-			out[i] = p.Victim(0)
-		}
-		return out
-	}
-	a, b := mk(1), mk(1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Random policy not deterministic for equal seeds")
-		}
-	}
-}
-
 // Property: resident line count never exceeds capacity, and a hit is
 // always preceded by a fill of the same line (checked via a shadow map).
 func TestCacheInvariantsProperty(t *testing.T) {
-	f := func(addrs []uint16, seedBit bool) bool {
-		cfg := Config{Size: 1024, Ways: 2, LineSize: 64, Policy: LRU}
-		if seedBit {
-			cfg.Policy = FIFO
-		}
-		c := MustNew(cfg)
+	f := func(addrs []uint16) bool {
+		c := MustNew(Config{Size: 1024, Ways: 2, LineSize: 64})
 		resident := map[uint64]bool{} // shadow: lines ever filled
 		for _, a16 := range addrs {
 			a := uint64(a16)
@@ -299,7 +234,7 @@ func TestLRUThrashOnOversizedLoop(t *testing.T) {
 }
 
 func TestDowngradeClearsDirty(t *testing.T) {
-	c := tiny(LRU)
+	c := tiny()
 	c.Access(write(0x40))
 	present, wasDirty := c.Downgrade(0x40)
 	if !present || !wasDirty {
@@ -343,5 +278,145 @@ func TestLRUNeverEvictsMRUProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// shadowLine is one resident line of the reference LRU model.
+type shadowLine struct {
+	addr  uint64 // line-aligned
+	asid  uint16
+	dirty bool
+}
+
+// shadowLRU is an independent model of an exact-LRU write-back,
+// write-allocate cache: each set holds its resident lines in recency
+// order, most recent first.
+type shadowLRU struct {
+	ways     int
+	lineSize uint64
+	sets     [][]shadowLine
+}
+
+func newShadowLRU(sets, ways int, lineSize uint64) *shadowLRU {
+	return &shadowLRU{ways: ways, lineSize: lineSize, sets: make([][]shadowLine, sets)}
+}
+
+// access applies r and returns the result the cache must report.
+func (m *shadowLRU) access(r trace.Ref) engine.Result {
+	a := r.Addr &^ (m.lineSize - 1)
+	idx := int(a/m.lineSize) % len(m.sets)
+	set := m.sets[idx]
+	res := engine.Result{TagProbes: m.ways, DataReads: 1}
+	for i, ln := range set {
+		if ln.addr == a {
+			ln.asid = r.ASID
+			ln.dirty = ln.dirty || r.Kind == trace.Write
+			copy(set[1:i+1], set[:i])
+			set[0] = ln
+			res.Hit = true
+			return res
+		}
+	}
+	res.LinesFetched = 1
+	if len(set) == m.ways {
+		res.LinesEvicted = 1
+		if set[len(set)-1].dirty {
+			res.Writebacks = 1
+		}
+		set = set[:len(set)-1]
+	}
+	m.sets[idx] = append([]shadowLine{{addr: a, asid: r.ASID, dirty: r.Kind == trace.Write}}, set...)
+	return res
+}
+
+// TestLRUMatchesShadowModel drives random reads and writes through
+// caches of 1 to 16 ways and through the shadow model, and requires the
+// same Result on every access (hit, fetches, evictions, writebacks, tag
+// probes), then the same resident lines, owners and dirty bits.
+func TestLRUMatchesShadowModel(t *testing.T) {
+	const sets, lineSize = 8, 64
+	for _, ways := range []int{1, 2, 4, 8, 16} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			name := fmt.Sprintf("ways=%d/seed=%d", ways, seed)
+			c := MustNew(Config{Size: uint64(sets*ways) * lineSize, Ways: ways, LineSize: lineSize})
+			m := newShadowLRU(sets, ways, lineSize)
+			src := rng.New(seed)
+			// Three times the capacity in lines: enough reuse to hit,
+			// enough conflict to evict.
+			span := 3 * sets * ways
+			var hits, evictions int
+			for i := 0; i < 4000; i++ {
+				r := trace.Ref{
+					Addr: uint64(src.Intn(span))*lineSize + uint64(src.Intn(lineSize)),
+					ASID: uint16(1 + src.Intn(3)),
+					Kind: trace.Read,
+				}
+				if src.Intn(4) == 0 {
+					r.Kind = trace.Write
+				}
+				got, want := c.Access(r), m.access(r)
+				if got != want {
+					t.Fatalf("%s: access %d %+v = %+v, want %+v", name, i, r, got, want)
+				}
+				if got.Hit {
+					hits++
+				}
+				evictions += got.LinesEvicted
+			}
+			if hits == 0 || evictions == 0 {
+				t.Fatalf("%s: %d hits, %d evictions; the comparison is vacuous", name, hits, evictions)
+			}
+			resident := map[uint64]shadowLine{}
+			c.EachLine(func(a uint64, asid uint16, dirty bool) {
+				resident[a] = shadowLine{addr: a, asid: asid, dirty: dirty}
+			})
+			n := 0
+			for _, set := range m.sets {
+				for _, want := range set {
+					n++
+					if got, ok := resident[want.addr]; !ok || got != want {
+						t.Errorf("%s: line %#x = %+v (resident %v), want %+v", name, want.addr, got, ok, want)
+					}
+				}
+			}
+			if len(resident) != n {
+				t.Errorf("%s: %d resident lines, want %d", name, len(resident), n)
+			}
+		}
+	}
+}
+
+// TestTraditionalAccessZeroAllocs pins the set-associative access path
+// as allocation-free: with telemetry detached and ASIDs below 256, a
+// warmed cache serves hits and misses (with evictions and writebacks)
+// without allocating. Every processor reference of the CMP capture runs
+// this path in a private L1.
+func TestTraditionalAccessZeroAllocs(t *testing.T) {
+	const size = 16 << 10
+	c := MustNew(Config{Size: size, Ways: 4, LineSize: 64})
+	// Even references re-touch one hot line (always a hit); odd ones
+	// sweep twice the capacity, which LRU thrashes (always a miss).
+	var refs []trace.Ref
+	for a := uint64(0); a < 2*size; a += 64 {
+		asid := uint16(1 + a/64%4)
+		refs = append(refs,
+			trace.Ref{Addr: 0x40, ASID: asid, Kind: trace.Read},
+			trace.Ref{Addr: 1<<20 + a, ASID: asid, Kind: trace.Write})
+	}
+	for _, r := range refs {
+		c.Access(r)
+	}
+	before := c.Ledger().Total
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Access(refs[i%len(refs)])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per access, want 0", allocs)
+	}
+	after := c.Ledger().Total
+	if after.Hits == before.Hits || after.Misses == before.Misses {
+		t.Errorf("ledger %+v -> %+v: the run must both hit and miss", before, after)
 	}
 }

@@ -20,46 +20,26 @@ import (
 	"molcache/internal/workload"
 )
 
-// Latency models the memory-hierarchy timing that paces each core. An
-// L2-miss-bound application issues references far more slowly than an
+// The fixed core model. Every core has a private 16 KB 4-way L1 data
+// cache with 64 B lines (a typical 2006 L1-D) and is in-order with one
+// outstanding miss, a fair model for 2006-era CMPs. A reference costs
+// l1HitCycles on an L1 hit, engine.L2HitCycles on an L1 miss that hits
+// the L2 and engine.MemoryCycles on an L2 miss. An L2-miss-bound
+// application therefore issues references far more slowly than an
 // L1-resident one — the throttling that shapes the paper's Table 1 (art
 // survives next to mcf because mcf, stalled on memory, cannot flood the
 // shared L2 with evictions).
-type Latency struct {
-	// L1Hit is the cost of an L1 hit in cycles (default 1).
-	L1Hit uint64
-	// L2Hit is the L1-miss/L2-hit round trip (default 12).
-	L2Hit uint64
-	// Memory is the L2-miss round trip to DRAM (default 200).
-	Memory uint64
-}
+const (
+	l1Size      = 16 * addr.KB
+	l1Ways      = 4
+	lineSize    = 64
+	l1HitCycles = 1
+)
 
 // Config parameterizes the CMP substrate.
 type Config struct {
-	// L1 is the private data-cache geometry for every core
-	// (default 16 KB 4-way 64 B LRU, a typical 2006 L1-D).
-	L1 cache.Config
-	// Latency paces the cores (defaults above). Cores are in-order
-	// with one outstanding miss, a fair model for 2006-era CMPs.
-	Latency Latency
 	// CaptureL1Misses records the L1-miss stream for replay.
 	CaptureL1Misses bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.L1.Size == 0 {
-		c.L1 = cache.Config{Size: 16 * addr.KB, Ways: 4, LineSize: 64, Policy: cache.LRU}
-	}
-	if c.Latency.L1Hit == 0 {
-		c.Latency.L1Hit = 1
-	}
-	if c.Latency.L2Hit == 0 {
-		c.Latency.L2Hit = 12
-	}
-	if c.Latency.Memory == 0 {
-		c.Latency.Memory = 200
-	}
-	return c
 }
 
 // CoherenceStats counts MESI protocol events among the private L1s.
@@ -113,25 +93,12 @@ type System struct {
 }
 
 // New builds a CMP over the shared L2.
-func New(l2 engine.Cache, cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.L1.Validate(); err != nil {
-		return nil, fmt.Errorf("cmp: bad L1 config: %w", err)
-	}
+func New(l2 engine.Cache, cfg Config) *System {
 	return &System{
 		cfg: cfg,
 		l2:  l2,
 		dir: coherence.NewDirectory(),
-	}, nil
-}
-
-// MustNew is New panicking on error.
-func MustNew(l2 engine.Cache, cfg Config) *System {
-	s, err := New(l2, cfg)
-	if err != nil {
-		panic(err)
 	}
-	return s
 }
 
 // AddCore attaches a core running gen under asid. Core IDs are assigned
@@ -140,17 +107,53 @@ func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	if len(s.cores) >= coherence.MaxCaches {
 		return fmt.Errorf("cmp: at most %d cores supported", coherence.MaxCaches)
 	}
-	l1, err := cache.New(s.cfg.L1)
-	if err != nil {
-		return err
-	}
 	s.cores = append(s.cores, &core{
 		id:   uint8(len(s.cores)),
 		asid: asid,
 		gen:  gen,
-		l1:   l1,
+		l1:   cache.MustNew(cache.Config{Size: l1Size, Ways: l1Ways, LineSize: lineSize}),
 	})
 	return nil
+}
+
+// MixApp builds application i of a workload mix by the recipe every mix
+// in the repository follows: it runs as ASID i+1, its address space
+// starts at ASID<<36 so applications never collide, and its generator
+// is seeded seed+ASID*1000.
+func MixApp(i int, name string, seed uint64) (uint16, workload.Generator, error) {
+	asid := uint16(i + 1)
+	gen, err := workload.New(name, uint64(asid)<<36, seed+uint64(asid)*1000)
+	return asid, gen, err
+}
+
+// AddMix attaches one core per application of names, in order, each
+// built by MixApp.
+func (s *System) AddMix(names []string, seed uint64) error {
+	for i, name := range names {
+		asid, gen, err := MixApp(i, name, seed)
+		if err != nil {
+			return err
+		}
+		if err := s.AddCore(asid, gen); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CaptureMix runs the mix for refs processor references over the
+// paper's 1 MB 4-way shared L2 and returns the captured L1-miss stream.
+// Which lines miss the L1 does not depend on the L2, but the
+// interleaving does (cores stall on L2 misses), so every capture uses
+// this one reference L2 as its timing substrate.
+func CaptureMix(names []string, refs int, seed uint64) ([]trace.Ref, error) {
+	l2 := cache.MustNew(cache.Config{Size: addr.MB, Ways: 4, LineSize: lineSize})
+	s := New(l2, Config{CaptureL1Misses: true})
+	if err := s.AddMix(names, seed); err != nil {
+		return nil, err
+	}
+	s.Run(refs)
+	return s.Captured(), nil
 }
 
 // L2 returns the shared cache.
@@ -268,7 +271,7 @@ func (s *System) issue(c *core) {
 		ref.Kind = trace.Write
 	}
 	s.issued++
-	line := addr.LineAlign(ref.Addr, s.cfg.L1.LineSize)
+	line := addr.LineAlign(ref.Addr, lineSize)
 
 	l1res := c.l1.Access(ref)
 	c.refs++
@@ -291,8 +294,8 @@ func (s *System) issue(c *core) {
 	}
 
 	if l1res.Hit {
-		c.cycles += s.cfg.Latency.L1Hit
-		c.readyAt += s.cfg.Latency.L1Hit
+		c.cycles += l1HitCycles
+		c.readyAt += l1HitCycles
 		return
 	}
 
@@ -303,9 +306,9 @@ func (s *System) issue(c *core) {
 	if s.OnL2Access != nil {
 		s.OnL2Access(ref, l2res)
 	}
-	lat := s.cfg.Latency.L2Hit
+	lat := uint64(engine.L2HitCycles)
 	if !l2res.Hit {
-		lat = s.cfg.Latency.Memory
+		lat = engine.MemoryCycles
 	}
 	c.cycles += lat
 	c.readyAt += lat

@@ -36,7 +36,7 @@ func (f *fixedGen) Next() workload.Access {
 
 func TestL1FiltersHotLoop(t *testing.T) {
 	l2 := sharedL2()
-	s := MustNew(l2, Config{})
+	s := New(l2, Config{})
 	// 8KB loop fits the 16KB L1 entirely.
 	if err := s.AddCore(1, workload.NewLoop("hot", 0, 8*addr.KB, 0, rng.New(1))); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestL1FiltersHotLoop(t *testing.T) {
 
 func TestStreamingPassesThrough(t *testing.T) {
 	l2 := sharedL2()
-	s := MustNew(l2, Config{})
+	s := New(l2, Config{})
 	if err := s.AddCore(1, workload.NewStream("crc", 0, 64*addr.MB, 0, rng.New(2))); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestStreamingPassesThrough(t *testing.T) {
 }
 
 func TestRoundRobinFairness(t *testing.T) {
-	s := MustNew(sharedL2(), Config{})
+	s := New(sharedL2(), Config{})
 	for i := uint16(1); i <= 4; i++ {
 		if err := s.AddCore(i, workload.NewLoop("l", uint64(i)<<36, 64*addr.KB, 0, rng.New(uint64(i)))); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestRoundRobinFairness(t *testing.T) {
 }
 
 func TestWriteInvalidatesPeerCopies(t *testing.T) {
-	s := MustNew(sharedL2(), Config{})
+	s := New(sharedL2(), Config{})
 	// Two cores in the SAME address space (same ASID), touching the
 	// same line alternately: reader first, then writer.
 	readSeq := []workload.Access{{Addr: 0x1000}}
@@ -122,7 +122,7 @@ func TestWriteInvalidatesPeerCopies(t *testing.T) {
 }
 
 func TestCaptureL1MissTrace(t *testing.T) {
-	s := MustNew(sharedL2(), Config{CaptureL1Misses: true})
+	s := New(sharedL2(), Config{CaptureL1Misses: true})
 	if err := s.AddCore(3, workload.NewStream("s", 1<<36, 1*addr.MB, 0, rng.New(3))); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCaptureL1MissTrace(t *testing.T) {
 
 func TestOnL2AccessHook(t *testing.T) {
 	l2 := sharedL2()
-	s := MustNew(l2, Config{})
+	s := New(l2, Config{})
 	if err := s.AddCore(1, workload.NewStream("s", 0, 1*addr.MB, 0, rng.New(4))); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestOnL2AccessHook(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, uint64) {
 		l2 := sharedL2()
-		s := MustNew(l2, Config{})
+		s := New(l2, Config{})
 		for i := uint16(1); i <= 2; i++ {
 			g := workload.MustNew("parser", uint64(i)<<36, 42)
 			if err := s.AddCore(i, g); err != nil {
@@ -194,8 +194,15 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+func TestAddMixRejectsUnknownWorkload(t *testing.T) {
+	s := New(sharedL2(), Config{})
+	if err := s.AddMix([]string{"art", "nosuchapp"}, 1); err == nil {
+		t.Error("unknown workload accepted")
+	}
+}
+
 func TestCoreLimit(t *testing.T) {
-	s := MustNew(sharedL2(), Config{})
+	s := New(sharedL2(), Config{})
 	for i := 0; i < 16; i++ {
 		if err := s.AddCore(uint16(i), workload.NewLoop("l", uint64(i)<<30, 4096, 0, rng.New(1))); err != nil {
 			t.Fatalf("core %d rejected: %v", i, err)
@@ -206,14 +213,8 @@ func TestCoreLimit(t *testing.T) {
 	}
 }
 
-func TestBadL1Config(t *testing.T) {
-	if _, err := New(sharedL2(), Config{L1: cache.Config{Size: 1000, Ways: 2, LineSize: 64}}); err == nil {
-		t.Error("bad L1 config accepted")
-	}
-}
-
 func TestTimingThrottlesMissBoundCore(t *testing.T) {
-	s := MustNew(sharedL2(), Config{})
+	s := New(sharedL2(), Config{})
 	// Core 0: tiny loop (all L1 hits after warmup). Core 1: huge
 	// pointer chase (every reference misses to memory).
 	if err := s.AddCore(1, workload.NewLoop("hot", 0, 4*addr.KB, 0, rng.New(1))); err != nil {
@@ -245,7 +246,7 @@ func TestTimingThrottlesMissBoundCore(t *testing.T) {
 }
 
 func TestMESIDowngradeKeepsPeerCopy(t *testing.T) {
-	s := MustNew(sharedL2(), Config{})
+	s := New(sharedL2(), Config{})
 	// Writer dirties a line; a second core reads it: under MESI the
 	// writer keeps a Shared copy (downgrade), it is not invalidated.
 	writeSeq := []workload.Access{{Addr: 0x2000, Write: true}, {Addr: 0x2000}}
@@ -288,13 +289,9 @@ const captureDigestWant = "ab5a048b8d6164bfb0204142c2e8453e092e9de92c116336e9d3d
 func TestCaptureDigest(t *testing.T) {
 	const seed = 2006
 	l2 := sharedL2()
-	s := MustNew(l2, Config{CaptureL1Misses: true})
-	for i, name := range workload.MixedNames {
-		asid := uint16(i + 1)
-		gen := workload.MustNew(name, uint64(asid)<<36, seed+uint64(asid)*1000)
-		if err := s.AddCore(asid, gen); err != nil {
-			t.Fatal(err)
-		}
+	s := New(l2, Config{CaptureL1Misses: true})
+	if err := s.AddMix(workload.MixedNames, seed); err != nil {
+		t.Fatal(err)
 	}
 	s.Run(200_000)
 	// The L1 ledger, summed over the cores, counts every issued

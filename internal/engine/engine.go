@@ -42,6 +42,14 @@ type Result struct {
 	RemoteTileHit bool
 }
 
+// The memory latencies, in cycles, behind an L1 miss: the round trip to
+// an L2 hit, and to DRAM on an L2 miss. They pace the CMP substrate's
+// cores (internal/cmp) and model the molecular cache's service time.
+const (
+	L2HitCycles  = 12
+	MemoryCycles = 200
+)
+
 // Cache is a trace-driven cache model.
 type Cache interface {
 	// Access applies one reference and returns its effects.

@@ -16,14 +16,12 @@ import (
 	"sort"
 
 	"molcache/internal/cache"
-	"molcache/internal/cmp"
 	"molcache/internal/engine"
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
 	"molcache/internal/runner"
 	"molcache/internal/telemetry"
 	"molcache/internal/trace"
-	"molcache/internal/workload"
 )
 
 // Options scales the experiments. The zero value gets defaults sized for
@@ -69,45 +67,9 @@ func (o Options) pool(label string) runner.Pool {
 	}
 }
 
-// appBase separates application address spaces: app i lives at i<<36.
-func appBase(asid uint16) uint64 { return uint64(asid) << 36 }
-
 // mixSpec names the applications of one concurrent mix, in core order;
-// ASIDs are assigned 1..n.
+// ASIDs are assigned 1..n (cmp.MixApp).
 type mixSpec []string
-
-// buildCMP assembles a CMP running the mix over the given shared L2.
-func buildCMP(l2 engine.Cache, mix mixSpec, seed uint64, capture bool) (*cmp.System, error) {
-	sys, err := cmp.New(l2, cmp.Config{CaptureL1Misses: capture})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range mix {
-		asid := uint16(i + 1)
-		gen, err := workload.New(name, appBase(asid), seed+uint64(asid)*1000)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddCore(asid, gen); err != nil {
-			return nil, err
-		}
-	}
-	return sys, nil
-}
-
-// captureTrace runs the mix over a reference L2 and returns the L1-miss
-// stream. Which lines miss the L1 does not depend on the L2, but the
-// *interleaving* does (cores stall on L2 misses), so the capture uses the
-// paper's 1 MB 4-way shared L2 as the reference timing substrate.
-func captureTrace(mix mixSpec, processorRefs int, seed uint64) ([]trace.Ref, error) {
-	l2 := cache.MustNew(cache.Config{Size: 1 << 20, Ways: 4, LineSize: 64})
-	sys, err := buildCMP(l2, mix, seed, true)
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(processorRefs)
-	return sys.Captured(), nil
-}
 
 // replayTraditional replays refs into a fresh traditional cache and
 // returns it for inspection. Replay stops early if ctx is cancelled

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"molcache/internal/addr"
+	"molcache/internal/cmp"
 )
 
 // testOpts keeps the experiment tests fast while preserving the shapes
@@ -236,7 +237,7 @@ func TestTable2AndDownstream(t *testing.T) {
 }
 
 func TestCaptureTraceComposition(t *testing.T) {
-	refs, err := captureTrace(mixSpec{"ammp", "parser"}, 300_000, 1)
+	refs, err := cmp.CaptureMix([]string{"ammp", "parser"}, 300_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

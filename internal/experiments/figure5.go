@@ -6,6 +6,7 @@ import (
 
 	"molcache/internal/addr"
 	"molcache/internal/cache"
+	"molcache/internal/cmp"
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
@@ -95,7 +96,7 @@ func figure5Cells() []figure5Cell {
 // reported deviation comes from each run's own goal set.
 func Figure5(opt Options) ([]Figure5Point, error) {
 	opt = opt.withDefaults()
-	refs, err := captureTrace(Figure5Mix, opt.ProcessorRefs, opt.Seed)
+	refs, err := cmp.CaptureMix(Figure5Mix, opt.ProcessorRefs, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +104,7 @@ func Figure5(opt Options) ([]Figure5Point, error) {
 		func(ctx context.Context, _ int, cell figure5Cell) (Figure5Point, error) {
 			if cell.policy == "" {
 				c, err := replayTraditional(ctx, cache.Config{
-					Size: cell.size, Ways: cell.ways, LineSize: 64, Policy: cache.LRU,
+					Size: cell.size, Ways: cell.ways, LineSize: 64,
 				}, refs)
 				if err != nil {
 					return Figure5Point{}, err

@@ -6,6 +6,7 @@ import (
 
 	"molcache/internal/addr"
 	"molcache/internal/cache"
+	"molcache/internal/cmp"
 	"molcache/internal/engine"
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
@@ -41,7 +42,7 @@ const relatedSize = 2 * addr.MB
 // fanned across opt.Jobs workers with rows kept in scheme order.
 func RelatedWork(opt Options) ([]RelatedWorkRow, error) {
 	opt = opt.withDefaults()
-	refs, err := captureTrace(Figure5Mix, opt.ProcessorRefs, opt.Seed)
+	refs, err := cmp.CaptureMix(Figure5Mix, opt.ProcessorRefs, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func RelatedWork(opt Options) ([]RelatedWorkRow, error) {
 	jobs := []runner.Job[RelatedWorkRow]{
 		{Name: "shared-lru", Run: func(ctx context.Context) (RelatedWorkRow, error) {
 			shared, err := replayTraditional(ctx, cache.Config{
-				Size: relatedSize, Ways: 8, LineSize: 64, Policy: cache.LRU,
+				Size: relatedSize, Ways: 8, LineSize: 64,
 			}, refs)
 			if err != nil {
 				return RelatedWorkRow{}, err

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"molcache/internal/addr"
+	"molcache/internal/cmp"
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
@@ -102,7 +103,7 @@ var SweepHeader = []string{
 // outermost, line factors innermost), exactly the serial CLI's order.
 func Sweep(opt SweepOptions) ([]SweepRow, error) {
 	opt = opt.withDefaults()
-	refs, err := captureTrace(Figure5Mix, opt.ProcessorRefs, opt.Seed)
+	refs, err := cmp.CaptureMix(Figure5Mix, opt.ProcessorRefs, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -219,19 +220,11 @@ func WriteSweepCSV(w io.Writer, rows []SweepRow) error {
 func ParseSizes(s string) ([]uint64, error) {
 	var out []uint64
 	for _, part := range strings.Split(s, ",") {
-		u := strings.ToUpper(strings.TrimSpace(part))
-		mul := uint64(1)
-		switch {
-		case strings.HasSuffix(u, "MB"):
-			mul, u = addr.MB, strings.TrimSuffix(u, "MB")
-		case strings.HasSuffix(u, "KB"):
-			mul, u = addr.KB, strings.TrimSuffix(u, "KB")
-		}
-		n, err := strconv.ParseUint(u, 10, 64)
+		n, err := addr.ParseBytes(part)
 		if err != nil {
-			return nil, fmt.Errorf("bad size %q", part)
+			return nil, err
 		}
-		out = append(out, n*mul)
+		out = append(out, n)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"molcache/internal/addr"
 	"molcache/internal/cache"
+	"molcache/internal/cmp"
 	"molcache/internal/runner"
 )
 
@@ -42,11 +43,9 @@ func Table1(opt Options) ([]Table1Row, error) {
 			if err := ctx.Err(); err != nil {
 				return Table1Row{}, err
 			}
-			l2 := cache.MustNew(cache.Config{
-				Size: 1 * addr.MB, Ways: 4, LineSize: 64, Policy: cache.LRU,
-			})
-			sys, err := buildCMP(l2, mix, opt.Seed, false)
-			if err != nil {
+			l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
+			sys := cmp.New(l2, cmp.Config{})
+			if err := sys.AddMix(mix, opt.Seed); err != nil {
 				return Table1Row{}, err
 			}
 			sys.Run(opt.ProcessorRefs)

@@ -6,6 +6,7 @@ import (
 
 	"molcache/internal/addr"
 	"molcache/internal/cache"
+	"molcache/internal/cmp"
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
@@ -93,7 +94,7 @@ type table2Outcome struct {
 // point list, not by completion order.
 func Table2(opt Options) (*Table2Result, error) {
 	opt = opt.withDefaults()
-	refs, err := captureTrace(Table2Mix, opt.ProcessorRefs, opt.Seed)
+	refs, err := cmp.CaptureMix(Table2Mix, opt.ProcessorRefs, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +109,7 @@ func Table2(opt Options) (*Table2Result, error) {
 		func(ctx context.Context, _ int, pt table2Point) (table2Outcome, error) {
 			if pt.Molecular == "" {
 				c, err := replayTraditional(ctx, cache.Config{
-					Size: pt.size, Ways: pt.ways, LineSize: 64, Policy: cache.LRU,
+					Size: pt.size, Ways: pt.ways, LineSize: 64,
 				}, refs)
 				if err != nil {
 					return table2Outcome{}, err

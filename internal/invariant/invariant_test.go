@@ -240,7 +240,7 @@ func TestCaptureSystemClean(t *testing.T) {
 		TilesPerCluster: 4,
 		Seed:            7,
 	})
-	sys := cmp.MustNew(l2, cmp.Config{})
+	sys := cmp.New(l2, cmp.Config{})
 	for i, name := range []string{"art", "mcf", "parser"} {
 		g, err := workload.New(name, uint64(i)<<36, uint64(i+1))
 		if err != nil {

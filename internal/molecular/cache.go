@@ -816,13 +816,6 @@ func (c *Cache) invalidateCompanions(r *Region, victim *Molecule, block uint64) 
 	}
 }
 
-// Modelled service-time components, aligned with the cmp substrate's
-// default latencies (cmp.Latency: L2 hit = 12 cycles, memory = 200).
-const (
-	serviceHitCycles  = 12
-	serviceMissCycles = 200
-)
-
 // finish records ledgers, windows and probe accounting for one access,
 // and — when telemetry is attached — the counters and the access event.
 // r may be nil for an access bypassed before any region existed (the
@@ -842,12 +835,12 @@ func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 	}
 	c.probes.Observe(uint64(res.TagProbes))
 	if c.ins != nil {
-		// Modelled service time: the cmp substrate's default L2-hit
-		// latency as the base, the miss's memory latency when the line
-		// was fetched, plus whatever NoC transit this access incurred.
-		svc := float64(serviceHitCycles + c.remote)
+		// Modelled service time: the L2-hit latency as the base, the
+		// memory latency when the line was fetched, plus whatever NoC
+		// transit this access incurred.
+		svc := float64(engine.L2HitCycles + c.remote)
 		if !res.Hit {
-			svc += serviceMissCycles
+			svc += engine.MemoryCycles
 		}
 		c.ins.serviceHist.Observe(svc)
 		c.ins.probeHist.Observe(float64(res.TagProbes))

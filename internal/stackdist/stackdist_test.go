@@ -132,9 +132,7 @@ func TestCurveMatchesLRUSimulation(t *testing.T) {
 	c, _ := p.Curve(1)
 	for _, lines := range []int{16, 64, 128, 256} {
 		// Fully associative LRU of `lines` lines = 1 set x lines ways.
-		sim := cache.MustNew(cache.Config{
-			Size: uint64(lines) * 64, Ways: lines, LineSize: 64, Policy: cache.LRU,
-		})
+		sim := cache.MustNew(cache.Config{Size: uint64(lines) * 64, Ways: lines, LineSize: 64})
 		misses := 0
 		for _, a := range refs {
 			if !sim.Access(trace.Ref{Addr: a, ASID: 1}).Hit {

@@ -17,7 +17,8 @@
 //   - NewController attaches the dynamic resizing controller;
 //   - NewSimulator couples a molecular cache with its controller;
 //   - NewSystem builds the CMP substrate (cores + private L1s) that
-//     generates L2 reference streams from the bundled workload models;
+//     generates L2 reference streams from the bundled workload models,
+//     and CaptureMix records a mix's L1-miss stream on it;
 //   - NewWorkload instantiates the calibrated benchmark models;
 //   - EstimatePower / EstimateMolecularPower run the CACTI-style model.
 //
@@ -72,10 +73,8 @@ type (
 
 	// TraditionalConfig configures a set-associative baseline cache.
 	TraditionalConfig = cache.Config
-	// TraditionalCache is the set-associative baseline model.
+	// TraditionalCache is the set-associative LRU baseline model.
 	TraditionalCache = cache.Cache
-	// PolicyKind selects the baseline replacement policy.
-	PolicyKind = cache.PolicyKind
 
 	// ResizeConfig configures the dynamic resizing controller.
 	ResizeConfig = resize.Config
@@ -96,8 +95,6 @@ type (
 	SystemConfig = cmp.Config
 	// System is the CMP substrate: cores with private L1s sharing an L2.
 	System = cmp.System
-	// Latency is the CMP timing model.
-	Latency = cmp.Latency
 
 	// Generator produces a deterministic reference stream.
 	Generator = workload.Generator
@@ -203,14 +200,6 @@ const (
 	LRUDirect = molecular.LRUDirect
 )
 
-// Baseline replacement policies.
-const (
-	LRU        = cache.LRU
-	FIFO       = cache.FIFO
-	RandomWays = cache.Random
-	PLRU       = cache.PLRU
-)
-
 // Resize triggers.
 const (
 	ConstantTrigger       = resize.Constant
@@ -255,9 +244,18 @@ func NewController(c *MolecularCache, cfg ResizeConfig) (*Controller, error) {
 	return resize.New(c, cfg)
 }
 
-// NewSystem builds the CMP substrate over the shared L2.
+// NewSystem builds the CMP substrate over the shared L2. It never
+// fails; the error result keeps the signature stable for callers.
 func NewSystem(l2 Cache, cfg SystemConfig) (*System, error) {
-	return cmp.New(l2, cfg)
+	return cmp.New(l2, cfg), nil
+}
+
+// CaptureMix runs the named workloads as one mix on the CMP substrate
+// over the paper's 1 MB 4-way reference L2 for refs processor
+// references and returns the captured L1-miss stream: the trace the
+// paper replays into every cache under study.
+func CaptureMix(names []string, refs int, seed uint64) ([]Ref, error) {
+	return cmp.CaptureMix(names, refs, seed)
 }
 
 // NewWorkload instantiates one of the calibrated benchmark models

@@ -35,9 +35,7 @@ func TestFacadeQuickPath(t *testing.T) {
 }
 
 func TestFacadeTraditional(t *testing.T) {
-	c, err := molcache.NewTraditional(molcache.TraditionalConfig{
-		Size: 1 << 20, Ways: 4, LineSize: 64, Policy: molcache.LRU,
-	})
+	c, err := molcache.NewTraditional(molcache.TraditionalConfig{Size: 1 << 20, Ways: 4, LineSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +68,18 @@ func TestFacadeSystem(t *testing.T) {
 	sys.Run(100000)
 	if sys.L1Ledger().App(1).Accesses() != 100000 {
 		t.Error("core did not issue the requested references")
+	}
+
+	refs, err := molcache.CaptureMix([]string{"ammp", "parser"}, 100000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perASID := map[uint16]int{}
+	for _, r := range refs {
+		perASID[r.ASID]++
+	}
+	if len(perASID) != 2 || perASID[1] == 0 || perASID[2] == 0 {
+		t.Errorf("CaptureMix L1 misses per ASID = %v, want both apps as ASIDs 1 and 2", perASID)
 	}
 }
 

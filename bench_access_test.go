@@ -1,20 +1,30 @@
 // Access-path benchmarks: the fast-path block index against the linear
 // probe oracle, over region size × line factor × replacement policy,
-// on a pure hit stream (the steady state the O(1) index exists for).
-// TestWriteAccessBench re-runs the grid through testing.Benchmark and
-// writes the results as a telemetry snapshot (BENCH_access.json via
-// `make bench`), giving future PRs a machine-readable perf trajectory.
+// on a pure hit stream (the steady state the O(1) index exists for),
+// and the paper's twelve-application mix replayed into the Table 2
+// simulator (BenchmarkAccessMix12), where the tenants interleave
+// reference by reference and resizing runs.
+// TestWriteAccessBench re-runs the hit-stream grid through
+// testing.Benchmark and writes the results as a telemetry snapshot
+// (BENCH_access.json via `make bench`), giving future PRs a
+// machine-readable perf trajectory.
 package molcache_test
 
 import (
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 
+	"molcache"
 	"molcache/internal/addr"
+	"molcache/internal/cmp"
 	"molcache/internal/molecular"
+	"molcache/internal/resize"
+	"molcache/internal/stats"
 	"molcache/internal/telemetry"
 	"molcache/internal/trace"
+	"molcache/internal/workload"
 )
 
 // benchPolicies is the access-bench grid's policy axis.
@@ -100,9 +110,74 @@ func BenchmarkAccessHot(b *testing.B) {
 	}
 }
 
+// mix12Trace is Table 2's twelve-application L1-miss stream (ASIDs
+// 1-12), captured once per process.
+var mix12Trace = sync.OnceValues(func() ([]trace.Ref, error) {
+	return cmp.CaptureMix(workload.MixedNames, 2_000_000, 2006)
+})
+
+// newMix12Sim builds the Table 2 simulator, empty: 6 MB in 3 clusters
+// of 4 tiles, 8 KB molecules, Randy, application i+1 homed on cluster
+// i/4, tile i%4, and Algorithm 1's AdaptiveGlobal controller at 25%
+// goals.
+func newMix12Sim(tb testing.TB) *molcache.Simulator {
+	tb.Helper()
+	mc, err := molecular.New(molecular.Config{
+		TotalSize:       6 * addr.MB,
+		MoleculeSize:    8 * addr.KB,
+		LineSize:        64,
+		TilesPerCluster: 4,
+		Clusters:        3,
+		Policy:          molecular.RandyReplacement,
+		Seed:            2006,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	goals := make(map[uint16]float64, len(workload.MixedNames))
+	for i := range workload.MixedNames {
+		asid := uint16(i + 1)
+		goals[asid] = 0.25
+		if _, err := mc.CreateRegion(asid, molecular.RegionOptions{HomeCluster: i / 4, HomeTile: i % 4}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ctrl, err := resize.New(mc, resize.Config{Trigger: resize.AdaptiveGlobal, Goals: goals})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &molcache.Simulator{Cache: mc, Controller: ctrl}
+}
+
+// BenchmarkAccessMix12 replays the paper's mixed traffic through
+// Simulator.Access: twelve tenants interleaved reference by reference,
+// misses and fills, and resize passes — the costs a one-tenant hit
+// stream cannot show. Every pass over the capture starts a fresh
+// simulator (built with the timer stopped), as the paper's runs do.
+func BenchmarkAccessMix12(b *testing.B) {
+	refs, err := mix12Trace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sim *molcache.Simulator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(refs)
+		if j == 0 {
+			b.StopTimer()
+			sim = newMix12Sim(b)
+			b.StartTimer()
+		}
+		sim.Access(refs[j])
+	}
+}
+
 // TestAccessHotPathZeroAllocs pins the allocation-elimination claim
 // deterministically (benchmarks only report; this fails the build):
-// a steady-state hit allocates nothing, on either path.
+// a steady-state hit allocates nothing, on either path — for one
+// warmed tenant, and for two hit in alternation, one of them at an
+// ASID past the region table's dense bound.
 func TestAccessHotPathZeroAllocs(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		c, refs := hotCache(t, molecular.RandyReplacement, 64, 1, reference)
@@ -119,6 +194,43 @@ func TestAccessHotPathZeroAllocs(t *testing.T) {
 			t.Errorf("reference=%v: warmed stream did not hit; the property is vacuous", reference)
 		}
 	}
+
+	t.Run("interleaved", func(t *testing.T) {
+		for _, reference := range []bool{false, true} {
+			c, refs := hotCache(t, molecular.RandyReplacement, 16, 1, reference)
+			// The second tenant sits above the dense bound, on another
+			// tile, with its own copy of the first's warmed set.
+			const overflow = stats.DenseASIDs + 44
+			if _, err := c.CreateRegion(overflow, molecular.RegionOptions{
+				HomeCluster: 0, HomeTile: 1, InitialMolecules: 16,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			mixed := make([]trace.Ref, 0, 2*len(refs))
+			for _, r := range refs {
+				o := r
+				o.ASID, o.Addr = overflow, r.Addr|1<<40
+				mixed = append(mixed, r, o)
+			}
+			for pass := 0; pass < 2; pass++ {
+				for _, r := range mixed {
+					c.Access(r)
+				}
+			}
+			hitsBefore := [2]uint64{c.Ledger().App(1).Hits, c.Ledger().App(overflow).Hits}
+			i := 0
+			allocs := testing.AllocsPerRun(1000, func() {
+				c.Access(mixed[i%len(mixed)])
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("reference=%v: %v allocs per interleaved hit, want 0", reference, allocs)
+			}
+			if c.Ledger().App(1).Hits == hitsBefore[0] || c.Ledger().App(overflow).Hits == hitsBefore[1] {
+				t.Errorf("reference=%v: a warmed tenant did not hit; the property is vacuous", reference)
+			}
+		}
+	})
 }
 
 // TestWriteAccessBench runs the access grid through testing.Benchmark

@@ -28,6 +28,7 @@ import (
 	"molcache/internal/obs"
 	"molcache/internal/resize"
 	"molcache/internal/rng"
+	"molcache/internal/stats"
 	"molcache/internal/telemetry"
 	"molcache/internal/trace"
 )
@@ -103,10 +104,18 @@ func diffCache(t *testing.T, cfg molecular.Config, withFaults bool) (*molecular.
 	return c, ctrl, reg
 }
 
-// diffTrace generates the randomized reference stream: three private
-// applications with distinct hot sets and long tails, a trickle of
-// shared-region traffic (which also exercises the shared-region
-// self-lookup), and a 30% write mix.
+// diffOverflowASID is the fourth private application's ASID: past the
+// dense bound, so the cache finds its region in the region table's
+// overflow map rather than by direct index.
+const diffOverflowASID uint16 = stats.DenseASIDs + 44
+
+// diffPrivateASIDs are the private applications of the oracle traces.
+var diffPrivateASIDs = []uint16{1, 2, 3, diffOverflowASID}
+
+// diffTrace generates the randomized reference stream: four private
+// applications (one above the dense ASID bound) with distinct hot sets
+// and long tails, a trickle of shared-region traffic (which also
+// exercises the shared-region self-lookup), and a 30% write mix.
 func diffTrace(seed uint64) []trace.Ref {
 	src := rng.New(seed)
 	refs := make([]trace.Ref, 0, diffAccesses)
@@ -116,7 +125,7 @@ func diffTrace(seed uint64) []trace.Ref {
 		case src.Intn(32) == 0:
 			asid = molecular.SharedASID
 		default:
-			asid = uint16(1 + src.Intn(3))
+			asid = diffPrivateASIDs[src.Intn(len(diffPrivateASIDs))]
 		}
 		var block uint64
 		if src.Intn(4) > 0 {
@@ -206,7 +215,7 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 						// agree, and the invalidations must mutate both
 						// caches identically.
 						if i%29 == 0 {
-							a := uint64(1+probe.Intn(3))<<32 | uint64(probe.Intn(1024))*64
+							a := uint64(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))])<<32 | uint64(probe.Intn(1024))*64
 							if fc, rc := fast.Contains(a), ref.Contains(a); fc != rc {
 								t.Fatalf("access %d: Contains(%#x) fast %v != reference %v", i, a, fc, rc)
 							}
@@ -222,11 +231,13 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 						}
 						if i > 0 && i%4_000 == 0 {
 							tile := (i / 4_000) % cfg.TilesPerCluster
-							if err := fast.Rehome(1, tile); err != nil {
-								t.Fatal(err)
-							}
-							if err := ref.Rehome(1, tile); err != nil {
-								t.Fatal(err)
+							for _, asid := range []uint16{1, diffOverflowASID} {
+								if err := fast.Rehome(asid, tile); err != nil {
+									t.Fatal(err)
+								}
+								if err := ref.Rehome(asid, tile); err != nil {
+									t.Fatal(err)
+								}
 							}
 						}
 						if i%1_000 == 0 {
@@ -237,7 +248,7 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 					if !reflect.DeepEqual(*fast.Ledger(), *ref.Ledger()) {
 						t.Errorf("ledgers diverged: fast %+v, reference %+v", *fast.Ledger(), *ref.Ledger())
 					}
-					for _, asid := range []uint16{1, 2, 3, molecular.SharedASID} {
+					for _, asid := range append(diffPrivateASIDs, molecular.SharedASID) {
 						if f, r := fast.Ledger().App(asid), ref.Ledger().App(asid); f != r {
 							t.Errorf("asid %d ledger diverged: fast %+v, reference %+v", asid, f, r)
 						}
@@ -370,7 +381,7 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 							i, refs[i], ra, rc)
 					}
 					if i%31 == 0 {
-						addr := uint64(1+probe.Intn(3))<<32 | uint64(probe.Intn(1024))*64
+						addr := uint64(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))])<<32 | uint64(probe.Intn(1024))*64
 						if fa, fc := a.Cache.Contains(addr), c.Cache.Contains(addr); fa != fc {
 							t.Fatalf("access %d: Contains(%#x) uninterrupted %v != restored %v", i, addr, fa, fc)
 						}

@@ -11,14 +11,17 @@ import "math/bits"
 // factors it maintains, usually one probe; lookups never allocate, and
 // growth happens only on insert, which is the miss path.
 //
-// Deletion marks a tombstone (a dead slot that keeps probe chains
-// intact); a rebuild amortizes tombstones away whenever live+dead
-// entries would pass 3/4 of capacity. Key 0 is a legal block number,
-// so slot state lives in the value pointer: nil = never used,
-// tombstoneMolecule = deleted.
-
-// tombstoneMolecule marks a deleted slot; it is never handed out.
-var tombstoneMolecule = &Molecule{id: -1}
+// Deletion is by backward shift (the idiom coherence.Directory uses):
+// the later entries of the probe run move back into the hole where
+// their home slot allows, so every remaining key stays reachable from
+// its home and the table holds no tombstones. Key 0 is a legal block
+// number, so slot state lives in the value pointer: nil = empty.
+//
+// The table doubles when an insert would take its live entries past 3/4
+// of capacity and never shrinks. Its size is therefore bounded by the
+// largest population the region ever held, which is at most its home
+// cluster's molecules × lines per molecule (a region draws molecules
+// from its home cluster only).
 
 // blockMapMinSize is the smallest (and initial) table capacity.
 const blockMapMinSize = 64
@@ -39,7 +42,11 @@ type blockMap struct {
 	// starting slot, so no masking is needed on the first probe.
 	shift uint
 	live  int
-	dead  int
+}
+
+// home returns b's home slot.
+func (t *blockMap) home(b uint64) uint64 {
+	return (b * blockHashMul) >> t.shift
 }
 
 // get returns the molecule holding block b, or nil.
@@ -48,50 +55,45 @@ func (t *blockMap) get(b uint64) *Molecule {
 		return nil
 	}
 	mask := uint64(len(t.entries) - 1)
-	i := (b * blockHashMul) >> t.shift
-	for {
-		e := &t.entries[i]
-		if e.val == nil {
-			return nil
-		}
-		if e.key == b && e.val != tombstoneMolecule {
+	for i := t.home(b); ; i = (i + 1) & mask {
+		if e := &t.entries[i]; e.val == nil || e.key == b {
 			return e.val
 		}
-		i = (i + 1) & mask
+	}
+}
+
+// find returns the slot holding b and true, or, when b is absent, the
+// empty slot that ends its probe chain and false. The table must be
+// non-empty.
+func (t *blockMap) find(b uint64) (uint64, bool) {
+	mask := uint64(len(t.entries) - 1)
+	for i := t.home(b); ; i = (i + 1) & mask {
+		e := &t.entries[i]
+		if e.val == nil {
+			return i, false
+		}
+		if e.key == b {
+			return i, true
+		}
 	}
 }
 
 // set binds block b to molecule m, updating in place if b is present.
 func (t *blockMap) set(b uint64, m *Molecule) {
-	if len(t.entries) == 0 || (t.live+t.dead+1)*4 > len(t.entries)*3 {
-		t.rebuild()
+	if len(t.entries) == 0 {
+		t.grow()
 	}
-	mask := uint64(len(t.entries) - 1)
-	i := (b * blockHashMul) >> t.shift
-	free := -1
-	for {
-		e := &t.entries[i]
-		if e.val == nil {
-			// End of the probe chain: b is absent. Reuse the first
-			// tombstone passed on the way, if any.
-			if free >= 0 {
-				e = &t.entries[free]
-				t.dead--
-			}
-			e.key, e.val = b, m
-			t.live++
-			return
-		}
-		if e.val == tombstoneMolecule {
-			if free < 0 {
-				free = int(i)
-			}
-		} else if e.key == b {
-			e.val = m
-			return
-		}
-		i = (i + 1) & mask
+	i, ok := t.find(b)
+	if ok {
+		t.entries[i].val = m
+		return
 	}
+	if (t.live+1)*4 > len(t.entries)*3 {
+		t.grow()
+		i, _ = t.find(b)
+	}
+	t.entries[i] = blockEntry{key: b, val: m}
+	t.live++
 }
 
 // remove drops the entry for b if (and only if) it names m, reporting
@@ -101,24 +103,23 @@ func (t *blockMap) remove(b uint64, m *Molecule) bool {
 	if len(t.entries) == 0 {
 		return false
 	}
-	mask := uint64(len(t.entries) - 1)
-	i := (b * blockHashMul) >> t.shift
-	for {
-		e := &t.entries[i]
-		if e.val == nil {
-			return false
-		}
-		if e.key == b && e.val != tombstoneMolecule {
-			if e.val != m {
-				return false
-			}
-			e.val = tombstoneMolecule
-			t.live--
-			t.dead++
-			return true
-		}
-		i = (i + 1) & mask
+	i, ok := t.find(b)
+	if !ok || t.entries[i].val != m {
+		return false
 	}
+	// Backward shift: each later entry of the run whose home does not
+	// lie between the hole and itself moves back into the hole.
+	mask := uint64(len(t.entries) - 1)
+	for j := (i + 1) & mask; t.entries[j].val != nil; j = (j + 1) & mask {
+		if (j-t.home(t.entries[j].key))&mask < (j-i)&mask {
+			continue // its home is in (i, j]: it must stay after i
+		}
+		t.entries[i] = t.entries[j]
+		i = j
+	}
+	t.entries[i] = blockEntry{}
+	t.live--
+	return true
 }
 
 // size returns the number of live entries.
@@ -129,34 +130,28 @@ func (t *blockMap) size() int { return t.live }
 // it exists to build snapshots and run audits.
 func (t *blockMap) each(f func(b uint64, m *Molecule)) {
 	for i := range t.entries {
-		if v := t.entries[i].val; v != nil && v != tombstoneMolecule {
+		if v := t.entries[i].val; v != nil {
 			f(t.entries[i].key, v)
 		}
 	}
 }
 
-// rebuild re-tables every live entry into a capacity sized for the
-// current population (dropping all tombstones), growing as needed to
-// keep the post-insert load under 3/4.
-func (t *blockMap) rebuild() {
-	size := blockMapMinSize
-	for (t.live+1)*4 > size*3 {
-		size <<= 1
-	}
+// grow doubles the table (or allocates the first one) and re-homes
+// every live entry.
+func (t *blockMap) grow() {
 	old := t.entries
+	size := max(2*len(old), blockMapMinSize)
 	t.entries = make([]blockEntry, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	t.live, t.dead = 0, 0
 	mask := uint64(size - 1)
 	for _, e := range old {
-		if e.val == nil || e.val == tombstoneMolecule {
+		if e.val == nil {
 			continue
 		}
-		i := (e.key * blockHashMul) >> t.shift
+		i := t.home(e.key)
 		for t.entries[i].val != nil {
 			i = (i + 1) & mask
 		}
 		t.entries[i] = e
-		t.live++
 	}
 }

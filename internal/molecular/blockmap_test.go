@@ -3,8 +3,9 @@ package molecular
 // Direct tests of the open-addressed block → molecule table. The
 // differential oracle and the index property tests exercise it through
 // the cache; these pin the table's own contract — including the states
-// a full simulation may take long to reach (tombstone churn at a fixed
-// population, key 0, conditional removal against the wrong holder).
+// a full simulation may take long to reach (delete churn at a fixed
+// population, probe runs that share a home slot and wrap past the
+// table's end, key 0, conditional removal against the wrong holder).
 
 import (
 	"testing"
@@ -43,8 +44,9 @@ func TestBlockMapBasics(t *testing.T) {
 }
 
 // TestBlockMapTombstoneChurn holds the population fixed while cycling
-// keys through insert/delete far past the table capacity: rebuilds must
-// reclaim tombstones instead of growing without bound.
+// keys through insert/delete far past the table capacity: deletes must
+// free their slots, so the table stays sized to the population instead
+// of growing without bound.
 func TestBlockMapTombstoneChurn(t *testing.T) {
 	var bm blockMap
 	m := &Molecule{id: 3}
@@ -62,7 +64,7 @@ func TestBlockMapTombstoneChurn(t *testing.T) {
 		}
 	}
 	if cap := len(bm.entries); cap > 1024 {
-		t.Errorf("table grew to %d slots for a population of %d; tombstones leak", cap, population)
+		t.Errorf("table grew to %d slots for a population of %d; deletes leak slots", cap, population)
 	}
 	seen := 0
 	bm.each(func(k uint64, got *Molecule) {
@@ -76,40 +78,119 @@ func TestBlockMapTombstoneChurn(t *testing.T) {
 	}
 }
 
+// homedKeys searches out n distinct nonzero keys whose home slot is
+// slot in every table of up to 1<<logSlots entries. slot must be 0 or
+// the last slot: the home in a smaller table is the top bits of the
+// home in this one, so both ends stay ends as the table grows.
+func homedKeys(src *rng.Source, n int, logSlots uint, slot uint64) []uint64 {
+	seen := map[uint64]bool{}
+	var out []uint64
+	for len(out) < n {
+		k := src.Uint64()
+		if k != 0 && !seen[k] && (k*blockHashMul)>>(64-logSlots) == slot {
+			seen[k] = true
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// wrappedRun reports whether some entry sits below its home slot, i.e.
+// its probe run wrapped past the end of the table.
+func wrappedRun(bm *blockMap) bool {
+	for i, e := range bm.entries {
+		if e.val != nil && bm.home(e.key) > uint64(i) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestBlockMapMirrorsMap drives a randomized op mix against the table
-// and a plain Go map and demands they never disagree.
+// and a plain Go map and demands they never disagree. Besides a dense
+// key range from 0, the pool holds keys searched out to share the first
+// and the last home slot of every table the run reaches, so probe runs
+// pile up, wrap past the table's end and lose entries from their
+// middle. The first half of the run mostly inserts, the second mostly
+// deletes.
 func TestBlockMapMirrorsMap(t *testing.T) {
+	const (
+		ops      = 200_000
+		logSlots = 13 // the largest table the population reaches
+	)
+	src := rng.New(0xb10c)
+	var keys []uint64
+	for k := uint64(0); k < 4096; k++ {
+		keys = append(keys, k)
+	}
+	keys = append(keys, homedKeys(src, 64, logSlots, 0)...)
+	keys = append(keys, homedKeys(src, 64, logSlots, 1<<logSlots-1)...)
+
 	var bm blockMap
 	oracle := make(map[uint64]*Molecule)
 	mols := []*Molecule{{id: 0}, {id: 1}, {id: 2}}
-	src := rng.New(0xb10c)
-	for i := 0; i < 200_000; i++ {
-		k := uint64(src.Intn(4096))
-		switch src.Intn(3) {
-		case 0:
-			m := mols[src.Intn(len(mols))]
-			bm.set(k, m)
-			oracle[k] = m
-		case 1:
-			m := mols[src.Intn(len(mols))]
-			if bm.remove(k, m) != (oracle[k] == m) {
-				t.Fatalf("op %d: conditional remove of %d disagreed", i, k)
+	sameEntries := func(i int) {
+		t.Helper()
+		seen := 0
+		bm.each(func(k uint64, m *Molecule) {
+			if oracle[k] != m {
+				t.Fatalf("op %d: each yielded %d → %v, oracle %v", i, k, m, oracle[k])
 			}
-			if oracle[k] == m {
-				delete(oracle, k)
-			}
-		case 2:
+			seen++
+		})
+		if seen != len(oracle) {
+			t.Fatalf("op %d: each visited %d entries, oracle holds %d", i, seen, len(oracle))
+		}
+	}
+	var wrapped bool
+	deletes, midRun := 0, 0
+	for i := 0; i < ops; i++ {
+		k := keys[src.Intn(len(keys))]
+		m := mols[src.Intn(len(mols))]
+		op := src.Intn(10)
+		switch {
+		case op == 0:
 			if bm.get(k) != oracle[k] {
 				t.Fatalf("op %d: get(%d) = %v, oracle %v", i, k, bm.get(k), oracle[k])
+			}
+		case (i < ops/2) == (op <= 7):
+			bm.set(k, m)
+			oracle[k] = m
+		default:
+			want := oracle[k] == m
+			if want {
+				slot, _ := bm.find(k)
+				if bm.entries[(slot+1)&uint64(len(bm.entries)-1)].val != nil {
+					midRun++
+				}
+			}
+			if bm.remove(k, m) != want {
+				t.Fatalf("op %d: conditional remove of %d disagreed", i, k)
+			}
+			if want {
+				delete(oracle, k)
+				deletes++
+			}
+			if bm.get(k) != oracle[k] {
+				t.Fatalf("op %d: get(%d) after remove = %v, oracle %v", i, k, bm.get(k), oracle[k])
 			}
 		}
 		if bm.size() != len(oracle) {
 			t.Fatalf("op %d: size %d, oracle %d", i, bm.size(), len(oracle))
 		}
-	}
-	bm.each(func(k uint64, m *Molecule) {
-		if oracle[k] != m {
-			t.Errorf("each yielded %d → %v, oracle %v", k, m, oracle[k])
+		if i%1000 == 999 {
+			wrapped = wrapped || wrappedRun(&bm)
+			sameEntries(i)
+			for _, k := range keys {
+				if bm.get(k) != oracle[k] {
+					t.Fatalf("op %d: get(%d) = %v, oracle %v", i, k, bm.get(k), oracle[k])
+				}
+			}
 		}
-	})
+	}
+	sameEntries(ops)
+	if len(bm.entries) < 1<<logSlots || !wrapped || deletes < 1000 || midRun < 1000 {
+		t.Errorf("run did not exercise the table: %d slots (want %d), wrapped=%v, deletes=%d, mid-run deletes=%d",
+			len(bm.entries), 1<<logSlots, wrapped, deletes, midRun)
+	}
 }

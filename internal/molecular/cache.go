@@ -127,8 +127,10 @@ func (c Config) Name() string {
 type Cache struct {
 	cfg      Config
 	clusters []*Cluster
-	//molvet:transient lookup index rebuilt from the restored regionList by RestoreCache
-	regions map[uint16]*Region
+	// regions finds an ASID's region in constant time on every access;
+	// every region read goes through regions.get.
+	//molvet:transient lookup table rebuilt from the restored regions by RestoreCache
+	regions regionTable
 	// regionList mirrors regions sorted by ASID, so the coherence paths
 	// (Contains/Invalidate) and the index gauges iterate deterministically
 	// without rebuilding a slice per call.
@@ -137,12 +139,6 @@ type Cache struct {
 	// the lookup paths consult it on every access and every tile probe.
 	//molvet:transient memo re-derived from the restored region set
 	sharedRegion *Region
-	// lastRegion memoizes the region of the most recent access: traces
-	// are bursty per application and regions are never deleted, so a
-	// single ASID comparison replaces the map lookup on nearly every
-	// access.
-	//molvet:transient access-path memo; the first access after a restore re-derives it from regions
-	lastRegion *Region
 	// molsByID indexes every molecule by its global ID (fault targeting
 	// and invariant capture).
 	molsByID []*Molecule
@@ -203,6 +199,38 @@ type Cache struct {
 
 var _ engine.Cache = (*Cache)(nil)
 
+// regionTable maps ASIDs to regions. The paper's mixes interleave a
+// dozen applications reference by reference, so the lookup itself must
+// be constant-time, not a memo of the last one: ASIDs below
+// stats.DenseASIDs (the bound the per-ASID ledger uses) index an array
+// directly, and the rest — SharedASID, or a served tenant numbered past
+// it — fall back to an overflow map.
+type regionTable struct {
+	dense    [stats.DenseASIDs]*Region
+	overflow map[uint16]*Region
+}
+
+// get returns asid's region, or nil: the one accessor every region
+// read uses.
+func (t *regionTable) get(asid uint16) *Region {
+	if asid < stats.DenseASIDs {
+		return t.dense[asid]
+	}
+	return t.overflow[asid]
+}
+
+// set binds asid to r.
+func (t *regionTable) set(asid uint16, r *Region) {
+	if asid < stats.DenseASIDs {
+		t.dense[asid] = r
+		return
+	}
+	if t.overflow == nil {
+		t.overflow = make(map[uint16]*Region)
+	}
+	t.overflow[asid] = r
+}
+
 // New builds a molecular cache.
 func New(cfg Config) (*Cache, error) {
 	cfg = cfg.withDefaults()
@@ -214,7 +242,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:         cfg,
-		regions:     make(map[uint16]*Region),
 		linesPerMol: cfg.MoleculeSize / cfg.LineSize,
 		lineShift:   uint(bits.TrailingZeros64(cfg.LineSize)),
 		probes:      stats.NewHistogram(cfg.MoleculesPerTile()*cfg.TilesPerCluster + 1),
@@ -292,7 +319,7 @@ type RegionOptions struct {
 // "Ground Zero": the initial allocation (default: half the home tile) is
 // drawn from the home tile's free pool, falling back to cluster siblings.
 func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
-	if _, ok := c.regions[asid]; ok {
+	if c.regions.get(asid) != nil {
 		return nil, fmt.Errorf("molecular: region for ASID %d already exists", asid)
 	}
 	ci := opts.HomeCluster
@@ -330,7 +357,7 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 		src:        rng.New(c.cfg.Seed ^ uint64(asid)<<20 ^ 0xbeef),
 	}
 	r.appCell = c.ledger.AppRef(asid)
-	c.regions[asid] = r
+	c.regions.set(asid, r)
 	if asid == SharedASID {
 		c.sharedRegion = r
 	}
@@ -378,7 +405,7 @@ func (c *Cache) growSpread(r *Region, n int) {
 }
 
 // Region returns the partition for asid, or nil.
-func (c *Cache) Region(asid uint16) *Region { return c.regions[asid] }
+func (c *Cache) Region(asid uint16) *Region { return c.regions.get(asid) }
 
 // Regions returns all partitions sorted by ASID.
 func (c *Cache) Regions() []*Region {
@@ -557,20 +584,16 @@ func (c *Cache) access(ref trace.Ref) engine.Result {
 		c.applyScheduledFaults()
 	}
 	c.spans.Begin("molcache_access_region_lookup")
-	r := c.lastRegion
-	if r == nil || r.asid != ref.ASID {
-		r = c.regions[ref.ASID]
-		if r == nil {
-			var err error
-			r, err = c.CreateRegion(ref.ASID, RegionOptions{HomeCluster: -1, HomeTile: -1})
-			if err != nil {
-				// Auto-admit can fail once degradation has exhausted the
-				// placement space; serve the access uncached instead of dying.
-				c.spans.End()
-				return c.bypassMiss(nil, ref, engine.Result{})
-			}
+	r := c.regions.get(ref.ASID)
+	if r == nil {
+		var err error
+		r, err = c.CreateRegion(ref.ASID, RegionOptions{HomeCluster: -1, HomeTile: -1})
+		if err != nil {
+			// Auto-admit can fail once degradation has exhausted the
+			// placement space; serve the access uncached instead of dying.
+			c.spans.End()
+			return c.bypassMiss(nil, ref, engine.Result{})
 		}
-		c.lastRegion = r
 	}
 	c.spans.End()
 	block := ref.Addr >> c.lineShift
@@ -913,7 +936,7 @@ func (c *Cache) Invalidate(a uint64) (present, dirty bool) {
 					}
 					p, d := m.invalidate(block)
 					if p {
-						if r := c.regions[m.asid]; r != nil {
+						if r := c.regions.get(m.asid); r != nil {
 							r.indexRemove(block, m)
 						}
 					}
@@ -949,7 +972,7 @@ func (c *Cache) FreeInCluster(r *Region) int {
 // reachable); only the first-searched tile and the preferred allocation
 // source change.
 func (c *Cache) Rehome(asid uint16, tile int) error {
-	r := c.regions[asid]
+	r := c.regions.get(asid)
 	if r == nil {
 		return fmt.Errorf("molecular: no region for ASID %d", asid)
 	}
@@ -1026,6 +1049,9 @@ func (c *Cache) CheckInvariants() error {
 				free[m.id] = true
 			}
 			for _, m := range t.molecules {
+				if n := m.validLines(); m.resident != n {
+					return fmt.Errorf("molecule %d counts %d resident lines, holds %d", m.id, m.resident, n)
+				}
 				if !m.failed {
 					continue
 				}

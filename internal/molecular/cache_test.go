@@ -313,6 +313,26 @@ func TestGrowShrinkInvariants(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsAuditsResidentCount: a molecule's resident-line
+// count must agree with a scan of its lines, or the audit fails.
+func TestCheckInvariantsAuditsResidentCount(t *testing.T) {
+	c := MustNew(smallConfig(RandyReplacement))
+	for a := uint64(0); a < 64*64; a += 64 {
+		c.Access(ref(1, a, trace.Write))
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	m := c.Region(1).molecules()[0]
+	if m.resident == 0 {
+		t.Fatal("warmed molecule holds no lines; the check is vacuous")
+	}
+	m.resident--
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("CheckInvariants accepted a resident count one below the scan")
+	}
+}
+
 func TestGrowExhaustsCluster(t *testing.T) {
 	c := MustNew(smallConfig(RandyReplacement))
 	r, _ := c.CreateRegion(1, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 8})

@@ -108,7 +108,7 @@ func (c *Cache) RetireMolecule(id int) (RetireReport, error) {
 	}
 	rep := RetireReport{Molecule: id}
 	if m.owned {
-		r := c.regions[m.asid]
+		r := c.regions.get(m.asid)
 		rep.WasOwned = true
 		rep.ASID = m.asid
 		// Emit coherence back-invalidations before the flush destroys
@@ -172,7 +172,7 @@ func (c *Cache) CorruptLine(moleculeID, line int) (wasValid, wasDirty bool, err 
 	if wasValid && m.owned {
 		// The lost line must leave the owner's block index too, or the
 		// fast path would report a phantom hit on the dropped tag.
-		if r := c.regions[m.asid]; r != nil {
+		if r := c.regions.get(m.asid); r != nil {
 			r.indexRemove(tag, m)
 		}
 	}

@@ -34,6 +34,11 @@ type Molecule struct {
 	tile *Tile
 	// lines are the direct-mapped entries.
 	lines []molLine
+	// resident counts the valid lines, kept current by every path that
+	// validates or drops one (fill, invalidate, corrupt, flush and the
+	// checkpoint restore), so the resize controller's withdraw choice
+	// reads it instead of scanning lines. validLines is its audit.
+	resident int
 
 	// asid is the configured Application Space Identifier; only
 	// requests from this application may proceed past decode.
@@ -136,6 +141,7 @@ func (m *Molecule) fill(block uint64, lineFactor int, write bool, clock uint64) 
 		}
 		*ln = molLine{tag: b, valid: true, dirty: write && b == block, touch: clock}
 	}
+	m.resident += lineFactor - evicted
 	m.missCount++
 	return evicted, writebacks
 }
@@ -150,6 +156,7 @@ func (m *Molecule) flush() (writebacks int) {
 		}
 		m.lines[i] = molLine{}
 	}
+	m.resident = 0
 	return writebacks
 }
 
@@ -166,6 +173,7 @@ func (m *Molecule) invalidate(block uint64) (present, dirty bool) {
 	if ln.valid && ln.tag == block {
 		d := ln.dirty
 		*ln = molLine{}
+		m.resident--
 		return true, d
 	}
 	return false, false
@@ -179,6 +187,9 @@ func (m *Molecule) corrupt(idx int) (wasValid, wasDirty bool) {
 	ln := &m.lines[idx]
 	wasValid, wasDirty = ln.valid, ln.valid && ln.dirty
 	*ln = molLine{}
+	if wasValid {
+		m.resident--
+	}
 	return wasValid, wasDirty
 }
 
@@ -195,7 +206,8 @@ func (m *Molecule) lineTouch(block uint64) (uint64, bool) {
 	return ln.touch, ln.valid
 }
 
-// validLines counts resident lines (test/debug aid).
+// validLines counts resident lines by scanning them: the audit
+// CheckInvariants holds the resident count to.
 func (m *Molecule) validLines() int {
 	n := 0
 	for i := range m.lines {

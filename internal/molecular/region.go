@@ -376,7 +376,7 @@ func (r *Region) withdrawCandidate() *Molecule {
 				continue
 			}
 			for _, m := range row {
-				lines := m.validLines()
+				lines := m.resident
 				if best == nil || lines < bestLines ||
 					(lines == bestLines && m.missCount < best.missCount) {
 					best, bestLines = m, lines

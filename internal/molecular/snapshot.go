@@ -232,6 +232,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			}
 			m.lines[ln.Slot] = molLine{tag: ln.Tag, valid: true, dirty: ln.Dirty, touch: ln.Touch}
 		}
+		m.resident = len(ms.Lines)
 	}
 
 	// Free pools: cleared, then rebuilt in the captured LIFO order.
@@ -268,7 +269,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	seenOwned := make(map[int]uint16, total)
 	for ri := range st.Regions {
 		rs := &st.Regions[ri]
-		if _, dup := c.regions[rs.ASID]; dup {
+		if c.regions.get(rs.ASID) != nil {
 			return nil, fmt.Errorf("molecular: restore: region for ASID %d appears twice", rs.ASID)
 		}
 		if rs.HomeTile < 0 || rs.HomeTile >= tiles {
@@ -344,7 +345,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			}
 		}
 		r.appCell = c.ledger.AppRef(rs.ASID)
-		c.regions[rs.ASID] = r
+		c.regions.set(rs.ASID, r)
 		if rs.ASID == SharedASID {
 			c.sharedRegion = r
 		}

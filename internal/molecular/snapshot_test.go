@@ -1,0 +1,64 @@
+package molecular
+
+import (
+	"testing"
+
+	"molcache/internal/rng"
+	"molcache/internal/stats"
+	"molcache/internal/trace"
+)
+
+// TestSnapshotRoundTripRegionTable checkpoints a cache serving one
+// region at a dense ASID and one past the dense bound, then restores
+// it. The region table is derived state, so RestoreCache must rebuild
+// both halves of it: each region is reachable again, and the next
+// accesses — which find their regions through the table — match an
+// uninterrupted cache's without auto-admitting a second region.
+func TestSnapshotRoundTripRegionTable(t *testing.T) {
+	const dense, overflow uint16 = 7, stats.DenseASIDs + 44
+	src := rng.New(2006)
+	refs := make([]trace.Ref, 6000)
+	for i := range refs {
+		asid := dense
+		if src.Intn(2) == 1 {
+			asid = overflow
+		}
+		refs[i] = ref(asid, uint64(asid)<<32|uint64(src.Intn(4096))*64, trace.Kind(src.Intn(2)))
+	}
+
+	a := MustNew(smallConfig(RandyReplacement))
+	cut := len(refs) / 2
+	for _, r := range refs[:cut] {
+		a.Access(r)
+	}
+	b, err := RestoreCache(a.Config(), a.CaptureState())
+	if err != nil {
+		t.Fatalf("RestoreCache: %v", err)
+	}
+	for _, asid := range []uint16{dense, overflow} {
+		ra, rb := a.Region(asid), b.Region(asid)
+		if rb == nil {
+			t.Fatalf("ASID %d: region unreachable after restore", asid)
+		}
+		if rb.ASID() != asid || rb.MoleculeCount() != ra.MoleculeCount() {
+			t.Fatalf("ASID %d: restored region is ASID %d with %d molecules, want %d",
+				asid, rb.ASID(), rb.MoleculeCount(), ra.MoleculeCount())
+		}
+	}
+	for i, r := range refs[cut:] {
+		if ra, rb := a.Access(r), b.Access(r); ra != rb {
+			t.Fatalf("access %d after restore (%v): uninterrupted %+v, restored %+v", cut+i, r, ra, rb)
+		}
+	}
+	if n := len(b.Regions()); n != 2 {
+		t.Errorf("restored cache holds %d regions after replay, want 2", n)
+	}
+	for _, asid := range []uint16{dense, overflow} {
+		if la, lb := a.Ledger().App(asid), b.Ledger().App(asid); la != lb {
+			t.Errorf("ASID %d ledger: uninterrupted %+v, restored %+v", asid, la, lb)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

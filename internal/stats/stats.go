@@ -55,18 +55,19 @@ func (h HitMiss) String() string {
 	return fmt.Sprintf("hits=%d misses=%d missRate=%.4f", h.Hits, h.Misses, h.MissRate())
 }
 
-// denseASIDs bounds the ASIDs whose cells live in the ledger's directly
+// DenseASIDs bounds the ASIDs whose cells live in the ledger's directly
 // indexed table. Cache models name their applications with small
 // consecutive ASIDs, so Record costs a bounds check and a load instead
 // of a map lookup; larger ASIDs (SharedASID 65535, for one) fall back to
-// an overflow map.
-const denseASIDs = 256
+// an overflow map. The molecular cache's ASID → region table shares the
+// bound.
+const DenseASIDs = 256
 
 // Ledger tracks hit/miss counts globally and per ASID. The zero value is
 // ready to use.
 type Ledger struct {
 	Total HitMiss
-	// dense[asid] is the cell of an ASID below denseASIDs, nil until
+	// dense[asid] is the cell of an ASID below DenseASIDs, nil until
 	// first use. The table grows on demand; the cells it points to
 	// never move, so AppRef pointers survive growth.
 	dense    []*HitMiss
@@ -93,7 +94,7 @@ func (l *Ledger) AppRef(asid uint16) *HitMiss {
 // newCell is AppRef's slow path: the first use of an ASID, or any use of
 // an ASID beyond the dense table.
 func (l *Ledger) newCell(asid uint16) *HitMiss {
-	if asid >= denseASIDs {
+	if asid >= DenseASIDs {
 		if l.overflow == nil {
 			l.overflow = make(map[uint16]*HitMiss)
 		}

@@ -105,7 +105,7 @@ func TestAppRefStable(t *testing.T) {
 	if l.AppRef(3) != set {
 		t.Fatal("SetApp and AppRef hand out different cells for a new ASID")
 	}
-	for asid := uint16(4); asid < denseASIDs+10; asid++ {
+	for asid := uint16(4); asid < DenseASIDs+10; asid++ {
 		l.Record(asid, asid%2 == 0)
 	}
 	if l.AppRef(1) != one || l.AppRef(65535) != shared || l.AppRef(3) != set {

@@ -392,15 +392,18 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 }
 
 // BenchmarkCMPStep measures the full CMP substrate pipeline (generator ->
-// L1 -> coherence -> L2) per reference: four SPEC cores, and the
-// replay benchmark's set-up (the twelve-app mixed workload over the
-// 1 MB 4-way L2 with L1-miss capture on).
+// L1 -> coherence -> L2) per reference over the 1 MB 4-way L2, each
+// mix built by AddMix at seed 2006: mcf alone (Table 1's longest job, a
+// memory-bound core that stalls 200 cycles per L2 miss), the four SPEC
+// cores of Table 1's last row, and the replay benchmark's set-up (the
+// twelve-app mixed workload with L1-miss capture on).
 func BenchmarkCMPStep(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		apps    []string
 		capture bool
 	}{
+		{"mcf-alone", []string{"mcf"}, false},
 		{"spec4", workload.SPECNames[:4], false},
 		{"mix12-capture", workload.MixedNames, true},
 	} {
@@ -410,12 +413,8 @@ func BenchmarkCMPStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i, name := range bc.apps {
-				asid := uint16(i + 1)
-				gen := workload.MustNew(name, uint64(asid)<<36, uint64(asid))
-				if err := sys.AddCore(asid, gen); err != nil {
-					b.Fatal(err)
-				}
+			if err := sys.AddMix(bc.apps, 2006); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

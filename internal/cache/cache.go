@@ -125,40 +125,61 @@ func (c *Cache) Config() Config { return c.cfg }
 // Ledger exposes the per-ASID hit/miss ledger.
 func (c *Cache) Ledger() *stats.Ledger { return &c.ledger }
 
-// Access implements engine.Cache.
+// Access implements engine.Cache. It wraps Probe, building the Result
+// from Probe's four outcomes.
 func (c *Cache) Access(r trace.Ref) engine.Result {
+	hit, _, evicted, writeback := c.Probe(r)
+	res := engine.Result{Hit: hit, TagProbes: c.ways, DataReads: 1}
+	if !hit {
+		res.LinesFetched = 1
+		if evicted {
+			res.LinesEvicted = 1
+		}
+		if writeback {
+			res.Writebacks = 1
+		}
+	}
+	return res
+}
+
+// Probe applies one reference and reports its outcome: whether it hit,
+// whether the line it hit was already dirty, and on a miss whether the
+// fill evicted a valid line and whether that line was dirty. It does
+// what Access does (tag match, fill, LRU update, ledger and telemetry)
+// but returns four booleans, which the compiler keeps in registers,
+// where Access's engine.Result is built in memory and copied out. The
+// CMP cores' L1s call it once per processor reference. The ledger
+// counts go straight to the ASID's cell (stats.Ledger.AppRef inlines;
+// Ledger.Record does not).
+func (c *Cache) Probe(r trace.Ref) (hit, wasDirty, evicted, writeback bool) {
 	block := r.Addr >> c.shift
 	tag := block >> c.setBits
 	base := int(block&c.mask) * c.ways
 	set := c.lines[base : base+c.ways]
 	stamps := c.stamps[base : base+c.ways]
 	c.clock++
+	write := r.Kind == trace.Write
 
-	res := engine.Result{TagProbes: c.ways, DataReads: 1}
-
-	// Parallel tag match across the set.
+	// Parallel tag match across the set; on a miss, fill the lowest
+	// invalid way if one exists, else evict the least recently used way
+	// (smallest stamp, lowest way on a tie).
+	way := -1
 	for w := range set {
 		ln := &set[w]
 		if ln.valid && ln.tag == tag {
-			if r.Kind == trace.Write {
-				ln.dirty = true
-			}
+			wasDirty = ln.dirty
+			ln.dirty = wasDirty || write
 			ln.asid = r.ASID
 			stamps[w] = c.clock
-			res.Hit = true
-			c.ledger.Record(r.ASID, true)
-			c.ins.record(true, res.TagProbes, 0)
-			return res
+			c.ledger.Total.Hits++
+			c.ledger.AppRef(r.ASID).Hits++
+			if c.ins != nil {
+				c.ins.record(true, c.ways, false)
+			}
+			return true, wasDirty, false, false
 		}
-	}
-
-	// Miss: fill the lowest invalid way if one exists, else evict the
-	// least recently used way (smallest stamp, lowest way on a tie).
-	way := -1
-	for w := range set {
-		if !set[w].valid {
+		if way < 0 && !ln.valid {
 			way = w
-			break
 		}
 	}
 	if way < 0 {
@@ -168,22 +189,16 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 				way = w
 			}
 		}
-		res.LinesEvicted = 1
-		if set[way].dirty {
-			res.Writebacks = 1
-		}
+		evicted, writeback = true, set[way].dirty
 	}
 	stamps[way] = c.clock
-	set[way] = line{
-		tag:   tag,
-		asid:  r.ASID,
-		valid: true,
-		dirty: r.Kind == trace.Write,
+	set[way] = line{tag: tag, asid: r.ASID, valid: true, dirty: write}
+	c.ledger.Total.Misses++
+	c.ledger.AppRef(r.ASID).Misses++
+	if c.ins != nil {
+		c.ins.record(false, c.ways, writeback)
 	}
-	res.LinesFetched = 1
-	c.ledger.Record(r.ASID, false)
-	c.ins.record(false, res.TagProbes, res.Writebacks)
-	return res
+	return false, false, evicted, writeback
 }
 
 // Contains reports whether the line holding a is resident. It is a

@@ -420,3 +420,33 @@ func TestTraditionalAccessZeroAllocs(t *testing.T) {
 		t.Errorf("ledger %+v -> %+v: the run must both hit and miss", before, after)
 	}
 }
+
+// TestProbeOutcomes walks one set of the tiny cache through Probe's
+// four outcomes: a hit reports the line's dirty bit from before the
+// access, and a miss reports whether its fill evicted a valid line and
+// whether that line was dirty.
+func TestProbeOutcomes(t *testing.T) {
+	type outcome struct{ hit, wasDirty, evicted, writeback bool }
+	c := tiny()
+	for i, tc := range []struct {
+		ref  trace.Ref
+		want outcome
+	}{
+		{read(0), outcome{}},                                 // cold fill of way 0
+		{write(0), outcome{hit: true}},                       // clean hit, now dirty
+		{write(0), outcome{hit: true, wasDirty: true}},       // dirty hit
+		{read(0), outcome{hit: true, wasDirty: true}},        // reads keep it dirty
+		{read(256), outcome{}},                               // cold fill of way 1
+		{read(512), outcome{evicted: true, writeback: true}}, // evicts dirty line 0
+		{read(768), outcome{evicted: true}},                  // evicts clean line 256
+	} {
+		var got outcome
+		got.hit, got.wasDirty, got.evicted, got.writeback = c.Probe(tc.ref)
+		if got != tc.want {
+			t.Errorf("ref %d (%v): Probe = %+v, want %+v", i, tc.ref, got, tc.want)
+		}
+	}
+	if led := c.Ledger().Total; led.Hits != 3 || led.Misses != 4 {
+		t.Errorf("ledger %+v after 3 hits and 4 misses", led)
+	}
+}

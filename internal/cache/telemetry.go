@@ -39,15 +39,14 @@ func (c *Cache) AttachTelemetry(reg *telemetry.Registry, instance string) {
 }
 
 // record notes one access on the attached instruments.
-func (ins *cacheInstruments) record(hit bool, probes, writebacks int) {
-	if ins == nil {
-		return
-	}
+func (ins *cacheInstruments) record(hit bool, probes int, writeback bool) {
 	if hit {
 		ins.hits.Inc()
 	} else {
 		ins.misses.Inc()
 	}
 	ins.tagProbes.Add(uint64(probes))
-	ins.writebacks.Add(uint64(writebacks))
+	if writeback {
+		ins.writebacks.Inc()
+	}
 }

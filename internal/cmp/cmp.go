@@ -10,6 +10,8 @@ package cmp
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"molcache/internal/addr"
 	"molcache/internal/cache"
@@ -34,6 +36,19 @@ const (
 	l1Ways      = 4
 	lineSize    = 64
 	l1HitCycles = 1
+)
+
+// wheelSlots is the size of Step's timing wheel. Every core's next
+// issue cycle lies within the longest latency of the earliest one's,
+// so with more slots than that latency no two pending cycles share a
+// slot.
+const wheelSlots = 256
+
+// The wheel must cover the longest latency a reference can charge, and
+// a slot's uint16 core mask must hold every core.
+var (
+	_ [wheelSlots - 1 - max(l1HitCycles, engine.L2HitCycles, engine.MemoryCycles)]struct{}
+	_ [16 - coherence.MaxCaches]struct{}
 )
 
 // Config parameterizes the CMP substrate.
@@ -87,6 +102,21 @@ type System struct {
 	captured []trace.Ref
 	issued   uint64
 
+	// run is the core Step issues from next: the earliest, lowest ID on
+	// ties. The other cores wait in the timing wheel, and head is the
+	// earliest of them (idle, a sentinel never ready, when none wait).
+	run, head *core
+	idle      core
+
+	// wheel is the ready-core timing wheel: wheel[t%wheelSlots] is the
+	// mask of waiting cores (bit i = core i) whose next reference issues
+	// at cycle t. occupied has bit j set while wheel[j] is non-empty, and
+	// cur is head's slot, so finding the next head takes a few
+	// TrailingZeros64 calls however many idle cycles lie between.
+	wheel    [wheelSlots]uint16
+	occupied [wheelSlots / 64]uint64
+	cur      uint
+
 	// OnL2Access, when set, observes every L2 access (the resize
 	// controller's Tick hooks in here).
 	OnL2Access func(trace.Ref, engine.Result)
@@ -94,25 +124,39 @@ type System struct {
 
 // New builds a CMP over the shared L2.
 func New(l2 engine.Cache, cfg Config) *System {
-	return &System{
+	s := &System{
 		cfg: cfg,
 		l2:  l2,
 		dir: coherence.NewDirectory(),
 	}
+	s.idle.readyAt = math.MaxUint64
+	s.head = &s.idle
+	return s
 }
 
 // AddCore attaches a core running gen under asid. Core IDs are assigned
-// in order; at most coherence.MaxCaches cores.
+// in order; at most coherence.MaxCaches cores, all added before the
+// first Step.
 func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	if len(s.cores) >= coherence.MaxCaches {
 		return fmt.Errorf("cmp: at most %d cores supported", coherence.MaxCaches)
 	}
-	s.cores = append(s.cores, &core{
+	if s.issued > 0 {
+		return fmt.Errorf("cmp: cores must be added before the first Step")
+	}
+	c := &core{
 		id:   uint8(len(s.cores)),
 		asid: asid,
 		gen:  gen,
 		l1:   cache.MustNew(cache.Config{Size: l1Size, Ways: l1Ways, LineSize: lineSize}),
-	})
+	}
+	s.cores = append(s.cores, c)
+	if s.run == nil {
+		s.run = c
+	} else {
+		s.schedule(c)
+		s.head = s.earliest()
+	}
 	return nil
 }
 
@@ -213,16 +257,54 @@ func (s *System) Issued() uint64 { return s.issued }
 // Step issues one reference from the next ready core (the core with the
 // smallest readyAt cycle, lowest ID on ties) and returns its core ID.
 // Identical cores interleave round-robin; a miss-bound core naturally
-// falls behind by its stall cycles.
+// falls behind by its stall cycles. The pick takes constant time: the
+// core that just issued runs again unless the earliest waiting core
+// (head) is now ahead of it, and then the two trade places and the
+// timing wheel names the next head. Step panics with a nil dereference
+// on a system with no cores (Run issues nothing there).
 func (s *System) Step() uint8 {
-	c := s.cores[0]
-	for _, x := range s.cores[1:] {
-		if x.readyAt < c.readyAt {
-			c = x
-		}
-	}
+	c := s.run
 	s.issue(c)
+	if h := s.head; c.readyAt > h.readyAt || c.readyAt == h.readyAt && c.id > h.id {
+		s.schedule(c)
+		s.unschedule(h)
+		s.run = h
+		s.head = s.earliest()
+	}
 	return c.id
+}
+
+// earliest returns the earliest waiting core, lowest ID on ties, or
+// idle when none waits. The first occupied wheel slot at or after cur,
+// wrapping around, holds it; idle cycles are skipped a 64-slot word at
+// a time.
+func (s *System) earliest() *core {
+	w := s.cur / 64
+	m := s.occupied[w] >> (s.cur % 64) << (s.cur % 64)
+	for n := 0; m == 0 && n < len(s.occupied); n++ {
+		w = (w + 1) % uint(len(s.occupied))
+		m = s.occupied[w]
+	}
+	if m == 0 {
+		return &s.idle
+	}
+	s.cur = w*64 + uint(bits.TrailingZeros64(m))
+	return s.cores[bits.TrailingZeros16(s.wheel[s.cur])]
+}
+
+// schedule files c in the wheel slot of its readyAt cycle.
+func (s *System) schedule(c *core) {
+	slot := uint(c.readyAt % wheelSlots)
+	s.wheel[slot] |= 1 << c.id
+	s.occupied[slot/64] |= 1 << (slot % 64)
+}
+
+// unschedule takes c out of the wheel slot of its readyAt cycle.
+func (s *System) unschedule(c *core) {
+	slot := uint(c.readyAt % wheelSlots)
+	if s.wheel[slot] &^= 1 << c.id; s.wheel[slot] == 0 {
+		s.occupied[slot/64] &^= 1 << (slot % 64)
+	}
 }
 
 // Run issues total references across the cores under the timing model.
@@ -273,27 +355,33 @@ func (s *System) issue(c *core) {
 	s.issued++
 	line := addr.LineAlign(ref.Addr, lineSize)
 
-	l1res := c.l1.Access(ref)
+	hit, wasDirty, _, _ := c.l1.Probe(ref)
 	c.refs++
 
-	// Drive the MESI directory: every write consults it (a write hit on
-	// a Shared line still needs an ownership upgrade); read hits are
-	// quiet (the holder is already at least Shared).
+	// Drive the MESI directory: a write consults it unless it hit a
+	// line that was already dirty (a write hit on a Shared or Exclusive
+	// line still needs an ownership or silent upgrade); read hits are
+	// quiet (the holder is already at least Shared). A dirty L1 copy
+	// means the directory already records this core as the line's dirty
+	// owner and sole sharer, so that write would return an empty action
+	// and change nothing but the directory's Writes count.
 	// Core IDs are bounded by AddCore, so the directory never rejects
 	// them; a rejection would mean internal corruption, and skipping the
 	// coherence actions (never applying a bogus mask) is the safe
 	// degradation.
 	if ref.Kind == trace.Write {
-		if act, err := s.dir.Write(line, int(c.id)); err == nil {
-			s.apply(act, line)
+		if !wasDirty {
+			if act, err := s.dir.Write(line, int(c.id)); err == nil {
+				s.apply(act, line)
+			}
 		}
-	} else if !l1res.Hit {
+	} else if !hit {
 		if act, err := s.dir.Read(line, int(c.id)); err == nil {
 			s.apply(act, line)
 		}
 	}
 
-	if l1res.Hit {
+	if hit {
 		c.cycles += l1HitCycles
 		c.readyAt += l1HitCycles
 		return

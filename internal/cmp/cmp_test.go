@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 
 	"molcache/internal/addr"
 	"molcache/internal/cache"
 	"molcache/internal/engine"
 	"molcache/internal/rng"
+	"molcache/internal/stats"
 	"molcache/internal/trace"
 	"molcache/internal/workload"
 )
@@ -301,6 +303,15 @@ func TestCaptureDigest(t *testing.T) {
 	}
 
 	h := sha256.New()
+	hashCapture(h, s, l2)
+	if got := hex.EncodeToString(h.Sum(nil)); got != captureDigestWant {
+		t.Errorf("capture digest = %s, want %s (%d refs captured)", got, captureDigestWant, len(s.Captured()))
+	}
+}
+
+// hashCapture writes the captured L1-miss stream, the L2 ledger and the
+// coherence counters of s to h.
+func hashCapture(h io.Writer, s *System, l2 *cache.Cache) {
 	var buf [12]byte
 	for _, r := range s.Captured() {
 		binary.LittleEndian.PutUint64(buf[0:8], r.Addr)
@@ -308,14 +319,142 @@ func TestCaptureDigest(t *testing.T) {
 		buf[10], buf[11] = r.CPU, byte(r.Kind)
 		h.Write(buf[:])
 	}
-	led := l2.Ledger()
+	hashLedger(h, l2.Ledger())
+	fmt.Fprintf(h, "coherence %+v\n", s.Coherence())
+}
+
+// hashLedger writes led's total and per-ASID counts to h.
+func hashLedger(h io.Writer, led *stats.Ledger) {
 	fmt.Fprintf(h, "total %d %d\n", led.Total.Hits, led.Total.Misses)
 	for _, asid := range led.ASIDs() {
 		hm := led.App(asid)
 		fmt.Fprintf(h, "asid %d %d %d\n", asid, hm.Hits, hm.Misses)
 	}
-	fmt.Fprintf(h, "coherence %+v\n", s.Coherence())
-	if got := hex.EncodeToString(h.Sum(nil)); got != captureDigestWant {
-		t.Errorf("capture digest = %s, want %s (%d refs captured)", got, captureDigestWant, len(s.Captured()))
+}
+
+// sharedMix is six applications run at one address base, so their
+// cores touch the same lines and every MESI transition occurs.
+var sharedMix = []string{"crafty", "gap", "twolf", "parser", "gcc", "NAT"}
+
+// addSharedMix attaches sharedMix to s: core i runs as ASID i+1 at the
+// common base 1<<36 with seed 7+i.
+func addSharedMix(t testing.TB, s *System) {
+	t.Helper()
+	for i, name := range sharedMix {
+		gen, err := workload.New(name, 1<<36, uint64(7+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddCore(uint16(i+1), gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// captureDigestSharedWant is the sha256 of the shared-address capture
+// below: TestCaptureDigest's fields plus the L1 ledger, the cycle count
+// and every core's CPI.
+const captureDigestSharedWant = "2884bc9295ce82d3a0215649d9284f93c6563e75ff5fc8b5e9c007b5d3a6c6b0"
+
+// TestCaptureDigestShared pins the capture of a mix whose cores share
+// lines. TestCaptureDigest's applications live in disjoint address
+// spaces, so its coherence counters are all zero; here invalidations,
+// interventions, downgrades and silent upgrades all occur, so a change
+// that skips or reorders directory work alters the digest.
+func TestCaptureDigestShared(t *testing.T) {
+	l2 := sharedL2()
+	s := New(l2, Config{CaptureL1Misses: true})
+	addSharedMix(t, s)
+	s.Run(200_000)
+
+	co := s.Coherence()
+	if co.Invalidations == 0 || co.Interventions == 0 || co.WritebacksForced == 0 ||
+		co.Downgrades == 0 || co.SilentUpgrades == 0 {
+		t.Errorf("coherence = %+v, want every counter nonzero", co)
+	}
+	h := sha256.New()
+	hashCapture(h, s, l2)
+	hashLedger(h, s.L1Ledger())
+	fmt.Fprintf(h, "cycle %d\n", s.Cycle())
+	for i := range sharedMix {
+		fmt.Fprintf(h, "cpi %d %v\n", i+1, s.CoreCPI(uint16(i+1)))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != captureDigestSharedWant {
+		t.Errorf("shared capture digest = %s, want %s (%d refs captured, coherence %+v)",
+			got, captureDigestSharedWant, len(s.Captured()), co)
+	}
+}
+
+// TestStepMatchesReadyScan checks Step's constant-time pick against the
+// rule it replaces: before every Step, scan the cores for the smallest
+// readyAt (lowest ID on ties) and require Step to issue from that core.
+// The mixes cover a lone memory-bound core (mcf), Table 1's four SPEC
+// cores, the twelve mixed applications, the shared-address mix and
+// sixteen cores, the most a wheel slot's mask holds.
+func TestStepMatchesReadyScan(t *testing.T) {
+	const steps = 200_000
+	sixteen := append(append([]string{}, workload.MixedNames...), workload.SPECNames...)
+	for _, tc := range []struct {
+		name string
+		add  func(*System) error
+	}{
+		{"mcf-alone", func(s *System) error { return s.AddMix([]string{"mcf"}, 2006) }},
+		{"spec4", func(s *System) error { return s.AddMix(workload.SPECNames, 2006) }},
+		{"mix12", func(s *System) error { return s.AddMix(workload.MixedNames, 2006) }},
+		{"shared", func(s *System) error { addSharedMix(t, s); return nil }},
+		{"sixteen", func(s *System) error { return s.AddMix(sixteen, 2006) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(sharedL2(), Config{})
+			if err := tc.add(s); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < steps; i++ {
+				want := s.cores[0]
+				for _, c := range s.cores[1:] {
+					if c.readyAt < want.readyAt {
+						want = c
+					}
+				}
+				if got := s.Step(); got != want.id {
+					t.Fatalf("step %d: Step issued core %d, the ready scan picks core %d (readyAt %d)",
+						i, got, want.id, want.readyAt)
+				}
+			}
+			if err := s.AddCore(99, workload.MustNew("art", 0, 1)); err == nil {
+				t.Error("AddCore after Step accepted")
+			}
+		})
+	}
+}
+
+// TestStepPanicsWithoutCores pins Step's documented contract on an
+// empty system, and that Run issues nothing there.
+func TestStepPanicsWithoutCores(t *testing.T) {
+	s := New(sharedL2(), Config{})
+	s.Run(10)
+	if s.Issued() != 0 {
+		t.Fatalf("Run on an empty system issued %d references", s.Issued())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Step on an empty system did not panic")
+		}
+	}()
+	s.Step()
+}
+
+// TestCMPStepZeroAllocs guards the CMP step against heap allocation:
+// four warmed cores on L1-resident loops, capture off.
+func TestCMPStepZeroAllocs(t *testing.T) {
+	s := New(sharedL2(), Config{})
+	for i := uint16(1); i <= 4; i++ {
+		if err := s.AddCore(i, workload.NewLoop("l", uint64(i)<<36, 8*addr.KB, 0.3, rng.New(uint64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run(100_000)
+	if n := testing.AllocsPerRun(10_000, func() { s.Step() }); n != 0 {
+		t.Errorf("Step allocates %v times per call, want 0", n)
 	}
 }

@@ -66,6 +66,12 @@ type Action struct {
 
 // Stats counts protocol events.
 type Stats struct {
+	// Reads and Writes count the requests that reach the directory. A
+	// caller may keep requests whose outcome it already knows away from
+	// it: the CMP substrate sends no read hit, and no write hit on a line
+	// its L1 already holds dirty (the directory records that cache as
+	// the line's dirty owner and sole sharer, so Write would change
+	// nothing but this count).
 	Reads, Writes     uint64
 	Invalidations     uint64 // copies killed by remote writes
 	Downgrades        uint64 // M/E copies demoted to S by remote reads

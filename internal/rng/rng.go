@@ -9,7 +9,10 @@
 // use math/rand so that streams are stable across Go releases.
 package rng
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // SplitMix64 is the seeding generator recommended by the xoshiro authors.
 // It is also useful on its own as a cheap hash-like sequence.
@@ -142,11 +145,20 @@ func (r *Source) Perm(n int) []int {
 
 // Zipf samples from a Zipf distribution over {0, ..., n-1} with exponent
 // theta (theta > 0, typically around 0.8-1.2 for cache workloads). It uses
-// the classic inverse-CDF method over a precomputed table, which is exact
-// and fast for the table sizes cache workloads need.
+// the classic inverse-CDF method over a precomputed table: a sample is
+// the first rank whose cdf entry reaches a uniform draw u. A guide table
+// of K = 2^⌈log2 n⌉ buckets finds that rank in expected constant time:
+// guide[k] is the first rank with cdf ≥ k/K, and the draw's top log2 K
+// bits name the bucket whose start bounds the answer from below, so Next
+// walks forward from there instead of binary-searching the whole table.
+// Because K is a power of two, k/K and u·K are exact, and every draw
+// yields the rank a binary search would.
 type Zipf struct {
-	src *Source
-	cdf []float64
+	src   *Source
+	cdf   []float64
+	guide []uint32
+	// shift turns a 53-bit draw into its guide bucket: 53 - log2 K.
+	shift uint
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent theta.
@@ -167,23 +179,37 @@ func NewZipf(src *Source, n int, theta float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{src: src, cdf: cdf}
+	// cdf[n-1] is sum/sum = 1 exactly, above every k/K < 1, so the
+	// sweep stays inside the table.
+	logK := uint(bits.Len(uint(n - 1)))
+	guide := make([]uint32, 1<<logK)
+	rank := 0
+	for k := range guide {
+		for cdf[rank] < float64(k)/float64(len(guide)) {
+			rank++
+		}
+		guide[k] = uint32(rank)
+	}
+	return &Zipf{src: src, cdf: cdf, guide: guide, shift: 53 - logK}
 }
 
-// Next returns the next sample; rank 0 is the most popular item.
+// Next returns the next sample; rank 0 is the most popular item. It
+// consumes one 53-bit draw, the one Source.Float64 would take.
 func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	return z.rank(z.src.Uint64() >> 11)
+}
+
+// rank maps a 53-bit draw x, the uniform u = x/2^53, to the first rank
+// whose cdf entry is at least u. Bucket x>>shift = ⌊u·K⌋ starts at a
+// rank no later than the answer, and the walk from it is short: K ≥ n
+// buckets split the cdf's n steps.
+func (z *Zipf) rank(x uint64) int {
+	u := float64(x) / (1 << 53)
+	i := int(z.guide[x>>z.shift])
+	for z.cdf[i] < u {
+		i++
 	}
-	return lo
+	return i
 }
 
 // pow computes x**y for y > 0 without importing math, using exp/log-free

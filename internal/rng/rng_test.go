@@ -245,3 +245,64 @@ func TestSplitMix64KnownValues(t *testing.T) {
 		}
 	}
 }
+
+// TestZipfGuideMatchesBinarySearch checks the guide-table sampler
+// against a plain binary search over the same cdf: for every table
+// size and skew, each 53-bit draw tried must give the same rank. The
+// draws are the ones nearest every cdf entry and their neighbours (the
+// ties a walk that stops one entry early or late gets wrong), both
+// ends of the draw range and 100K random draws.
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	const maxDraw = 1<<53 - 1
+	search := func(cdf []float64, x uint64) int {
+		u := float64(x) / (1 << 53)
+		lo, hi := 0, len(cdf)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cdf[mid] < u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	src := New(2006)
+	for _, n := range []int{1, 2, 3, 1000, 1536, 16384, 24576, 24577} {
+		for _, theta := range []float64{0.55, 0.7, 1.0, 1.2} {
+			z := NewZipf(New(1), n, theta)
+			if k := len(z.guide); k < n || k&(k-1) != 0 || (k > 1 && k/2 >= n) {
+				t.Fatalf("n=%d: %d guide buckets, want the least power of two >= n", n, k)
+			}
+			draws := []uint64{0, maxDraw}
+			for _, c := range z.cdf {
+				x := uint64(c * (1 << 53))
+				for _, d := range []uint64{x - 1, x, x + 1} {
+					if d <= maxDraw {
+						draws = append(draws, d)
+					}
+				}
+			}
+			for i := 0; i < 100_000; i++ {
+				draws = append(draws, src.Uint64()>>11)
+			}
+			for _, x := range draws {
+				if got, want := z.rank(x), search(z.cdf, x); got != want {
+					t.Fatalf("n=%d theta=%v draw %d: guide rank %d, binary search %d", n, theta, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestZipfNextTakesOneDraw checks that Next consumes exactly the draw
+// Float64 would and ranks it as rank does.
+func TestZipfNextTakesOneDraw(t *testing.T) {
+	a, b := New(9), New(9)
+	z := NewZipf(a, 1000, 1.0)
+	for i := 0; i < 1000; i++ {
+		if got, want := z.Next(), z.rank(b.Uint64()>>11); got != want {
+			t.Fatalf("sample %d: Next %d, rank of the same draw %d", i, got, want)
+		}
+	}
+}

@@ -202,7 +202,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 // Ablation benches (DESIGN.md section 5).
 // ---------------------------------------------------------------------
 
-// ablationTrace captures one 12-benchmark L1-miss trace for the ablations.
+// ablationTrace captures one 12-benchmark L1-miss trace for the
+// ablations and BenchmarkTraditionalAccess/mix12-replay.
 var ablationTrace = sync.OnceValue(func() []trace.Ref {
 	refs, err := cmp.CaptureMix(workload.MixedNames, 6_000_000, 2006)
 	if err != nil {
@@ -364,18 +365,36 @@ func BenchmarkMolecularAccessTelemetry(b *testing.B) {
 }
 
 // BenchmarkTraditionalAccess measures one set-associative lookup+fill.
+// gcc feeds a 2 MB 8-way cache one ASID from its generator; mix12-replay
+// loops the twelve-app L1-miss capture through the 1 MB 4-way L2 it was
+// captured on, so a per-access cost that depends on interleaved ASIDs
+// (as Figure 5's and Table 2's replays interleave them) shows.
 func BenchmarkTraditionalAccess(b *testing.B) {
-	c := cache.MustNew(cache.Config{Size: 2 * addr.MB, Ways: 8, LineSize: 64})
-	gen := workload.MustNew("gcc", 1<<36, 7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a := gen.Next()
-		k := trace.Read
-		if a.Write {
-			k = trace.Write
+	b.Run("gcc", func(b *testing.B) {
+		c := cache.MustNew(cache.Config{Size: 2 * addr.MB, Ways: 8, LineSize: 64})
+		gen := workload.MustNew("gcc", 1<<36, 7)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a := gen.Next()
+			k := trace.Read
+			if a.Write {
+				k = trace.Write
+			}
+			c.Access(trace.Ref{Addr: a.Addr, ASID: 1, Kind: k})
 		}
-		c.Access(trace.Ref{Addr: a.Addr, ASID: 1, Kind: k})
-	}
+	})
+	b.Run("mix12-replay", func(b *testing.B) {
+		refs := ablationTrace()
+		c := cache.MustNew(cache.Config{Size: addr.MB, Ways: 4, LineSize: 64})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, j := 0, 0; i < b.N; i++ {
+			c.Access(refs[j])
+			if j++; j == len(refs) {
+				j = 0
+			}
+		}
+	})
 }
 
 // BenchmarkWorkloadGeneration measures the reference generators.

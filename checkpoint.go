@@ -7,7 +7,6 @@ import (
 
 	"molcache/internal/faults"
 	"molcache/internal/molecular"
-	"molcache/internal/noc"
 	"molcache/internal/resize"
 	"molcache/internal/snapshot"
 	"molcache/internal/telemetry"
@@ -16,11 +15,11 @@ import (
 // This file is the crash-safe checkpoint/restore facade: Checkpoint
 // packs the full simulation state — cache geometry and contents, resize
 // controller state (including the decision ring), fault-injection
-// cursors, NoC traffic counters and the live telemetry registry — into
-// a MOLC1 container (internal/snapshot), and Restore rebuilds a
-// byte-identical continuation from one. A run checkpointed at access N
-// and restored produces exactly the Results, ledgers, histograms and
-// telemetry an uninterrupted run produces.
+// cursors and the live telemetry registry — into a MOLC1 container
+// (internal/snapshot), and Restore rebuilds a byte-identical
+// continuation from one. A run checkpointed at access N and restored
+// produces exactly the Results, ledgers, histograms and telemetry an
+// uninterrupted run produces.
 //
 // Restores are corruption-tolerant: envelope damage (truncation, bit
 // flips, version skew) and semantic damage (states a healthy simulator
@@ -37,8 +36,12 @@ const (
 	sectionCache     = "cache"
 	sectionResize    = "resize"
 	sectionTelemetry = "telemetry"
-	sectionNoC       = "noc"
 	sectionFaults    = "faults"
+	// sectionNoC held the interconnect traffic counters of a mesh this
+	// simulator no longer models. Restore rejects a checkpoint that has
+	// one: continuing without the hop latency it recorded would not
+	// reproduce the uninterrupted run.
+	sectionNoC = "noc"
 )
 
 // SnapshotError is the typed error a failed restore reports: Section
@@ -51,20 +54,11 @@ type checkpointMeta struct {
 	Addresses uint64 `json:"addresses"`
 }
 
-// meshGeom records an attached interconnect's construction parameters.
-type meshGeom struct {
-	W          int     `json:"w"`
-	H          int     `json:"h"`
-	HopLatency uint64  `json:"hop_latency"`
-	HopEnergy  float64 `json:"hop_energy"`
-}
-
 // checkpointConfig carries the configurations needed to rebuild the
 // simulator skeleton before state is poured back in.
 type checkpointConfig struct {
 	Molecular molecular.Config `json:"molecular"`
 	Resize    resize.Config    `json:"resize"`
-	Mesh      *meshGeom        `json:"mesh,omitempty"`
 }
 
 // checkpointFaults carries an attached injector's campaign and delivery
@@ -82,21 +76,15 @@ func sectionErr(section string, err error) error {
 }
 
 // EncodeCheckpoint serializes the simulator's complete state as a MOLC1
-// container. Telemetry, interconnect and fault sections appear only
-// when the corresponding attachment exists.
+// container. Telemetry and fault sections appear only when the
+// corresponding attachment exists.
 func (s *Simulator) EncodeCheckpoint() ([]byte, error) {
 	cache := s.Cache
 	cfg := checkpointConfig{
 		Molecular: cache.Config(),
 		Resize:    s.Controller.Config(),
 	}
-	if m := cache.Interconnect(); m != nil {
-		cfg.Mesh = &meshGeom{
-			W: m.Width(), H: m.Height(),
-			HopLatency: m.HopLatency(), HopEnergy: m.HopEnergy(),
-		}
-	}
-	sections := make([]snapshot.Section, 0, 7)
+	sections := make([]snapshot.Section, 0, 6)
 	add := func(name string, v any) error {
 		payload, err := json.Marshal(v)
 		if err != nil {
@@ -116,11 +104,6 @@ func (s *Simulator) EncodeCheckpoint() ([]byte, error) {
 	}
 	if err := add(sectionResize, s.Controller.CaptureState()); err != nil {
 		return nil, err
-	}
-	if m := cache.Interconnect(); m != nil {
-		if err := add(sectionNoC, m.Stats()); err != nil {
-			return nil, err
-		}
 	}
 	if inj := cache.Faults(); inj != nil {
 		if err := add(sectionFaults, checkpointFaults{
@@ -160,6 +143,10 @@ func RestoreSimulatorBytes(data []byte, tr *Tracer, reg *Registry) (*Simulator, 
 	if err != nil {
 		return nil, err
 	}
+	if _, err := snapshot.Find(sections, sectionNoC); err == nil {
+		return nil, &snapshot.Error{Section: sectionNoC,
+			Reason: "checkpoint carries interconnect state, which this simulator does not model"}
+	}
 	unpack := func(name string, v any) error {
 		payload, err := snapshot.Find(sections, name)
 		if err != nil {
@@ -195,23 +182,6 @@ func RestoreSimulatorBytes(data []byte, tr *Tracer, reg *Registry) (*Simulator, 
 		return nil, sectionErr(sectionResize, err)
 	}
 	sim := &Simulator{Cache: cache, Controller: ctrl}
-
-	if cfg.Mesh != nil {
-		mesh, err := noc.New(cfg.Mesh.W, cfg.Mesh.H, cfg.Mesh.HopLatency, cfg.Mesh.HopEnergy)
-		if err != nil {
-			return nil, sectionErr(sectionConfig, err)
-		}
-		if err := cache.AttachInterconnect(mesh); err != nil {
-			return nil, sectionErr(sectionConfig, err)
-		}
-		var st noc.Stats
-		if err := unpack(sectionNoC, &st); err != nil {
-			return nil, err
-		}
-		if err := mesh.RestoreStats(st); err != nil {
-			return nil, sectionErr(sectionNoC, err)
-		}
-	}
 
 	if _, err := snapshot.Find(sections, sectionFaults); err == nil {
 		var fs checkpointFaults

@@ -178,6 +178,19 @@ func TestRestoreCorruptionTyped(t *testing.T) {
 		{"cache-not-json", mutate(t, "cache", func([]byte) []byte {
 			return []byte("not json")
 		}), "cache"},
+		{"noc-section", func() []byte {
+			sections, err := snapshot.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sections = append(sections, snapshot.Section{Name: "noc",
+				Payload: []byte(`{"Messages":10,"Hops":14,"LocalMessages":3}`)})
+			out, err := snapshot.Encode(sections)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}(), "noc"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -27,11 +27,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
-	"molcache/internal/addr"
 	"molcache/internal/faults"
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
@@ -63,7 +60,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	mcfg, err := parseCacheSpec(*cacheSpec, *seed)
+	mcfg, err := molecular.ParseSpec(*cacheSpec, *seed)
 	if err != nil {
 		return err
 	}
@@ -154,47 +151,4 @@ func runDemo(address string, ops int) error {
 	fmt.Printf("molcached: demo scan: %d sets %d gets %d dels, %d hits / %d misses\n",
 		scan.Sets, scan.Gets, scan.Dels, scan.Hits, scan.Misses)
 	return nil
-}
-
-// parseCacheSpec parses molecular:SIZE:CxT:POLICY (molsim's spec shape,
-// molecular-only — molcached fronts the paper's cache, not baselines).
-func parseCacheSpec(spec string, seed uint64) (molecular.Config, error) {
-	parts := strings.Split(spec, ":")
-	if !strings.EqualFold(parts[0], "molecular") || len(parts) != 4 {
-		return molecular.Config{}, fmt.Errorf("cache spec needs molecular:SIZE:CxT:POLICY, got %q", spec)
-	}
-	size, err := addr.ParseBytes(parts[1])
-	if err != nil {
-		return molecular.Config{}, err
-	}
-	ct := strings.SplitN(strings.ToLower(parts[2]), "x", 2)
-	if len(ct) != 2 {
-		return molecular.Config{}, fmt.Errorf("bad clusters-x-tiles %q", parts[2])
-	}
-	clusters, err := strconv.Atoi(ct[0])
-	if err != nil {
-		return molecular.Config{}, fmt.Errorf("bad cluster count %q", ct[0])
-	}
-	tiles, err := strconv.Atoi(ct[1])
-	if err != nil {
-		return molecular.Config{}, fmt.Errorf("bad tile count %q", ct[1])
-	}
-	var policy molecular.ReplacementKind
-	switch strings.ToLower(parts[3]) {
-	case "random":
-		policy = molecular.RandomReplacement
-	case "randy":
-		policy = molecular.RandyReplacement
-	case "lru-direct", "lrudirect":
-		policy = molecular.LRUDirect
-	default:
-		return molecular.Config{}, fmt.Errorf("unknown policy %q", parts[3])
-	}
-	return molecular.Config{
-		TotalSize:       size,
-		Clusters:        clusters,
-		TilesPerCluster: tiles,
-		Policy:          policy,
-		Seed:            seed,
-	}, nil
 }

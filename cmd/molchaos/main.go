@@ -36,7 +36,6 @@ import (
 	"molcache/internal/faults"
 	"molcache/internal/invariant"
 	"molcache/internal/molecular"
-	"molcache/internal/noc"
 	"molcache/internal/resize"
 	"molcache/internal/rng"
 	"molcache/internal/snapshot"
@@ -362,7 +361,7 @@ func genTrace(src *rng.Source, n int) []trace.Ref {
 	return refs
 }
 
-// buildSim assembles one side: cache, shared region, mesh, optional
+// buildSim assembles one side: cache, shared region, optional
 // fault injector, controller and a live registry — the full attachment
 // surface a checkpoint must carry.
 func buildSim(setup chaosSetup, campaign *faults.Campaign) (*molcache.Simulator, error) {
@@ -373,13 +372,6 @@ func buildSim(setup chaosSetup, campaign *faults.Campaign) (*molcache.Simulator,
 	if _, err := c.CreateRegion(molecular.SharedASID, molecular.RegionOptions{
 		HomeCluster: 0, HomeTile: 0, InitialMolecules: 2,
 	}); err != nil {
-		return nil, err
-	}
-	mesh, err := noc.ForTiles(setup.Config.Clusters * setup.Config.TilesPerCluster)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.AttachInterconnect(mesh); err != nil {
 		return nil, err
 	}
 	if campaign != nil {

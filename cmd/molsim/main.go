@@ -297,43 +297,11 @@ func explainResizeLog(ctrl *resize.Controller, names map[uint16]string) {
 func buildCache(spec string, seed uint64) (engine.Cache, *molecular.Cache, error) {
 	parts := strings.Split(spec, ":")
 	if strings.EqualFold(parts[0], "molecular") {
-		if len(parts) != 4 {
-			return nil, nil, fmt.Errorf("molecular spec needs molecular:SIZE:CxT:POLICY, got %q", spec)
-		}
-		size, err := addr.ParseBytes(parts[1])
+		cfg, err := molecular.ParseSpec(spec, seed)
 		if err != nil {
 			return nil, nil, err
 		}
-		ct := strings.SplitN(strings.ToLower(parts[2]), "x", 2)
-		if len(ct) != 2 {
-			return nil, nil, fmt.Errorf("bad clusters-x-tiles %q", parts[2])
-		}
-		clusters, err := strconv.Atoi(ct[0])
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad cluster count %q", ct[0])
-		}
-		tiles, err := strconv.Atoi(ct[1])
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad tile count %q", ct[1])
-		}
-		var policy molecular.ReplacementKind
-		switch strings.ToLower(parts[3]) {
-		case "random":
-			policy = molecular.RandomReplacement
-		case "randy":
-			policy = molecular.RandyReplacement
-		case "lru-direct", "lrudirect":
-			policy = molecular.LRUDirect
-		default:
-			return nil, nil, fmt.Errorf("unknown policy %q", parts[3])
-		}
-		mc, err := molecular.New(molecular.Config{
-			TotalSize:       size,
-			Clusters:        clusters,
-			TilesPerCluster: tiles,
-			Policy:          policy,
-			Seed:            seed,
-		})
+		mc, err := molecular.New(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -494,7 +462,7 @@ func report(l2 engine.Cache, mol *molecular.Cache, ctrl *resize.Controller,
 	fmt.Println(pt)
 	if ctrl != nil {
 		fmt.Printf("resize passes: %d decisions, %d daemon cycles\n",
-			len(ctrl.Events()), ctrl.CyclesSpent())
+			ctrl.DecisionCount(), ctrl.CyclesSpent())
 	}
 }
 

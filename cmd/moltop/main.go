@@ -173,19 +173,12 @@ func render(client *http.Client, base string) (string, error) {
 	if total, detail := sumLabeled(snap.Counters, "molcache_resize_actions_total"); total > 0 {
 		m.AddRow("molcache_resize_actions_total", fmt.Sprintf("%d (%s)", total, detail))
 	}
-	for _, k := range []string{
-		"molcache_molecular_avg_probes_per_access",
-		"noc_average_hops",
-		"noc_wire_energy_nj",
-	} {
-		if v, ok := snap.Gauges[k]; ok {
-			m.AddRow(k, fmt.Sprintf("%.3f", v))
-		}
+	if v, ok := snap.Gauges["molcache_molecular_avg_probes_per_access"]; ok {
+		m.AddRow("molcache_molecular_avg_probes_per_access", fmt.Sprintf("%.3f", v))
 	}
 	for _, k := range []string{
 		"molcache_molecular_probe_count",
 		"molcache_access_service_cycles",
-		"noc_hop_latency_cycles",
 	} {
 		if h, ok := snap.Histograms[k]; ok && h.Count > 0 {
 			m.AddRow(k+" (mean)", fmt.Sprintf("%.2f over %d", h.Sum/float64(h.Count), h.Count))

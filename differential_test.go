@@ -2,7 +2,7 @@
 // configuration drives two identically seeded molecular caches — one on
 // the O(1) block index, one forced onto the original linear probe scan
 // (UseReferenceProbe) — through the same randomized trace with resize
-// controllers ticking, a mesh attached and (in half the configurations)
+// controllers ticking and (in half the configurations)
 // an identical fault campaign scheduled against each. The two caches
 // must agree access by access on the full engine.Result, on every
 // coherence probe, and at the end on ledgers, probe histograms,
@@ -24,7 +24,6 @@ import (
 	"molcache/internal/faults"
 	"molcache/internal/invariant"
 	"molcache/internal/molecular"
-	"molcache/internal/noc"
 	"molcache/internal/obs"
 	"molcache/internal/resize"
 	"molcache/internal/rng"
@@ -57,7 +56,7 @@ func diffFaultCampaign() faults.Campaign {
 	}
 }
 
-// diffCache builds one side of the pair: cache, shared region, mesh,
+// diffCache builds one side of the pair: cache, shared region,
 // resize controller (with the post-pass invariant audit on, which also
 // verifies the block index after every grow/shrink/rebalance), registry
 // and, when asked, a fault injector expanded from the shared campaign.
@@ -70,13 +69,6 @@ func diffCache(t *testing.T, cfg molecular.Config, withFaults bool) (*molecular.
 	if _, err := c.CreateRegion(molecular.SharedASID, molecular.RegionOptions{
 		HomeCluster: 0, HomeTile: 0, InitialMolecules: 2,
 	}); err != nil {
-		t.Fatal(err)
-	}
-	mesh, err := noc.ForTiles(cfg.Clusters * cfg.TilesPerCluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AttachInterconnect(mesh); err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()

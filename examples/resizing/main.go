@@ -58,19 +58,19 @@ func main() {
 
 	// Show the controller's decision log around the transitions.
 	fmt.Println("\nresize decisions (one per line: action, windowed miss, size after):")
-	events := sim.Controller.Events()
-	step := len(events) / 24
+	decs := sim.Controller.Decisions()
+	step := len(decs) / 24
 	if step == 0 {
 		step = 1
 	}
-	for i := 0; i < len(events); i += step {
-		e := events[i]
-		if e.ASID != 1 {
+	for i := 0; i < len(decs); i += step {
+		d := decs[i]
+		if d.ASID != 1 {
 			continue
 		}
 		fmt.Printf("  @%8d  %-12s miss=%.3f -> %3d molecules\n",
-			e.At, e.Action, e.MissRate, e.Size)
+			d.At, d.Action, d.MissRate, d.SizeAfter)
 	}
 	fmt.Printf("\ndaemon cost: %d cycles over %d decisions (paper: 1500 cycles/app/pass)\n",
-		sim.Controller.CyclesSpent(), len(events))
+		sim.Controller.CyclesSpent(), sim.Controller.DecisionCount())
 }

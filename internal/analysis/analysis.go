@@ -120,7 +120,6 @@ func DefaultConfig() Config {
 			"internal/resize",
 			"internal/experiments",
 			"internal/cmp",
-			"internal/noc",
 			"internal/faults",
 			"internal/runner",
 		},
@@ -159,11 +158,6 @@ func DefaultConfig() Config {
 				Package: "internal/faults", Struct: "Injector",
 				Capture: []string{"Injector.CursorState"},
 				Restore: []string{"Injector.RestoreCursors"},
-			},
-			{
-				Package: "internal/noc", Struct: "Mesh",
-				Capture: []string{"Mesh.Stats"},
-				Restore: []string{"Mesh.RestoreStats"},
 			},
 			{
 				Package: "internal/telemetry", Struct: "Registry",

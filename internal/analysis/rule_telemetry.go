@@ -11,8 +11,8 @@ import (
 // Every name handed to Registry.Counter/Gauge/Histogram/
 // RegisterGaugeFunc — and every span name handed to SpanTracer.Begin/
 // BeginSolo — must either be a constant matching the project namespaces
-// (molcache_*, runner_*, resize_*, noc_*, obs_*, with an optional
-// {label} block) or a concatenation whose leftmost operand is such a
+// (molcache_*, runner_*, resize_*, obs_*, with an optional {label}
+// block) or a concatenation whose leftmost operand is such a
 // literal — the one sanctioned dynamic form, used to attach
 // per-instance label blocks. Names assembled with fmt.Sprintf are
 // banned outright: they defeat `grep -r metric_name` and invite
@@ -24,7 +24,7 @@ func init() { Register(telemetryNamesRule{}) }
 func (telemetryNamesRule) Name() string { return "telemetry-names" }
 
 func (telemetryNamesRule) Doc() string {
-	return "metric and span names must be literals (or literal-prefixed label concatenations) in the molcache_/runner_/resize_/noc_/obs_ namespaces, never fmt.Sprintf"
+	return "metric and span names must be literals (or literal-prefixed label concatenations) in the molcache_/runner_/resize_/obs_ namespaces, never fmt.Sprintf"
 }
 
 // registryMethods are the Registry entry points whose first argument is
@@ -41,11 +41,11 @@ var spanMethods = map[string]bool{
 
 // fullNameRE matches a complete metric or span name: namespace prefix,
 // snake body, optional label block.
-var fullNameRE = regexp.MustCompile(`^(molcache|runner|resize|noc|obs)_[a-z0-9_]+(\{.+\})?$`)
+var fullNameRE = regexp.MustCompile(`^(molcache|runner|resize|obs)_[a-z0-9_]+(\{.+\})?$`)
 
 // prefixRE matches the literal head of a label-concatenation
 // ("molcache_region_miss_rate" + label).
-var prefixRE = regexp.MustCompile(`^(molcache|runner|resize|noc|obs)_[a-z0-9_]+(\{[^}]*)?$`)
+var prefixRE = regexp.MustCompile(`^(molcache|runner|resize|obs)_[a-z0-9_]+(\{[^}]*)?$`)
 
 func (r telemetryNamesRule) Check(cfg Config, pkg *Package) []Diagnostic {
 	var out []Diagnostic
@@ -83,7 +83,7 @@ func (r telemetryNamesRule) checkName(pkg *Package, arg ast.Expr) (string, bool)
 	if tv, ok := pkg.Info.Types[arg]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
 		name := constant.StringVal(tv.Value)
 		if !fullNameRE.MatchString(name) {
-			return "metric name " + quote(name) + " outside the molcache_/runner_/resize_/noc_/obs_ namespaces", true
+			return "metric name " + quote(name) + " outside the molcache_/runner_/resize_/obs_ namespaces", true
 		}
 		return "", false
 	}

@@ -233,16 +233,11 @@ func ParseSizes(s string) ([]uint64, error) {
 func ParsePolicies(s string) ([]molecular.ReplacementKind, error) {
 	var out []molecular.ReplacementKind
 	for _, part := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(part)) {
-		case "random":
-			out = append(out, molecular.RandomReplacement)
-		case "randy":
-			out = append(out, molecular.RandyReplacement)
-		case "lru-direct", "lrudirect":
-			out = append(out, molecular.LRUDirect)
-		default:
-			return nil, fmt.Errorf("unknown policy %q", part)
+		p, err := molecular.ParsePolicy(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -53,9 +53,9 @@ type LineCorruption struct {
 	Line int `json:"line"`
 }
 
-// NoCDelay schedules a window of degraded interconnect service: remote
-// Ulmo lookups traversing the mesh inside [At, At+Duration) have their
-// first DropAttempts responses dropped (each costing a retry) and every
+// NoCDelay schedules a window of degraded interconnect service: Ulmo
+// lookups of sibling tiles inside [At, At+Duration) have their first
+// DropAttempts responses dropped (each costing a retry) and every
 // attempt pays ExtraCycles of added latency.
 type NoCDelay struct {
 	// At is the first access count inside the window.

@@ -8,7 +8,6 @@ import (
 	"molcache/internal/addr"
 	"molcache/internal/engine"
 	"molcache/internal/faults"
-	"molcache/internal/noc"
 	"molcache/internal/rng"
 	"molcache/internal/stats"
 	"molcache/internal/telemetry"
@@ -163,10 +162,6 @@ type Cache struct {
 	probes    *stats.Histogram
 	addresses uint64 // total references serviced (resize trigger input)
 
-	// mesh, when attached, accounts hop latency/energy for every Ulmo
-	// sweep of a remote tile (and the response on a remote hit).
-	//molvet:transient live attachment re-wired on restore; its counters checkpoint via noc.Stats
-	mesh         *noc.Mesh
 	remoteCycles uint64
 	// remote accumulates the NoC cycles charged by the access in flight;
 	// finish folds it into remoteCycles once the modelled service time
@@ -646,9 +641,8 @@ func (c *Cache) access(ref trace.Ref) engine.Result {
 // Molecular cache would enable in parallel — is computed from the
 // region's per-tile population, tile by tile, exactly as the linear
 // probe model accumulates it. The Ulmo sweep over contributing sibling
-// tiles still happens per tile (mesh latency, NoC fault windows and
-// retry accounting are per-traversal effects), but no molecule is
-// scanned.
+// tiles still happens per tile (NoC fault windows and retry accounting
+// are per-traversal effects), but no molecule is scanned.
 func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
 	shared := c.sharedRegion
 	sharedHere := shared != nil && shared.home.cluster == r.home.cluster
@@ -683,7 +677,7 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 		if len(r.byTile[t.id]) == 0 && (shared == nil || len(shared.byTile[t.id]) == 0) {
 			continue
 		}
-		if !c.ulmoTraverse(r.home.id, t.id) {
+		if !c.ulmoTraverse() {
 			// The delay fault outlasted the Ulmo's retry budget: this
 			// tile's molecules are unreachable for the current access —
 			// even when the index knows the line is resident there.
@@ -699,8 +693,6 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.DataReads = 1
-			// The data line rides the mesh back to the home tile.
-			c.traverse(t.id, r.home.id)
 			if c.ins != nil {
 				c.ins.indexHits.Inc()
 			}
@@ -739,7 +731,7 @@ func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine
 		if len(r.byTile[t.id]) == 0 && (shared == nil || len(shared.byTile[t.id]) == 0) {
 			continue
 		}
-		if !c.ulmoTraverse(r.home.id, t.id) {
+		if !c.ulmoTraverse() {
 			unreachable = true
 			continue
 		}
@@ -750,7 +742,6 @@ func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine
 			res.RemoteTileHit = true
 			res.TagProbes += probes
 			res.DataReads = 1
-			c.traverse(t.id, r.home.id)
 			return false
 		} else {
 			c.spans.EndValue(int64(probes))
@@ -860,7 +851,7 @@ func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 	if c.ins != nil {
 		// Modelled service time: the L2-hit latency as the base, the
 		// memory latency when the line was fetched, plus whatever NoC
-		// transit this access incurred.
+		// fault penalty this access incurred.
 		svc := float64(engine.L2HitCycles + c.remote)
 		if !res.Hit {
 			svc += engine.MemoryCycles
@@ -988,28 +979,8 @@ func (c *Cache) Rehome(asid uint16, tile int) error {
 	return nil
 }
 
-// AttachInterconnect routes Ulmo tile sweeps over the given mesh; the
-// mesh must have a node for every tile. Remote-tile searches then
-// accumulate hop latency (RemoteCycles) and wire energy (the mesh's own
-// counters).
-func (c *Cache) AttachInterconnect(m *noc.Mesh) error {
-	tiles := c.cfg.Clusters * c.cfg.TilesPerCluster
-	if m.Nodes() < tiles {
-		return fmt.Errorf("molecular: mesh of %d nodes cannot host %d tiles", m.Nodes(), tiles)
-	}
-	c.mesh = m
-	// A registry attached earlier covers the mesh too (and vice versa in
-	// AttachTelemetry): both orders leave the mesh exporting.
-	if c.reg != nil {
-		m.AttachTelemetry(c.reg)
-	}
-	return nil
-}
-
-// Interconnect returns the attached mesh (nil when none).
-func (c *Cache) Interconnect() *noc.Mesh { return c.mesh }
-
-// RemoteCycles returns the accumulated Ulmo hop latency.
+// RemoteCycles returns the cycles NoC delay faults have charged Ulmo
+// traversals: every retransmission's backoff, summed over the run.
 func (c *Cache) RemoteCycles() uint64 { return c.remoteCycles }
 
 // FreeMolecules returns the number of unassigned molecules cache-wide.

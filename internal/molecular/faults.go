@@ -214,37 +214,21 @@ func (c *Cache) applyScheduledFaults() {
 	}
 }
 
-// ulmoTraverse accounts one Ulmo request traversal between tiles as a
-// NoC-transit span whose value is the cycles charged (base hops plus
-// any fault-retry penalty).
-func (c *Cache) ulmoTraverse(from, to int) bool {
+// ulmoTraverse accounts one Ulmo request traversal to a sibling tile as
+// a NoC-transit span whose value is the fault-retry penalty charged.
+func (c *Cache) ulmoTraverse() bool {
 	c.spans.Begin("molcache_access_noc_transit")
 	start := c.remote
-	ok := c.ulmoHop(from, to)
+	ok := c.ulmoHop()
 	c.spans.EndValue(int64(c.remote - start))
 	return ok
-}
-
-// traverse accounts one mesh traversal for the access in flight and
-// returns the base latency charged (0 with no mesh attached).
-func (c *Cache) traverse(from, to int) uint64 {
-	if c.mesh == nil {
-		return 0
-	}
-	lat, err := c.mesh.Traverse(from, to)
-	if err != nil {
-		return 0
-	}
-	c.remote += lat
-	return lat
 }
 
 // ulmoHop is ulmoTraverse's body: it applies any active NoC fault
 // window — each dropped response costs a retransmission with linearly
 // growing backoff, and a fault outlasting the retry budget reports the
 // tile unreachable for this access.
-func (c *Cache) ulmoHop(from, to int) (reachable bool) {
-	base := c.traverse(from, to)
+func (c *Cache) ulmoHop() (reachable bool) {
 	if c.faults == nil {
 		return true
 	}
@@ -257,14 +241,10 @@ func (c *Cache) ulmoHop(from, to int) (reachable bool) {
 	if abandoned {
 		attempts = maxNoCAttempts
 	}
-	// The first attempt already paid `base`; each retry re-sends the
-	// request and backs off one extra-cycle step longer than the last.
+	// Attempt a backs off a·ExtraCycles, one step longer than the last.
 	var penalty uint64
 	for a := 1; a <= attempts; a++ {
 		penalty += d.ExtraCycles * uint64(a)
-		if a > 1 {
-			penalty += base
-		}
 	}
 	c.remote += penalty
 	retries := uint64(attempts - 1)

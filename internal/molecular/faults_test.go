@@ -278,8 +278,38 @@ func TestNoCDelayRetriesAndAbandon(t *testing.T) {
 	if err := c.AttachFaults(inj); err != nil {
 		t.Fatal(err)
 	}
-	warm(c, 9, 300, trace.Read)
+	// Each traversal inside a window pays ExtraCycles·a on attempt a, for
+	// attempts = min(DropAttempts+1, maxNoCAttempts): a fixed cost per
+	// traversal. The first 150 accesses cover only the first window, the
+	// rest only the second, so each window's traversals follow from its
+	// retry and abandon deltas.
+	penalty := func(extra uint64, attempts int) uint64 {
+		return extra * uint64(attempts*(attempts+1)/2)
+	}
+	for i := 0; i < 150; i++ {
+		c.Access(ref(9, uint64(i)*64, trace.Read))
+	}
+	d1 := c.Degradation()
+	if d1.NoCRetries == 0 || d1.NoCRetries%2 != 0 || d1.NoCAbandonedLookups != 0 {
+		t.Fatalf("first window: %d retries, %d abandoned; want a positive multiple of 2 and 0",
+			d1.NoCRetries, d1.NoCAbandonedLookups)
+	}
+	want := d1.NoCRetries / 2 * penalty(7, 3)
+	if got := c.RemoteCycles(); got != want {
+		t.Errorf("first window: RemoteCycles = %d, want %d", got, want)
+	}
+	for i := 150; i < 300; i++ {
+		c.Access(ref(9, uint64(i)*64, trace.Read))
+	}
 	d := c.Degradation()
+	abandoned := d.NoCAbandonedLookups
+	if retries := d.NoCRetries - d1.NoCRetries; retries != abandoned*(maxNoCAttempts-1) {
+		t.Errorf("second window: %d retries for %d abandoned traversals", retries, abandoned)
+	}
+	want += abandoned * penalty(3, maxNoCAttempts)
+	if got := c.RemoteCycles(); got != want {
+		t.Errorf("both windows: RemoteCycles = %d, want %d", got, want)
+	}
 	if d.NoCRetries == 0 {
 		t.Error("no NoC retries under a delay window")
 	}

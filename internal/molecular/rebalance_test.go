@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"molcache/internal/addr"
-	"molcache/internal/noc"
 	"molcache/internal/trace"
 )
 
@@ -108,48 +107,6 @@ func TestFreeInCluster(t *testing.T) {
 	r, _ := c.CreateRegion(1, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 8})
 	if got := c.FreeInCluster(r); got != 24 {
 		t.Errorf("FreeInCluster = %d, want 24", got)
-	}
-}
-
-func TestInterconnectAccountsRemoteTraffic(t *testing.T) {
-	c := MustNew(smallConfig(RandyReplacement))
-	mesh, err := noc.ForTiles(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AttachInterconnect(mesh); err != nil {
-		t.Fatal(err)
-	}
-	// A region spanning two tiles: remote probes must ride the mesh.
-	r, err := c.CreateRegion(1, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Grow(r, 4); err != nil {
-		t.Fatal(err)
-	}
-	for a := uint64(0); a < 1024*1024; a += 64 {
-		c.Access(trace.Ref{Addr: a, ASID: 1, Kind: trace.Read})
-	}
-	if mesh.Stats().Messages == 0 {
-		t.Error("no mesh traffic despite a spanning region")
-	}
-	if c.RemoteCycles() == 0 {
-		t.Error("no remote latency accounted")
-	}
-	if mesh.Energy() <= 0 {
-		t.Error("no wire energy accounted")
-	}
-}
-
-func TestAttachInterconnectTooSmall(t *testing.T) {
-	c := MustNew(smallConfig(RandyReplacement))
-	mesh, err := noc.New(1, 2, 0, 0) // 2 nodes for 4 tiles
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AttachInterconnect(mesh); err == nil {
-		t.Error("undersized mesh accepted")
 	}
 }
 

@@ -105,11 +105,6 @@ func (c *Cache) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) {
 	for _, r := range c.Regions() {
 		c.registerRegionGauges(r)
 	}
-	// An interconnect attached earlier joins the registry now; one
-	// attached later joins in AttachInterconnect.
-	if c.mesh != nil {
-		c.mesh.AttachTelemetry(reg)
-	}
 }
 
 // Tracer returns the attached tracer (nil when tracing is off).

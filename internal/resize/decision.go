@@ -12,7 +12,7 @@ package resize
 // Consumers: `molsim -explain-resize` dumps the tail, and the
 // introspection server publishes the ring at GET /decisions.
 
-// DefaultDecisionLog is the ring capacity when Config.DecisionLog is 0.
+// DefaultDecisionLog is the ring capacity.
 const DefaultDecisionLog = 4096
 
 // Decision is one audited Algorithm 1 evaluation.
@@ -52,17 +52,14 @@ type Decision struct {
 
 // record appends d to the bounded decision ring.
 func (c *Controller) record(d Decision) {
-	if c.decCap <= 0 {
-		return
-	}
 	c.decSeq++
 	d.Seq = c.decSeq
-	if len(c.decs) < c.decCap {
+	if len(c.decs) < DefaultDecisionLog {
 		c.decs = append(c.decs, d)
 		return
 	}
 	c.decs[c.decHead] = d
-	c.decHead = (c.decHead + 1) % c.decCap
+	c.decHead = (c.decHead + 1) % DefaultDecisionLog
 }
 
 // Decisions returns the retained decision log, oldest first.

@@ -8,33 +8,27 @@ import (
 	"molcache/internal/telemetry"
 )
 
-// Every Algorithm 1 evaluation must leave an auditable decision: one
-// Decision per Event, aligned in order, with a non-empty reason and the
-// inputs (miss, goal, free pool, size) the pass saw.
+// Every Algorithm 1 evaluation must leave an auditable decision, in
+// order, with a non-empty reason and the inputs (miss, goal, free pool,
+// size) the pass saw.
 func TestDecisionLogAlignsWithEvents(t *testing.T) {
 	cache := newCache(t)
 	ctrl := MustNew(cache, Config{Period: 2000, DefaultGoal: 0.1})
 	drive(cache, ctrl, 1, 0, 4*addr.MB, 60000)
 
-	events := ctrl.Events()
 	decs := ctrl.Decisions()
 	if len(decs) == 0 {
 		t.Fatal("no decisions recorded")
-	}
-	if len(decs) != len(events) {
-		t.Fatalf("%d decisions vs %d events", len(decs), len(events))
 	}
 	if ctrl.DecisionCount() != uint64(len(decs)) {
 		t.Fatalf("DecisionCount %d, retained %d with no overflow", ctrl.DecisionCount(), len(decs))
 	}
 	for i, d := range decs {
-		e := events[i]
 		if d.Seq != uint64(i+1) {
 			t.Fatalf("decision %d has seq %d", i, d.Seq)
 		}
-		if d.At != e.At || d.ASID != e.ASID || d.Action != e.Action ||
-			d.Delta != e.Delta || d.SizeAfter != e.Size || d.MissRate != e.MissRate {
-			t.Fatalf("decision %d diverges from event: %+v vs %+v", i, d, e)
+		if d.ASID != 1 || (i > 0 && d.At <= decs[i-1].At) {
+			t.Fatalf("decision %d out of order or for the wrong partition: %+v", i, d)
 		}
 		if d.Reason == "" {
 			t.Fatalf("decision %d has no reason: %+v", i, d)
@@ -64,14 +58,15 @@ func TestDecisionLogAlignsWithEvents(t *testing.T) {
 
 func TestDecisionRingBounded(t *testing.T) {
 	cache := newCache(t)
-	ctrl := MustNew(cache, Config{Period: 1000, MinPeriod: 1000, DefaultGoal: 0.1, DecisionLog: 8})
-	drive(cache, ctrl, 1, 0, 4*addr.MB, 40000)
+	// One pass every 10 accesses: 5,000 decisions overflow the ring.
+	ctrl := MustNew(cache, Config{Period: 10, MinPeriod: 10, MaxPeriod: 10, DefaultGoal: 0.1})
+	drive(cache, ctrl, 1, 0, 4*addr.MB, 50000)
 
 	decs := ctrl.Decisions()
-	if len(decs) != 8 {
-		t.Fatalf("ring holds %d, want 8", len(decs))
+	if len(decs) != DefaultDecisionLog {
+		t.Fatalf("ring holds %d, want %d", len(decs), DefaultDecisionLog)
 	}
-	if ctrl.DecisionCount() <= 8 {
+	if ctrl.DecisionCount() <= DefaultDecisionLog {
 		t.Fatalf("DecisionCount %d, want > ring size", ctrl.DecisionCount())
 	}
 	// Oldest-first and contiguous: the ring keeps the newest tail.
@@ -82,18 +77,6 @@ func TestDecisionRingBounded(t *testing.T) {
 	}
 	if decs[len(decs)-1].Seq != ctrl.DecisionCount() {
 		t.Fatalf("newest decision seq %d != total %d", decs[len(decs)-1].Seq, ctrl.DecisionCount())
-	}
-}
-
-func TestDecisionLogDisabled(t *testing.T) {
-	cache := newCache(t)
-	ctrl := MustNew(cache, Config{Period: 2000, DefaultGoal: 0.1, DecisionLog: -1})
-	drive(cache, ctrl, 1, 0, 4*addr.MB, 10000)
-	if len(ctrl.Decisions()) != 0 || ctrl.DecisionCount() != 0 {
-		t.Fatal("disabled decision log still recorded")
-	}
-	if len(ctrl.Events()) == 0 {
-		t.Fatal("events must keep flowing with the decision log off")
 	}
 }
 

@@ -76,9 +76,6 @@ type Config struct {
 	// and the index together, so corruption here must stop the run at
 	// the mutation, not at some later divergence. Test/debug aid.
 	DebugCheck bool
-	// DecisionLog sizes the bounded decision ring (see decision.go):
-	// 0 means DefaultDecisionLog, negative disables recording.
-	DecisionLog int
 }
 
 func (c Config) withDefaults() Config {
@@ -151,23 +148,6 @@ const (
 	ActionRebalance Action = "rebalance"
 )
 
-// Event records one per-partition resize decision, for tests, the
-// resizing example and ablation benches.
-type Event struct {
-	// At is the cache-wide address count when the decision ran.
-	At uint64
-	// ASID identifies the partition.
-	ASID uint16
-	// MissRate is the windowed miss rate that drove the decision.
-	MissRate float64
-	// Action is what was done.
-	Action Action
-	// Delta is the signed change in molecules actually effected.
-	Delta int
-	// Size is the partition size after the decision.
-	Size int
-}
-
 // appState carries per-application controller state.
 type appState struct {
 	lastMiss   float64
@@ -202,15 +182,12 @@ type Controller struct {
 	period uint64
 	nextAt uint64
 	apps   map[uint16]*appState
-	events []Event
 	cycles uint64
 
 	// Bounded decision ring (decision.go).
 	decs    []Decision
 	decHead int
-	//molvet:transient ring capacity derived from Config at construction
-	decCap int
-	decSeq uint64
+	decSeq  uint64
 
 	// tracer, decisions and spans are the telemetry attachments (nil by
 	// default; a detached controller pays one pointer check per pass).
@@ -232,17 +209,12 @@ func New(cache *molecular.Cache, cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	decCap := cfg.DecisionLog
-	if decCap == 0 {
-		decCap = DefaultDecisionLog
-	}
 	return &Controller{
 		cfg:    cfg,
 		cache:  cache,
 		period: cfg.Period,
 		nextAt: cfg.Period,
 		apps:   make(map[uint16]*appState),
-		decCap: decCap,
 	}, nil
 }
 
@@ -284,9 +256,6 @@ func (c *Controller) SetGoal(asid uint16, goal float64) error {
 	c.cfg.Goals = goals
 	return nil
 }
-
-// Events returns the decision log.
-func (c *Controller) Events() []Event { return c.events }
 
 // CyclesSpent returns the modelled daemon compute cost so far.
 func (c *Controller) CyclesSpent() uint64 { return c.cycles }
@@ -419,25 +388,29 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 	w := r.Window().Roll()
 	goal := c.Goal(r.ASID())
 	miss := w.MissRate()
-	ev := Event{
-		At:       c.cache.Addresses(),
-		ASID:     r.ASID(),
-		MissRate: miss,
-		Action:   ActionNone,
-	}
-	// Decision-log inputs, captured before the pass mutates anything.
+	// The decision's inputs are captured before the pass mutates
+	// anything; the switch below fills in its outcome.
 	sizeBefore := r.MoleculeCount()
 	free := c.cache.FreeInCluster(r)
-	wasFrozen := s.frozen > 0
-	period := c.period
+	d := Decision{
+		At:             c.cache.Addresses(),
+		ASID:           r.ASID(),
+		MissRate:       miss,
+		Goal:           goal,
+		Deviation:      miss - goal,
+		WindowAccesses: w.Accesses(),
+		SizeBefore:     sizeBefore,
+		FreeInCluster:  free,
+		FreeGate:       2 * c.cfg.MaxAllocation,
+		Frozen:         s.frozen > 0,
+		Period:         c.period,
+		Action:         ActionNone,
+	}
 	if c.cfg.Trigger == AdaptivePerApp {
-		period = s.period
+		d.Period = s.period
 	}
 	reason := ""
 	defer func() {
-		ev.Size = r.MoleculeCount()
-		c.events = append(c.events, ev)
-		c.observe(ev)
 		if reason == "" {
 			// The switch matched no case (or a case chose inaction
 			// without saying why): the partition is simply healthy.
@@ -448,30 +421,17 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 				reason = fmt.Sprintf("miss %.3f meets goal %.3f: leave alone", miss, goal)
 			}
 		}
-		c.record(Decision{
-			At:             ev.At,
-			ASID:           ev.ASID,
-			MissRate:       miss,
-			Goal:           goal,
-			Deviation:      miss - goal,
-			WindowAccesses: w.Accesses(),
-			SizeBefore:     sizeBefore,
-			FreeInCluster:  free,
-			FreeGate:       2 * c.cfg.MaxAllocation,
-			Floor:          s.floor,
-			Frozen:         wasFrozen,
-			Period:         period,
-			Action:         ev.Action,
-			Delta:          ev.Delta,
-			SizeAfter:      ev.Size,
-			Reason:         reason,
-		})
+		d.Floor = s.floor
+		d.SizeAfter = r.MoleculeCount()
+		d.Reason = reason
+		c.record(d)
+		c.observe(d)
 		// Consume the epoch's placement counters only after the grow/
 		// shrink placement has used them.
 		r.ResetEpoch()
 		s.lastMiss = miss
 		s.haveLast = true
-		s.lastAction = ev.Action
+		s.lastAction = d.Action
 	}()
 	if goal <= 0 {
 		reason = "no miss-rate goal set: partition unmanaged"
@@ -540,8 +500,8 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 				// cluster and freeze further emergency growth.
 				n, _ := c.cache.Shrink(r, s.growSinceMark)
 				s.frozen = freezePasses
-				ev.Action = ActionShrink
-				ev.Delta = -n
+				d.Action = ActionShrink
+				d.Delta = -n
 				reason = fmt.Sprintf("futility audit failed: miss %.3f vs %.3f at mark; reclaimed %d molecules and froze emergency growth for %d passes",
 					miss, s.missAtMark, n, freezePasses)
 			} else {
@@ -567,7 +527,7 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 			s.lastAlloc = got
 		}
 		if got == 0 && s.rebalanceCool <= 0 && c.cache.Rebalance(r) {
-			ev.Action = ActionRebalance
+			d.Action = ActionRebalance
 			s.rebalanceCool = rebalanceCooldown
 			reason = fmt.Sprintf("miss %.3f > 0.5 but cluster free pool exhausted (free %d): rebalanced rows with owned molecules",
 				miss, free)
@@ -578,8 +538,8 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 			s.markAt = c.cache.Addresses()
 		}
 		s.growSinceMark += got
-		ev.Action = ActionGrowChunk
-		ev.Delta = got
+		d.Action = ActionGrowChunk
+		d.Delta = got
 		reason = fmt.Sprintf("miss %.3f > 0.5 and over goal %.3f: emergency grow by chunk (asked %d, got %d)",
 			miss, goal, s.maxAlloc, got)
 	case miss < goal &&
@@ -603,8 +563,8 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 		if count > 0 {
 			s.preShrink = cur
 			n, _ := c.cache.Shrink(r, count)
-			ev.Action = ActionShrink
-			ev.Delta = -n
+			d.Action = ActionShrink
+			d.Delta = -n
 			reason = fmt.Sprintf("miss %.3f under goal %.3f with cluster free pool low (free %d <= gate %d): withdrew sqrt-model %d molecules",
 				miss, goal, free, 2*c.cfg.MaxAllocation, n)
 		} else if s.floor > 0 && cur <= s.floor {
@@ -635,14 +595,14 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 			if got == 0 && s.rebalanceCool <= 0 && c.cache.Rebalance(r) {
 				// Pool exhausted: adapt the replacement view's row
 				// widths with the molecules already owned.
-				ev.Action = ActionRebalance
+				d.Action = ActionRebalance
 				s.rebalanceCool = rebalanceCooldown
 				reason = fmt.Sprintf("miss %.3f over goal %.3f but cluster free pool exhausted (free %d): rebalanced rows with owned molecules",
 					miss, goal, free)
 				break
 			}
-			ev.Action = ActionGrowLinear
-			ev.Delta = got
+			d.Action = ActionGrowLinear
+			d.Delta = got
 			reason = fmt.Sprintf("miss %.3f over goal %.3f: linear growth toward target %d (asked %d, got %d)",
 				miss, goal, target, delta, got)
 		} else {

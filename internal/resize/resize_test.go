@@ -114,19 +114,19 @@ func TestEmergencyGrowthOnThrash(t *testing.T) {
 	// molecules back.
 	drive(cache, ctrl, 1, 0, 4*addr.MB, 150000)
 	sawChunk, peak, gaveBack := false, 0, false
-	for _, e := range ctrl.Events() {
-		if e.Action == ActionGrowChunk {
+	for _, d := range ctrl.Decisions() {
+		if d.Action == ActionGrowChunk {
 			sawChunk = true
 		}
-		if e.Size > peak {
-			peak = e.Size
+		if d.SizeAfter > peak {
+			peak = d.SizeAfter
 		}
-		if e.Action == ActionShrink && e.Delta <= -8 {
+		if d.Action == ActionShrink && d.Delta <= -8 {
 			gaveBack = true
 		}
 	}
 	if !sawChunk {
-		t.Error("no grow-chunk event recorded")
+		t.Error("no grow-chunk decision recorded")
 	}
 	if peak <= 4 {
 		t.Errorf("partition never grew under thrash (peak %d)", peak)
@@ -161,13 +161,13 @@ func TestShrinkWhenUnderGoal(t *testing.T) {
 		t.Error("partition shrank below one molecule")
 	}
 	sawShrink := false
-	for _, e := range ctrl.Events() {
-		if e.Action == ActionShrink {
+	for _, d := range ctrl.Decisions() {
+		if d.Action == ActionShrink {
 			sawShrink = true
 		}
 	}
 	if !sawShrink {
-		t.Error("no shrink event recorded")
+		t.Error("no shrink decision recorded")
 	}
 }
 
@@ -182,9 +182,9 @@ func TestUnmanagedAppUntouched(t *testing.T) {
 	if got := cache.Region(2).MoleculeCount(); got != 4 {
 		t.Errorf("unmanaged app resized to %d molecules", got)
 	}
-	for _, e := range ctrl.Events() {
-		if e.ASID == 2 && e.Action != ActionNone {
-			t.Errorf("unmanaged app got action %s", e.Action)
+	for _, d := range ctrl.Decisions() {
+		if d.ASID == 2 && d.Action != ActionNone {
+			t.Errorf("unmanaged app got action %s", d.Action)
 		}
 	}
 }
@@ -280,19 +280,19 @@ func TestEventsCarrySizes(t *testing.T) {
 	cache := newCache(t)
 	ctrl := MustNew(cache, Config{Period: 1000, DefaultGoal: 0.1})
 	drive(cache, ctrl, 1, 0, 4*addr.MB, 5000)
-	evs := ctrl.Events()
-	if len(evs) == 0 {
-		t.Fatal("no events")
+	decs := ctrl.Decisions()
+	if len(decs) == 0 {
+		t.Fatal("no decisions")
 	}
-	for _, e := range evs {
-		if e.Size < 1 {
-			t.Errorf("event with size %d", e.Size)
+	for _, d := range decs {
+		if d.SizeAfter < 1 {
+			t.Errorf("decision with size %d", d.SizeAfter)
 		}
-		if e.ASID != 1 {
-			t.Errorf("unexpected ASID %d", e.ASID)
+		if d.ASID != 1 {
+			t.Errorf("unexpected ASID %d", d.ASID)
 		}
-		if e.MissRate < 0 || e.MissRate > 1 {
-			t.Errorf("bad miss rate %v", e.MissRate)
+		if d.MissRate < 0 || d.MissRate > 1 {
+			t.Errorf("bad miss rate %v", d.MissRate)
 		}
 	}
 }
@@ -346,13 +346,13 @@ func TestRebalanceWhenPoolDry(t *testing.T) {
 		t.Fatalf("free pool not exhausted: %d", cache.FreeMolecules())
 	}
 	saw := false
-	for _, e := range ctrl.Events() {
-		if e.Action == ActionRebalance {
+	for _, d := range ctrl.Decisions() {
+		if d.Action == ActionRebalance {
 			saw = true
 		}
 	}
 	if !saw {
-		t.Error("no rebalance event despite a dry pool and row pressure")
+		t.Error("no rebalance decision despite a dry pool and row pressure")
 	}
 	if err := cache.CheckInvariants(); err != nil {
 		t.Fatal(err)

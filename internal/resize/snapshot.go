@@ -8,8 +8,8 @@ import (
 // This file is the controller's checkpoint layer. Everything Algorithm 1
 // consults between passes is serialized: the shared period/trigger
 // cursor, the per-application state (shrink-regret floors, futility
-// audit marks, freeze counters, per-app periods), the event log, the
-// daemon cycle account, and the bounded decision ring. Restore validates
+// audit marks, freeze counters, per-app periods), the daemon cycle
+// account, and the bounded decision ring. Restore validates
 // untrusted input and returns errors, never panics — corrupted
 // checkpoints must degrade to a cold start, not kill the run.
 
@@ -43,7 +43,6 @@ type ControllerState struct {
 	NextAt uint64    `json:"next_at"`
 	Cycles uint64    `json:"cycles"`
 	Apps   []AppSnap `json:"apps"`
-	Events []Event   `json:"events"`
 	// Decisions is the ring's contents oldest-first (as Decisions()
 	// returns them); DecisionSeq is the lifetime count.
 	Decisions   []Decision `json:"decisions"`
@@ -61,7 +60,6 @@ func (c *Controller) CaptureState() ControllerState {
 		Period:      c.period,
 		NextAt:      c.nextAt,
 		Cycles:      c.cycles,
-		Events:      append([]Event(nil), c.events...),
 		Decisions:   c.Decisions(),
 		DecisionSeq: c.decSeq,
 	}
@@ -102,9 +100,9 @@ func (c *Controller) RestoreState(st ControllerState) error {
 		return fmt.Errorf("resize: restore: %d retained decisions exceed lifetime count %d",
 			len(st.Decisions), st.DecisionSeq)
 	}
-	if c.decCap > 0 && len(st.Decisions) > c.decCap {
+	if len(st.Decisions) > DefaultDecisionLog {
 		return fmt.Errorf("resize: restore: %d retained decisions exceed ring capacity %d",
-			len(st.Decisions), c.decCap)
+			len(st.Decisions), DefaultDecisionLog)
 	}
 	apps := make(map[uint16]*appState, len(st.Apps))
 	prev := -1
@@ -136,7 +134,6 @@ func (c *Controller) RestoreState(st ControllerState) error {
 	c.nextAt = st.NextAt
 	c.cycles = st.Cycles
 	c.apps = apps
-	c.events = append([]Event(nil), st.Events...)
 	// The ring is reloaded linearized: head 0, oldest first. Decisions()
 	// re-linearizes on read, so the external view is unchanged.
 	c.decs = append([]Decision(nil), st.Decisions...)

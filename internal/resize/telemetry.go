@@ -3,7 +3,7 @@ package resize
 import "molcache/internal/telemetry"
 
 // AttachTelemetry routes resize decisions through a tracer (one
-// KindResize event per decision, mirroring the Events() log) and a
+// KindResize event per decision, mirroring the decision log) and a
 // registry (per-action decision counters and a live period gauge).
 // Either may be nil; the default detached controller pays one pointer
 // check per decision.
@@ -27,13 +27,13 @@ func (c *Controller) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Regist
 }
 
 // observe records one decision on the attached telemetry. Called from
-// resizeOne's deferred event append so tracing sees exactly the events
-// the Events() log does, in the same order.
-func (c *Controller) observe(ev Event) {
-	if ctr := c.decisions[ev.Action]; ctr != nil {
+// resizeOne's deferred record so tracing sees exactly the decisions the
+// log does, in the same order.
+func (c *Controller) observe(d Decision) {
+	if ctr := c.decisions[d.Action]; ctr != nil {
 		ctr.Inc()
 	}
 	if c.tracer != nil {
-		c.tracer.Resize(ev.At, ev.ASID, string(ev.Action), ev.Delta, ev.Size)
+		c.tracer.Resize(d.At, d.ASID, string(d.Action), d.Delta, d.SizeAfter)
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"molcache/internal/telemetry"
 )
 
-// TestTracedResizeEventOrdering checks that the tracer's resize events
-// mirror the Events() decision log exactly — same count, same order,
-// same (At, ASID, Action, Delta, Size) — and that the per-action
-// counters in the registry tally the same decisions.
-func TestTracedResizeEventOrdering(t *testing.T) {
+// TestTracedResizeDecisionOrdering checks that the tracer's resize events
+// mirror the decision log exactly — same count, same order, same (At,
+// ASID, Action, Delta, SizeAfter) — and that the per-action counters in
+// the registry tally the same decisions.
+func TestTracedResizeDecisionOrdering(t *testing.T) {
 	cache := newCache(t)
 	ctrl := MustNew(cache, Config{
 		Period:      2000,
@@ -34,7 +34,7 @@ func TestTracedResizeEventOrdering(t *testing.T) {
 			traced = append(traced, ev)
 		}
 	}
-	logged := ctrl.Events()
+	logged := ctrl.Decisions()
 	if len(logged) == 0 {
 		t.Fatal("controller made no decisions; the workload is miscalibrated")
 	}
@@ -42,13 +42,13 @@ func TestTracedResizeEventOrdering(t *testing.T) {
 		t.Fatalf("traced %d resize events, logged %d decisions", len(traced), len(logged))
 	}
 	actions := map[Action]uint64{}
-	for i, ev := range logged {
+	for i, d := range logged {
 		got := traced[i]
-		if got.At != ev.At || got.ASID != ev.ASID || got.Detail != string(ev.Action) ||
-			got.Value != int64(ev.Delta) || got.Aux != int64(ev.Size) {
-			t.Errorf("event %d: traced %+v != logged %+v", i, got, ev)
+		if got.At != d.At || got.ASID != d.ASID || got.Detail != string(d.Action) ||
+			got.Value != int64(d.Delta) || got.Aux != int64(d.SizeAfter) {
+			t.Errorf("decision %d: traced %+v != logged %+v", i, got, d)
 		}
-		actions[ev.Action]++
+		actions[d.Action]++
 	}
 	// Sequence numbers must be strictly increasing (emission order).
 	for i := 1; i < len(traced); i++ {
@@ -71,7 +71,7 @@ func TestDetachedControllerEmitsNothing(t *testing.T) {
 	cache := newCache(t)
 	ctrl := MustNew(cache, Config{Period: 2000, Trigger: Constant, DefaultGoal: 0.10})
 	drive(cache, ctrl, 1, 0, 600*1024, 30_000)
-	if len(ctrl.Events()) == 0 {
+	if ctrl.DecisionCount() == 0 {
 		t.Fatal("no decisions made")
 	}
 	// Attach then detach: further decisions must not panic or emit.

@@ -73,7 +73,7 @@ func TestPrometheusLabeledHistogramRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Histogram(`molcache_access_service_cycles{asid="3"}`, []float64{8, 64}).Observe(5)
 	reg.Histogram(`molcache_access_service_cycles{asid="3"}`, nil).Observe(200)
-	reg.Histogram("noc_hop_latency_cycles", []float64{2, 4, 8}).Observe(6)
+	reg.Histogram("molcache_molecular_probe_count", []float64{2, 4, 8}).Observe(6)
 	reg.Counter("molcache_edge_hits_total").Add(7)
 	reg.Gauge("molcache_edge_occupancy").Set(0.625)
 

@@ -36,7 +36,6 @@ import (
 	"molcache/internal/invariant"
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
-	"molcache/internal/noc"
 	"molcache/internal/partition"
 	"molcache/internal/power"
 	"molcache/internal/resize"
@@ -80,8 +79,6 @@ type (
 	ResizeConfig = resize.Config
 	// Controller drives Algorithm 1 over a molecular cache.
 	Controller = resize.Controller
-	// ResizeEvent records one resize decision.
-	ResizeEvent = resize.Event
 	// ResizeDecision is one reasoned entry of the controller's decision
 	// log: Algorithm 1's inputs (miss rate, goal, free pool, period), the
 	// action it chose and a human-readable reason. Controller.Decisions
@@ -116,9 +113,6 @@ type (
 	HitMiss = stats.HitMiss
 	// Ledger tracks hit/miss counts per ASID.
 	Ledger = stats.Ledger
-
-	// Mesh models the tile interconnection network.
-	Mesh = noc.Mesh
 
 	// Profiler computes LRU stack-distance (miss-ratio-curve) profiles.
 	Profiler = stackdist.Profiler
@@ -276,9 +270,6 @@ func EstimatePower(g PowerGeometry) (PowerEstimate, error) {
 func EstimateMolecularPower(g MolecularPowerGeometry) (MolecularPowerEstimate, error) {
 	return power.ModelMolecular(g, power.Tech70)
 }
-
-// MeshForTiles builds a near-square mesh sized for n tiles.
-func MeshForTiles(n int) (*Mesh, error) { return noc.ForTiles(n) }
 
 // NewProfiler builds a stack-distance profiler over the given line size.
 func NewProfiler(lineSize uint64) *Profiler { return stackdist.New(lineSize) }

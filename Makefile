@@ -49,9 +49,10 @@ race-serve:
 	$(GO) test -race -count=10 -run '^TestServedTrafficOracle$$' .
 
 # Just the hot-path micro benches (fast; includes the telemetry
-# overhead comparison, the CMP capture step and the per-ASID ledger).
+# overhead comparison, the CMP capture step, whole mix captures and the
+# per-ASID ledger).
 bench-micro:
-	$(GO) test -bench 'Access|CMPStep|WorkloadGeneration|LedgerRecord' -benchmem -run=NONE . ./internal/stats
+	$(GO) test -bench 'Access|CMPStep|CaptureMix|WorkloadGeneration|LedgerRecord' -benchmem -run=NONE . ./internal/stats
 
 # Fuzz the trace and checkpoint decoders, the molvet directive parser,
 # the molcached wire-protocol decoder and its journal batch decoder

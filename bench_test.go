@@ -444,6 +444,40 @@ func BenchmarkCMPStep(b *testing.B) {
 	}
 }
 
+// BenchmarkCaptureMix captures the twelve-app mixed workload's L1-miss
+// stream, 2M processor references at seed 2006 over the 1 MB 4-way L2,
+// two ways: cmp.System stepping every reference, and cmp.RunMix's two
+// stages. One op is a whole capture; ns/ref divides it by the processor
+// references.
+func BenchmarkCaptureMix(b *testing.B) {
+	const refs = 2_000_000
+	run := func(b *testing.B, capture func(l2 *cache.Cache) ([]trace.Ref, error)) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
+			if _, err := capture(l2); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/refs, "ns/ref")
+	}
+	b.Run("system", func(b *testing.B) {
+		run(b, func(l2 *cache.Cache) ([]trace.Ref, error) {
+			sys := cmp.New(l2, cmp.Config{CaptureL1Misses: true})
+			if err := sys.AddMix(workload.MixedNames, 2006); err != nil {
+				return nil, err
+			}
+			sys.Run(refs)
+			return sys.Captured(), nil
+		})
+	})
+	b.Run("runmix", func(b *testing.B) {
+		run(b, func(l2 *cache.Cache) ([]trace.Ref, error) {
+			return cmp.RunMix(l2, workload.MixedNames, refs, 2006, true)
+		})
+	})
+}
+
 // BenchmarkPowerModel measures one full organization search.
 func BenchmarkPowerModel(b *testing.B) {
 	g := molcache.PowerGeometry{SizeBytes: 8 * addr.MB, Assoc: 4, LineBytes: 64, Ports: 4}

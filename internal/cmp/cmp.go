@@ -51,6 +51,14 @@ var (
 	_ [16 - coherence.MaxCaches]struct{}
 )
 
+// asidShift places a mix application's address space: MixApp bases
+// ASID a at a<<asidShift, so its window is [a<<36, (a+1)<<36).
+const asidShift = 36
+
+// errTooManyCores rejects a core beyond coherence.MaxCaches, in AddCore
+// and in RunMix alike.
+var errTooManyCores = fmt.Errorf("cmp: at most %d cores supported", coherence.MaxCaches)
+
 // Config parameterizes the CMP substrate.
 type Config struct {
 	// CaptureL1Misses records the L1-miss stream for replay.
@@ -139,7 +147,7 @@ func New(l2 engine.Cache, cfg Config) *System {
 // first Step.
 func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	if len(s.cores) >= coherence.MaxCaches {
-		return fmt.Errorf("cmp: at most %d cores supported", coherence.MaxCaches)
+		return errTooManyCores
 	}
 	if s.issued > 0 {
 		return fmt.Errorf("cmp: cores must be added before the first Step")
@@ -166,7 +174,7 @@ func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 // is seeded seed+ASID*1000.
 func MixApp(i int, name string, seed uint64) (uint16, workload.Generator, error) {
 	asid := uint16(i + 1)
-	gen, err := workload.New(name, uint64(asid)<<36, seed+uint64(asid)*1000)
+	gen, err := workload.New(name, uint64(asid)<<asidShift, seed+uint64(asid)*1000)
 	return asid, gen, err
 }
 
@@ -189,15 +197,11 @@ func (s *System) AddMix(names []string, seed uint64) error {
 // paper's 1 MB 4-way shared L2 and returns the captured L1-miss stream.
 // Which lines miss the L1 does not depend on the L2, but the
 // interleaving does (cores stall on L2 misses), so every capture uses
-// this one reference L2 as its timing substrate.
+// this one reference L2 as its timing substrate. It runs on RunMix, so
+// the stream is the one a System built by AddMix captures.
 func CaptureMix(names []string, refs int, seed uint64) ([]trace.Ref, error) {
 	l2 := cache.MustNew(cache.Config{Size: addr.MB, Ways: 4, LineSize: lineSize})
-	s := New(l2, Config{CaptureL1Misses: true})
-	if err := s.AddMix(names, seed); err != nil {
-		return nil, err
-	}
-	s.Run(refs)
-	return s.Captured(), nil
+	return RunMix(l2, names, refs, seed, true)
 }
 
 // L2 returns the shared cache.

@@ -44,11 +44,9 @@ func Table1(opt Options) ([]Table1Row, error) {
 				return Table1Row{}, err
 			}
 			l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-			sys := cmp.New(l2, cmp.Config{})
-			if err := sys.AddMix(mix, opt.Seed); err != nil {
+			if _, err := cmp.RunMix(l2, mix, opt.ProcessorRefs, opt.Seed, false); err != nil {
 				return Table1Row{}, err
 			}
-			sys.Run(opt.ProcessorRefs)
 			row := Table1Row{Apps: mix, MissRate: make(map[string]float64, len(mix))}
 			for i, name := range mix {
 				row.MissRate[name] = l2.Ledger().App(uint16(i + 1)).MissRate()

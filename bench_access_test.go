@@ -13,6 +13,7 @@ package molcache_test
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -149,28 +150,54 @@ func newMix12Sim(tb testing.TB) *molcache.Simulator {
 	return &molcache.Simulator{Cache: mc, Controller: ctrl}
 }
 
-// BenchmarkAccessMix12 replays the paper's mixed traffic through
-// Simulator.Access: twelve tenants interleaved reference by reference,
-// misses and fills, and resize passes — the costs a one-tenant hit
-// stream cannot show. Every pass over the capture starts a fresh
-// simulator (built with the timer stopped), as the paper's runs do.
+// mix12Window is the AccessBatch window of BenchmarkAccessMix12/batch:
+// molsim's default -batch, and the window _bench's replay-mix12 uses.
+const mix12Window = 4096
+
+// BenchmarkAccessMix12 replays the paper's mixed traffic: twelve
+// tenants interleaved reference by reference, misses and fills, and
+// resize passes — the costs a one-tenant hit stream cannot show. An op
+// is one reference. `access` calls Simulator.Access per reference;
+// `batch` replays the same capture in AccessBatch windows of
+// mix12Window references, the way _bench's replay-mix12 drives it, so
+// it pays whatever a batch costs beyond its accesses. Every pass over
+// the capture starts a fresh simulator (built with the timer stopped),
+// as the paper's runs do.
 func BenchmarkAccessMix12(b *testing.B) {
 	refs, err := mix12Trace()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var sim *molcache.Simulator
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(refs)
-		if j == 0 {
-			b.StopTimer()
-			sim = newMix12Sim(b)
-			b.StartTimer()
+	b.Run("access", func(b *testing.B) {
+		var sim *molcache.Simulator
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % len(refs)
+			if j == 0 {
+				b.StopTimer()
+				sim = newMix12Sim(b)
+				b.StartTimer()
+			}
+			sim.Access(refs[j])
 		}
-		sim.Access(refs[j])
-	}
+	})
+	b.Run("batch", func(b *testing.B) {
+		var sim *molcache.Simulator
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; {
+			j := done % len(refs)
+			if j == 0 {
+				b.StopTimer()
+				sim = newMix12Sim(b)
+				b.StartTimer()
+			}
+			n := min(mix12Window, len(refs)-j, b.N-done)
+			sim.AccessBatch(refs[j : j+n])
+			done += n
+		}
+	})
 }
 
 // TestAccessHotPathZeroAllocs pins the allocation-elimination claim
@@ -231,6 +258,69 @@ func TestAccessHotPathZeroAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// batchSim wraps a warmed hot cache (hotCache) in a Simulator whose
+// resize controller never fires, so AccessBatch's own cost is what a
+// window pays.
+func batchSim(tb testing.TB) (*molcache.Simulator, []trace.Ref) {
+	tb.Helper()
+	c, refs := hotCache(tb, molecular.RandyReplacement, 64, 1, false)
+	ctrl, err := resize.New(c, resize.Config{Trigger: resize.Constant, Period: 1 << 40})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	window := make([]trace.Ref, 0, mix12Window)
+	for len(window) < mix12Window {
+		window = append(window, refs[len(window)%len(refs)])
+	}
+	return &molcache.Simulator{Cache: c, Controller: ctrl}, window
+}
+
+// TestAccessBatchZeroAllocs pins the batch replay's allocation claim:
+// once a cache is warm, a 4,096-reference window of hits through
+// AccessBatch allocates nothing, because the results live in a buffer
+// the simulator reuses. It also pins that buffer's documented
+// lifetime: the slice AccessBatch returns is valid until that
+// simulator's next AccessBatch call, which overwrites it in place; a
+// longer batch grows the buffer; another simulator has its own.
+func TestAccessBatchZeroAllocs(t *testing.T) {
+	sim, window := batchSim(t)
+	hitsBefore := sim.Cache.Ledger().Total.Hits
+	allocs := testing.AllocsPerRun(20, func() {
+		sim.AccessBatch(window)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per %d-reference AccessBatch window, want 0", allocs, len(window))
+	}
+	if got := sim.Cache.Ledger().Total.Hits - hitsBefore; got < 20*uint64(len(window)) {
+		t.Errorf("%d hits over 21 windows of %d references; the warmed stream must hit", got, len(window))
+	}
+
+	// Results match the per-reference fold on an identical simulator.
+	twin, _ := batchSim(t)
+	first := sim.AccessBatch(window[:3])
+	want := []molcache.AccessResult{twin.Access(window[0]), twin.Access(window[1]), twin.Access(window[2])}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("AccessBatch results %+v, Access fold %+v", first, want)
+	}
+	// The next call reuses the same storage and overwrites it.
+	miss := trace.Ref{Addr: 1 << 40, ASID: 1, Kind: trace.Write}
+	second := sim.AccessBatch([]trace.Ref{miss})
+	if &second[0] != &first[0] {
+		t.Error("the next AccessBatch did not reuse the simulator's results buffer")
+	}
+	if first[0] != second[0] || first[0].Hit {
+		t.Errorf("the reused buffer holds %+v, want the miss %+v just returned", first[0], second[0])
+	}
+	// A longer batch grows the buffer; another simulator owns its own.
+	long := sim.AccessBatch(append(window, window[0]))
+	if len(long) != len(window)+1 || &long[0] == &first[0] {
+		t.Errorf("a %d-reference batch returned %d results in the old buffer", len(window)+1, len(long))
+	}
+	if other := twin.AccessBatch(window[:1]); &other[0] == &long[0] {
+		t.Error("two simulators share one results buffer")
+	}
 }
 
 // TestWriteAccessBench runs the access grid through testing.Benchmark

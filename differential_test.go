@@ -101,13 +101,29 @@ func diffCache(t *testing.T, cfg molecular.Config, withFaults bool) (*molecular.
 // overflow map rather than by direct index.
 const diffOverflowASID uint16 = stats.DenseASIDs + 44
 
-// diffPrivateASIDs are the private applications of the oracle traces.
-var diffPrivateASIDs = []uint16{1, 2, 3, diffOverflowASID}
+// diffHighASID is the fifth private application's ASID. Its addresses
+// have bit 63 set, so its block numbers lie past the largest block a
+// packed block-index slot holds (2^57-2 for the oracle caches' 64
+// molecules) and its index entries live in the overflow map.
+const diffHighASID uint16 = 5
 
-// diffTrace generates the randomized reference stream: four private
-// applications (one above the dense ASID bound) with distinct hot sets
-// and long tails, a trickle of shared-region traffic (which also
-// exercises the shared-region self-lookup), and a 30% write mix.
+// diffPrivateASIDs are the private applications of the oracle traces.
+var diffPrivateASIDs = []uint16{1, 2, 3, diffOverflowASID, diffHighASID}
+
+// diffAddr is the byte address of block within asid's address space.
+func diffAddr(asid uint16, block uint64) uint64 {
+	a := uint64(asid)<<32 | block*64
+	if asid == diffHighASID {
+		a |= 1 << 63
+	}
+	return a
+}
+
+// diffTrace generates the randomized reference stream: five private
+// applications (one above the dense ASID bound, one at block numbers
+// past the packed index range) with distinct hot sets and long tails, a
+// trickle of shared-region traffic (which also exercises the
+// shared-region self-lookup), and a 30% write mix.
 func diffTrace(seed uint64) []trace.Ref {
 	src := rng.New(seed)
 	refs := make([]trace.Ref, 0, diffAccesses)
@@ -130,7 +146,7 @@ func diffTrace(seed uint64) []trace.Ref {
 			kind = trace.Write
 		}
 		refs = append(refs, trace.Ref{
-			Addr: uint64(asid)<<32 | block*64,
+			Addr: diffAddr(asid, block),
 			ASID: asid,
 			Kind: kind,
 		})
@@ -207,7 +223,7 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 						// agree, and the invalidations must mutate both
 						// caches identically.
 						if i%29 == 0 {
-							a := uint64(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))])<<32 | uint64(probe.Intn(1024))*64
+							a := diffAddr(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))], uint64(probe.Intn(1024)))
 							if fc, rc := fast.Contains(a), ref.Contains(a); fc != rc {
 								t.Fatalf("access %d: Contains(%#x) fast %v != reference %v", i, a, fc, rc)
 							}
@@ -283,6 +299,18 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 					}
 					if st := pub.Latest(); st == nil || st.Accesses == 0 || len(st.Regions) == 0 {
 						t.Errorf("publisher never captured a usable state: %+v", st)
+					}
+
+					// The high tenant's lines must sit in the index's
+					// overflow map, or the packed bound went untested.
+					overflowed := 0
+					for b := range fast.Region(diffHighASID).IndexSnapshot() {
+						if b > 1<<57-2 {
+							overflowed++
+						}
+					}
+					if overflowed == 0 {
+						t.Error("no indexed block past the packed range; the overflow map went unexercised")
 					}
 
 					// Structural captures must match exactly — including the
@@ -373,7 +401,7 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 							i, refs[i], ra, rc)
 					}
 					if i%31 == 0 {
-						addr := uint64(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))])<<32 | uint64(probe.Intn(1024))*64
+						addr := diffAddr(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))], uint64(probe.Intn(1024)))
 						if fa, fc := a.Cache.Contains(addr), c.Cache.Contains(addr); fa != fc {
 							t.Fatalf("access %d: Contains(%#x) uninterrupted %v != restored %v", i, addr, fa, fc)
 						}

@@ -138,8 +138,9 @@ type Cache struct {
 	// the lookup paths consult it on every access and every tile probe.
 	//molvet:transient memo re-derived from the restored region set
 	sharedRegion *Region
-	// molsByID indexes every molecule by its global ID (fault targeting
-	// and invariant capture).
+	// molsByID indexes every molecule by its global ID (fault targeting,
+	// invariant capture, and the block indexes' slots, which name their
+	// molecule by ID).
 	molsByID []*Molecule
 
 	// refProbe routes lookups through the original linear probe scan
@@ -349,6 +350,7 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 		rows:       make([][]*Molecule, 0, maxRows),
 		rowMiss:    make([]uint64, 0, maxRows),
 		byTile:     make([][]*Molecule, c.cfg.Clusters*c.cfg.TilesPerCluster),
+		index:      newBlockMap(c.molsByID),
 		src:        rng.New(c.cfg.Seed ^ uint64(asid)<<20 ^ 0xbeef),
 	}
 	r.appCell = c.ledger.AppRef(asid)
@@ -404,9 +406,14 @@ func (c *Cache) Region(asid uint16) *Region { return c.regions.get(asid) }
 
 // Regions returns all partitions sorted by ASID.
 func (c *Cache) Regions() []*Region {
-	out := make([]*Region, len(c.regionList))
-	copy(out, c.regionList)
-	return out
+	return c.AppendRegions(make([]*Region, 0, len(c.regionList)))
+}
+
+// AppendRegions appends every partition, sorted by ASID, to dst and
+// returns the extended slice: Regions without the allocation when dst
+// has room, for callers that walk the partitions on every resize pass.
+func (c *Cache) AppendRegions(dst []*Region) []*Region {
+	return append(dst, c.regionList...)
 }
 
 // UseReferenceProbe switches lookups between the O(1) block index (the

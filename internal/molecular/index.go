@@ -38,7 +38,7 @@ func (r *Region) indexRemove(block uint64, m *Molecule) {
 // carrying residue.
 func (r *Region) indexMolecule(m *Molecule) {
 	for i := range m.lines {
-		if m.lines[i].valid {
+		if m.lines[i].valid() {
 			r.indexAdd(m.lines[i].tag, m)
 		}
 	}
@@ -49,7 +49,7 @@ func (r *Region) indexMolecule(m *Molecule) {
 // before the flush destroys the tags.
 func (r *Region) unindexMolecule(m *Molecule) {
 	for i := range m.lines {
-		if m.lines[i].valid {
+		if m.lines[i].valid() {
 			r.indexRemove(m.lines[i].tag, m)
 		}
 	}
@@ -63,7 +63,7 @@ func (r *Region) fillVictim(victim *Molecule, block uint64, write bool, clock ui
 	group := block &^ uint64(r.lineFactor-1)
 	for i := 0; i < r.lineFactor; i++ {
 		b := group + uint64(i)
-		if ln := &victim.lines[victim.index(b)]; ln.valid {
+		if ln := &victim.lines[victim.index(b)]; ln.valid() {
 			r.indexRemove(ln.tag, victim)
 		}
 	}
@@ -94,7 +94,7 @@ func (r *Region) checkIndex() error {
 	for _, row := range r.rows {
 		for _, m := range row {
 			for i := range m.lines {
-				if !m.lines[i].valid {
+				if !m.lines[i].valid() {
 					continue
 				}
 				resident++

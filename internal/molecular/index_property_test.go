@@ -33,7 +33,7 @@ func verifyIndexBijection(t *testing.T, c *Cache) bool {
 		for _, row := range r.rows {
 			for _, m := range row {
 				for i := range m.lines {
-					if !m.lines[i].valid {
+					if !m.lines[i].valid() {
 						continue
 					}
 					if prev, dup := resident[m.lines[i].tag]; dup {

@@ -14,14 +14,44 @@ import "molcache/internal/trace"
 // (Figure 3's multiplexer bypass).
 const SharedASID uint16 = 0xFFFF
 
-// molLine is one 64-byte line's metadata inside a molecule.
+// molLine is one 64-byte line's metadata inside a molecule: 16 bytes,
+// so a molecule's 128 lines fill 32 host cache lines instead of 48.
+// word packs the replacement timestamp with two flag bits,
+// touch<<2 | dirty<<1 | valid; an invalid line is the zero value.
 type molLine struct {
-	tag   uint64 // full block number (addr / lineSize)
-	valid bool
-	dirty bool
-	// touch is a replacement timestamp used only by the LRU-Direct
-	// extension policy.
-	touch uint64
+	tag  uint64 // full block number (addr / lineSize)
+	word uint64
+}
+
+// The line word's flag bits and the shift of its touch field. touch is
+// the cache's logical clock at the line's last fill or hit (the
+// LRU-Direct policy's timestamp); it advances once per access, so its
+// 62 bits never wrap in a simulated run, and RestoreCache rejects a
+// checkpoint whose touch does not fit.
+const (
+	lineValid  = 1
+	lineDirty  = 2
+	touchShift = 2
+	// maxTouch is the largest touch the line word holds.
+	maxTouch = 1<<(64-touchShift) - 1
+)
+
+// valid reports whether the line holds a block.
+func (ln *molLine) valid() bool { return ln.word&lineValid != 0 }
+
+// dirty reports whether the line holds a modified block.
+func (ln *molLine) dirty() bool { return ln.word&lineDirty != 0 }
+
+// touch returns the line's replacement timestamp.
+func (ln *molLine) touch() uint64 { return ln.word >> touchShift }
+
+// lineWord packs a valid line's timestamp and dirty bit.
+func lineWord(touch uint64, dirty bool) uint64 {
+	w := touch<<touchShift | lineValid
+	if dirty {
+		w |= lineDirty
+	}
+	return w
 }
 
 // Molecule is a small direct-mapped caching unit — the building block the
@@ -88,7 +118,7 @@ func (m *Molecule) Failed() bool { return m.failed }
 func (m *Molecule) ValidBlocks() []uint64 {
 	var out []uint64
 	for i := range m.lines {
-		if m.lines[i].valid {
+		if m.lines[i].valid() {
 			out = append(out, m.lines[i].tag)
 		}
 	}
@@ -104,9 +134,11 @@ func (m *Molecule) MissCount() uint64 { return m.missCount }
 // Hits returns lifetime hits since assignment.
 func (m *Molecule) Hits() uint64 { return m.hits }
 
-// index maps a block number to the molecule's direct-mapped slot.
+// index maps a block number to the molecule's direct-mapped slot: its
+// low bits, since a molecule's line count is a power of two (molecule
+// and line sizes both are).
 func (m *Molecule) index(block uint64) int {
-	return int(block % uint64(len(m.lines)))
+	return int(block & uint64(len(m.lines)-1))
 }
 
 // recordHit applies the bookkeeping of a probe hit on block: the line's
@@ -116,10 +148,10 @@ func (m *Molecule) index(block uint64) int {
 // the reference path — so both paths leave identical molecule state.
 func (m *Molecule) recordHit(block uint64, write bool, clock uint64) {
 	ln := &m.lines[m.index(block)]
+	ln.word = clock<<touchShift | ln.word&lineDirty | lineValid
 	if write {
-		ln.dirty = true
+		ln.word |= lineDirty
 	}
-	ln.touch = clock
 	m.hits++
 	m.accesses++
 }
@@ -133,13 +165,13 @@ func (m *Molecule) fill(block uint64, lineFactor int, write bool, clock uint64) 
 	for i := 0; i < lineFactor; i++ {
 		b := group + uint64(i)
 		ln := &m.lines[m.index(b)]
-		if ln.valid {
+		if ln.valid() {
 			evicted++
-			if ln.dirty {
+			if ln.dirty() {
 				writebacks++
 			}
 		}
-		*ln = molLine{tag: b, valid: true, dirty: write && b == block, touch: clock}
+		*ln = molLine{tag: b, word: lineWord(clock, write && b == block)}
 	}
 	m.resident += lineFactor - evicted
 	m.missCount++
@@ -151,7 +183,7 @@ func (m *Molecule) fill(block uint64, lineFactor int, write bool, clock uint64) 
 // region or reassigned.
 func (m *Molecule) flush() (writebacks int) {
 	for i := range m.lines {
-		if m.lines[i].valid && m.lines[i].dirty {
+		if m.lines[i].dirty() {
 			writebacks++
 		}
 		m.lines[i] = molLine{}
@@ -170,8 +202,8 @@ func (m *Molecule) resetCounters() {
 // invalidate drops one line if present (coherence back-invalidation).
 func (m *Molecule) invalidate(block uint64) (present, dirty bool) {
 	ln := &m.lines[m.index(block)]
-	if ln.valid && ln.tag == block {
-		d := ln.dirty
+	if ln.valid() && ln.tag == block {
+		d := ln.dirty()
 		*ln = molLine{}
 		m.resident--
 		return true, d
@@ -185,7 +217,7 @@ func (m *Molecule) invalidate(block uint64) (present, dirty bool) {
 // that would have preserved it never happens.
 func (m *Molecule) corrupt(idx int) (wasValid, wasDirty bool) {
 	ln := &m.lines[idx]
-	wasValid, wasDirty = ln.valid, ln.valid && ln.dirty
+	wasValid, wasDirty = ln.valid(), ln.dirty()
 	*ln = molLine{}
 	if wasValid {
 		m.resident--
@@ -196,14 +228,14 @@ func (m *Molecule) corrupt(idx int) (wasValid, wasDirty bool) {
 // contains reports whether block is resident, without updating state.
 func (m *Molecule) contains(block uint64) bool {
 	ln := &m.lines[m.index(block)]
-	return ln.valid && ln.tag == block
+	return ln.valid() && ln.tag == block
 }
 
 // lineTouch returns the LRU timestamp of the slot block maps to and
 // whether the slot currently holds a valid line.
 func (m *Molecule) lineTouch(block uint64) (uint64, bool) {
 	ln := &m.lines[m.index(block)]
-	return ln.touch, ln.valid
+	return ln.touch(), ln.valid()
 }
 
 // validLines counts resident lines by scanning them: the audit
@@ -211,7 +243,7 @@ func (m *Molecule) lineTouch(block uint64) (uint64, bool) {
 func (m *Molecule) validLines() int {
 	n := 0
 	for i := range m.lines {
-		if m.lines[i].valid {
+		if m.lines[i].valid() {
 			n++
 		}
 	}

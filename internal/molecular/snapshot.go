@@ -139,9 +139,9 @@ func (c *Cache) CaptureState() CacheState {
 		}
 		for slot := range m.lines {
 			ln := &m.lines[slot]
-			if ln.valid {
+			if ln.valid() {
 				ms.Lines = append(ms.Lines, LineState{
-					Slot: slot, Tag: ln.tag, Dirty: ln.dirty, Touch: ln.touch,
+					Slot: slot, Tag: ln.tag, Dirty: ln.dirty(), Touch: ln.touch(),
 				})
 			}
 		}
@@ -230,7 +230,11 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 				return nil, fmt.Errorf("molecular: restore: molecule %d tag %#x maps to slot %d, stored in %d",
 					i, ln.Tag, m.index(ln.Tag), ln.Slot)
 			}
-			m.lines[ln.Slot] = molLine{tag: ln.Tag, valid: true, dirty: ln.Dirty, touch: ln.Touch}
+			if ln.Touch > maxTouch {
+				return nil, fmt.Errorf("molecular: restore: molecule %d slot %d touch %d exceeds the line word's %d",
+					i, ln.Slot, ln.Touch, uint64(maxTouch))
+			}
+			m.lines[ln.Slot] = molLine{tag: ln.Tag, word: lineWord(ln.Touch, ln.Dirty)}
 		}
 		m.resident = len(ms.Lines)
 	}
@@ -298,6 +302,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			lineFactor:   rs.LineFactor,
 			molSize:      cfg.MoleculeSize,
 			byTile:       make([][]*Molecule, tiles),
+			index:        newBlockMap(c.molsByID),
 			rowMiss:      append([]uint64(nil), rs.RowMiss...),
 			window:       stats.Window{},
 			ledger:       rs.Ledger,

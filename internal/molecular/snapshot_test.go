@@ -1,6 +1,7 @@
 package molecular
 
 import (
+	"reflect"
 	"testing"
 
 	"molcache/internal/rng"
@@ -60,5 +61,69 @@ func TestSnapshotRoundTripRegionTable(t *testing.T) {
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSnapshotRoundTripLRUDirect checkpoints an LRU-Direct cache, whose
+// victim choice reads every candidate line's touch timestamp, mid-run.
+// The restore must rebuild each line word exactly — tag, touch, dirty
+// and valid bits — and the restored cache must continue access by
+// access like the uninterrupted one. A touch too wide for the line word
+// is rejected, not truncated.
+func TestSnapshotRoundTripLRUDirect(t *testing.T) {
+	src := rng.New(1717)
+	refs := make([]trace.Ref, 20000)
+	for i := range refs {
+		asid := uint16(1 + src.Intn(2))
+		kind := trace.Read
+		if src.Intn(10) < 3 {
+			kind = trace.Write
+		}
+		refs[i] = ref(asid, uint64(asid)<<32|uint64(src.Intn(3000))*64, kind)
+	}
+	a := MustNew(smallConfig(LRUDirect))
+	cut := len(refs) / 2
+	for _, r := range refs[:cut] {
+		a.Access(r)
+	}
+	st := a.CaptureState()
+	b, err := RestoreCache(a.Config(), st)
+	if err != nil {
+		t.Fatalf("RestoreCache: %v", err)
+	}
+	dirty, touches := 0, map[uint64]bool{}
+	for id, m := range a.molsByID {
+		for slot, ln := range m.lines {
+			if got := b.molsByID[id].lines[slot]; got != ln {
+				t.Fatalf("molecule %d slot %d: restored line %+v, captured %+v", id, slot, got, ln)
+			}
+			if ln.dirty() {
+				dirty++
+			}
+			if ln.valid() {
+				touches[ln.touch()] = true
+			}
+		}
+	}
+	if dirty == 0 || len(touches) < 100 {
+		t.Fatalf("%d dirty lines and %d distinct touches at the cut; the round trip is vacuous", dirty, len(touches))
+	}
+	for i, r := range refs[cut:] {
+		if ra, rb := a.Access(r), b.Access(r); ra != rb {
+			t.Fatalf("access %d after restore (%v): uninterrupted %+v, restored %+v", cut+i, r, ra, rb)
+		}
+	}
+	if !reflect.DeepEqual(a.CaptureState(), b.CaptureState()) {
+		t.Error("final states differ between the uninterrupted and the restored cache")
+	}
+
+	for i := range st.Molecules {
+		if len(st.Molecules[i].Lines) > 0 {
+			st.Molecules[i].Lines[0].Touch = maxTouch + 1
+			break
+		}
+	}
+	if _, err := RestoreCache(a.Config(), st); err == nil {
+		t.Error("RestoreCache accepted a touch wider than the line word")
 	}
 }

@@ -7,13 +7,44 @@ package resize
 // state, period) alongside the action taken and a human-readable reason.
 // The log is a bounded ring (DefaultDecisionLog entries): old decisions
 // fall off, the total count keeps climbing, and recording costs a struct
-// copy per resize pass — cheap enough to stay on unconditionally.
+// copy per resize pass — cheap enough to stay on unconditionally. A pass
+// records its reason as a code plus the operands the Decision does not
+// already hold; the text is formatted when the log is read (Decisions)
+// and kept in the ring, so each decision is formatted at most once and a
+// pass that moves no molecule allocates nothing.
 //
 // Consumers: `molsim -explain-resize` dumps the tail, and the
 // introspection server publishes the ring at GET /decisions.
 
+import "fmt"
+
 // DefaultDecisionLog is the ring capacity.
 const DefaultDecisionLog = 4096
+
+// reasonCode names one of the forms of a decision's reason. The zero
+// code marks a decision whose text is already in Reason: rendered,
+// restored from a checkpoint, or built by hand.
+type reasonCode uint8
+
+const (
+	reasonRendered reasonCode = iota
+	reasonUnmanaged
+	reasonNoAccesses
+	reasonFrozen          // argA: passes left
+	reasonAuditPending    // argA: molecules granted, argB: addresses elapsed
+	reasonAuditFailed     // argF: miss at mark; -Delta molecules reclaimed
+	reasonAuditPassed     // argF: miss at mark
+	reasonChunkRebalance  // FreeInCluster
+	reasonChunk           // argA: molecules asked; Delta got
+	reasonTaxShrink       // FreeInCluster, FreeGate; -Delta withdrawn
+	reasonFloorHolds      // Floor, SizeBefore
+	reasonMinimal         // SizeBefore
+	reasonLinearRebalance // FreeInCluster
+	reasonLinear          // argA: target, argB: molecules asked; Delta got
+	reasonLinearMet       // argA: target
+	reasonAmple           // FreeInCluster, FreeGate
+	reasonLeaveAlone
+)
 
 // Decision is one audited Algorithm 1 evaluation.
 type Decision struct {
@@ -48,6 +79,77 @@ type Decision struct {
 	Delta     int    `json:"delta"`
 	SizeAfter int    `json:"size_after"`
 	Reason    string `json:"reason"`
+
+	// code and its operands hold the reason until Decisions renders it.
+	code       reasonCode
+	argA, argB int64
+	argF       float64
+}
+
+// why sets d's reason code and operands.
+func (d *Decision) why(code reasonCode, a, b int64, f float64) {
+	d.code, d.argA, d.argB, d.argF = code, a, b, f
+}
+
+// reasonText formats d's reason: Reason itself once rendered.
+func (d *Decision) reasonText() string {
+	miss, goal := d.MissRate, d.Goal
+	switch d.code {
+	case reasonUnmanaged:
+		return "no miss-rate goal set: partition unmanaged"
+	case reasonNoAccesses:
+		return "no accesses in window: nothing to learn"
+	case reasonFrozen:
+		return fmt.Sprintf("miss %.3f > 0.5 but emergency growth frozen (%d passes left) after a failed futility audit",
+			miss, d.argA)
+	case reasonAuditPending:
+		return fmt.Sprintf("futility audit pending: %d emergency molecules granted, judging after %d addresses (%d elapsed)",
+			d.argA, uint64(auditMinAddresses), uint64(d.argB))
+	case reasonAuditFailed:
+		return fmt.Sprintf("futility audit failed: miss %.3f vs %.3f at mark; reclaimed %d molecules and froze emergency growth for %d passes",
+			miss, d.argF, -d.Delta, freezePasses)
+	case reasonAuditPassed:
+		return fmt.Sprintf("futility audit passed: miss %.3f improved from %.3f at mark; emergency growth may continue",
+			miss, d.argF)
+	case reasonChunkRebalance:
+		return fmt.Sprintf("miss %.3f > 0.5 but cluster free pool exhausted (free %d): rebalanced rows with owned molecules",
+			miss, d.FreeInCluster)
+	case reasonChunk:
+		return fmt.Sprintf("miss %.3f > 0.5 and over goal %.3f: emergency grow by chunk (asked %d, got %d)",
+			miss, goal, d.argA, d.Delta)
+	case reasonTaxShrink:
+		return fmt.Sprintf("miss %.3f under goal %.3f with cluster free pool low (free %d <= gate %d): withdrew sqrt-model %d molecules",
+			miss, goal, d.FreeInCluster, d.FreeGate, -d.Delta)
+	case reasonFloorHolds:
+		return fmt.Sprintf("miss %.3f under goal %.3f but shrink-regret floor %d holds the partition at %d",
+			miss, goal, d.Floor, d.SizeBefore)
+	case reasonMinimal:
+		return fmt.Sprintf("miss %.3f under goal %.3f but partition already minimal (%d molecules)",
+			miss, goal, d.SizeBefore)
+	case reasonLinearRebalance:
+		return fmt.Sprintf("miss %.3f over goal %.3f but cluster free pool exhausted (free %d): rebalanced rows with owned molecules",
+			miss, goal, d.FreeInCluster)
+	case reasonLinear:
+		return fmt.Sprintf("miss %.3f over goal %.3f: linear growth toward target %d (asked %d, got %d)",
+			miss, goal, d.argA, d.argB, d.Delta)
+	case reasonLinearMet:
+		return fmt.Sprintf("miss %.3f over goal %.3f but linear target %d already met", miss, goal, d.argA)
+	case reasonAmple:
+		return fmt.Sprintf("miss %.3f under goal %.3f and cluster free pool ample (free %d > gate %d): no shrink tax",
+			miss, goal, d.FreeInCluster, d.FreeGate)
+	case reasonLeaveAlone:
+		return fmt.Sprintf("miss %.3f meets goal %.3f: leave alone", miss, goal)
+	}
+	return d.Reason
+}
+
+// render stores d's reason text and drops its code and operands, so a
+// rendered decision equals one restored from a checkpoint.
+func (d *Decision) render() {
+	if d.code != reasonRendered {
+		d.Reason = d.reasonText()
+		d.why(reasonRendered, 0, 0, 0)
+	}
 }
 
 // record appends d to the bounded decision ring.
@@ -62,8 +164,12 @@ func (c *Controller) record(d Decision) {
 	c.decHead = (c.decHead + 1) % DefaultDecisionLog
 }
 
-// Decisions returns the retained decision log, oldest first.
+// Decisions returns the retained decision log, oldest first, rendering
+// the reasons recorded since the last call.
 func (c *Controller) Decisions() []Decision {
+	for i := range c.decs {
+		c.decs[i].render()
+	}
 	out := make([]Decision, 0, len(c.decs))
 	out = append(out, c.decs[c.decHead:]...)
 	out = append(out, c.decs[:c.decHead]...)

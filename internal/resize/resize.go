@@ -27,6 +27,7 @@ package resize
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"molcache/internal/molecular"
@@ -189,6 +190,11 @@ type Controller struct {
 	decHead int
 	decSeq  uint64
 
+	// regions is the pass's scratch list of the cache's partitions,
+	// reused so a pass allocates nothing.
+	//molvet:transient per-pass scratch, refilled from the cache at every pass
+	regions []*molecular.Region
+
 	// tracer, decisions and spans are the telemetry attachments (nil by
 	// default; a detached controller pays one pointer check per pass).
 	//molvet:transient telemetry attachment re-established after restore
@@ -294,7 +300,8 @@ func (c *Controller) Tick() bool {
 		return true
 	case AdaptivePerApp:
 		fired := false
-		for _, r := range c.cache.Regions() {
+		c.regions = c.cache.AppendRegions(c.regions[:0])
+		for _, r := range c.regions {
 			if r.ASID() == molecular.SharedASID {
 				continue
 			}
@@ -331,17 +338,26 @@ func (c *Controller) Tick() bool {
 // that when the free pool cannot satisfy everyone the worst-missing
 // partition gets first claim.
 func (c *Controller) resizeAll() {
-	regions := c.cache.Regions()
-	sort.SliceStable(regions, func(i, j int) bool {
-		return regions[i].Window().Snapshot().MissRate() >
-			regions[j].Window().Snapshot().MissRate()
-	})
-	for _, r := range regions {
+	c.regions = c.cache.AppendRegions(c.regions[:0])
+	slices.SortStableFunc(c.regions, neediestFirst)
+	for _, r := range c.regions {
 		if r.ASID() == molecular.SharedASID {
 			continue
 		}
 		c.resizeOne(r, c.state(r.ASID()))
 	}
+}
+
+// neediestFirst orders partitions by windowed miss rate, highest first.
+func neediestFirst(a, b *molecular.Region) int {
+	ma, mb := a.Window().Snapshot().MissRate(), b.Window().Snapshot().MissRate()
+	switch {
+	case ma > mb:
+		return -1
+	case ma < mb:
+		return 1
+	}
+	return 0
 }
 
 // adaptGlobal updates the shared period from the cache-wide miss rate
@@ -366,7 +382,10 @@ func (c *Controller) adaptGlobal() {
 // globalGoal is the mean of the managed applications' goals.
 func (c *Controller) globalGoal() float64 {
 	sum, n := 0.0, 0
-	for _, r := range c.cache.Regions() {
+	// Refilled, not reused: resizeAll left the list sorted by miss
+	// rate, and the sum must run in ASID order to stay bit-identical.
+	c.regions = c.cache.AppendRegions(c.regions[:0])
+	for _, r := range c.regions {
 		if r.ASID() == molecular.SharedASID {
 			continue
 		}
@@ -409,21 +428,18 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 	if c.cfg.Trigger == AdaptivePerApp {
 		d.Period = s.period
 	}
-	reason := ""
 	defer func() {
-		if reason == "" {
+		if d.code == reasonRendered {
 			// The switch matched no case (or a case chose inaction
 			// without saying why): the partition is simply healthy.
 			if miss < goal {
-				reason = fmt.Sprintf("miss %.3f under goal %.3f and cluster free pool ample (free %d > gate %d): no shrink tax",
-					miss, goal, free, 2*c.cfg.MaxAllocation)
+				d.why(reasonAmple, 0, 0, 0)
 			} else {
-				reason = fmt.Sprintf("miss %.3f meets goal %.3f: leave alone", miss, goal)
+				d.why(reasonLeaveAlone, 0, 0, 0)
 			}
 		}
 		d.Floor = s.floor
 		d.SizeAfter = r.MoleculeCount()
-		d.Reason = reason
 		c.record(d)
 		c.observe(d)
 		// Consume the epoch's placement counters only after the grow/
@@ -434,11 +450,11 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 		s.lastAction = d.Action
 	}()
 	if goal <= 0 {
-		reason = "no miss-rate goal set: partition unmanaged"
+		d.why(reasonUnmanaged, 0, 0, 0)
 		return miss
 	}
 	if w.Accesses() == 0 {
-		reason = "no accesses in window: nothing to learn"
+		d.why(reasonNoAccesses, 0, 0, 0)
 		return miss
 	}
 	// Shrink regret: a shrink that blew the goal found the partition's
@@ -481,8 +497,7 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 		// freezePasses.
 		if s.frozen > 0 {
 			s.frozen--
-			reason = fmt.Sprintf("miss %.3f > 0.5 but emergency growth frozen (%d passes left) after a failed futility audit",
-				miss, s.frozen)
+			d.why(reasonFrozen, int64(s.frozen), 0, 0)
 			return miss
 		}
 		if s.growSinceMark >= futilityWindow {
@@ -491,8 +506,7 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 			// faster than the working set's reuse distance), then
 			// judge it.
 			if c.cache.Addresses()-s.markAt < auditMinAddresses {
-				reason = fmt.Sprintf("futility audit pending: %d emergency molecules granted, judging after %d addresses (%d elapsed)",
-					s.growSinceMark, uint64(auditMinAddresses), c.cache.Addresses()-s.markAt)
+				d.why(reasonAuditPending, int64(s.growSinceMark), int64(c.cache.Addresses()-s.markAt), 0)
 				return miss
 			}
 			if miss > 0.98*s.missAtMark {
@@ -502,11 +516,9 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 				s.frozen = freezePasses
 				d.Action = ActionShrink
 				d.Delta = -n
-				reason = fmt.Sprintf("futility audit failed: miss %.3f vs %.3f at mark; reclaimed %d molecules and froze emergency growth for %d passes",
-					miss, s.missAtMark, n, freezePasses)
+				d.why(reasonAuditFailed, 0, 0, s.missAtMark)
 			} else {
-				reason = fmt.Sprintf("futility audit passed: miss %.3f improved from %.3f at mark; emergency growth may continue",
-					miss, s.missAtMark)
+				d.why(reasonAuditPassed, 0, 0, s.missAtMark)
 			}
 			s.growSinceMark = 0
 			return miss
@@ -529,8 +541,7 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 		if got == 0 && s.rebalanceCool <= 0 && c.cache.Rebalance(r) {
 			d.Action = ActionRebalance
 			s.rebalanceCool = rebalanceCooldown
-			reason = fmt.Sprintf("miss %.3f > 0.5 but cluster free pool exhausted (free %d): rebalanced rows with owned molecules",
-				miss, free)
+			d.why(reasonChunkRebalance, 0, 0, 0)
 			break
 		}
 		if s.growSinceMark == 0 {
@@ -540,8 +551,7 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 		s.growSinceMark += got
 		d.Action = ActionGrowChunk
 		d.Delta = got
-		reason = fmt.Sprintf("miss %.3f > 0.5 and over goal %.3f: emergency grow by chunk (asked %d, got %d)",
-			miss, goal, s.maxAlloc, got)
+		d.why(reasonChunk, int64(s.maxAlloc), 0, 0)
 	case miss < goal &&
 		c.cache.FreeInCluster(r) <= 2*c.cfg.MaxAllocation:
 		// Conservative shrink: withdraw sqrt(cur*miss/goal) molecules.
@@ -565,14 +575,11 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 			n, _ := c.cache.Shrink(r, count)
 			d.Action = ActionShrink
 			d.Delta = -n
-			reason = fmt.Sprintf("miss %.3f under goal %.3f with cluster free pool low (free %d <= gate %d): withdrew sqrt-model %d molecules",
-				miss, goal, free, 2*c.cfg.MaxAllocation, n)
+			d.why(reasonTaxShrink, 0, 0, 0)
 		} else if s.floor > 0 && cur <= s.floor {
-			reason = fmt.Sprintf("miss %.3f under goal %.3f but shrink-regret floor %d holds the partition at %d",
-				miss, goal, s.floor, cur)
+			d.why(reasonFloorHolds, 0, 0, 0)
 		} else {
-			reason = fmt.Sprintf("miss %.3f under goal %.3f but partition already minimal (%d molecules)",
-				miss, goal, cur)
+			d.why(reasonMinimal, 0, 0, 0)
 		}
 	case miss > goal:
 		// Linear-model growth toward the goal, one bounded chunk.
@@ -597,16 +604,14 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 				// widths with the molecules already owned.
 				d.Action = ActionRebalance
 				s.rebalanceCool = rebalanceCooldown
-				reason = fmt.Sprintf("miss %.3f over goal %.3f but cluster free pool exhausted (free %d): rebalanced rows with owned molecules",
-					miss, goal, free)
+				d.why(reasonLinearRebalance, 0, 0, 0)
 				break
 			}
 			d.Action = ActionGrowLinear
 			d.Delta = got
-			reason = fmt.Sprintf("miss %.3f over goal %.3f: linear growth toward target %d (asked %d, got %d)",
-				miss, goal, target, delta, got)
+			d.why(reasonLinear, int64(target), int64(delta), 0)
 		} else {
-			reason = fmt.Sprintf("miss %.3f over goal %.3f but linear target %d already met", miss, goal, target)
+			d.why(reasonLinearMet, int64(target), 0, 0)
 		}
 	}
 	return miss

@@ -334,6 +334,9 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return telemetry.NewJSONLSink(w) }
 type Simulator struct {
 	Cache      *MolecularCache
 	Controller *Controller
+
+	// batch is AccessBatch's results buffer, reused by every call.
+	batch []AccessResult
 }
 
 // NewSimulator builds the cache and controller together.
@@ -410,9 +413,16 @@ func (s *Simulator) Access(r Ref) AccessResult {
 }
 
 // AccessBatch applies a batch of references in order and returns their
-// results — the fold of Access.
+// results — the fold of Access. The results live in a buffer the
+// simulator owns and reuses: the slice is valid until this simulator's
+// next AccessBatch call, which overwrites it, so a caller that keeps
+// results past that call copies them first. Replaying in windows of a
+// fixed size therefore allocates nothing after the first window.
 func (s *Simulator) AccessBatch(refs []Ref) []AccessResult {
-	out := make([]AccessResult, len(refs))
+	if cap(s.batch) < len(refs) {
+		s.batch = make([]AccessResult, len(refs))
+	}
+	out := s.batch[:len(refs)]
 	for i, r := range refs {
 		out[i] = s.Access(r)
 	}

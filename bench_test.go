@@ -410,13 +410,15 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkCMPStep measures the full CMP substrate pipeline (generator ->
-// L1 -> coherence -> L2) per reference over the 1 MB 4-way L2, each
-// mix built by AddMix at seed 2006: mcf alone (Table 1's longest job, a
-// memory-bound core that stalls 200 cycles per L2 miss), the four SPEC
-// cores of Table 1's last row, and the replay benchmark's set-up (the
-// twelve-app mixed workload with L1-miss capture on).
-func BenchmarkCMPStep(b *testing.B) {
+// BenchmarkCaptureMix runs the CMP substrate (generators, private L1s,
+// the shared L2) for 2M processor references over the 1 MB 4-way L2,
+// each mix built by AddMix at seed 2006: mcf alone (Table 1's longest
+// job, a memory-bound core that stalls 200 cycles per L2 miss), the four
+// SPEC cores of Table 1's last row, and the replay benchmark's set-up
+// (the twelve-app mixed workload with L1-miss capture on). One op is a
+// whole run; ns/ref divides it by the processor references.
+func BenchmarkCaptureMix(b *testing.B) {
+	const refs = 2_000_000
 	for _, bc := range []struct {
 		name    string
 		apps    []string
@@ -427,55 +429,23 @@ func BenchmarkCMPStep(b *testing.B) {
 		{"mix12-capture", workload.MixedNames, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-			sys, err := molcache.NewSystem(l2, molcache.SystemConfig{CaptureL1Misses: bc.capture})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.AddMix(bc.apps, 2006); err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sys.Step()
+				l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
+				sys, err := molcache.NewSystem(l2, molcache.SystemConfig{CaptureL1Misses: bc.capture})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sys.AddMix(bc.apps, 2006); err != nil {
+					b.Fatal(err)
+				}
+				if err := sys.Run(refs); err != nil {
+					b.Fatal(err)
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/refs, "ns/ref")
 		})
 	}
-}
-
-// BenchmarkCaptureMix captures the twelve-app mixed workload's L1-miss
-// stream, 2M processor references at seed 2006 over the 1 MB 4-way L2,
-// two ways: cmp.System stepping every reference, and cmp.RunMix's two
-// stages. One op is a whole capture; ns/ref divides it by the processor
-// references.
-func BenchmarkCaptureMix(b *testing.B) {
-	const refs = 2_000_000
-	run := func(b *testing.B, capture func(l2 *cache.Cache) ([]trace.Ref, error)) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-			if _, err := capture(l2); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/refs, "ns/ref")
-	}
-	b.Run("system", func(b *testing.B) {
-		run(b, func(l2 *cache.Cache) ([]trace.Ref, error) {
-			sys := cmp.New(l2, cmp.Config{CaptureL1Misses: true})
-			if err := sys.AddMix(workload.MixedNames, 2006); err != nil {
-				return nil, err
-			}
-			sys.Run(refs)
-			return sys.Captured(), nil
-		})
-	})
-	b.Run("runmix", func(b *testing.B) {
-		run(b, func(l2 *cache.Cache) ([]trace.Ref, error) {
-			return cmp.RunMix(l2, workload.MixedNames, refs, 2006, true)
-		})
-	})
 }
 
 // BenchmarkPowerModel measures one full organization search.

@@ -162,11 +162,17 @@ func main() {
 		log.Printf("introspection server on http://%s", pipe.Server.Addr())
 	}
 
-	// Per-access hooks run from the simulation goroutine: with -serve,
-	// republish the introspection snapshot every -publish-every accesses
-	// (handlers never touch live state); with -checkpoint-every, rewrite
-	// the checkpoint crash-safely every N accesses.
+	// Per-access hooks run from the simulation goroutine, after the
+	// resize controller's tick: with -check-invariants, audit the
+	// molecular cache every N accesses; with -serve, republish the
+	// introspection snapshot every -publish-every accesses (handlers
+	// never touch live state); with -checkpoint-every, rewrite the
+	// checkpoint crash-safely every N accesses.
 	var hooks []func()
+	chk := newChecker(mol, *checkEvery)
+	if chk != nil {
+		hooks = append(hooks, func() { chk.Tick() })
+	}
 	if pipe.Publisher != nil {
 		every := *publishEvery
 		if every == 0 {
@@ -217,16 +223,15 @@ func main() {
 	var (
 		asids []uint16
 		names map[uint16]string
-		chk   *invariant.Checker
 	)
 	switch {
 	case *traceIn != "":
-		asids, names, chk, err = replayTrace(*traceIn, l2, mol, ctrl, *checkEvery, onAccess)
+		asids, names, err = replayTrace(*traceIn, l2, ctrl, onAccess)
 		if err != nil {
 			log.Fatal(err)
 		}
 	case *mix != "":
-		asids, names, chk, err = runMix(*mix, l2, ctrl, *refs, *seed, *checkEvery, onAccess)
+		asids, names, err = runMix(*mix, l2, ctrl, *refs, *seed, onAccess)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -326,21 +331,14 @@ func buildCache(spec string, seed uint64) (engine.Cache, *molecular.Cache, error
 }
 
 // runMix drives the CMP substrate over the shared cache. onAccess,
-// when non-nil, runs after every L2 access (the -serve publish hook).
+// when non-nil, runs after every L2 access (the per-access hooks).
 func runMix(mix string, l2 engine.Cache, ctrl *resize.Controller,
-	refs int, seed uint64, checkEvery uint64, onAccess func()) ([]uint16, map[uint16]string, *invariant.Checker, error) {
+	refs int, seed uint64, onAccess func()) ([]uint16, map[uint16]string, error) {
 	sys := cmp.New(l2, cmp.Config{})
-	var chk *invariant.Checker
-	if checkEvery > 0 {
-		chk = invariant.NewChecker(invariant.SystemSource(sys), checkEvery)
-	}
-	if ctrl != nil || chk != nil || onAccess != nil {
+	if ctrl != nil || onAccess != nil {
 		sys.OnL2Access = func(trace.Ref, engine.Result) {
 			if ctrl != nil {
 				ctrl.Tick()
-			}
-			if chk != nil {
-				chk.Tick()
 			}
 			if onAccess != nil {
 				onAccess()
@@ -357,35 +355,43 @@ func runMix(mix string, l2 engine.Cache, ctrl *resize.Controller,
 		names[asid] = apps[i]
 	}
 	if err := sys.AddMix(apps, seed); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	sys.Run(refs)
-	return asids, names, chk, nil
+	if err := sys.Run(refs); err != nil {
+		return nil, nil, err
+	}
+	return asids, names, nil
+}
+
+// newChecker builds the -check-invariants auditor, which audits the
+// molecular cache every checkEvery accesses; nil when checkEvery is 0
+// or the cache is traditional.
+func newChecker(mol *molecular.Cache, checkEvery uint64) *invariant.Checker {
+	if checkEvery == 0 {
+		return nil
+	}
+	if mol == nil {
+		log.Print("-check-invariants audits molecular caches only; skipping")
+		return nil
+	}
+	return invariant.NewChecker(invariant.CacheSource(mol), checkEvery)
 }
 
 // replayTrace feeds a recorded binary trace straight into the cache.
-// onAccess, when non-nil, runs after every access (the -serve publish
-// hook). Only a clean end of the trace ends the replay: a damaged trace
+// onAccess, when non-nil, runs after every access (the per-access
+// hooks). Only a clean end of the trace ends the replay: a damaged trace
 // (a record cut short, an unknown kind byte, a read error) is an error
 // naming the file, not a report on the prefix before the damage.
-func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
-	ctrl *resize.Controller, checkEvery uint64, onAccess func()) ([]uint16, map[uint16]string, *invariant.Checker, error) {
+func replayTrace(path string, l2 engine.Cache, ctrl *resize.Controller,
+	onAccess func()) ([]uint16, map[uint16]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	var chk *invariant.Checker
-	if checkEvery > 0 {
-		if mol != nil {
-			chk = invariant.NewChecker(invariant.CacheSource(mol), checkEvery)
-		} else {
-			log.Print("-check-invariants audits molecular caches only; skipping")
-		}
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	seen := map[uint16]bool{}
 	var asids []uint16
@@ -395,14 +401,11 @@ func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
 			break
 		}
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 		l2.Access(ref)
 		if ctrl != nil {
 			ctrl.Tick()
-		}
-		if chk != nil {
-			chk.Tick()
 		}
 		if onAccess != nil {
 			onAccess()
@@ -416,7 +419,7 @@ func replayTrace(path string, l2 engine.Cache, mol *molecular.Cache,
 	for _, a := range asids {
 		names[a] = fmt.Sprintf("asid%d", a)
 	}
-	return asids, names, chk, nil
+	return asids, names, nil
 }
 
 // report prints per-application results and molecular internals.

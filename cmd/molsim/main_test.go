@@ -45,7 +45,7 @@ func replayCounting(t *testing.T, path string) (int, []uint16, error) {
 		t.Fatal(err)
 	}
 	replayed := 0
-	asids, _, _, err := replayTrace(path, l2, nil, nil, 0, func() { replayed++ })
+	asids, _, err := replayTrace(path, l2, nil, func() { replayed++ })
 	return replayed, asids, err
 }
 

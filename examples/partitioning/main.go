@@ -23,13 +23,11 @@ func main() {
 	alone := map[string]float64{}
 	for _, name := range mix {
 		l2 := newShared()
-		sys := newSystem(l2, []string{name})
-		sys.Run(refs / 4)
+		run(l2, []string{name}, refs/4)
 		alone[name] = l2.Ledger().App(1).MissRate()
 	}
 	sharedL2 := newShared()
-	sharedSys := newSystem(sharedL2, mix)
-	sharedSys.Run(refs)
+	run(sharedL2, mix, refs)
 
 	// The replay trace comes from the paper's reference configuration
 	// (a 1MB 4-way shared L2), as in the SESC-to-Dinero methodology.
@@ -97,8 +95,9 @@ func newShared() *molcache.TraditionalCache {
 	return l2
 }
 
-// newSystem builds the CMP with one core per benchmark (ASIDs 1..n).
-func newSystem(l2 molcache.Cache, names []string) *molcache.System {
+// run runs the CMP with one core per benchmark (ASIDs 1..n) over l2 for
+// n processor references.
+func run(l2 molcache.Cache, names []string, n int) {
 	sys, err := molcache.NewSystem(l2, molcache.SystemConfig{})
 	if err != nil {
 		log.Fatal(err)
@@ -106,5 +105,7 @@ func newSystem(l2 molcache.Cache, names []string) *molcache.System {
 	if err := sys.AddMix(names, 2006); err != nil {
 		log.Fatal(err)
 	}
-	return sys
+	if err := sys.Run(n); err != nil {
+		log.Fatal(err)
+	}
 }

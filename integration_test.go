@@ -38,7 +38,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sys.Run(800_000)
+	if err := sys.Run(800_000); err != nil {
+		t.Fatal(err)
+	}
 	captured := sys.Captured()
 	if len(captured) == 0 {
 		t.Fatal("no L1 misses captured")
@@ -138,7 +140,9 @@ func TestDeterminismAcrossWholePipeline(t *testing.T) {
 		if err := sys.AddCore(1, gen); err != nil {
 			t.Fatal(err)
 		}
-		sys.Run(400_000)
+		if err := sys.Run(400_000); err != nil {
+			t.Fatal(err)
+		}
 		sim, err := molcache.NewSimulator(
 			molcache.MolecularConfig{TotalSize: 512 << 10, Seed: 42},
 			molcache.ResizeConfig{DefaultGoal: 0.2},

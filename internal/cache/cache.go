@@ -63,7 +63,6 @@ func (c Config) Name() string {
 // a 4-way set's tags share one 64-byte host cache line.
 type line struct {
 	tag   uint64
-	asid  uint16
 	valid bool
 	dirty bool
 }
@@ -126,9 +125,9 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Ledger() *stats.Ledger { return &c.ledger }
 
 // Access implements engine.Cache. It wraps Probe, building the Result
-// from Probe's four outcomes.
+// from Probe's three outcomes.
 func (c *Cache) Access(r trace.Ref) engine.Result {
-	hit, _, evicted, writeback := c.Probe(r)
+	hit, evicted, writeback := c.Probe(r)
 	res := engine.Result{Hit: hit, TagProbes: c.ways, DataReads: 1}
 	if !hit {
 		res.LinesFetched = 1
@@ -143,15 +142,15 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 }
 
 // Probe applies one reference and reports its outcome: whether it hit,
-// whether the line it hit was already dirty, and on a miss whether the
-// fill evicted a valid line and whether that line was dirty. It does
-// what Access does (tag match, fill, LRU update, ledger and telemetry)
-// but returns four booleans, which the compiler keeps in registers,
-// where Access's engine.Result is built in memory and copied out. The
-// CMP cores' L1s call it once per processor reference. The ledger
+// and on a miss whether the fill evicted a valid line and whether that
+// line was dirty. It does what Access does (tag match, fill, LRU update,
+// ledger and telemetry) but returns three booleans, which the compiler
+// keeps in registers, where Access's engine.Result is built in memory
+// and copied out. The CMP cores' L1s call it once per processor
+// reference. The ledger
 // counts go straight to the ASID's cell (stats.Ledger.AppRef inlines;
 // Ledger.Record does not).
-func (c *Cache) Probe(r trace.Ref) (hit, wasDirty, evicted, writeback bool) {
+func (c *Cache) Probe(r trace.Ref) (hit, evicted, writeback bool) {
 	block := r.Addr >> c.shift
 	tag := block >> c.setBits
 	base := int(block&c.mask) * c.ways
@@ -167,16 +166,14 @@ func (c *Cache) Probe(r trace.Ref) (hit, wasDirty, evicted, writeback bool) {
 	for w := range set {
 		ln := &set[w]
 		if ln.valid && ln.tag == tag {
-			wasDirty = ln.dirty
-			ln.dirty = wasDirty || write
-			ln.asid = r.ASID
+			ln.dirty = ln.dirty || write
 			stamps[w] = c.clock
 			c.ledger.Total.Hits++
 			c.ledger.AppRef(r.ASID).Hits++
 			if c.ins != nil {
 				c.ins.record(true, c.ways, false)
 			}
-			return true, wasDirty, false, false
+			return true, false, false
 		}
 		if way < 0 && !ln.valid {
 			way = w
@@ -192,75 +189,27 @@ func (c *Cache) Probe(r trace.Ref) (hit, wasDirty, evicted, writeback bool) {
 		evicted, writeback = true, set[way].dirty
 	}
 	stamps[way] = c.clock
-	set[way] = line{tag: tag, asid: r.ASID, valid: true, dirty: write}
+	set[way] = line{tag: tag, valid: true, dirty: write}
 	c.ledger.Total.Misses++
 	c.ledger.AppRef(r.ASID).Misses++
 	if c.ins != nil {
 		c.ins.record(false, c.ways, writeback)
 	}
-	return false, false, evicted, writeback
+	return false, evicted, writeback
 }
 
 // Contains reports whether the line holding a is resident. It is a
-// read-only probe used by coherence and by tests; it does not perturb
-// replacement state.
+// read-only probe for tests; it does not perturb replacement state.
 func (c *Cache) Contains(a uint64) bool {
-	return c.find(a) != nil
-}
-
-// Invalidate drops the line holding a if resident, returning whether it
-// was dirty (the caller models the resulting writeback). Used by the
-// coherence protocol in internal/cmp.
-func (c *Cache) Invalidate(a uint64) (wasPresent, wasDirty bool) {
-	ln := c.find(a)
-	if ln == nil {
-		return false, false
-	}
-	d := ln.dirty
-	*ln = line{}
-	return true, d
-}
-
-// Downgrade clears the dirty bit of a resident line (the MESI M/E -> S
-// demotion a remote read forces; the caller models the writeback it
-// implies). It reports whether the line was present and whether it was
-// dirty.
-func (c *Cache) Downgrade(a uint64) (present, wasDirty bool) {
-	ln := c.find(a)
-	if ln == nil {
-		return false, false
-	}
-	d := ln.dirty
-	ln.dirty = false
-	return true, d
-}
-
-// find locates the resident line for address a.
-func (c *Cache) find(a uint64) *line {
 	block := a >> c.shift
 	tag := block >> c.setBits
 	base := int(block&c.mask) * c.ways
 	for w := base; w < base+c.ways; w++ {
 		if c.lines[w].valid && c.lines[w].tag == tag {
-			return &c.lines[w]
+			return true
 		}
 	}
-	return nil
-}
-
-// EachLine calls fn for every resident line with its reconstructed
-// address, owning ASID and dirty bit — the invariant checker's view of
-// the contents. Read-only.
-func (c *Cache) EachLine(fn func(a uint64, asid uint16, dirty bool)) {
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if !ln.valid {
-			continue
-		}
-		set := uint64(i / c.ways)
-		a := ((ln.tag << c.setBits) | set) << c.shift
-		fn(a, ln.asid, ln.dirty)
-	}
+	return false
 }
 
 // ValidLines counts resident lines (a test and debugging aid).

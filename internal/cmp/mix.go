@@ -1,77 +1,13 @@
 package cmp
 
 import (
-	"fmt"
 	"math"
 
 	"molcache/internal/cache"
-	"molcache/internal/coherence"
 	"molcache/internal/engine"
 	"molcache/internal/trace"
 	"molcache/internal/workload"
 )
-
-// RunMix is the two-stage way to run a mix built by MixApp, the way the
-// paper splits its CMP: SESC filters each application through its L1,
-// and Dinero sees only the L1-miss stream.
-//
-//   - Stage 1 drives one core's generator through its private L1 on its
-//     own, with no directory and no other core, and writes each L1 miss,
-//     with the count of L1 hits before it, into a bounded chunk that the
-//     core reuses.
-//   - Stage 2 merges the cores' misses through the shared L2 in (issue
-//     cycle, core ID) order. Each miss advances its core by the L2's
-//     answer (engine.L2HitCycles or engine.MemoryCycles) and each hit by
-//     one cycle. The run stops at exactly refs processor references:
-//     before a miss it counts every core's pending hits that issue ahead
-//     of it.
-//
-// The result is exact. System issues references in strictly increasing
-// (issue cycle, core ID) order, which is the order stage 2 merges in.
-// MixApp puts core i in its own window [ASID<<36, (ASID+1)<<36) with ASID
-// i+1, so no two cores ever touch one line. Every directory action is
-// then empty, and each core's L1 sees the same references and ends in the
-// same state as under System. The L2 gets the same references in the same
-// order, and the capture holds the same stream. Stage 1 checks each
-// address against its window, and the run fails with a *WindowError when
-// one outside would issue.
-//
-// l2 is the shared cache. The returned stream is the captured L1-miss
-// trace, or nil unless capture is set. The whole run stays on the calling
-// goroutine. A mix with more than coherence.MaxCaches applications fails
-// as AddMix does.
-func RunMix(l2 engine.Cache, names []string, refs int, seed uint64, capture bool) ([]trace.Ref, error) {
-	cores := make([]mixCore, len(names))
-	for i, name := range names {
-		asid, gen, err := MixApp(i, name, seed)
-		if err != nil {
-			return nil, err
-		}
-		if i >= coherence.MaxCaches {
-			return nil, errTooManyCores
-		}
-		cores[i] = newMixCore(asid, gen)
-	}
-	return runMix(l2, cores, refs, capture)
-}
-
-// WindowError reports a reference outside its core's ASID window. RunMix
-// is exact only while no two cores can touch one line, so it stops at the
-// first such reference in issue order.
-type WindowError struct {
-	// Core is the issuing core's ID and ASID its address space.
-	Core int
-	ASID uint16
-	// Addr is the offending byte address.
-	Addr uint64
-}
-
-// Error implements error.
-func (e *WindowError) Error() string {
-	lo := uint64(e.ASID) << asidShift
-	return fmt.Sprintf("cmp: core %d (ASID %d) issued address %#x outside its window [%#x, %#x)",
-		e.Core, e.ASID, e.Addr, lo, lo+1<<asidShift)
-}
 
 // Stage 1 runs one core up to chunkRefs processor references at a time,
 // which keeps that core's generator and L1 hot in the host's caches
@@ -83,15 +19,16 @@ const (
 	chunkEvents = 1024
 )
 
+// captureBlock is the size of a capture block in references (256 KB).
+const captureBlock = 1 << 14
+
 // Event kinds. Every chunk ends with exactly one event that is not a
-// miss: evHits when the core goes on in the next chunk, evEnd when stage
-// 1 has generated the run's whole budget for it, evOutside at a
-// reference outside its window.
+// miss: evHits, the hits after the chunk's last miss, or evOutside at a
+// reference outside the core's window.
 const (
 	evRead  = uint8(trace.Read)
 	evWrite = uint8(trace.Write)
 	evHits  = uint8(iota)
-	evEnd
 	evOutside
 )
 
@@ -108,8 +45,9 @@ type event struct {
 	kind uint8
 }
 
-// mixCore is one core of a RunMix run.
-type mixCore struct {
+// core is one processor: a workload, an ASID, a private L1 and the
+// stage-1 chunk of its references that stage 2 has not merged yet.
+type core struct {
 	asid uint16
 	gen  workload.Generator
 	l1   *cache.Cache
@@ -124,19 +62,10 @@ type mixCore struct {
 	ready, hits uint64
 }
 
-func newMixCore(asid uint16, gen workload.Generator) mixCore {
-	return mixCore{
-		asid: asid,
-		gen:  gen,
-		l1:   cache.MustNew(cache.Config{Size: l1Size, Ways: l1Ways, LineSize: lineSize}),
-		buf:  make([]event, 0, chunkEvents),
-	}
-}
-
 // fill is stage 1: it runs the core's next chunkRefs references (fewer
 // when its budget runs out or the chunk fills with misses) through its L1
 // into a new chunk.
-func (c *mixCore) fill() {
+func (c *core) fill() {
 	ev := c.buf[:0]
 	ref := trace.Ref{ASID: c.asid}
 	n, hits := 0, uint32(0)
@@ -152,7 +81,7 @@ func (c *mixCore) fill() {
 		if acc.Write {
 			ref.Kind = trace.Write
 		}
-		if hit, _, _, _ := c.l1.Probe(ref); hit {
+		if hit, _, _ := c.l1.Probe(ref); hit {
 			hits++
 			continue
 		}
@@ -160,71 +89,39 @@ func (c *mixCore) fill() {
 		hits = 0
 	}
 	c.left -= n
-	last := evHits
-	if c.left == 0 {
-		last = evEnd
-	}
-	c.ev = append(ev, event{hits: hits, kind: last})
+	c.ev = append(ev, event{hits: hits, kind: evHits})
 }
 
-// merge is stage 2's state.
-type merge struct {
-	l2    engine.Cache
-	cores []mixCore
-	// keys[i] is core i's next event as (issue cycle)<<4 | i (core IDs
-	// fit four bits: MaxCaches is at most 16), so the smallest key is the
-	// next miss in (issue cycle, core ID) order; math.MaxUint64 once the
-	// core has no further reference.
-	keys [coherence.MaxCaches]uint64
-	// done counts the references up to each core's last merged miss and
-	// pending the L1 hits the cores have waiting after it.
-	done, pending uint64
-}
-
-// runMix merges the misses of cores through l2 for refs processor
-// references, filling a core's next chunk whenever stage 2 has read the
-// last.
-func runMix(l2 engine.Cache, cores []mixCore, refs int, capture bool) ([]trace.Ref, error) {
-	if refs <= 0 || len(cores) == 0 {
-		return nil, nil
-	}
-	m := &merge{l2: l2, cores: cores}
-	for i := range cores {
-		cores[i].left = refs // no core issues more than the run does
-		m.advance(i)
-	}
-	return m.run(uint64(refs), capture)
-}
-
-// advance moves core i to its next miss (or end), taking in the hits of
-// the evHits events on the way, and sets its key.
-func (m *merge) advance(i int) {
-	c := &m.cores[i]
+// advance moves core i to its next miss, taking in the hits of the
+// evHits events on the way, and sets its key. Once stage 1 has generated
+// the core's whole budget, it parks the core at its last evHits with
+// the key math.MaxUint64 (Run's next budget resumes it).
+func (s *System) advance(i int) {
+	c := &s.cores[i]
 	for {
 		if len(c.ev) == 0 {
 			c.fill()
 		}
 		e := &c.ev[0]
 		c.hits += uint64(e.hits)
-		m.pending += uint64(e.hits)
-		switch e.kind {
-		case evHits:
-			c.ev = nil
-			continue
-		case evEnd:
-			m.keys[i] = math.MaxUint64
-		default:
-			m.keys[i] = (c.ready+c.hits)<<4 | uint64(i)
+		s.pending += uint64(e.hits)
+		if e.kind != evHits {
+			s.keys[i] = (c.ready+c.hits)<<4 | uint64(i)
+			return
 		}
-		return
+		if c.left == 0 {
+			s.keys[i] = math.MaxUint64
+			return
+		}
+		c.ev = nil
 	}
 }
 
-// run merges misses until the budget of refs processor references is
-// spent or every core has issued all it generated.
-func (m *merge) run(refs uint64, capture bool) ([]trace.Ref, error) {
-	var out []trace.Ref
-	keys := m.keys[:len(m.cores)]
+// merge is stage 2: it merges misses through the L2 until the target is
+// reached or every core has issued all it generated, filling a core's
+// next chunk whenever it has read the last.
+func (s *System) merge() error {
+	keys := s.keys[:len(s.cores)]
 	for {
 		i, key := 0, keys[0]
 		for j, k := range keys[1:] {
@@ -233,44 +130,78 @@ func (m *merge) run(refs uint64, capture bool) ([]trace.Ref, error) {
 			}
 		}
 		if key == math.MaxUint64 {
-			return out, nil
+			return nil
 		}
 		t := key >> 4
 		// done+pending bounds the references issued before this miss;
 		// only near the end is the exact count needed.
-		if m.done+m.pending >= refs && m.issuedBefore(i, t) >= refs {
-			return out, nil
+		if s.done+s.pending >= s.target && s.issuedBefore(i, t) >= s.target {
+			return nil
 		}
-		c := &m.cores[i]
+		c := &s.cores[i]
 		e := c.ev[0]
 		if e.kind == evOutside {
-			return nil, &WindowError{Core: i, ASID: c.asid, Addr: e.addr}
+			return &WindowError{Core: i, ASID: c.asid, Addr: e.addr}
 		}
 		ref := trace.Ref{Addr: e.addr, ASID: c.asid, CPU: uint8(i), Kind: trace.Kind(e.kind)}
-		if capture {
-			out = append(out, ref)
+		if s.cfg.CaptureL1Misses {
+			s.capture(ref)
+		}
+		res := s.l2.Access(ref)
+		if s.OnL2Access != nil {
+			s.OnL2Access(ref, res)
 		}
 		lat := uint64(engine.MemoryCycles)
-		if m.l2.Access(ref).Hit {
+		if res.Hit {
 			lat = engine.L2HitCycles
 		}
-		m.done += c.hits + 1
-		m.pending -= c.hits
+		s.done += c.hits + 1
+		s.pending -= c.hits
 		c.hits = 0
 		c.ready = t + lat
 		c.ev = c.ev[1:]
-		m.advance(i)
+		s.advance(i)
 	}
+}
+
+// capture records ref in the current block, starting a new one when it
+// is full.
+func (s *System) capture(ref trace.Ref) {
+	if len(s.block) == cap(s.block) {
+		if s.block != nil {
+			s.blocks = append(s.blocks, s.block)
+		}
+		s.block = make([]trace.Ref, 0, captureBlock)
+	}
+	s.block = append(s.block, ref)
+}
+
+// flush appends the Run's capture blocks to captured, in one slice
+// sized once.
+func (s *System) flush() {
+	if s.block == nil {
+		return
+	}
+	blocks := append(s.blocks, s.block)
+	n := len(s.captured)
+	for _, b := range blocks {
+		n += len(b)
+	}
+	out := append(make([]trace.Ref, 0, n), s.captured...)
+	for _, b := range blocks {
+		out = append(out, b...)
+	}
+	s.captured, s.blocks, s.block = out, nil, nil
 }
 
 // issuedBefore counts the references issued before core i's next miss at
 // cycle t: every merged one, and each core's pending hits that issue
 // ahead of it — at an earlier cycle, or at cycle t from a lower core ID.
 // A core's pending hits issue one per cycle from its ready cycle.
-func (m *merge) issuedBefore(i int, t uint64) uint64 {
-	n := m.done
-	for j := range m.cores {
-		c := &m.cores[j]
+func (s *System) issuedBefore(i int, t uint64) uint64 {
+	n := s.done
+	for j := range s.cores {
+		c := &s.cores[j]
 		switch {
 		case j == i:
 			n += c.hits

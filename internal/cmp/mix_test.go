@@ -5,17 +5,21 @@ import (
 	"fmt"
 	"testing"
 
+	"molcache/internal/addr"
+	"molcache/internal/cache"
 	"molcache/internal/engine"
 	"molcache/internal/molecular"
+	"molcache/internal/resize"
+	"molcache/internal/rng"
 	"molcache/internal/stats"
 	"molcache/internal/trace"
 	"molcache/internal/workload"
 )
 
-// TestMixAppsStayInWindow pins RunMix's exactness precondition: every
-// registered workload model, built by MixApp as ASIDs 1-16, keeps its
-// references inside [ASID<<36, (ASID+1)<<36), so no two cores of a mix
-// ever touch one line.
+// TestMixAppsStayInWindow pins the window contract for every mix:
+// every registered workload model, built by MixApp as ASIDs 1-16, keeps
+// its references inside [ASID<<36, (ASID+1)<<36), so no two cores of a
+// mix ever touch one line and Run never fails with a *WindowError.
 func TestMixAppsStayInWindow(t *testing.T) {
 	const refs = 1_000_000
 	for _, name := range workload.Names() {
@@ -35,6 +39,74 @@ func TestMixAppsStayInWindow(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refCore is one core of the reference model.
+type refCore struct {
+	asid  uint16
+	gen   workload.Generator
+	l1    *cache.Cache
+	ready uint64
+}
+
+// reference is the per-reference model Run must match. Before every
+// reference it picks the core with the smallest (ready cycle, core ID)
+// by linear scan and probes that core's L1; a miss is captured and goes
+// to the L2 (then to hook, when set); the core advances by 1, 12 or 200
+// cycles.
+func reference(l2 engine.Cache, cores []refCore, refs int, hook func(trace.Ref, engine.Result)) []trace.Ref {
+	var out []trace.Ref
+	for n := 0; n < refs && len(cores) > 0; n++ {
+		i := 0
+		for j := range cores {
+			if cores[j].ready < cores[i].ready {
+				i = j
+			}
+		}
+		c := &cores[i]
+		acc := c.gen.Next()
+		ref := trace.Ref{Addr: acc.Addr, ASID: c.asid, CPU: uint8(i), Kind: trace.Read}
+		if acc.Write {
+			ref.Kind = trace.Write
+		}
+		lat := uint64(l1HitCycles)
+		if !c.l1.Access(ref).Hit {
+			out = append(out, ref)
+			res := l2.Access(ref)
+			if hook != nil {
+				hook(ref, res)
+			}
+			lat = engine.MemoryCycles
+			if res.Hit {
+				lat = engine.L2HitCycles
+			}
+		}
+		c.ready += lat
+	}
+	return out
+}
+
+// refCores builds the reference model's cores for gens as ASIDs 1, 2, ...
+func refCores(gens ...workload.Generator) []refCore {
+	cores := make([]refCore, len(gens))
+	for i, g := range gens {
+		cores[i] = refCore{asid: uint16(i + 1), gen: g, l1: cache.MustNew(cache.Config{Size: l1Size, Ways: l1Ways, LineSize: lineSize})}
+	}
+	return cores
+}
+
+// mixGens builds the generators of names as MixApp does.
+func mixGens(t testing.TB, names []string, seed uint64) []workload.Generator {
+	t.Helper()
+	gens := make([]workload.Generator, len(names))
+	for i, name := range names {
+		_, gen, err := MixApp(i, name, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens[i] = gen
+	}
+	return gens
 }
 
 // table1Mixes are Table 1's eleven combinations (experiments.Table1Combos).
@@ -64,61 +136,76 @@ var oracleL2s = []l2Maker{
 		return l2, l2.Ledger()
 	}},
 	{"molecular-2MB-Randy", func(t testing.TB) (engine.Cache, *stats.Ledger) {
-		cfg, err := molecular.ParseSpec("molecular:2MB:1x4:Randy", 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc, err := molecular.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mc := newMolecularL2(t)
 		return mc, mc.Ledger()
 	}},
 }
 
-// runSystem runs the mix on System, the reference model.
-func runSystem(t testing.TB, l2 engine.Cache, led *stats.Ledger, names []string, refs int, seed uint64) systemRun {
-	t.Helper()
-	s := New(l2, Config{CaptureL1Misses: true})
-	if err := s.AddMix(names, seed); err != nil {
+// newMolecularL2 builds the oracle's molecular L2.
+func newMolecularL2(t testing.TB) *molecular.Cache {
+	cfg, err := molecular.ParseSpec("molecular:2MB:1x4:Randy", 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(refs)
-	return systemRun{captured: s.Captured(), ledger: led}
+	mc, err := molecular.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mc
 }
 
-// diffRuns reports the first difference between a RunMix result and
-// System's.
+// diffRuns reports the first difference between a System.Run result
+// and the reference model's.
 func diffRuns(want, got systemRun) error {
 	if len(got.captured) != len(want.captured) {
-		return fmt.Errorf("captured %d refs, System captured %d", len(got.captured), len(want.captured))
+		return fmt.Errorf("captured %d refs, the reference model %d", len(got.captured), len(want.captured))
 	}
 	for i := range want.captured {
 		if got.captured[i] != want.captured[i] {
-			return fmt.Errorf("captured ref %d = %v, System's is %v", i, got.captured[i], want.captured[i])
+			return fmt.Errorf("captured ref %d = %v, the reference model's is %v", i, got.captured[i], want.captured[i])
 		}
 	}
 	if got.ledger.Total != want.ledger.Total {
-		return fmt.Errorf("L2 ledger total %+v, System's %+v", got.ledger.Total, want.ledger.Total)
+		return fmt.Errorf("L2 ledger total %+v, the reference model's %+v", got.ledger.Total, want.ledger.Total)
 	}
 	wa, ga := want.ledger.ASIDs(), got.ledger.ASIDs()
 	if len(wa) != len(ga) {
-		return fmt.Errorf("L2 ledger ASIDs %v, System's %v", ga, wa)
+		return fmt.Errorf("L2 ledger ASIDs %v, the reference model's %v", ga, wa)
 	}
 	for i, asid := range wa {
 		if ga[i] != asid || got.ledger.App(asid) != want.ledger.App(asid) {
-			return fmt.Errorf("L2 ledger ASID %d: %+v, System's %+v", asid, got.ledger.App(ga[i]), want.ledger.App(asid))
+			return fmt.Errorf("L2 ledger ASID %d: %+v, the reference model's %+v", asid, got.ledger.App(ga[i]), want.ledger.App(asid))
 		}
 	}
 	return nil
 }
 
+// runSystem runs gens as cores of a capturing System over l2, in Runs
+// of the given lengths.
+func runSystem(t testing.TB, l2 engine.Cache, gens []workload.Generator, runs ...int) []trace.Ref {
+	t.Helper()
+	s := New(l2, Config{CaptureL1Misses: true})
+	for i, g := range gens {
+		if err := s.AddCore(uint16(i+1), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range runs {
+		run(t, s, n)
+	}
+	return s.Captured()
+}
+
 // TestRunMixMatchesSystem is the differential oracle: for every mix,
-// length and seed, RunMix must capture the same stream as System and
-// leave the L2 with the same ledger, in total and per ASID. The mixes are Table 1's eleven combinations, the twelve
+// length and seed, System.Run must capture the same stream as the
+// per-reference model and leave the L2 with the same ledger, in total
+// and per ASID. The mixes are Table 1's eleven combinations, the twelve
 // mixed applications and all fifteen models together; the lengths run
 // from nothing to a million processor references; the L2 is the
-// traditional reference cache and, on a subset, a molecular one.
+// traditional reference cache and, on a subset, a molecular one. Three
+// more cases cover four identical cores (which interleave round-robin),
+// a run issued in several Runs, and molsim -mix's set-up, a resize
+// controller ticked from OnL2Access on a molecular L2.
 func TestRunMixMatchesSystem(t *testing.T) {
 	mixes := append(append([][]string{}, table1Mixes...), workload.MixedNames, workload.Names())
 	lengths := []int{0, 1, 2, 17, 4097, 123_457}
@@ -157,29 +244,91 @@ func TestRunMixMatchesSystem(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			l2, led := c.l2.make(t)
-			want := runSystem(t, l2, led, c.mix, c.refs, c.seed)
+			want := systemRun{reference(l2, refCores(mixGens(t, c.mix, c.seed)...), c.refs, nil), led}
 			l2, led = c.l2.make(t)
-			captured, err := RunMix(l2, c.mix, c.refs, c.seed, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := diffRuns(want, systemRun{captured, led}); err != nil {
+			got := systemRun{runSystem(t, l2, mixGens(t, c.mix, c.seed), c.refs), led}
+			if err := diffRuns(want, got); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+
+	t.Run("round-robin", func(t *testing.T) {
+		loops := func() []workload.Generator {
+			var gens []workload.Generator
+			for i := uint64(1); i <= 4; i++ {
+				gens = append(gens, workload.NewLoop("l", i<<asidShift, 64*addr.KB, 0, rng.New(i)))
+			}
+			return gens
+		}
+		l2 := sharedL2()
+		want := systemRun{reference(l2, refCores(loops()...), 40_001, nil), l2.Ledger()}
+		l2 = sharedL2()
+		if err := diffRuns(want, systemRun{runSystem(t, l2, loops(), 40_001), l2.Ledger()}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("in-pieces", func(t *testing.T) {
+		const seed = 2006
+		l2 := sharedL2()
+		want := systemRun{reference(l2, refCores(mixGens(t, workload.MixedNames, seed)...), 127_457, nil), l2.Ledger()}
+		l2 = sharedL2()
+		got := runSystem(t, l2, mixGens(t, workload.MixedNames, seed), 0, 1, 17, 4097, 123_342)
+		if err := diffRuns(want, systemRun{got, l2.Ledger()}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("molecular-2MB-Randy/resize/12apps/refs=1000000/seed=2006", func(t *testing.T) {
+		const refs, seed = 1_000_000, 2006
+		// resized runs the mix under a resize controller ticked after
+		// every L2 access and returns the capture, the ledger and the
+		// controller's decision count.
+		resized := func(runMix func(l2 engine.Cache, hook func(trace.Ref, engine.Result)) []trace.Ref) (systemRun, uint64) {
+			mc := newMolecularL2(t)
+			ctrl, err := resize.New(mc, resize.Config{DefaultGoal: 0.10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			captured := runMix(mc, func(trace.Ref, engine.Result) { ctrl.Tick() })
+			return systemRun{captured, mc.Ledger()}, ctrl.DecisionCount()
+		}
+		want, wantDecisions := resized(func(l2 engine.Cache, hook func(trace.Ref, engine.Result)) []trace.Ref {
+			return reference(l2, refCores(mixGens(t, workload.MixedNames, seed)...), refs, hook)
+		})
+		got, gotDecisions := resized(func(l2 engine.Cache, hook func(trace.Ref, engine.Result)) []trace.Ref {
+			s := New(l2, Config{CaptureL1Misses: true})
+			s.OnL2Access = hook
+			if err := s.AddMix(workload.MixedNames, seed); err != nil {
+				t.Fatal(err)
+			}
+			run(t, s, refs)
+			return s.Captured()
+		})
+		if err := diffRuns(want, got); err != nil {
+			t.Fatal(err)
+		}
+		if gotDecisions != wantDecisions || gotDecisions == 0 {
+			t.Errorf("%d resize decisions, the reference model's %d", gotDecisions, wantDecisions)
+		}
+	})
 }
 
 // TestRunMixWithoutCapture: a run that does not capture returns no
 // stream and leaves the L2 as a capturing run does.
 func TestRunMixWithoutCapture(t *testing.T) {
 	l2, bare := sharedL2(), sharedL2()
-	captured, err := RunMix(l2, workload.MixedNames, 200_000, 2006, true)
-	if err != nil || len(captured) == 0 {
-		t.Fatalf("capturing run returned %d refs, %v", len(captured), err)
+	if captured := runSystem(t, l2, mixGens(t, workload.MixedNames, 2006), 200_000); len(captured) == 0 {
+		t.Fatal("capturing run captured nothing")
 	}
-	if out, err := RunMix(bare, workload.MixedNames, 200_000, 2006, false); err != nil || out != nil {
-		t.Fatalf("run without capture returned %d refs, %v", len(out), err)
+	s := New(bare, Config{})
+	if err := s.AddMix(workload.MixedNames, 2006); err != nil {
+		t.Fatal(err)
+	}
+	run(t, s, 200_000)
+	if out := s.Captured(); out != nil {
+		t.Fatalf("run without capture returned %d refs", len(out))
 	}
 	if err := diffRuns(systemRun{nil, l2.Ledger()}, systemRun{nil, bare.Ledger()}); err != nil {
 		t.Errorf("without capture: %v", err)
@@ -201,27 +350,24 @@ func (w *windowGen) Next() workload.Access {
 	return workload.Access{Addr: w.base + uint64(w.n%64)*64}
 }
 
-// mixOf builds cores for gens as ASIDs 1, 2, ...
-func mixOf(gens ...workload.Generator) []mixCore {
-	cores := make([]mixCore, len(gens))
-	for i, g := range gens {
-		cores[i] = newMixCore(uint16(i+1), g)
-	}
-	return cores
-}
-
-// TestRunMixWindowError: a reference outside its core's window fails the
-// run with a *WindowError naming the core, the ASID and the address —
+// TestRunMixWindowError: a reference outside its core's window fails
+// Run with a *WindowError naming the core, the ASID and the address —
 // but only once it would issue: a run that ends before it succeeds.
 func TestRunMixWindowError(t *testing.T) {
-	cores := func() []mixCore {
+	system := func() *System {
 		art, err := workload.New("art", 1<<asidShift, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mixOf(art, &windowGen{base: 2 << asidShift, good: 10_000, addr: 5 << asidShift})
+		s := New(sharedL2(), Config{CaptureL1Misses: true})
+		for i, g := range []workload.Generator{art, &windowGen{base: 2 << asidShift, good: 10_000, addr: 5 << asidShift}} {
+			if err := s.AddCore(uint16(i+1), g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
 	}
-	_, err := runMix(sharedL2(), cores(), 100_000, true)
+	err := system().Run(100_000)
 	var we *WindowError
 	if !errors.As(err, &we) {
 		t.Fatalf("err = %v, want a *WindowError", err)
@@ -229,33 +375,44 @@ func TestRunMixWindowError(t *testing.T) {
 	if we.Core != 1 || we.ASID != 2 || we.Addr != 5<<asidShift {
 		t.Errorf("%+v, want core 1, ASID 2, address %#x", we, uint64(5<<asidShift))
 	}
-	if _, err := runMix(sharedL2(), cores(), 5_000, true); err != nil {
+	if err := system().Run(5_000); err != nil {
 		t.Errorf("a run ending before the bad reference failed: %v", err)
 	}
 }
 
-// TestRunMixEdges: an empty mix or budget returns an empty capture; a
-// 17th application fails as AddMix does; an unknown name fails with
-// MixApp's error.
+// TestRunMixEdges: an empty system or budget captures nothing; a 17th
+// application fails AddMix; an unknown name fails with MixApp's error;
+// AddCore rejects a second core under one ASID and a core after the
+// first Run.
 func TestRunMixEdges(t *testing.T) {
-	if out, err := RunMix(sharedL2(), nil, 1000, 1, true); err != nil || len(out) != 0 {
-		t.Errorf("empty mix returned %d refs, %v", len(out), err)
+	empty := New(sharedL2(), Config{CaptureL1Misses: true})
+	if err := empty.Run(1000); err != nil || len(empty.Captured()) != 0 {
+		t.Errorf("empty system captured %d refs, %v", len(empty.Captured()), err)
 	}
-	if out, err := RunMix(sharedL2(), []string{"art"}, 0, 1, true); err != nil || len(out) != 0 {
-		t.Errorf("zero references returned %d refs, %v", len(out), err)
+	if got := runSystem(t, sharedL2(), mixGens(t, []string{"art"}, 1), 0); len(got) != 0 {
+		t.Errorf("zero references captured %d refs", len(got))
 	}
 
 	seventeen := append(append([]string{}, workload.Names()...), "art", "mcf")
-	_, err := RunMix(sharedL2(), seventeen, 1000, 1, true)
-	sysErr := New(sharedL2(), Config{}).AddMix(seventeen, 1)
-	if !errors.Is(err, errTooManyCores) || sysErr == nil || err.Error() != sysErr.Error() {
-		t.Errorf("17 apps: RunMix error %v, AddMix error %v, want both %v", err, sysErr, errTooManyCores)
+	if err := New(sharedL2(), Config{}).AddMix(seventeen, 1); !errors.Is(err, errTooManyCores) {
+		t.Errorf("17 apps: AddMix error %v, want %v", err, errTooManyCores)
 	}
 
-	names := []string{"art", "nosuchapp"}
-	_, err = RunMix(sharedL2(), names, 1000, 1, true)
+	err := New(sharedL2(), Config{}).AddMix([]string{"art", "nosuchapp"}, 1)
 	_, _, appErr := MixApp(1, "nosuchapp", 1)
 	if err == nil || appErr == nil || err.Error() != appErr.Error() {
-		t.Errorf("unknown name: RunMix error %v, want MixApp's %v", err, appErr)
+		t.Errorf("unknown name: AddMix error %v, want MixApp's %v", err, appErr)
+	}
+
+	s := New(sharedL2(), Config{})
+	if err := s.AddMix([]string{"art"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddCore(1, workload.MustNew("mcf", 1<<asidShift, 1)); err == nil {
+		t.Error("a second core under ASID 1 accepted")
+	}
+	run(t, s, 10)
+	if err := s.AddCore(2, workload.MustNew("mcf", 2<<asidShift, 1)); err == nil {
+		t.Error("AddCore after Run accepted")
 	}
 }

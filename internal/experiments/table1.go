@@ -44,7 +44,11 @@ func Table1(opt Options) ([]Table1Row, error) {
 				return Table1Row{}, err
 			}
 			l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
-			if _, err := cmp.RunMix(l2, mix, opt.ProcessorRefs, opt.Seed, false); err != nil {
+			sys := cmp.New(l2, cmp.Config{})
+			if err := sys.AddMix(mix, opt.Seed); err != nil {
+				return Table1Row{}, err
+			}
+			if err := sys.Run(opt.ProcessorRefs); err != nil {
 				return Table1Row{}, err
 			}
 			row := Table1Row{Apps: mix, MissRate: make(map[string]float64, len(mix))}

@@ -1,10 +1,6 @@
 package invariant
 
-import (
-	"molcache/internal/cmp"
-	"molcache/internal/coherence"
-	"molcache/internal/molecular"
-)
+import "molcache/internal/molecular"
 
 // CaptureCache snapshots a molecular cache's structural state: every
 // molecule with its assignment bits and resident blocks, every region's
@@ -48,31 +44,7 @@ func CaptureCache(c *molecular.Cache) Snapshot {
 	return s
 }
 
-// CaptureSystem snapshots a CMP: the shared L2's structure (when it is
-// a molecular cache) plus the MESI directory and every private L1's
-// resident lines for the coherence-legality rules. Read-only.
-func CaptureSystem(sys *cmp.System) Snapshot {
-	var s Snapshot
-	if mc, ok := sys.L2().(*molecular.Cache); ok {
-		s = CaptureCache(mc)
-	}
-	sys.Directory().EachLine(func(l coherence.LineInfo) {
-		s.DirectoryLines = append(s.DirectoryLines, DirectoryLine{
-			Line: l.Line, Sharers: l.Sharers, Owner: l.Owner, Dirty: l.Dirty,
-		})
-	})
-	sys.EachL1Line(func(coreID int, a uint64, dirty bool) {
-		s.L1Lines = append(s.L1Lines, L1Line{Cache: coreID, Line: a, Dirty: dirty})
-	})
-	return s
-}
-
 // CacheSource adapts a molecular cache into a Checker Source.
 func CacheSource(c *molecular.Cache) Source {
 	return func() Snapshot { return CaptureCache(c) }
-}
-
-// SystemSource adapts a CMP system into a Checker Source.
-func SystemSource(sys *cmp.System) Source {
-	return func() Snapshot { return CaptureSystem(sys) }
 }

@@ -1,6 +1,6 @@
 package invariant
 
-// Tests of rule 7 (index-consistency): the fast-path block index a
+// Tests of rule 6 (index-consistency): the fast-path block index a
 // RegionState carries must be exactly the residency relation of the
 // region's molecules. Hand-built snapshots pin each failure shape; the
 // live-capture test confirms a real cache's index audits clean and that
@@ -31,7 +31,7 @@ func TestIndexedHealthySnapshotIsClean(t *testing.T) {
 }
 
 func TestNilIndexSkipsRule(t *testing.T) {
-	// healthy() carries no Index at all; rule 7 must stay silent.
+	// healthy() carries no Index at all; rule 6 must stay silent.
 	for _, v := range Check(healthy()) {
 		if v.Rule == "index-consistency" {
 			t.Errorf("nil index flagged: %v", v)
@@ -72,7 +72,7 @@ func TestCaptureCachePopulatesIndex(t *testing.T) {
 	s := CaptureCache(c)
 	for _, r := range s.Regions {
 		if r.Index == nil {
-			t.Fatalf("region %d captured without an index; rule 7 would be skipped", r.ASID)
+			t.Fatalf("region %d captured without an index; rule 6 would be skipped", r.ASID)
 		}
 		if len(r.Index) == 0 {
 			t.Fatalf("region %d captured an empty index after 4096 accesses", r.ASID)

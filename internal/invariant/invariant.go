@@ -4,9 +4,9 @@
 // mid-flight, the cache must still satisfy the architecture's structural
 // rules. The checker is split in two pure layers so both are testable:
 //
-//   - Snapshot is a plain-data view of the state under audit. Capture
-//     adapters build one from a live molecular.Cache or cmp.System;
-//     tests construct known-bad snapshots by hand.
+//   - Snapshot is a plain-data view of the state under audit. The
+//     Capture adapter builds one from a live molecular.Cache; tests
+//     construct known-bad snapshots by hand.
 //   - Check walks a Snapshot and returns every Violation it finds. It
 //     never mutates anything and holds no references into the live
 //     simulator.
@@ -27,13 +27,7 @@
 //     row indices agree, the per-tile index sums to the region count.
 //  5. Retired molecules hold no lines, are not owned, and sit on no
 //     free list.
-//  6. Coherence legality: a directory entry has at least one sharer;
-//     an owner is always a sharer; a dirty line has an owner; multiple
-//     sharers mean no owner (no M/E beside S). An L1 copy is always in
-//     the directory's sharer set, and a dirty L1 copy means that cache
-//     owns the line dirty in the directory (the directory is allowed to
-//     be a conservative superset of the L1s, never the reverse).
-//  7. Index consistency: a region's fast-path block index names exactly
+//  6. Index consistency: a region's fast-path block index names exactly
 //     the resident lines of the region's molecules — every resident
 //     line indexed to its holder, nothing else indexed. Skipped for
 //     snapshots captured without an index (RegionState.Index nil).
@@ -44,7 +38,6 @@ package invariant
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -81,34 +74,13 @@ type RegionState struct {
 	Index map[uint64]int
 }
 
-// DirectoryLine is one MESI directory entry's audited view.
-type DirectoryLine struct {
-	// Line is the tracked (line-aligned) address.
-	Line uint64
-	// Sharers is the holder bitmask; Owner the single E/M holder or -1.
-	Sharers uint16
-	Owner   int
-	// Dirty marks a Modified owner copy.
-	Dirty bool
-}
-
-// L1Line is one private-cache line's audited view.
-type L1Line struct {
-	// Cache is the holding core/cache ID.
-	Cache int
-	// Line is the line-aligned address; Dirty its modified bit.
-	Line  uint64
-	Dirty bool
-}
-
 // SharedASID mirrors molecular.SharedASID so this file — the pure
 // checking layer — stays free of simulator imports; only the Capture
 // adapters (capture.go) link against the live packages.
 const SharedASID uint16 = 0xFFFF
 
 // Snapshot is the full audited view. Zero-valued sections are simply
-// not checked, so a molecular-only snapshot omits the coherence fields
-// and vice versa.
+// not checked.
 type Snapshot struct {
 	// TotalMolecules is the cache's molecule population (0 skips the
 	// accounting sum).
@@ -118,15 +90,13 @@ type Snapshot struct {
 	TilesPerCluster int
 	Molecules       []MoleculeState
 	Regions         []RegionState
-	DirectoryLines  []DirectoryLine
-	L1Lines         []L1Line
 }
 
 // Violation is one broken invariant.
 type Violation struct {
 	// Rule names the invariant ("molecule-accounting", "duplicate-line",
 	// "asid-isolation", "region-accounting", "retired-state",
-	// "coherence-legality", "index-consistency").
+	// "index-consistency").
 	Rule string
 	// Detail says what exactly is wrong, with the IDs involved.
 	Detail string
@@ -149,7 +119,6 @@ func Check(s Snapshot) []Violation {
 	checkRegions(s, &vs)
 	checkDuplicateLines(s, &vs)
 	checkIndexes(s, &vs)
-	checkCoherence(s, &vs)
 	return vs
 }
 
@@ -317,7 +286,7 @@ func checkDuplicateLines(s Snapshot, vs *violations) {
 	}
 }
 
-// checkIndexes enforces rule 7: each region's block index mirrors the
+// checkIndexes enforces rule 6: each region's block index mirrors the
 // resident lines of its molecules exactly.
 func checkIndexes(s Snapshot, vs *violations) {
 	mols := make(map[int]*MoleculeState, len(s.Molecules))
@@ -357,51 +326,7 @@ func checkIndexes(s Snapshot, vs *violations) {
 	}
 }
 
-// checkCoherence enforces rule 6.
-func checkCoherence(s Snapshot, vs *violations) {
-	dir := make(map[uint64]*DirectoryLine, len(s.DirectoryLines))
-	for i := range s.DirectoryLines {
-		d := &s.DirectoryLines[i]
-		if _, dup := dir[d.Line]; dup {
-			vs.add("coherence-legality", "line %#x tracked twice in the directory", d.Line)
-			continue
-		}
-		dir[d.Line] = d
-		if d.Sharers == 0 {
-			vs.add("coherence-legality", "line %#x tracked with no sharers", d.Line)
-		}
-		if d.Owner >= 0 && d.Sharers&(1<<uint(d.Owner)) == 0 {
-			vs.add("coherence-legality", "line %#x owner %d not in sharer mask %#x",
-				d.Line, d.Owner, d.Sharers)
-		}
-		if d.Dirty && d.Owner < 0 {
-			vs.add("coherence-legality", "line %#x dirty without an owner", d.Line)
-		}
-		if d.Owner >= 0 && bits.OnesCount16(d.Sharers) > 1 {
-			vs.add("coherence-legality", "line %#x has owner %d beside %d sharers (M/E with S)",
-				d.Line, d.Owner, bits.OnesCount16(d.Sharers))
-		}
-	}
-	for _, l := range s.L1Lines {
-		d := dir[l.Line]
-		if d == nil {
-			vs.add("coherence-legality", "cache %d holds line %#x the directory does not track",
-				l.Cache, l.Line)
-			continue
-		}
-		if l.Cache >= 0 && d.Sharers&(1<<uint(l.Cache)) == 0 {
-			vs.add("coherence-legality", "cache %d holds line %#x but is not in sharer mask %#x",
-				l.Cache, l.Line, d.Sharers)
-		}
-		if l.Dirty && (d.Owner != l.Cache || !d.Dirty) {
-			vs.add("coherence-legality",
-				"cache %d holds line %#x dirty but directory owner=%d dirty=%v",
-				l.Cache, l.Line, d.Owner, d.Dirty)
-		}
-	}
-}
-
-// Source produces snapshots on demand — a live cache or system behind a
+// Source produces snapshots on demand — a live cache behind the
 // Capture adapter.
 type Source func() Snapshot
 

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"molcache/internal/addr"
-	"molcache/internal/cmp"
 	"molcache/internal/molecular"
 	"molcache/internal/trace"
-	"molcache/internal/workload"
 )
 
 // healthy builds a small, consistent snapshot: two regions of two
@@ -155,58 +153,6 @@ func TestRowFieldMismatch(t *testing.T) {
 	wantRule(t, Check(s), "region-accounting")
 }
 
-func TestIllegalCoherencePairs(t *testing.T) {
-	cases := []struct {
-		name string
-		dir  []DirectoryLine
-		l1   []L1Line
-	}{
-		{"owner outside sharers", []DirectoryLine{{Line: 0x40, Sharers: 0b10, Owner: 0}}, nil},
-		{"dirty without owner", []DirectoryLine{{Line: 0x40, Sharers: 0b11, Owner: -1, Dirty: true}}, nil},
-		{"owner beside sharers", []DirectoryLine{{Line: 0x40, Sharers: 0b11, Owner: 0}}, nil},
-		{"entry with no sharers", []DirectoryLine{{Line: 0x40, Sharers: 0, Owner: -1}}, nil},
-		{"untracked L1 line", nil, []L1Line{{Cache: 0, Line: 0x40}}},
-		{"L1 holder outside sharers",
-			[]DirectoryLine{{Line: 0x40, Sharers: 0b01, Owner: 0}},
-			[]L1Line{{Cache: 1, Line: 0x40}}},
-		{"L1 dirty but directory clean",
-			[]DirectoryLine{{Line: 0x40, Sharers: 0b01, Owner: 0, Dirty: false}},
-			[]L1Line{{Cache: 0, Line: 0x40, Dirty: true}}},
-		{"L1 dirty but foreign owner",
-			[]DirectoryLine{{Line: 0x40, Sharers: 0b11, Owner: -1, Dirty: false}},
-			[]L1Line{{Cache: 1, Line: 0x40, Dirty: true}}},
-	}
-	for _, tc := range cases {
-		vs := Check(Snapshot{DirectoryLines: tc.dir, L1Lines: tc.l1})
-		found := false
-		for _, v := range vs {
-			if v.Rule == "coherence-legality" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: not flagged (got [%s])", tc.name, rules(vs))
-		}
-	}
-	// And the legal states stay quiet.
-	clean := Snapshot{
-		DirectoryLines: []DirectoryLine{
-			{Line: 0x40, Sharers: 0b01, Owner: 0, Dirty: true},  // M
-			{Line: 0x80, Sharers: 0b01, Owner: 0, Dirty: false}, // E
-			{Line: 0xc0, Sharers: 0b11, Owner: -1},              // S,S
-		},
-		L1Lines: []L1Line{
-			{Cache: 0, Line: 0x40, Dirty: true},
-			{Cache: 0, Line: 0x80},
-			{Cache: 0, Line: 0xc0},
-			{Cache: 1, Line: 0xc0},
-		},
-	}
-	if vs := Check(clean); len(vs) != 0 {
-		t.Errorf("legal MESI states flagged: %v", vs)
-	}
-}
-
 func TestCaptureCacheCleanAndCorrupted(t *testing.T) {
 	cfg := molecular.Config{
 		TotalSize:       256 * addr.KB,
@@ -230,29 +176,6 @@ func TestCaptureCacheCleanAndCorrupted(t *testing.T) {
 	}
 	if vs := Check(CaptureCache(c)); len(vs) != 0 {
 		t.Fatalf("cache flagged after retirement: %v", vs)
-	}
-}
-
-func TestCaptureSystemClean(t *testing.T) {
-	l2 := molecular.MustNew(molecular.Config{
-		TotalSize:       256 * addr.KB,
-		MoleculeSize:    8 * addr.KB,
-		TilesPerCluster: 4,
-		Seed:            7,
-	})
-	sys := cmp.New(l2, cmp.Config{})
-	for i, name := range []string{"art", "mcf", "parser"} {
-		g, err := workload.New(name, uint64(i)<<36, uint64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.AddCore(uint16(i), g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys.Run(20000)
-	if vs := Check(CaptureSystem(sys)); len(vs) != 0 {
-		t.Fatalf("live CMP flagged: %v", vs)
 	}
 }
 

@@ -24,10 +24,10 @@ import (
 // goes to an overflow map instead, the idiom regionTable uses for large
 // ASIDs, so every 64-bit address stays exact.
 //
-// Deletion is by backward shift (the idiom coherence.Directory uses):
-// the later entries of the probe run move back into the hole where
-// their home slot allows, so every remaining key stays reachable from
-// its home and the table holds no tombstones.
+// Deletion is by backward shift: the later entries of the probe run
+// move back into the hole where their home slot allows, so every
+// remaining key stays reachable from its home and the table holds no
+// tombstones.
 //
 // The table doubles when an insert would take its live entries past 3/4
 // of capacity and never shrinks. Its size is therefore bounded by the

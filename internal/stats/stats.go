@@ -36,12 +36,6 @@ func (h HitMiss) HitRate() float64 {
 	return float64(h.Hits) / float64(n)
 }
 
-// Add accumulates other into h.
-func (h *HitMiss) Add(other HitMiss) {
-	h.Hits += other.Hits
-	h.Misses += other.Misses
-}
-
 // Record adds one access with the given outcome.
 func (h *HitMiss) Record(hit bool) {
 	if hit {

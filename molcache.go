@@ -240,6 +240,15 @@ func NewController(c *MolecularCache, cfg ResizeConfig) (*Controller, error) {
 
 // NewSystem builds the CMP substrate over the shared L2. It never
 // fails; the error result keeps the signature stable for callers.
+//
+// Each core owns the address window of its ASID, [ASID<<36,
+// (ASID+1)<<36), as each application of the paper's multiprogrammed
+// mixes owns its data, so the private L1s need no coherence: AddCore
+// rejects a second core under one ASID, and System.Run stops with an
+// error naming the core, its ASID and the address at the first
+// reference outside its core's window. NewWorkload(name,
+// uint64(asid)<<36, seed) builds a generator that stays inside it, as
+// AddMix does for every application.
 func NewSystem(l2 Cache, cfg SystemConfig) (*System, error) {
 	return cmp.New(l2, cfg), nil
 }

@@ -54,7 +54,7 @@ func TestFacadeSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := molcache.NewSystem(l2, molcache.SystemConfig{})
+	sys, err := molcache.NewSystem(l2, molcache.SystemConfig{CaptureL1Misses: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,26 @@ func TestFacadeSystem(t *testing.T) {
 	if err := sys.AddCore(1, gen); err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(100000)
-	if sys.L1Ledger().App(1).Accesses() != 100000 {
-		t.Error("core did not issue the requested references")
+	if err := sys.Run(100000); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sys.Captured()); n == 0 || uint64(n) != l2.Ledger().App(1).Accesses() {
+		t.Errorf("captured %d L1 misses, the L2 saw %d accesses", n, l2.Ledger().App(1).Accesses())
+	}
+
+	// A core outside its ASID's window fails the run.
+	stray, err := molcache.NewSystem(l2, molcache.SystemConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen, err = molcache.NewWorkload("ammp", 0, 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := stray.AddCore(1, gen); err != nil {
+		t.Fatal(err)
+	}
+	if err := stray.Run(1000); err == nil {
+		t.Error("a core outside its ASID's window ran")
 	}
 
 	refs, err := molcache.CaptureMix([]string{"ammp", "parser"}, 100000, 42)

@@ -26,7 +26,8 @@ import (
 // cannot reach) surface as typed errors naming the failing section, so
 // a caller can fall back to a cold start (molcached's boot does, and
 // counts the failure on molcache_server_restore_failures_total). Every
-// successful restore passes the full invariant suite before the engine
+// successful restore passes the cache's structural audit, which
+// molecular.RestoreCache runs once as its last step, before the engine
 // resumes.
 
 // Checkpoint section names.
@@ -135,8 +136,8 @@ func (s *Simulator) Checkpoint(path string) error {
 // tr and reg are the caller's telemetry attachments (either may be nil);
 // when reg is non-nil the snapshot's instrument values are loaded into
 // it after attachment, so the registry continues exactly where the
-// checkpointed one left off. The restored simulator passes the full
-// invariant suite (structural rules + index consistency) before being
+// checkpointed one left off. The restored cache passes the structural
+// audit (every rule, block-index consistency included) before being
 // returned; any corruption yields a typed error naming the section.
 func RestoreSimulatorBytes(data []byte, tr *Tracer, reg *Registry) (*Simulator, error) {
 	sections, err := snapshot.Decode(data)
@@ -213,13 +214,6 @@ func RestoreSimulatorBytes(data []byte, tr *Tracer, reg *Registry) (*Simulator, 
 				return nil, sectionErr(sectionTelemetry, err)
 			}
 		}
-	}
-
-	// The restore gate: the full invariant rule set must hold before
-	// the engine serves a single access.
-	if vs := sim.CheckInvariants(); len(vs) > 0 {
-		return nil, sectionErr(sectionCache,
-			fmt.Errorf("restored state violates invariant %s: %s", vs[0].Rule, vs[0].Detail))
 	}
 	return sim, nil
 }

@@ -8,8 +8,9 @@
 //     restored from its latest checkpoint, and replays from there.
 //
 // Every victim access after every restore must reproduce the reference
-// result exactly; final ledgers, structural captures and the full
-// invariant suite must agree. Each iteration additionally fuzzes the
+// result exactly; the final ledgers must agree, the victim must pass the
+// structural audit, and a checkpoint file round trip must reproduce its
+// complete cache state. Each iteration additionally fuzzes the
 // final checkpoint image with random bit flips, truncations and zeroed
 // ranges: every mutation must fail restore with a typed snapshot error —
 // never a panic, never a silent success.
@@ -30,11 +31,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"time"
 
 	"molcache"
 	"molcache/internal/faults"
-	"molcache/internal/invariant"
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
 	"molcache/internal/rng"
@@ -182,7 +183,7 @@ func runIteration(seed uint64, accesses, mutations int, out string, iter int) *f
 		}
 	}
 
-	// End-state agreement: ledgers, structural captures, invariants.
+	// End-state agreement: ledgers, then the structural audit.
 	if a, b := *ref.Cache.Ledger(), *victim.Cache.Ledger(); a.Total != b.Total {
 		return bundle(fmt.Sprintf("final ledgers diverged: reference %+v, victim %+v",
 			a.Total, b.Total), ckBytes, len(refs)-1)
@@ -193,7 +194,7 @@ func runIteration(seed uint64, accesses, mutations int, out string, iter int) *f
 	}
 
 	// File-path round trip: the crash-safe writer and the file restore
-	// must reproduce the victim's structural capture exactly.
+	// must reproduce the victim's complete cache state exactly.
 	final, err := victim.EncodeCheckpoint()
 	if err != nil {
 		return bundle(fmt.Sprintf("final checkpoint: %v", err), nil, len(refs)-1)
@@ -211,9 +212,9 @@ func runIteration(seed uint64, accesses, mutations int, out string, iter int) *f
 	if err != nil {
 		return bundle(fmt.Sprintf("RestoreSimulator(%s): %v", path, err), final, len(refs)-1)
 	}
-	vc, fc := invariant.CaptureCache(victim.Cache), invariant.CaptureCache(fromFile.Cache)
-	if !capturesEqual(vc, fc) {
-		return bundle("file round trip changed the structural capture", final, len(refs)-1)
+	// The restore audited the rebuilt cache; equal states finish the job.
+	if !reflect.DeepEqual(victim.Cache.CaptureState(), fromFile.Cache.CaptureState()) {
+		return bundle("file round trip changed the cache state", final, len(refs)-1)
 	}
 
 	// Corruption probes: every mutated image must fail with a typed
@@ -273,14 +274,6 @@ func mutateSnapshot(src *rng.Source, data []byte) []byte {
 		}
 	}
 	return d
-}
-
-// capturesEqual compares two structural captures via their JSON forms
-// (the capture types carry maps; JSON canonicalizes them).
-func capturesEqual(a, b invariant.Snapshot) bool {
-	aj, errA := json.Marshal(a)
-	bj, errB := json.Marshal(b)
-	return errA == nil && errB == nil && string(aj) == string(bj)
 }
 
 // genConfig draws a random cache geometry.

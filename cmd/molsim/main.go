@@ -21,6 +21,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -31,7 +32,6 @@ import (
 	"molcache/internal/cmp"
 	"molcache/internal/engine"
 	"molcache/internal/faults"
-	"molcache/internal/invariant"
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
 	"molcache/internal/obs"
@@ -169,9 +169,9 @@ func main() {
 	// never touch live state); with -checkpoint-every, rewrite the
 	// checkpoint crash-safely every N accesses.
 	var hooks []func()
-	chk := newChecker(mol, *checkEvery)
+	chk := newAuditor(mol, *checkEvery)
 	if chk != nil {
-		hooks = append(hooks, func() { chk.Tick() })
+		hooks = append(hooks, chk.tick)
 	}
 	if pipe.Publisher != nil {
 		every := *publishEvery
@@ -239,7 +239,7 @@ func main() {
 		log.Fatal("need -mix or -trace (or -list)")
 	}
 	if chk != nil {
-		chk.Run() // final audit after the last access
+		chk.run() // final audit after the last access
 	}
 	pipe.Publish(mol, ctrl) // final snapshot for lingering servers
 	if sim != nil {
@@ -363,10 +363,19 @@ func runMix(mix string, l2 engine.Cache, ctrl *resize.Controller,
 	return asids, names, nil
 }
 
-// newChecker builds the -check-invariants auditor, which audits the
-// molecular cache every checkEvery accesses; nil when checkEvery is 0
-// or the cache is traditional.
-func newChecker(mol *molecular.Cache, checkEvery uint64) *invariant.Checker {
+// auditor is the -check-invariants hook: it runs the molecular cache's
+// structural audit every `every` accesses and keeps what it found.
+type auditor struct {
+	mol        *molecular.Cache
+	every      uint64
+	ticks      uint64
+	runs       uint64
+	violations []molecular.Violation
+}
+
+// newAuditor builds the -check-invariants auditor; nil when checkEvery
+// is 0 or the cache is traditional.
+func newAuditor(mol *molecular.Cache, checkEvery uint64) *auditor {
 	if checkEvery == 0 {
 		return nil
 	}
@@ -374,7 +383,39 @@ func newChecker(mol *molecular.Cache, checkEvery uint64) *invariant.Checker {
 		log.Print("-check-invariants audits molecular caches only; skipping")
 		return nil
 	}
-	return invariant.NewChecker(invariant.CacheSource(mol), checkEvery)
+	return &auditor{mol: mol, every: checkEvery}
+}
+
+// tick counts one access and audits on every every-th.
+func (a *auditor) tick() {
+	a.ticks++
+	if a.ticks%a.every == 0 {
+		a.run()
+	}
+}
+
+// run audits now.
+func (a *auditor) run() {
+	a.runs++
+	a.violations = append(a.violations, a.mol.CheckInvariants()...)
+}
+
+// summary renders the audit totals with a count per broken rule.
+func (a *auditor) summary() string {
+	counts := make(map[string]int)
+	for _, v := range a.violations {
+		counts[v.Rule]++
+	}
+	rules := make([]string, 0, len(counts))
+	for r := range counts {
+		rules = append(rules, r)
+	}
+	sort.Strings(rules)
+	out := fmt.Sprintf("%d audits, %d violations:", a.runs, len(a.violations))
+	for _, r := range rules {
+		out += fmt.Sprintf(" %s=%d", r, counts[r])
+	}
+	return out
 }
 
 // replayTrace feeds a recorded binary trace straight into the cache.
@@ -472,7 +513,7 @@ func report(l2 engine.Cache, mol *molecular.Cache, ctrl *resize.Controller,
 // reportFaults prints the fault-injection and invariant-audit sections.
 // It returns false when the run must exit nonzero: an invariant audit
 // found violations, or scheduled molecule failures were never delivered.
-func reportFaults(mol *molecular.Cache, chk *invariant.Checker) bool {
+func reportFaults(mol *molecular.Cache, chk *auditor) bool {
 	ok := true
 	if mol != nil && mol.Faults() != nil {
 		inj := mol.Faults()
@@ -495,10 +536,10 @@ func reportFaults(mol *molecular.Cache, chk *invariant.Checker) bool {
 		}
 	}
 	if chk != nil {
-		vs := chk.Violations()
-		fmt.Printf("invariant audits: %d runs, %d violations\n", chk.Runs(), len(vs))
+		vs := chk.violations
+		fmt.Printf("invariant audits: %d runs, %d violations\n", chk.runs, len(vs))
 		if len(vs) > 0 {
-			fmt.Println(chk.Summary())
+			fmt.Println(chk.summary())
 			for i, v := range vs {
 				if i == 20 {
 					fmt.Printf("  ... %d more\n", len(vs)-20)

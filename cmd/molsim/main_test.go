@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"molcache/internal/cache"
+	"molcache/internal/molecular"
 	"molcache/internal/trace"
 )
 
@@ -96,5 +97,28 @@ func TestBuildCacheRejectsOverflowingSize(t *testing.T) {
 	}
 	if _, _, err := buildCache("1MB:4", 1); err != nil {
 		t.Errorf("buildCache(1MB:4): %v", err)
+	}
+}
+
+// TestCheckerCadence: -check-invariants audits the molecular cache on
+// every Nth access, and the summary counts violations per rule.
+func TestCheckerCadence(t *testing.T) {
+	mol := molecular.MustNew(molecular.Config{TotalSize: 256 << 10, Seed: 7})
+	if newAuditor(mol, 0) != nil || newAuditor(nil, 10) != nil {
+		t.Error("auditor built for cadence 0 or a traditional cache")
+	}
+	a := newAuditor(mol, 10)
+	for i := 0; i < 35; i++ {
+		mol.Access(trace.Ref{Addr: uint64(i) * 64, ASID: 1, Kind: trace.Write})
+		a.tick()
+	}
+	if a.runs != 3 || len(a.violations) != 0 {
+		t.Errorf("%d audits with %d violations, want 3 clean audits", a.runs, len(a.violations))
+	}
+	a.violations = []molecular.Violation{
+		{Rule: "region-accounting"}, {Rule: "molecule-accounting"}, {Rule: "region-accounting"},
+	}
+	if got, want := a.summary(), "3 audits, 3 violations: molecule-accounting=1 region-accounting=2"; got != want {
+		t.Errorf("summary %q, want %q", got, want)
 	}
 }

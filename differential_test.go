@@ -5,9 +5,10 @@
 // controllers ticking and (in half the configurations)
 // an identical fault campaign scheduled against each. The two caches
 // must agree access by access on the full engine.Result, on every
-// coherence probe, and at the end on ledgers, probe histograms,
+// Contains probe, and at the end on ledgers, probe histograms,
 // degradation counters, telemetry snapshots, resize decision logs and
-// structural captures. The fast side additionally carries the whole
+// the complete cache state, with both caches passing the structural
+// audit. The fast side additionally carries the whole
 // observability plane (span tracing, state collection/publication), so
 // the same equalities prove that observing a run never changes it.
 // Any divergence means the index lost lock on the model the goldens pin.
@@ -22,7 +23,6 @@ import (
 	"molcache"
 
 	"molcache/internal/faults"
-	"molcache/internal/invariant"
 	"molcache/internal/molecular"
 	"molcache/internal/obs"
 	"molcache/internal/resize"
@@ -154,6 +154,25 @@ func diffTrace(seed uint64) []trace.Ref {
 	return refs
 }
 
+// overflowLines counts the resident lines of asid's region whose block
+// lies past the largest block a packed index slot holds (2^57-2 for the
+// oracle caches' 64 molecules), so its index keeps them in the
+// overflow map.
+func overflowLines(st molecular.CacheState, asid uint16) int {
+	n := 0
+	for _, ms := range st.Molecules {
+		if !ms.Owned || ms.ASID != asid {
+			continue
+		}
+		for _, ln := range ms.Lines {
+			if ln.Tag > 1<<57-2 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // stripIndexMetrics removes the molcache_index_* instruments — the only
 // telemetry allowed to differ between the two paths (the oracle never
 // consults the index, so its lookup/hit counters stay zero).
@@ -219,33 +238,12 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 						}
 						fastCtrl.Tick()
 						refCtrl.Tick()
-						// Interleave coherence traffic: the probes must
-						// agree, and the invalidations must mutate both
-						// caches identically.
+						// Interleave residency probes: the index and the
+						// linear scan must agree.
 						if i%29 == 0 {
 							a := diffAddr(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))], uint64(probe.Intn(1024)))
 							if fc, rc := fast.Contains(a), ref.Contains(a); fc != rc {
 								t.Fatalf("access %d: Contains(%#x) fast %v != reference %v", i, a, fc, rc)
-							}
-						}
-						if i%113 == 0 {
-							a := refs[probe.Intn(i+1)].Addr
-							fp, fd := fast.Invalidate(a)
-							rp, rd := ref.Invalidate(a)
-							if fp != rp || fd != rd {
-								t.Fatalf("access %d: Invalidate(%#x) fast (%v,%v) != reference (%v,%v)",
-									i, a, fp, fd, rp, rd)
-							}
-						}
-						if i > 0 && i%4_000 == 0 {
-							tile := (i / 4_000) % cfg.TilesPerCluster
-							for _, asid := range []uint16{1, diffOverflowASID} {
-								if err := fast.Rehome(asid, tile); err != nil {
-									t.Fatal(err)
-								}
-								if err := ref.Rehome(asid, tile); err != nil {
-									t.Fatal(err)
-								}
 							}
 						}
 						if i%1_000 == 0 {
@@ -301,27 +299,26 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 						t.Errorf("publisher never captured a usable state: %+v", st)
 					}
 
-					// The high tenant's lines must sit in the index's
-					// overflow map, or the packed bound went untested.
-					overflowed := 0
-					for b := range fast.Region(diffHighASID).IndexSnapshot() {
-						if b > 1<<57-2 {
-							overflowed++
-						}
+					// The complete cache states must match exactly, and both
+					// caches audit clean under every rule — the audit holds
+					// each block index, which the reference cache maintains
+					// too, to the equal lines.
+					fst, rst := fast.CaptureState(), ref.CaptureState()
+					if !reflect.DeepEqual(fst, rst) {
+						t.Error("cache states diverged")
 					}
-					if overflowed == 0 {
-						t.Error("no indexed block past the packed range; the overflow map went unexercised")
+					if vs := fast.CheckInvariants(); len(vs) != 0 {
+						t.Errorf("fast cache has violations: %v", vs)
+					}
+					if vs := ref.CheckInvariants(); len(vs) != 0 {
+						t.Errorf("reference cache has violations: %v", vs)
 					}
 
-					// Structural captures must match exactly — including the
-					// block index, which the reference cache maintains too —
-					// and audit clean under every rule.
-					fc, rc := invariant.CaptureCache(fast), invariant.CaptureCache(ref)
-					if !reflect.DeepEqual(fc, rc) {
-						t.Error("invariant captures diverged")
-					}
-					if vs := invariant.Check(fc); len(vs) != 0 {
-						t.Errorf("fast capture has violations: %v", vs)
+					// The high tenant's lines lie past the packed range, so
+					// the clean audit found each in its index's overflow map;
+					// without such lines the packed bound went untested.
+					if overflowLines(fst, diffHighASID) == 0 {
+						t.Error("no resident block past the packed range; the overflow map went unexercised")
 					}
 				})
 			}
@@ -333,9 +330,9 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 // oracle: a run checkpointed at mid-trace through the MOLC1 container
 // and restored into a fresh simulator must be a byte-identical
 // continuation of an uninterrupted run — access by access on the full
-// engine.Result, on coherence probes/invalidations, and at the end on
-// ledgers, probe histograms, degradation and fault counters, telemetry
-// snapshots, resize decision logs and structural captures.
+// engine.Result, on Contains probes, and at the end on ledgers, probe
+// histograms, degradation and fault counters, telemetry snapshots,
+// resize decision logs and the complete cache state, audited clean.
 func TestDifferentialCheckpointRestore(t *testing.T) {
 	policies := []molecular.ReplacementKind{
 		molecular.RandomReplacement, molecular.RandyReplacement, molecular.LRUDirect,
@@ -386,10 +383,10 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 				if err != nil {
 					t.Fatalf("RestoreSimulatorBytes: %v", err)
 				}
-				// The restored structure must equal the checkpointed one
+				// The restored state must equal the checkpointed one
 				// before either serves another access.
-				if bc, cc := invariant.CaptureCache(b.Cache), invariant.CaptureCache(c.Cache); !reflect.DeepEqual(bc, cc) {
-					t.Fatal("restored capture differs from checkpointed capture")
+				if !reflect.DeepEqual(b.Cache.CaptureState(), c.Cache.CaptureState()) {
+					t.Fatal("restored cache state differs from the checkpointed one")
 				}
 
 				probe := rng.New(4242)
@@ -404,23 +401,6 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 						addr := diffAddr(diffPrivateASIDs[probe.Intn(len(diffPrivateASIDs))], uint64(probe.Intn(1024)))
 						if fa, fc := a.Cache.Contains(addr), c.Cache.Contains(addr); fa != fc {
 							t.Fatalf("access %d: Contains(%#x) uninterrupted %v != restored %v", i, addr, fa, fc)
-						}
-					}
-					if i%97 == 0 {
-						addr := refs[probe.Intn(i+1)].Addr
-						ap, ad := a.Cache.Invalidate(addr)
-						cp, cd := c.Cache.Invalidate(addr)
-						if ap != cp || ad != cd {
-							t.Fatalf("access %d: Invalidate(%#x) uninterrupted (%v,%v) != restored (%v,%v)",
-								i, addr, ap, ad, cp, cd)
-						}
-					}
-					if i == cut+2_000 {
-						if err := a.Cache.Rehome(2, 1); err != nil {
-							t.Fatal(err)
-						}
-						if err := c.Cache.Rehome(2, 1); err != nil {
-							t.Fatal(err)
 						}
 					}
 				}
@@ -460,12 +440,14 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 				if fa, fc := a.Controller.DecisionCount(), c.Controller.DecisionCount(); fa != fc {
 					t.Errorf("decision counts diverged: uninterrupted %d, restored %d", fa, fc)
 				}
-				ac, cc := invariant.CaptureCache(a.Cache), invariant.CaptureCache(c.Cache)
-				if !reflect.DeepEqual(ac, cc) {
-					t.Error("final invariant captures diverged")
+				if !reflect.DeepEqual(a.Cache.CaptureState(), c.Cache.CaptureState()) {
+					t.Error("final cache states diverged")
 				}
-				if vs := invariant.Check(cc); len(vs) != 0 {
-					t.Errorf("restored capture has violations: %v", vs)
+				if vs := a.CheckInvariants(); len(vs) != 0 {
+					t.Errorf("uninterrupted cache has violations: %v", vs)
+				}
+				if vs := c.CheckInvariants(); len(vs) != 0 {
+					t.Errorf("restored cache has violations: %v", vs)
 				}
 			})
 		}

@@ -4,8 +4,9 @@
 // through a fresh offline Simulator must reproduce the server's exact
 // end state — per-access Results (asserted inside ReplayJournal),
 // ledgers, probe histograms, telemetry registries, ordered event
-// streams, resize decision logs and structural invariant captures —
-// across fault campaigns and a checkpoint/warm-restart cycle. Any divergence means the network
+// streams, resize decision logs and the complete cache state, with both
+// sides passing the structural audit — across fault campaigns and a
+// checkpoint/warm-restart cycle. Any divergence means the network
 // layer, journaling or restore path added semantic drift the cache
 // model did not see.
 package molcache_test
@@ -18,7 +19,6 @@ import (
 
 	"molcache/internal/addr"
 	"molcache/internal/faults"
-	"molcache/internal/invariant"
 	"molcache/internal/molecular"
 	"molcache/internal/obs"
 	"molcache/internal/server"
@@ -97,14 +97,14 @@ func compareServedState(t *testing.T, label string, srv *server.Server, rep *ser
 		t.Errorf("%s: resize decision logs diverged:\nlive   %+v\nreplay %+v",
 			label, live.Controller.Decisions(), offline.Controller.Decisions())
 	}
-	lcap, ocap := invariant.CaptureCache(live.Cache), invariant.CaptureCache(offline.Cache)
-	if !reflect.DeepEqual(lcap, ocap) {
-		t.Errorf("%s: invariant captures diverged", label)
+	if !reflect.DeepEqual(live.Cache.CaptureState(), offline.Cache.CaptureState()) {
+		t.Errorf("%s: cache states diverged", label)
 	}
-	for side, cap := range map[string]invariant.Snapshot{"live": lcap, "replay": ocap} {
-		if vs := invariant.Check(cap); len(vs) != 0 {
-			t.Errorf("%s: %s capture has violations: %v", label, side, vs)
-		}
+	if vs := live.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("%s: live cache has violations: %v", label, vs)
+	}
+	if vs := offline.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("%s: replayed cache has violations: %v", label, vs)
 	}
 }
 

@@ -100,8 +100,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Stage 4: structural invariants and metrics consistency.
-	if err := sim.Cache.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if vs := sim.Cache.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(vs)
 	}
 	goals := molcache.UniformGoals(0.15, 1, 2)
 	dev := molcache.AverageDeviation(ledger, goals)

@@ -118,9 +118,6 @@ func MustNew(cfg Config) *Cache {
 // Name implements engine.Cache.
 func (c *Cache) Name() string { return c.cfg.Name() }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Ledger exposes the per-ASID hit/miss ledger.
 func (c *Cache) Ledger() *stats.Ledger { return &c.ledger }
 
@@ -222,9 +219,6 @@ func (c *Cache) ValidLines() int {
 	}
 	return n
 }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
 
 // Flush invalidates the whole cache, returning the number of dirty lines
 // that a real cache would have written back.

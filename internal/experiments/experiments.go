@@ -42,8 +42,6 @@ type Options struct {
 	// and runner_* progress metrics.
 	Tracer   *telemetry.Tracer
 	Registry *telemetry.Registry
-	// OnProgress, when set, observes every job completion.
-	OnProgress func(runner.Progress)
 }
 
 func (o Options) withDefaults() Options {
@@ -59,11 +57,10 @@ func (o Options) withDefaults() Options {
 // pool builds the job scheduler for one experiment's fan-out.
 func (o Options) pool(label string) runner.Pool {
 	return runner.Pool{
-		Workers:    o.Jobs,
-		Label:      label,
-		Tracer:     o.Tracer,
-		Registry:   o.Registry,
-		OnProgress: o.OnProgress,
+		Workers:  o.Jobs,
+		Label:    label,
+		Tracer:   o.Tracer,
+		Registry: o.Registry,
 	}
 }
 

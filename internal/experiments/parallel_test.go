@@ -14,7 +14,6 @@ import (
 
 	"molcache/internal/addr"
 	"molcache/internal/molecular"
-	"molcache/internal/runner"
 	"molcache/internal/telemetry"
 )
 
@@ -94,24 +93,23 @@ func TestFigure5JobsIdentical(t *testing.T) {
 }
 
 // TestSweepProgressAndMetrics: the runner's observability hooks fire from
-// the experiment layer — every grid point reports progress and the
-// runner_* counters account for the whole batch.
+// the experiment layer — the runner_* counters account for every grid
+// point and the throughput gauge has a value.
 func TestSweepProgressAndMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	opt := smallSweep(2)
 	opt.Registry = reg
-	var calls int
-	var last runner.Progress
-	opt.OnProgress = func(p runner.Progress) { calls++; last = p } // serialized by the pool
 	rows, err := Sweep(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != len(rows) || last.Done != len(rows) {
-		t.Errorf("progress: %d calls, last Done=%d, want %d", calls, last.Done, len(rows))
+	for _, name := range []string{"runner_jobs_submitted_total", "runner_jobs_completed_total"} {
+		if got := reg.Counter(name).Value(); got != uint64(len(rows)) {
+			t.Errorf("%s = %d, want %d", name, got, len(rows))
+		}
 	}
-	if got := reg.Counter("runner_jobs_completed_total").Value(); got != uint64(len(rows)) {
-		t.Errorf("runner_jobs_completed_total = %d, want %d", got, len(rows))
+	if got := reg.Gauge("runner_jobs_per_second").Value(); got <= 0 {
+		t.Errorf("runner_jobs_per_second = %v after %d points, want > 0", got, len(rows))
 	}
 }
 

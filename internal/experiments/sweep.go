@@ -42,8 +42,6 @@ type SweepOptions struct {
 	// reflect whichever point registered last).
 	Tracer   *telemetry.Tracer
 	Registry *telemetry.Registry
-	// OnProgress, when set, observes every point's completion.
-	OnProgress func(runner.Progress)
 }
 
 func (o SweepOptions) withDefaults() SweepOptions {
@@ -126,11 +124,10 @@ func Sweep(opt SweepOptions) ([]SweepRow, error) {
 		}
 	}
 	pool := runner.Pool{
-		Workers:    opt.Jobs,
-		Label:      "sweep",
-		Tracer:     opt.Tracer,
-		Registry:   opt.Registry,
-		OnProgress: opt.OnProgress,
+		Workers:  opt.Jobs,
+		Label:    "sweep",
+		Tracer:   opt.Tracer,
+		Registry: opt.Registry,
 	}
 	return runner.Map(context.Background(), pool, points,
 		func(ctx context.Context, _ int, pt SweepRow) (SweepRow, error) {

@@ -1,9 +1,6 @@
 package molecular
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // blockMap is the fast-path index's hash table: block number → holding
 // molecule, open-addressed with linear probing over a power-of-two
@@ -169,26 +166,6 @@ func (t *blockMap) remove(b uint64, m *Molecule) bool {
 
 // size returns the number of live entries.
 func (t *blockMap) size() int { return t.live + len(t.overflow) }
-
-// each calls f for every live entry: the packed slots in table order,
-// then the overflow blocks in ascending order. The order is a
-// deterministic function of the insertion history, but callers must not
-// depend on it; it exists to build snapshots and run audits.
-func (t *blockMap) each(f func(b uint64, m *Molecule)) {
-	for _, s := range t.slots {
-		if s != 0 {
-			f(t.key(s), t.mols[s&t.idMask])
-		}
-	}
-	big := make([]uint64, 0, len(t.overflow))
-	for b := range t.overflow {
-		big = append(big, b)
-	}
-	slices.Sort(big)
-	for _, b := range big {
-		f(b, t.overflow[b])
-	}
-}
 
 // grow doubles the table (or allocates the first one) and re-homes
 // every live entry.

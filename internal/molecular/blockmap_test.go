@@ -10,10 +10,30 @@ package molecular
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"molcache/internal/rng"
 )
+
+// each calls f for every live entry: the packed slots in table order,
+// then the overflow blocks in ascending order — the tests' view of the
+// whole table.
+func (t *blockMap) each(f func(b uint64, m *Molecule)) {
+	for _, s := range t.slots {
+		if s != 0 {
+			f(t.key(s), t.mols[s&t.idMask])
+		}
+	}
+	big := make([]uint64, 0, len(t.overflow))
+	for b := range t.overflow {
+		big = append(big, b)
+	}
+	slices.Sort(big)
+	for _, b := range big {
+		f(b, t.overflow[b])
+	}
+}
 
 // synthMols returns a molecule table of n entries holding a molecule at
 // each given ID and nil elsewhere: the slot decoding reads the ID field

@@ -130,17 +130,17 @@ type Cache struct {
 	// every region read goes through regions.get.
 	//molvet:transient lookup table rebuilt from the restored regions by RestoreCache
 	regions regionTable
-	// regionList mirrors regions sorted by ASID, so the coherence paths
-	// (Contains/Invalidate) and the index gauges iterate deterministically
-	// without rebuilding a slice per call.
+	// regionList mirrors regions sorted by ASID, so Contains, the audit
+	// and the index gauges iterate deterministically without rebuilding
+	// a slice per call.
 	regionList []*Region
 	// sharedRegion caches the SharedASID region (nil until created);
 	// the lookup paths consult it on every access and every tile probe.
 	//molvet:transient memo re-derived from the restored region set
 	sharedRegion *Region
 	// molsByID indexes every molecule by its global ID (fault targeting,
-	// invariant capture, and the block indexes' slots, which name their
-	// molecule by ID).
+	// the audit, and the block indexes' slots, which name their molecule
+	// by ID).
 	molsByID []*Molecule
 
 	// refProbe routes lookups through the original linear probe scan
@@ -572,9 +572,6 @@ func (c *Cache) Access(ref trace.Ref) engine.Result {
 // region lookup -> tag probe -> NoC transit -> fill). Nil detaches.
 func (c *Cache) AttachSpans(st *telemetry.SpanTracer) { c.spans = st }
 
-// Spans returns the attached span tracer (nil when span tracing is off).
-func (c *Cache) Spans() *telemetry.SpanTracer { return c.spans }
-
 // access is the span-instrumented body behind Access: it advances the
 // cache's logical clocks, delivers scheduled faults, then runs region
 // lookup, tag probing, and the fill on a miss.
@@ -891,7 +888,7 @@ func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 }
 
 // Contains reports whether the line holding a is resident in any molecule
-// (coherence/test probe; no state change). The fast path consults each
+// (a test probe; no state change). The fast path consults each
 // region's block index; the reference path repeats the original
 // exhaustive molecule scan.
 func (c *Cache) Contains(a uint64) bool {
@@ -918,72 +915,10 @@ func (c *Cache) Contains(a uint64) bool {
 	return false
 }
 
-// Invalidate drops the line holding a wherever it is resident
-// (inter-cluster coherence back-invalidation via the Ulmos). Within one
-// region the holder is unique, so the fast path drops at most one line
-// per region via the block index; the reference path sweeps every
-// molecule, keeping the index in step.
-func (c *Cache) Invalidate(a uint64) (present, dirty bool) {
-	block := a / c.cfg.LineSize
-	if c.refProbe {
-		for _, cl := range c.clusters {
-			for _, t := range cl.tiles {
-				for _, m := range t.molecules {
-					if !m.owned && !m.shared {
-						continue
-					}
-					p, d := m.invalidate(block)
-					if p {
-						if r := c.regions.get(m.asid); r != nil {
-							r.indexRemove(block, m)
-						}
-					}
-					present = present || p
-					dirty = dirty || d
-				}
-			}
-		}
-		return present, dirty
-	}
-	for _, r := range c.regionList {
-		if m := r.index.get(block); m != nil {
-			p, d := m.invalidate(block)
-			if p {
-				r.indexRemove(block, m)
-			}
-			present = present || p
-			dirty = dirty || d
-		}
-	}
-	return present, dirty
-}
-
 // FreeInCluster returns the number of unassigned molecules in the
 // region's home cluster — the pool its grows and shrinks trade against.
 func (c *Cache) FreeInCluster(r *Region) int {
 	return r.home.cluster.FreeCount()
-}
-
-// Rehome moves a region's home tile within its cluster — the paper's
-// non-static processor-to-tile assignment on a context switch. The
-// region's molecules stay where they are (hierarchical lookup keeps them
-// reachable); only the first-searched tile and the preferred allocation
-// source change.
-func (c *Cache) Rehome(asid uint16, tile int) error {
-	r := c.regions.get(asid)
-	if r == nil {
-		return fmt.Errorf("molecular: no region for ASID %d", asid)
-	}
-	cl := r.home.cluster
-	if tile < 0 || tile >= len(cl.tiles) {
-		return fmt.Errorf("molecular: tile %d outside cluster %d (has %d tiles)",
-			tile, cl.id, len(cl.tiles))
-	}
-	r.home = cl.tiles[tile]
-	if c.tracer != nil {
-		c.tracer.Region(telemetry.KindRegionRehome, c.addresses, asid, tile, r.count)
-	}
-	return nil
 }
 
 // RemoteCycles returns the cycles NoC delay faults have charged Ulmo
@@ -1007,82 +942,6 @@ func (c *Cache) TotalMolecules() int {
 // AverageProbes returns the mean molecules probed per access, the
 // selective-enablement quantity the power model consumes.
 func (c *Cache) AverageProbes() float64 { return c.probes.Mean() }
-
-// CheckInvariants verifies the structural invariants (every molecule is
-// free xor owned by exactly one region; row indices consistent; counts
-// add up). Tests and the resize controller's debug mode call it.
-func (c *Cache) CheckInvariants() error {
-	owned := make(map[int]uint16)
-	free := make(map[int]bool)
-	failed := 0
-	for _, cl := range c.clusters {
-		for _, t := range cl.tiles {
-			for _, m := range t.free {
-				if m.owned {
-					return fmt.Errorf("molecule %d on free list but owned", m.id)
-				}
-				if m.failed {
-					return fmt.Errorf("molecule %d on free list but retired", m.id)
-				}
-				free[m.id] = true
-			}
-			for _, m := range t.molecules {
-				if n := m.validLines(); m.resident != n {
-					return fmt.Errorf("molecule %d counts %d resident lines, holds %d", m.id, m.resident, n)
-				}
-				if !m.failed {
-					continue
-				}
-				failed++
-				if m.owned {
-					return fmt.Errorf("molecule %d retired but still owned", m.id)
-				}
-				if n := m.validLines(); n != 0 {
-					return fmt.Errorf("molecule %d retired but holds %d lines", m.id, n)
-				}
-			}
-		}
-	}
-	total := 0
-	// Regions() iterates in ASID order, so when several regions are
-	// corrupt the checker reports the same one every run.
-	for _, r := range c.Regions() {
-		asid := r.asid
-		if r.count != len(r.molecules()) {
-			return fmt.Errorf("region %d count %d != molecules %d", asid, r.count, len(r.molecules()))
-		}
-		for i, row := range r.rows {
-			if len(row) == 0 {
-				return fmt.Errorf("region %d row %d empty", asid, i)
-			}
-			for _, m := range row {
-				if m.row != i {
-					return fmt.Errorf("molecule %d row field %d != actual row %d", m.id, m.row, i)
-				}
-				if !m.owned || m.asid != asid {
-					return fmt.Errorf("molecule %d in region %d but owned=%v asid=%d",
-						m.id, asid, m.owned, m.asid)
-				}
-				if free[m.id] {
-					return fmt.Errorf("molecule %d both free and owned", m.id)
-				}
-				if prev, dup := owned[m.id]; dup {
-					return fmt.Errorf("molecule %d owned by both %d and %d", m.id, prev, asid)
-				}
-				owned[m.id] = asid
-			}
-		}
-		if err := r.checkIndex(); err != nil {
-			return err
-		}
-		total += r.count
-	}
-	if total+len(free)+failed != c.TotalMolecules() {
-		return fmt.Errorf("owned %d + free %d + retired %d != total %d",
-			total, len(free), failed, c.TotalMolecules())
-	}
-	return nil
-}
 
 // Molecule returns the molecule with the given global ID, or nil.
 func (c *Cache) Molecule(id int) *Molecule {

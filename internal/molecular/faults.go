@@ -71,10 +71,6 @@ func (c *Cache) Faults() *faults.Injector { return c.faults }
 // Degradation returns the fault-absorption counters.
 func (c *Cache) Degradation() DegradationStats { return c.deg }
 
-// RetiredMolecules returns the number of molecules withdrawn by hard
-// faults.
-func (c *Cache) RetiredMolecules() int { return int(c.deg.RetiredMolecules) }
-
 // RetireReport describes one molecule retirement.
 type RetireReport struct {
 	// Molecule is the retired unit's global ID.

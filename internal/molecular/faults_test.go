@@ -57,13 +57,13 @@ func TestRetireOwnedMolecule(t *testing.T) {
 		t.Errorf("victim state after retire: failed=%v owned=%v lines=%d",
 			victim.Failed(), victim.Owned(), victim.validLines())
 	}
-	for _, f := range victim.Tile().FreeList() {
+	for _, f := range victim.tile.free {
 		if f == victim {
 			t.Error("retired molecule re-entered the free pool")
 		}
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Errorf("invariants after retire: %v", err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants after retire: %v", vs)
 	}
 	if got := c.Degradation().RetiredMolecules; got != 1 {
 		t.Errorf("RetiredMolecules = %d, want 1", got)
@@ -71,8 +71,8 @@ func TestRetireOwnedMolecule(t *testing.T) {
 
 	// The cache keeps serving the region's traffic.
 	warm(c, 7, 512, trace.Read)
-	if err := c.CheckInvariants(); err != nil {
-		t.Errorf("invariants after post-retire traffic: %v", err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants after post-retire traffic: %v", vs)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestRetireFreeMoleculeAndErrors(t *testing.T) {
 	if _, err := c.RetireMolecule(m.ID()); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range m.Tile().FreeList() {
+	for _, f := range m.tile.free {
 		if f == m {
 			t.Error("retired molecule still on free list")
 		}
@@ -97,8 +97,8 @@ func TestRetireFreeMoleculeAndErrors(t *testing.T) {
 	if _, err := c.RetireMolecule(c.TotalMolecules()); err == nil {
 		t.Error("retire past the last molecule succeeded, want error")
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Errorf("invariants: %v", err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants: %v", vs)
 	}
 }
 
@@ -127,8 +127,8 @@ func TestRetireWholeRegionBypassesAndRegrows(t *testing.T) {
 	if r.MoleculeCount() == 0 {
 		t.Error("region did not re-grow from spares")
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Errorf("invariants: %v", err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants: %v", vs)
 	}
 }
 
@@ -153,8 +153,8 @@ func TestRetireEverythingServesUncached(t *testing.T) {
 	if c.Degradation().UncachedBypasses == 0 {
 		t.Error("no bypasses counted with all molecules retired")
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Errorf("invariants: %v", err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants: %v", vs)
 	}
 }
 
@@ -235,8 +235,8 @@ func TestCampaignDrivenFaults(t *testing.T) {
 	if inj.PendingFailures() != 0 {
 		t.Errorf("pending failures = %d, want 0", inj.PendingFailures())
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Errorf("invariants: %v", err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants: %v", vs)
 	}
 	// The tracer saw the retirement events at the scheduled access counts.
 	var retires []telemetry.Event
@@ -321,8 +321,8 @@ func TestNoCDelayRetriesAndAbandon(t *testing.T) {
 	}
 	// Bypassing misses under unreachable tiles must never duplicate a
 	// line: the structural invariants hold throughout and after.
-	if err := c.CheckInvariants(); err != nil {
-		t.Errorf("invariants: %v", err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants: %v", vs)
 	}
 }
 

@@ -1,12 +1,10 @@
 package molecular
 
-import "fmt"
-
 // This file is the fast-path block index: a per-region table from block
 // number to the molecule holding it, maintained at every point a line
 // enters or leaves a molecule the region owns (fill, companion
-// back-invalidation, coherence invalidation, line corruption, molecule
-// withdrawal, retirement and rebalance). The index answers hit/miss in
+// back-invalidation, line corruption, molecule withdrawal, retirement
+// and rebalance). The index answers hit/miss in
 // O(1) while the *modelled* probe count — the energy-relevant quantity
 // the paper's selective enablement minimizes — is still computed from
 // region/tile geometry, so simulated results are identical to the
@@ -15,10 +13,10 @@ import "fmt"
 //
 // Invariant: r.index[b] == m exactly when molecule m is owned by r and
 // holds a valid line with tag b. Within one region the holder is unique
-// (the lookup-domain uniqueness rule internal/invariant enforces), so a
-// flat block → molecule table (blockmap.go) suffices. Shared-bit molecules are indexed by the shared
-// region itself; a requestor's lookup consults its own region's index
-// and then the shared region's.
+// (the duplicate-line rule CheckInvariants enforces), so a flat block →
+// molecule table (blockmap.go) suffices. Shared-bit molecules are
+// indexed by the shared region itself; a requestor's lookup consults
+// its own region's index and then the shared region's.
 
 // indexAdd records m as the holder of block.
 func (r *Region) indexAdd(block uint64, m *Molecule) {
@@ -72,65 +70,4 @@ func (r *Region) fillVictim(victim *Molecule, block uint64, write bool, clock ui
 		r.indexAdd(group+uint64(i), victim)
 	}
 	return evicted, writebacks
-}
-
-// IndexSnapshot returns the index as block → molecule ID — the invariant
-// checker's (and property tests') view of the fast-path structure.
-func (r *Region) IndexSnapshot() map[uint64]int {
-	out := make(map[uint64]int, r.index.size())
-	r.index.each(func(b uint64, m *Molecule) {
-		out[b] = m.id
-	})
-	return out
-}
-
-// checkIndex verifies the index against the replacement view: every
-// resident line of every owned molecule is indexed to that molecule,
-// and the index holds nothing else. The per-tile slices are audited
-// too (every listed molecule on the right tile, widths summing to the
-// region count).
-func (r *Region) checkIndex() error {
-	resident := 0
-	for _, row := range r.rows {
-		for _, m := range row {
-			for i := range m.lines {
-				if !m.lines[i].valid() {
-					continue
-				}
-				resident++
-				tag := m.lines[i].tag
-				if holder := r.index.get(tag); holder != m {
-					hid := -1
-					if holder != nil {
-						hid = holder.id
-					}
-					return fmt.Errorf("region %d: block %#x resident in molecule %d but indexed to %d",
-						r.asid, tag, m.id, hid)
-				}
-			}
-		}
-	}
-	if resident != r.index.size() {
-		return fmt.Errorf("region %d: index holds %d entries, %d lines resident",
-			r.asid, r.index.size(), resident)
-	}
-	byTile := 0
-	for tid, ms := range r.byTile {
-		for _, m := range ms {
-			if m.tile.id != tid {
-				return fmt.Errorf("region %d: molecule %d listed under tile %d but sits on tile %d",
-					r.asid, m.id, tid, m.tile.id)
-			}
-			if !m.owned || m.asid != r.asid {
-				return fmt.Errorf("region %d: tile index lists molecule %d owned=%v asid=%d",
-					r.asid, m.id, m.owned, m.asid)
-			}
-			byTile++
-		}
-	}
-	if byTile != r.count {
-		return fmt.Errorf("region %d: tile index lists %d molecules, count is %d",
-			r.asid, byTile, r.count)
-	}
-	return nil
 }

@@ -101,12 +101,6 @@ func (m *Molecule) ID() int { return m.id }
 // Tile returns the physical tile holding the molecule.
 func (m *Molecule) Tile() *Tile { return m.tile }
 
-// ASID returns the configured application identifier.
-func (m *Molecule) ASID() uint16 { return m.asid }
-
-// Shared reports whether the shared bit is set.
-func (m *Molecule) Shared() bool { return m.shared }
-
 // Owned reports whether the molecule currently belongs to a region.
 func (m *Molecule) Owned() bool { return m.owned }
 
@@ -114,7 +108,7 @@ func (m *Molecule) Owned() bool { return m.owned }
 func (m *Molecule) Failed() bool { return m.failed }
 
 // ValidBlocks returns the block numbers of every resident line (the
-// invariant checker's and retirement path's view of the contents).
+// retirement path's view of the contents).
 func (m *Molecule) ValidBlocks() []uint64 {
 	var out []uint64
 	for i := range m.lines {
@@ -125,14 +119,8 @@ func (m *Molecule) ValidBlocks() []uint64 {
 	return out
 }
 
-// Row returns the replacement-view row (only meaningful while owned).
-func (m *Molecule) Row() int { return m.row }
-
 // MissCount returns replacements since the last epoch reset.
 func (m *Molecule) MissCount() uint64 { return m.missCount }
-
-// Hits returns lifetime hits since assignment.
-func (m *Molecule) Hits() uint64 { return m.hits }
 
 // index maps a block number to the molecule's direct-mapped slot: its
 // low bits, since a molecule's line count is a power of two (molecule
@@ -199,7 +187,8 @@ func (m *Molecule) resetCounters() {
 	m.accesses = 0
 }
 
-// invalidate drops one line if present (coherence back-invalidation).
+// invalidate drops one line if present (a fill's companion
+// back-invalidation).
 func (m *Molecule) invalidate(block uint64) (present, dirty bool) {
 	ln := &m.lines[m.index(block)]
 	if ln.valid() && ln.tag == block {

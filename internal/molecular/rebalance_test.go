@@ -33,8 +33,8 @@ func TestRebalanceMovesColdToHot(t *testing.T) {
 	if total != 12 {
 		t.Errorf("total molecules changed: %v", after)
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(vs)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestRebalanceKeepsDataReachable(t *testing.T) {
 	if hits < len(addrs)/2 {
 		t.Errorf("only %d/%d lines survived a single-molecule rebalance", hits, len(addrs))
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(vs)
 	}
 }
 
@@ -107,48 +107,5 @@ func TestFreeInCluster(t *testing.T) {
 	r, _ := c.CreateRegion(1, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 8})
 	if got := c.FreeInCluster(r); got != 24 {
 		t.Errorf("FreeInCluster = %d, want 24", got)
-	}
-}
-
-func TestRehomeKeepsDataReachable(t *testing.T) {
-	c := MustNew(smallConfig(RandyReplacement))
-	if _, err := c.CreateRegion(1, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 4}); err != nil {
-		t.Fatal(err)
-	}
-	var addrs []uint64
-	for a := uint64(0); a < 16*addr.KB; a += 64 {
-		c.Access(trace.Ref{Addr: a, ASID: 1, Kind: trace.Write})
-		addrs = append(addrs, a)
-	}
-	if err := c.Rehome(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Region(1).HomeTile().ID() != 2 {
-		t.Errorf("home tile = %d, want 2", c.Region(1).HomeTile().ID())
-	}
-	// Everything cached before the context switch must still hit —
-	// now via the Ulmo's remote sweep.
-	for _, a := range addrs {
-		res := c.Access(trace.Ref{Addr: a, ASID: 1, Kind: trace.Read})
-		if !res.Hit {
-			t.Fatalf("line %#x lost after rehoming", a)
-		}
-		if !res.RemoteTileHit {
-			t.Fatalf("line %#x served locally; molecules should be remote now", a)
-		}
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRehomeValidation(t *testing.T) {
-	c := MustNew(smallConfig(RandyReplacement))
-	if err := c.Rehome(9, 0); err == nil {
-		t.Error("rehoming a missing region succeeded")
-	}
-	c.Access(trace.Ref{Addr: 0, ASID: 1, Kind: trace.Read})
-	if err := c.Rehome(1, 99); err == nil {
-		t.Error("out-of-cluster tile accepted")
 	}
 }

@@ -98,7 +98,7 @@ func (r *Region) Rows() []int {
 }
 
 // RowMolecules returns the replacement view's members as molecule IDs,
-// row-major — the invariant checker's view of the 2-D matrix.
+// row-major — the checkpoint's view of the 2-D matrix.
 func (r *Region) RowMolecules() [][]int {
 	out := make([][]int, len(r.rows))
 	for i, row := range r.rows {
@@ -145,11 +145,6 @@ func (r *Region) AverageMolecules() float64 {
 	}
 	return float64(r.occupancySum) / float64(n)
 }
-
-// Hits returns total hits accumulated by the region's current and former
-// molecules... note withdrawn molecules carry their hits away, so the
-// region ledger is the authoritative count.
-func (r *Region) Hits() uint64 { return r.ledger.Hits }
 
 // ResetEpoch clears the per-epoch miss counters (molecules and rows)
 // after a resize decision has consumed them.

@@ -29,8 +29,9 @@ import (
 // corrupted checkpoint file): every cross-reference is validated and
 // violations surface as errors, never panics. It deliberately bypasses
 // attach()/CreateRegion — both panic on inconsistency by design — and
-// finishes with a full CheckInvariants pass so deep corruption that
-// slips past field validation is still caught before the engine resumes.
+// finishes with the full CheckInvariants audit, the one a restore runs,
+// so deep corruption that slips past field validation is still caught
+// before the engine resumes.
 
 // LineState is one resident line of a molecule (invalid slots are
 // omitted; Slot identifies the direct-mapped entry).
@@ -405,10 +406,11 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 		r.appCell = c.ledger.AppRef(r.asid)
 	}
 
-	// The deep gate: full structural invariant sweep before the cache is
+	// The deep gate: the full structural audit before the cache is
 	// allowed to serve a single access.
-	if err := c.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("molecular: restore: invariant check failed: %w", err)
+	if vs := c.CheckInvariants(); len(vs) > 0 {
+		return nil, fmt.Errorf("molecular: restore: %d invariant violations, first %s: %s",
+			len(vs), vs[0].Rule, vs[0].Detail)
 	}
 	return c, nil
 }

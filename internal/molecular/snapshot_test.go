@@ -59,8 +59,8 @@ func TestSnapshotRoundTripRegionTable(t *testing.T) {
 			t.Errorf("ASID %d ledger: uninterrupted %+v, restored %+v", asid, la, lb)
 		}
 	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Error(err)
+	if vs := b.CheckInvariants(); len(vs) != 0 {
+		t.Error(vs)
 	}
 }
 

@@ -107,9 +107,6 @@ func (c *Cache) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) {
 	}
 }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (c *Cache) Tracer() *telemetry.Tracer { return c.tracer }
-
 // Registry returns the attached metrics registry (nil when metrics are
 // off). Checkpointing reads it to fold the live counters into the
 // snapshot alongside the cache state.

@@ -18,18 +18,6 @@ func (t *Tile) ID() int { return t.id }
 // Cluster returns the owning tile cluster.
 func (t *Tile) Cluster() *Cluster { return t.cluster }
 
-// Molecules returns the tile's molecules (assigned and free).
-func (t *Tile) Molecules() []*Molecule { return t.molecules }
-
-// FreeCount returns the number of unassigned molecules.
-func (t *Tile) FreeCount() int { return len(t.free) }
-
-// FreeList returns a copy of the tile's free pool (the invariant
-// checker's view of free-list membership).
-func (t *Tile) FreeList() []*Molecule {
-	return append([]*Molecule(nil), t.free...)
-}
-
 // takeFree removes and returns one free molecule, or nil when empty.
 func (t *Tile) takeFree() *Molecule {
 	if len(t.free) == 0 {
@@ -80,9 +68,6 @@ type Cluster struct {
 	id    int
 	tiles []*Tile
 }
-
-// ID returns the cluster number.
-func (c *Cluster) ID() int { return c.id }
 
 // Tiles returns the cluster's tiles.
 func (c *Cluster) Tiles() []*Tile { return c.tiles }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
@@ -13,18 +12,15 @@ import (
 )
 
 // Flags is the observability flag set every CLI mounts, so
-// -events/-metrics/-snapshot-every/-serve (and, where span tracing
-// applies, -trace-out/-trace-sample) mean the same thing in molsim,
-// experiments and sweep.
+// -events/-metrics/-serve (and, where span tracing applies,
+// -trace-out/-trace-sample) mean the same thing in molsim, experiments
+// and sweep.
 type Flags struct {
 	// Events is the JSONL telemetry event file (-events).
 	Events string
 	// Metrics is the final Prometheus text snapshot file, "-" for
 	// stdout (-metrics).
 	Metrics string
-	// SnapshotEvery streams periodic JSON metric snapshots to stderr
-	// (-snapshot-every).
-	SnapshotEvery time.Duration
 	// Serve is the introspection server listen address (-serve).
 	Serve string
 	// TraceOut is the Chrome trace-event JSON span file (-trace-out).
@@ -37,7 +33,6 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Events, "events", "", "write telemetry events (JSONL) to this file")
 	fs.StringVar(&f.Metrics, "metrics", "", "write a final metrics snapshot (Prometheus text) to this file; \"-\" for stdout")
-	fs.DurationVar(&f.SnapshotEvery, "snapshot-every", 0, "also stream periodic JSON metrics snapshots to stderr at this interval")
 	fs.StringVar(&f.Serve, "serve", "", "serve live introspection (/metrics /regions /decisions /events /debug/pprof) on this address, e.g. :9464")
 }
 
@@ -54,8 +49,7 @@ func (f *Flags) RegisterSpans(fs *flag.FlagSet) {
 type Pipeline struct {
 	// Tracer records structured events (non-nil with -events or -serve).
 	Tracer *telemetry.Tracer
-	// Registry accumulates metrics (non-nil with -metrics,
-	// -snapshot-every or -serve).
+	// Registry accumulates metrics (non-nil with -metrics or -serve).
 	Registry *telemetry.Registry
 	// Spans samples the access pipeline (non-nil with -trace-out).
 	Spans *telemetry.SpanTracer
@@ -64,10 +58,9 @@ type Pipeline struct {
 	Server    *Server
 	Tap       *EventTap
 
-	flags     Flags
-	eventsF   *os.File
-	stopSnaps func() error
-	finished  bool
+	flags    Flags
+	eventsF  *os.File
+	finished bool
 }
 
 // Setup builds the requested observability pipeline. Callers should
@@ -96,11 +89,8 @@ func (f Flags) Setup() (*Pipeline, error) {
 			p.Tracer.SetSink(inner)
 		}
 	}
-	if f.Metrics != "" || f.SnapshotEvery > 0 || serving {
+	if f.Metrics != "" || serving {
 		p.Registry = telemetry.NewRegistry()
-	}
-	if f.SnapshotEvery > 0 {
-		p.stopSnaps = telemetry.StartPeriodicSnapshots(p.Registry, os.Stderr, f.SnapshotEvery)
 	}
 	if f.TraceOut != "" {
 		sample := f.TraceSample
@@ -137,20 +127,15 @@ func (p *Pipeline) Publish(c *molecular.Cache, ctrl *resize.Controller) {
 	p.Publisher.Publish(Collect(c, ctrl, p.Registry))
 }
 
-// Finish drains the pipeline's file outputs: stops periodic snapshots,
-// flushes and closes the event sink, writes the span trace and the
-// final metrics snapshot. Idempotent; logs (rather than returns)
-// write errors, matching how the CLIs treat telemetry output.
+// Finish drains the pipeline's file outputs: flushes and closes the
+// event sink, writes the span trace and the final metrics snapshot.
+// Idempotent; logs (rather than returns) write errors, matching how the
+// CLIs treat telemetry output.
 func (p *Pipeline) Finish() {
 	if p == nil || p.finished {
 		return
 	}
 	p.finished = true
-	if p.stopSnaps != nil {
-		if err := p.stopSnaps(); err != nil {
-			log.Print(err)
-		}
-	}
 	if p.Tracer != nil {
 		if err := p.Tracer.Flush(); err != nil {
 			log.Print(err)

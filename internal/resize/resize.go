@@ -625,8 +625,8 @@ func (c *Controller) debugCheck() {
 	if !c.cfg.DebugCheck {
 		return
 	}
-	if err := c.cache.CheckInvariants(); err != nil {
-		panic(fmt.Sprintf("resize: invariant violated after resize pass: %v", err))
+	if vs := c.cache.CheckInvariants(); len(vs) > 0 {
+		panic(fmt.Sprintf("resize: invariant violated after resize pass: %v", vs[0]))
 	}
 }
 

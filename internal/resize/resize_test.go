@@ -134,8 +134,8 @@ func TestEmergencyGrowthOnThrash(t *testing.T) {
 	if !gaveBack {
 		t.Error("futile growth was never given back")
 	}
-	if err := cache.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if vs := cache.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(vs)
 	}
 }
 
@@ -354,7 +354,7 @@ func TestRebalanceWhenPoolDry(t *testing.T) {
 	if !saw {
 		t.Error("no rebalance decision despite a dry pool and row pressure")
 	}
-	if err := cache.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if vs := cache.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(vs)
 	}
 }

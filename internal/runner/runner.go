@@ -25,9 +25,8 @@
 //     reported failure is deterministic too.
 //
 // Progress and throughput flow through internal/telemetry: the pool
-// maintains runner_* counters/gauges when a Registry is attached, emits
-// job-start/job-done events when a Tracer is attached, and calls an
-// optional OnProgress callback after every completion.
+// maintains runner_* counters/gauges when a Registry is attached and
+// emits job-start/job-done events when a Tracer is attached.
 package runner
 
 import (
@@ -44,7 +43,7 @@ import (
 )
 
 // Pool describes a worker pool. The zero value is valid: GOMAXPROCS
-// workers, no telemetry, no progress callback.
+// workers, no telemetry.
 type Pool struct {
 	// Workers is the number of concurrent jobs (0 means GOMAXPROCS;
 	// 1 means serial, inline execution in submission order).
@@ -54,33 +53,20 @@ type Pool struct {
 	// Registry, when set, maintains the runner_* metrics: jobs submitted,
 	// completed, failed, panics, worker count, job seconds and throughput.
 	Registry *telemetry.Registry
-	// OnProgress, when set, is called after every job completion with a
-	// consistent snapshot. Calls are serialized by the pool.
-	OnProgress func(Progress)
 	// Label names the batch in telemetry events (default "job").
 	Label string
-	// Clock supplies the timestamps behind job-duration metrics and
-	// Progress.Elapsed (nil means the real wall clock). Tests inject a
+	// Clock supplies the timestamps behind job-duration metrics and the
+	// throughput gauge (nil means the real wall clock). Tests inject a
 	// ManualClock so duration metrics are deterministic.
 	Clock Clock
 }
 
-// Progress is a consistent snapshot of a running batch.
-type Progress struct {
-	// Done is the number of finished jobs (including failures); Total is
-	// the batch size; Failed counts jobs that returned an error or
-	// panicked.
-	Done, Total, Failed int
-	// Elapsed is the wall-clock time since the batch started.
-	Elapsed time.Duration
-}
-
-// JobsPerSecond returns the batch's completion throughput so far.
-func (p Progress) JobsPerSecond() float64 {
-	if p.Elapsed <= 0 {
+// jobsPerSecond is the throughput of done jobs finished in elapsed.
+func jobsPerSecond(done int, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
 		return 0
 	}
-	return float64(p.Done) / p.Elapsed.Seconds()
+	return float64(done) / elapsed.Seconds()
 }
 
 // PanicError wraps a panic captured inside a job.
@@ -177,8 +163,8 @@ func Map[T, R any](ctx context.Context, p Pool, items []T,
 	errs := make([]error, len(items))
 	clk := p.clock()
 	start := clk.Now()
-	var mu sync.Mutex // guards progress + OnProgress serialization
-	prog := Progress{Total: len(items)}
+	var mu sync.Mutex // serializes completions: the gauge ends at the final throughput
+	done := 0
 
 	runJob := func(ctx context.Context, i int) {
 		label := fmt.Sprintf("%s[%d]", p.label(), i)
@@ -209,16 +195,8 @@ func Map[T, R any](ctx context.Context, p Pool, items []T,
 			Aux: dt.Microseconds(), Hit: errs[i] == nil,
 		})
 		mu.Lock()
-		prog.Done++
-		if errs[i] != nil {
-			prog.Failed++
-		}
-		prog.Elapsed = clk.Since(start)
-		snap := prog
-		ins.throughput.Set(snap.JobsPerSecond())
-		if p.OnProgress != nil {
-			p.OnProgress(snap)
-		}
+		done++
+		ins.throughput.Set(jobsPerSecond(done, clk.Since(start)))
 		mu.Unlock()
 	}
 

@@ -163,20 +163,11 @@ func TestMapTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(64)
 	boom := errors.New("boom")
-	var progressCalls atomic.Int32
-	var lastDone atomic.Int32
 	_, err := Map(context.Background(), Pool{
 		Workers:  1,
 		Registry: reg,
 		Tracer:   tr,
 		Label:    "batch",
-		OnProgress: func(p Progress) {
-			progressCalls.Add(1)
-			lastDone.Store(int32(p.Done))
-			if p.Total != 4 {
-				t.Errorf("Progress.Total = %d, want 4", p.Total)
-			}
-		},
 	}, []int{0, 1, 2, 3},
 		func(_ context.Context, i int, _ int) (int, error) {
 			switch i {
@@ -205,10 +196,6 @@ func TestMapTelemetry(t *testing.T) {
 	}
 	if h := reg.Histogram("runner_job_seconds", nil); h.Count() != 4 {
 		t.Errorf("job_seconds count = %d, want 4", h.Count())
-	}
-	if progressCalls.Load() != 4 || lastDone.Load() != 4 {
-		t.Errorf("progress calls=%d lastDone=%d, want 4/4",
-			progressCalls.Load(), lastDone.Load())
 	}
 	var starts, dones int
 	for _, e := range tr.Events() {
@@ -249,30 +236,28 @@ func TestSeedMatchesDerive(t *testing.T) {
 	}
 }
 
-// TestProgressThroughput: JobsPerSecond is finite and sane.
+// TestProgressThroughput: the throughput gauge's value is finite and
+// sane.
 func TestProgressThroughput(t *testing.T) {
-	p := Progress{Done: 10, Total: 10, Elapsed: 2 * time.Second}
-	if got := p.JobsPerSecond(); got != 5 {
-		t.Fatalf("JobsPerSecond = %v, want 5", got)
+	if got := jobsPerSecond(10, 2*time.Second); got != 5 {
+		t.Fatalf("jobsPerSecond(10, 2s) = %v, want 5", got)
 	}
-	if got := (Progress{}).JobsPerSecond(); got != 0 {
-		t.Fatalf("zero Progress throughput = %v, want 0", got)
+	if got := jobsPerSecond(0, 0); got != 0 {
+		t.Fatalf("jobsPerSecond with no time elapsed = %v, want 0", got)
 	}
 }
 
 // TestManualClockDeterministicDurations: with an injected ManualClock
 // every duration-derived metric is exact — the histogram sums precisely
-// the advanced time and the final Progress snapshot is reproducible
+// the advanced time and the final throughput is reproducible
 // bit-for-bit, which wall-clock timestamps can never be.
 func TestManualClockDeterministicDurations(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	clk := NewManualClock(time.Unix(1000, 0))
-	var last Progress
 	_, err := Map(context.Background(), Pool{
-		Workers:    1,
-		Registry:   reg,
-		Clock:      clk,
-		OnProgress: func(p Progress) { last = p },
+		Workers:  1,
+		Registry: reg,
+		Clock:    clk,
 	}, []int{0, 1, 2, 3},
 		func(_ context.Context, i int, _ int) (int, error) {
 			clk.Advance(10 * time.Millisecond) // each job "takes" exactly 10ms
@@ -288,11 +273,8 @@ func TestManualClockDeterministicDurations(t *testing.T) {
 	if got := h.Sum(); got != 0.04 {
 		t.Errorf("job_seconds sum = %v, want exactly 0.04", got)
 	}
-	if last.Elapsed != 40*time.Millisecond {
-		t.Errorf("final Elapsed = %v, want exactly 40ms", last.Elapsed)
-	}
-	if got := last.JobsPerSecond(); got != 100 {
-		t.Errorf("JobsPerSecond = %v, want exactly 100", got)
+	if got := reg.Gauge("runner_jobs_per_second").Value(); got != 100 {
+		t.Errorf("runner_jobs_per_second = %v, want exactly 100 (4 jobs in 40ms)", got)
 	}
 }
 

@@ -1,16 +1,13 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"sync"
-	"time"
 )
 
 // ProfileConfig names the profile outputs a command should produce.
@@ -125,55 +122,4 @@ func writeHeapProfile(path string) error {
 		return fmt.Errorf("telemetry: heap profile: %w", err)
 	}
 	return nil
-}
-
-// StartPeriodicSnapshots spawns a goroutine that writes one compact
-// JSON snapshot of reg to w every interval, and returns the function
-// that stops it (flushing one final snapshot). Stop reports the first
-// write error the goroutine hit, so a full disk or closed pipe is not
-// silently swallowed. The commands use it to expose live metrics
-// during long runs.
-func StartPeriodicSnapshots(reg *Registry, w io.Writer, interval time.Duration) (stop func() error) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	var firstErr error // owned by the snapshot goroutine until finished closes
-	write := func() {
-		// One line per snapshot: the compact form of Snapshot.JSON.
-		b, err := json.Marshal(reg.Snapshot())
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				write()
-			case <-done:
-				write()
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() error {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-		// finished has closed by now, so reading firstErr is safe.
-		return firstErr
-	}
 }

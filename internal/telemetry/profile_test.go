@@ -1,15 +1,10 @@
 package telemetry
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestProfileConfigFlags(t *testing.T) {
@@ -69,54 +64,5 @@ func TestStartProfilesBadPath(t *testing.T) {
 	p := ProfileConfig{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "x")}
 	if _, err := p.Start(); err == nil {
 		t.Error("Start succeeded with an uncreatable path")
-	}
-}
-
-// lockedBuffer is an io.Writer safe for the snapshot goroutine.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
-}
-
-func TestPeriodicSnapshots(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ticks").Add(7)
-	var buf lockedBuffer
-	stop := StartPeriodicSnapshots(r, &buf, 10*time.Millisecond)
-	time.Sleep(35 * time.Millisecond)
-	if err := stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if err := stop(); err != nil { // idempotent
-		t.Fatalf("second stop: %v", err)
-	}
-
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var snap Snapshot
-		if err := json.Unmarshal(sc.Bytes(), &snap); err != nil {
-			t.Fatalf("line %d is not a snapshot: %v", lines, err)
-		}
-		if snap.Counters["ticks"] != 7 {
-			t.Errorf("line %d counter = %d, want 7", lines, snap.Counters["ticks"])
-		}
-	}
-	// At least the final flush-on-stop snapshot must be present.
-	if lines == 0 {
-		t.Error("no snapshots written")
 	}
 }

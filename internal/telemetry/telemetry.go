@@ -53,17 +53,12 @@ const (
 	KindRegionShrink
 	// KindRegionRebalance is a row-to-row molecule move.
 	KindRegionRebalance
-	// KindRegionRehome is a home-tile change; Value is the new tile id.
-	KindRegionRehome
 	// KindResize is one resize-controller decision; Detail carries the
 	// action name, Value the signed molecule delta, Aux the size after.
 	KindResize
-	// KindInvalidate is a coherence invalidation of a peer cache's copy.
+	// KindInvalidate is a back-invalidation of an upper level's copy:
+	// a retired molecule emits one per resident line.
 	KindInvalidate
-	// KindDowngrade is a coherence M/E -> S demotion of a peer's copy.
-	// No component emits it; it keeps its slot so the kinds after it
-	// keep their values.
-	KindDowngrade
 	// KindMoleculeRetire is a hard molecule failure: the molecule was
 	// flushed, withdrawn from its region and permanently retired. Value
 	// is the molecule ID, Aux the owning region's size after.
@@ -100,14 +95,10 @@ func (k Kind) String() string {
 		return "region-shrink"
 	case KindRegionRebalance:
 		return "region-rebalance"
-	case KindRegionRehome:
-		return "region-rehome"
 	case KindResize:
 		return "resize"
 	case KindInvalidate:
 		return "invalidate"
-	case KindDowngrade:
-		return "downgrade"
 	case KindMoleculeRetire:
 		return "molecule-retire"
 	case KindLineCorrupt:
@@ -259,8 +250,8 @@ func (t *Tracer) Resize(at uint64, asid uint16, action string, delta, size int) 
 		Value: int64(delta), Aux: int64(size)})
 }
 
-// Coherence emits an invalidation or downgrade event; value identifies
-// the victim cache.
+// Coherence emits an invalidation event; value identifies the victim
+// cache.
 func (t *Tracer) Coherence(kind Kind, addr uint64, victimCache int) {
 	if t == nil {
 		return

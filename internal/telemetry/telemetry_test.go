@@ -133,7 +133,7 @@ func TestJSONLSinkRoundTrips(t *testing.T) {
 }
 
 func TestKindJSONNames(t *testing.T) {
-	for k := KindAccess; k <= KindDowngrade; k++ {
+	for k := KindAccess; k <= kindLast; k++ {
 		b, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)

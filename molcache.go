@@ -33,7 +33,6 @@ import (
 	"molcache/internal/cmp"
 	"molcache/internal/engine"
 	"molcache/internal/faults"
-	"molcache/internal/invariant"
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
 	"molcache/internal/partition"
@@ -177,7 +176,7 @@ type (
 	RetireReport = molecular.RetireReport
 
 	// InvariantViolation is one broken structural invariant.
-	InvariantViolation = invariant.Violation
+	InvariantViolation = molecular.Violation
 )
 
 // Reference kinds.
@@ -211,10 +210,8 @@ const (
 	KindRegionGrow      = telemetry.KindRegionGrow
 	KindRegionShrink    = telemetry.KindRegionShrink
 	KindRegionRebalance = telemetry.KindRegionRebalance
-	KindRegionRehome    = telemetry.KindRegionRehome
 	KindResize          = telemetry.KindResize
 	KindInvalidate      = telemetry.KindInvalidate
-	KindDowngrade       = telemetry.KindDowngrade
 	KindMoleculeRetire  = telemetry.KindMoleculeRetire
 	KindLineCorrupt     = telemetry.KindLineCorrupt
 	KindNoCFault        = telemetry.KindNoCFault
@@ -411,7 +408,7 @@ func (s *Simulator) Degradation() DegradationStats { return s.Cache.Degradation(
 // CheckInvariants audits the simulator's structural invariants on
 // demand and returns every violation found (nil when healthy).
 func (s *Simulator) CheckInvariants() []InvariantViolation {
-	return invariant.Check(invariant.CaptureCache(s.Cache))
+	return s.Cache.CheckInvariants()
 }
 
 // Access applies one reference and runs the resize trigger.

@@ -15,8 +15,9 @@ import (
 
 // Config describes a traditional set-associative cache. Replacement is
 // LRU and write misses always allocate (the paper's L2s are
-// write-allocate write-back; both our L1 and L2 use it); these are the
-// only supported modes.
+// write-allocate write-back); these are the only supported modes. Every
+// baseline and the CMP's shared reference L2 use it; the CMP's L1s are a
+// tag-only filter of their own (internal/cmp).
 type Config struct {
 	// Size is the total data capacity in bytes (power of two).
 	Size uint64
@@ -121,33 +122,11 @@ func (c *Cache) Name() string { return c.cfg.Name() }
 // Ledger exposes the per-ASID hit/miss ledger.
 func (c *Cache) Ledger() *stats.Ledger { return &c.ledger }
 
-// Access implements engine.Cache. It wraps Probe, building the Result
-// from Probe's three outcomes.
+// Access implements engine.Cache: one tag match across the set, and on
+// a miss a fill of the lowest invalid way, else of the least recently
+// used one. The ledger counts go straight to the ASID's cell
+// (stats.Ledger.AppRef inlines; Ledger.Record does not).
 func (c *Cache) Access(r trace.Ref) engine.Result {
-	hit, evicted, writeback := c.Probe(r)
-	res := engine.Result{Hit: hit, TagProbes: c.ways, DataReads: 1}
-	if !hit {
-		res.LinesFetched = 1
-		if evicted {
-			res.LinesEvicted = 1
-		}
-		if writeback {
-			res.Writebacks = 1
-		}
-	}
-	return res
-}
-
-// Probe applies one reference and reports its outcome: whether it hit,
-// and on a miss whether the fill evicted a valid line and whether that
-// line was dirty. It does what Access does (tag match, fill, LRU update,
-// ledger and telemetry) but returns three booleans, which the compiler
-// keeps in registers, where Access's engine.Result is built in memory
-// and copied out. The CMP cores' L1s call it once per processor
-// reference. The ledger
-// counts go straight to the ASID's cell (stats.Ledger.AppRef inlines;
-// Ledger.Record does not).
-func (c *Cache) Probe(r trace.Ref) (hit, evicted, writeback bool) {
 	block := r.Addr >> c.shift
 	tag := block >> c.setBits
 	base := int(block&c.mask) * c.ways
@@ -155,10 +134,8 @@ func (c *Cache) Probe(r trace.Ref) (hit, evicted, writeback bool) {
 	stamps := c.stamps[base : base+c.ways]
 	c.clock++
 	write := r.Kind == trace.Write
+	res := engine.Result{TagProbes: c.ways, DataReads: 1}
 
-	// Parallel tag match across the set; on a miss, fill the lowest
-	// invalid way if one exists, else evict the least recently used way
-	// (smallest stamp, lowest way on a tie).
 	way := -1
 	for w := range set {
 		ln := &set[w]
@@ -170,12 +147,15 @@ func (c *Cache) Probe(r trace.Ref) (hit, evicted, writeback bool) {
 			if c.ins != nil {
 				c.ins.record(true, c.ways, false)
 			}
-			return true, false, false
+			res.Hit = true
+			return res
 		}
 		if way < 0 && !ln.valid {
 			way = w
 		}
 	}
+	// Miss: the victim is the smallest stamp, the lowest way on a tie.
+	res.LinesFetched = 1
 	if way < 0 {
 		way = 0
 		for w := 1; w < len(stamps); w++ {
@@ -183,16 +163,19 @@ func (c *Cache) Probe(r trace.Ref) (hit, evicted, writeback bool) {
 				way = w
 			}
 		}
-		evicted, writeback = true, set[way].dirty
+		res.LinesEvicted = 1
+		if set[way].dirty {
+			res.Writebacks = 1
+		}
 	}
 	stamps[way] = c.clock
 	set[way] = line{tag: tag, valid: true, dirty: write}
 	c.ledger.Total.Misses++
 	c.ledger.AppRef(r.ASID).Misses++
 	if c.ins != nil {
-		c.ins.record(false, c.ways, writeback)
+		c.ins.record(false, c.ways, res.Writebacks == 1)
 	}
-	return false, evicted, writeback
+	return res
 }
 
 // Contains reports whether the line holding a is resident. It is a

@@ -348,8 +348,8 @@ func TestLRUMatchesShadowModel(t *testing.T) {
 // TestTraditionalAccessZeroAllocs pins the set-associative access path
 // as allocation-free: with telemetry detached and ASIDs below 256, a
 // warmed cache serves hits and misses (with evictions and writebacks)
-// without allocating. Every processor reference of the CMP capture runs
-// this path in a private L1.
+// without allocating. Every L1 miss of a CMP run goes through this path
+// in the shared L2.
 func TestTraditionalAccessZeroAllocs(t *testing.T) {
 	const size = 16 << 10
 	c := MustNew(Config{Size: size, Ways: 4, LineSize: 64})
@@ -380,7 +380,7 @@ func TestTraditionalAccessZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestProbeOutcomes walks one set of the tiny cache through Probe's
+// TestProbeOutcomes walks one set of the tiny cache through Access's
 // outcomes: a hit, and a miss whose fill evicts a valid line, clean or
 // dirty.
 func TestProbeOutcomes(t *testing.T) {
@@ -398,10 +398,10 @@ func TestProbeOutcomes(t *testing.T) {
 		{read(512), outcome{evicted: true, writeback: true}}, // evicts dirty line 0
 		{read(768), outcome{evicted: true}},                  // evicts clean line 256
 	} {
-		var got outcome
-		got.hit, got.evicted, got.writeback = c.Probe(tc.ref)
+		res := c.Access(tc.ref)
+		got := outcome{hit: res.Hit, evicted: res.LinesEvicted == 1, writeback: res.Writebacks == 1}
 		if got != tc.want {
-			t.Errorf("ref %d (%v): Probe = %+v, want %+v", i, tc.ref, got, tc.want)
+			t.Errorf("ref %d (%v): Access = %+v, want %+v", i, tc.ref, res, tc.want)
 		}
 	}
 	if led := c.Ledger().Total; led.Hits != 3 || led.Misses != 4 {

@@ -14,8 +14,8 @@ type cacheInstruments struct {
 
 // AttachTelemetry registers the cache's counters under the fixed
 // molcache_cache_* names, tagged with a {cache="<instance>"} label
-// (default instance "cache"); the label keeps several caches — an L2
-// and a core's L1s, say — apart inside one shared registry while the
+// (default instance "cache"); the label keeps several caches — molsim's
+// L2 and a baseline, say — apart inside one shared registry while the
 // metric names stay grep-able literals. A nil registry detaches.
 func (c *Cache) AttachTelemetry(reg *telemetry.Registry, instance string) {
 	if reg == nil {

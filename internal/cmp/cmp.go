@@ -1,8 +1,9 @@
 // Package cmp is the repository's SESC substitute: a trace-level chip
 // multiprocessor model. N cores each run a workload generator through a
-// private write-back L1 data cache; L1 misses go to a shared L2 (any
-// engine.Cache — a traditional cache for the paper's baselines and
-// Table 1, a molecular cache for the proposal), and the system can
+// private LRU L1 data cache, modelled as a tag-only filter since only its
+// hits and misses reach the rest of the system; L1 misses go to a shared
+// L2 (any engine.Cache — a traditional cache for the paper's baselines
+// and Table 1, a molecular cache for the proposal), and the system can
 // capture the L1-miss reference stream — the trace the paper feeds into
 // its modified Dinero. Every core owns the address window of its ASID,
 // as each application of the paper's multiprogrammed mixes owns its
@@ -107,7 +108,6 @@ func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	s.cores = append(s.cores, core{
 		asid: asid,
 		gen:  gen,
-		l1:   cache.MustNew(cache.Config{Size: l1Size, Ways: l1Ways, LineSize: lineSize}),
 		buf:  make([]event, 0, chunkEvents),
 	})
 	return nil

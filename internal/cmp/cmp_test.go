@@ -239,10 +239,11 @@ func hashLedger(h io.Writer, led *stats.Ledger) {
 // TestRunAllocsIndependentOfLength guards the run path against
 // per-reference heap allocation: a capture-off Run of the twelve-app mix
 // allocates as much at 100K processor references as at 1M (the cores
-// and their chunks are built up front, the ledgers' cells at each
-// ASID's first access). A garbage collection, or the runtime's own work
-// during a long run, shifts the count by a few, so the collector is off
-// while measuring and each length takes the least of three runs.
+// and their chunks are built up front, the L2 ledger's cells at each
+// ASID's first access; the L1 filters keep no ledger). A garbage
+// collection, or the runtime's own work during a long run, shifts the
+// count by a few, so the collector is off while measuring and each
+// length takes the least of three runs.
 func TestRunAllocsIndependentOfLength(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(refs int) uint64 {

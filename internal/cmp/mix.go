@@ -3,7 +3,6 @@ package cmp
 import (
 	"math"
 
-	"molcache/internal/cache"
 	"molcache/internal/engine"
 	"molcache/internal/trace"
 	"molcache/internal/workload"
@@ -50,7 +49,7 @@ type event struct {
 type core struct {
 	asid uint16
 	gen  workload.Generator
-	l1   *cache.Cache
+	l1   filter
 	// left is how many references stage 1 may still generate.
 	left int
 	// ev is the unread part of the core's current chunk, whose storage
@@ -67,7 +66,6 @@ type core struct {
 // into a new chunk.
 func (c *core) fill() {
 	ev := c.buf[:0]
-	ref := trace.Ref{ASID: c.asid}
 	n, hits := 0, uint32(0)
 	for lim := min(c.left, chunkRefs); n < lim && len(ev) < chunkEvents-1; {
 		acc := c.gen.Next()
@@ -77,15 +75,15 @@ func (c *core) fill() {
 			c.ev = append(ev, event{addr: acc.Addr, hits: hits, kind: evOutside})
 			return
 		}
-		ref.Addr, ref.Kind = acc.Addr, trace.Read
-		if acc.Write {
-			ref.Kind = trace.Write
-		}
-		if hit, _, _ := c.l1.Probe(ref); hit {
+		if c.l1.access(acc.Addr) {
 			hits++
 			continue
 		}
-		ev = append(ev, event{addr: acc.Addr, hits: hits, kind: uint8(ref.Kind)})
+		kind := evRead
+		if acc.Write {
+			kind = evWrite
+		}
+		ev = append(ev, event{addr: acc.Addr, hits: hits, kind: kind})
 		hits = 0
 	}
 	c.left -= n

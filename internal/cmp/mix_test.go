@@ -64,11 +64,8 @@ func reference(l2 engine.Cache, cores []refCore, refs int, hook func(trace.Ref, 
 			}
 		}
 		c := &cores[i]
-		acc := c.gen.Next()
-		ref := trace.Ref{Addr: acc.Addr, ASID: c.asid, CPU: uint8(i), Kind: trace.Read}
-		if acc.Write {
-			ref.Kind = trace.Write
-		}
+		ref := refOf(c.gen.Next(), c.asid)
+		ref.CPU = uint8(i)
 		lat := uint64(l1HitCycles)
 		if !c.l1.Access(ref).Hit {
 			out = append(out, ref)

@@ -106,23 +106,11 @@ func (r *Source) Intn(n int) int {
 	un := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, un)
+		hi, lo := bits.Mul64(v, un)
 		if lo >= un || lo >= (-un)%un {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform value in [0, 1).

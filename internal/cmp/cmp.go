@@ -60,13 +60,18 @@ type System struct {
 	l2    engine.Cache
 	cores []core
 
-	// captured is the L1-miss stream of the Runs so far. A Run captures
-	// into blocks of captureBlock references (block is the one being
-	// filled) and appends them to captured once, when it returns, so
-	// the stream is not copied at every growth of one slice.
-	captured []trace.Ref
-	blocks   [][]trace.Ref
-	block    []trace.Ref
+	// captured is the L1-miss stream of the Runs so far. A Run records
+	// its misses in byte blocks of captureBlock bytes (block is the one
+	// being filled), each as a header byte and the varint of its
+	// address minus base[core], the core's last captured address, about
+	// 4 bytes against a trace.Ref's 16. blockRefs counts them, and flush
+	// decodes them onto captured once, when Run returns, so the stream
+	// is held once at its exact size rather than twice.
+	captured  []trace.Ref
+	blocks    [][]byte
+	block     []byte
+	blockRefs int
+	base      [maxCores]uint64
 
 	// keys[i] is core i's next event as (issue cycle)<<4 | i, so the
 	// smallest key is the next miss in (issue cycle, core ID) order;
@@ -139,10 +144,11 @@ func (s *System) AddMix(names []string, seed uint64) error {
 }
 
 // CaptureMix runs the mix for refs processor references over the
-// paper's 1 MB 4-way shared L2 and returns the captured L1-miss stream.
-// Which lines miss the L1 does not depend on the L2, but the
-// interleaving does (cores stall on L2 misses), so every capture uses
-// this one reference L2 as its timing substrate.
+// paper's 1 MB 4-way shared L2 and returns the captured L1-miss stream,
+// the exact-size slice of Captured. Which lines miss the L1 does not
+// depend on the L2, but the interleaving does (cores stall on L2
+// misses), so every capture uses this one reference L2 as its timing
+// substrate.
 func CaptureMix(names []string, refs int, seed uint64) ([]trace.Ref, error) {
 	s := New(cache.MustNew(cache.Config{Size: addr.MB, Ways: 4, LineSize: lineSize}), Config{CaptureL1Misses: true})
 	if err := s.AddMix(names, seed); err != nil {
@@ -154,7 +160,12 @@ func CaptureMix(names []string, refs int, seed uint64) ([]trace.Ref, error) {
 	return s.Captured(), nil
 }
 
-// Captured returns the recorded L1-miss trace (nil unless enabled).
+// Captured returns the L1-miss stream of the Runs so far in issue order
+// (nil unless enabled), as a slice whose length is its capacity. A Run
+// holds its misses at about 4 bytes each and, as it returns, decodes
+// them after a copy of the earlier Runs' stream into one slice of the
+// new length, so a capture in one Run peaks at about 20 bytes per
+// captured reference.
 func (s *System) Captured() []trace.Ref { return s.captured }
 
 // WindowError reports a reference outside its core's ASID window, which
@@ -207,7 +218,8 @@ func (s *System) Run(total int) error {
 			s.advance(i)
 		}
 	}
+	base := s.base
 	err := s.merge()
-	s.flush()
+	s.flush(&base)
 	return err
 }

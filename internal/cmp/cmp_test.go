@@ -266,3 +266,34 @@ func TestRunAllocsIndependentOfLength(t *testing.T) {
 		t.Errorf("Run allocates %d times at 100K references and %d at 1M, want the same", short, long)
 	}
 }
+
+// TestCaptureBytesPerRef pins what a capturing Run allocates per
+// captured L1 miss: the exact-size []trace.Ref that Captured returns,
+// 16 bytes a reference, and the byte blocks a Run records its misses in
+// before it decodes them there, about 4 bytes a reference rounded up to
+// whole blocks (20.6 in all). The bound leaves headroom over that and
+// fails a capture that holds the stream twice, as 16-byte trace.Ref
+// blocks copied into the slice (34). The mix is the twelve-app capture
+// at 1M processor references; the collector is off while measuring,
+// and the test takes the least of three runs.
+func TestCaptureBytesPerRef(t *testing.T) {
+	const refs, bound = 1_000_000, 24.0
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := math.Inf(1)
+	for range 3 {
+		s := New(sharedL2(), Config{CaptureL1Misses: true})
+		if err := s.AddMix(workload.MixedNames, 2006); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, s, refs)
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(s.Captured())))
+	}
+	t.Logf("%.2f bytes allocated per captured reference", least)
+	if least > bound {
+		t.Errorf("a capturing Run allocates %.2f bytes per captured reference, want at most %.0f", least, bound)
+	}
+}

@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"encoding/binary"
 	"math"
 
 	"molcache/internal/engine"
@@ -18,8 +19,12 @@ const (
 	chunkEvents = 1024
 )
 
-// captureBlock is the size of a capture block in references (256 KB).
-const captureBlock = 1 << 14
+// captureBlock is the size of a capture block in bytes, and maxRecord
+// the most one captured miss takes in it: a header byte and a varint.
+const (
+	captureBlock = 256 << 10
+	maxRecord    = 1 + binary.MaxVarintLen64
+)
 
 // Event kinds. Every chunk ends with exactly one event that is not a
 // miss: evHits, the hits after the chunk's last miss, or evOutside at a
@@ -143,7 +148,7 @@ func (s *System) merge() error {
 		}
 		ref := trace.Ref{Addr: e.addr, ASID: c.asid, CPU: uint8(i), Kind: trace.Kind(e.kind)}
 		if s.cfg.CaptureL1Misses {
-			s.capture(ref)
+			s.capture(i, e.addr, e.kind)
 		}
 		res := s.l2.Access(ref)
 		if s.OnL2Access != nil {
@@ -162,34 +167,44 @@ func (s *System) merge() error {
 	}
 }
 
-// capture records ref in the current block, starting a new one when it
-// is full.
-func (s *System) capture(ref trace.Ref) {
-	if len(s.block) == cap(s.block) {
+// capture records core i's miss at a, of kind evRead or evWrite, in the
+// current block, starting a new block when a record might not fit: a
+// header byte i<<1 | kind, then the signed varint of a minus the core's
+// last captured address.
+func (s *System) capture(i int, a uint64, kind uint8) {
+	if cap(s.block)-len(s.block) < maxRecord {
 		if s.block != nil {
 			s.blocks = append(s.blocks, s.block)
 		}
-		s.block = make([]trace.Ref, 0, captureBlock)
+		s.block = make([]byte, 0, captureBlock)
 	}
-	s.block = append(s.block, ref)
+	s.block = binary.AppendVarint(append(s.block, byte(i)<<1|kind), int64(a-s.base[i]))
+	s.base[i] = a
+	s.blockRefs++
 }
 
-// flush appends the Run's capture blocks to captured, in one slice
-// sized once.
-func (s *System) flush() {
+// flush decodes the Run's capture blocks onto captured, into one slice
+// allocated at its exact size. base is each core's last captured
+// address before the Run, where its first delta starts; the decoding
+// leaves it equal to s.base.
+func (s *System) flush(base *[maxCores]uint64) {
 	if s.block == nil {
 		return
 	}
-	blocks := append(s.blocks, s.block)
-	n := len(s.captured)
-	for _, b := range blocks {
-		n += len(b)
+	out := make([]trace.Ref, len(s.captured)+s.blockRefs)
+	n := copy(out, s.captured)
+	for _, b := range append(s.blocks, s.block) {
+		for len(b) > 0 {
+			h := b[0]
+			d, w := binary.Varint(b[1:])
+			i := h >> 1
+			base[i] += uint64(d)
+			out[n] = trace.Ref{Addr: base[i], ASID: s.cores[i].asid, CPU: i, Kind: trace.Kind(h & 1)}
+			n++
+			b = b[1+w:]
+		}
 	}
-	out := append(make([]trace.Ref, 0, n), s.captured...)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	s.captured, s.blocks, s.block = out, nil, nil
+	s.captured, s.blocks, s.block, s.blockRefs = out, nil, nil, 0
 }
 
 // issuedBefore counts the references issued before core i's next miss at

@@ -3,6 +3,7 @@ package cmp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"molcache/internal/addr"
@@ -411,5 +412,121 @@ func TestRunMixEdges(t *testing.T) {
 	run(t, s, 10)
 	if err := s.AddCore(2, workload.MustNew("mcf", 2<<asidShift, 1)); err == nil {
 		t.Error("AddCore after Run accepted")
+	}
+}
+
+// edgeGen runs at the two ends of ASID asid's window, one line further
+// in on each end every two references: the lowest word of line k from
+// the bottom, then the highest word of line k from the top, reads for
+// even k and writes for odd. Every reference misses the L1, and the
+// deltas between captured addresses are the largest a window allows,
+// both ways.
+type edgeGen struct {
+	asid uint16
+	n    uint64
+}
+
+func (g *edgeGen) Name() string { return "edge" }
+func (g *edgeGen) Next() workload.Access {
+	k := g.n / 2
+	a := uint64(g.asid)<<asidShift + k*lineSize
+	if g.n%2 == 1 {
+		a = (uint64(g.asid)+1)<<asidShift - 4 - k*lineSize
+	}
+	g.n++
+	return workload.Access{Addr: a, Write: k%2 == 1}
+}
+
+// TestCaptureEncodingEdges holds the capture encoding to the
+// per-reference model where its fields are widest: sixteen cores (core
+// ID 15 fills the header's four bits), core 15 under ASID 0xFFFF at
+// the top of the address space, whose first address is nearly 2^52
+// from 0 and whose later deltas are ±2^36, next to fifteen cores that
+// stream over a line a reference, reads and writes mixed. It runs in
+// pieces, one a single reference and two long enough to fill several
+// capture blocks.
+func TestCaptureEncodingEdges(t *testing.T) {
+	runs := []int{1, 17, 300_000, 1, 4097, 250_000}
+	gens := func() []workload.Generator {
+		var gens []workload.Generator
+		for i := uint64(1); i < maxCores; i++ {
+			gens = append(gens, workload.NewStride("s", i<<asidShift, 8*addr.MB, lineSize, 0.25, rng.New(i)))
+		}
+		return append(gens, &edgeGen{asid: 0xFFFF})
+	}
+	total := 0
+	for _, n := range runs {
+		total += n
+	}
+	l2 := sharedL2()
+	cores := refCores(gens()...)
+	cores[maxCores-1].asid = 0xFFFF
+	want := systemRun{reference(l2, cores, total, nil), l2.Ledger()}
+
+	l2 = sharedL2()
+	s := New(l2, Config{CaptureL1Misses: true})
+	for i, g := range gens() {
+		asid := uint16(i + 1)
+		if i == maxCores-1 {
+			asid = 0xFFFF
+		}
+		if err := s.AddCore(asid, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crossed := 0
+	for _, n := range runs {
+		before := len(s.Captured())
+		run(t, s, n)
+		// A record takes at least two bytes.
+		if 2*(len(s.Captured())-before) > captureBlock {
+			crossed++
+		}
+	}
+	if crossed < 2 {
+		t.Fatalf("%d Runs filled more than one capture block, want at least 2", crossed)
+	}
+	if err := diffRuns(want, systemRun{s.Captured(), l2.Ledger()}); err != nil {
+		t.Fatal(err)
+	}
+	edge := 0
+	for _, r := range want.captured {
+		if r.CPU == maxCores-1 {
+			edge++
+		}
+	}
+	if edge < 1000 {
+		t.Fatalf("core 15 captured %d references, want at least 1000", edge)
+	}
+}
+
+// TestCaptureAnyAddress: the capture encoding is exact for any 64-bit
+// address, beyond the windows Run keeps its cores to. Every core
+// records, in turn, addresses whose deltas take every varint length
+// from one byte to ten, both ways, up to the 2^63 that only wraps
+// around, and decoding returns each address.
+func TestCaptureAnyAddress(t *testing.T) {
+	l2 := sharedL2()
+	s := New(l2, Config{CaptureL1Misses: true})
+	for i := uint64(1); i <= maxCores; i++ {
+		if err := s.AddCore(uint16(i), workload.NewLoop("l", i<<asidShift, 4096, 0, rng.New(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addrs := []uint64{math.MaxUint64, 1 << 63}
+	for b := range 64 {
+		addrs = append(addrs, 1<<b, 0)
+	}
+	var want []trace.Ref
+	for j, a := range addrs {
+		for i := range maxCores {
+			kind := uint8(i+j) % 2
+			s.capture(i, a, kind)
+			want = append(want, trace.Ref{Addr: a, ASID: uint16(i + 1), CPU: uint8(i), Kind: trace.Kind(kind)})
+		}
+	}
+	s.flush(new([maxCores]uint64))
+	if err := diffRuns(systemRun{want, l2.Ledger()}, systemRun{s.Captured(), l2.Ledger()}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -246,6 +246,11 @@ func NewController(c *MolecularCache, cfg ResizeConfig) (*Controller, error) {
 // reference outside its core's window. NewWorkload(name,
 // uint64(asid)<<36, seed) builds a generator that stays inside it, as
 // AddMix does for every application.
+//
+// With CaptureL1Misses, System.Captured returns the L1 misses of the
+// Runs so far as one exact-size []Ref, 16 bytes a miss. A Run records
+// its misses in about 4 bytes each and decodes them into that slice as
+// it returns, so the stream is held once, not twice.
 func NewSystem(l2 Cache, cfg SystemConfig) (*System, error) {
 	return cmp.New(l2, cfg), nil
 }

@@ -1,10 +1,12 @@
 package molcache_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -207,5 +209,123 @@ func TestRestoreCorruptionTyped(t *testing.T) {
 				t.Fatalf("error names section %q, want %q (%v)", se.Section, tc.section, err)
 			}
 		})
+	}
+}
+
+// editJSON decodes a checkpoint section's JSON object, lets edit change
+// it and re-encodes it: keys no Go struct declares survive the trip, and
+// numbers keep every digit (a 64-bit tag does not fit a float64).
+func editJSON(t *testing.T, payload []byte, edit func(map[string]any)) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.UseNumber()
+	var st map[string]any
+	if err := dec.Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	edit(st)
+	out, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRestoreRefusesSharedBit restores a checkpoint whose cache section
+// sets the paper's shared bit on a molecule. The simulator does not
+// model the bit, so continuing would not reproduce the run that wrote
+// it: the restore must fail with a *SnapshotError naming the cache.
+func TestRestoreRefusesSharedBit(t *testing.T) {
+	sim, _ := ckptSim(t, molcache.NewRegistry())
+	data, err := sim.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sections {
+		if sections[i].Name == "cache" {
+			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
+				st["molecules"].([]any)[3].(map[string]any)["shared"] = true
+			})
+		}
+	}
+	if data, err = snapshot.Encode(sections); err != nil {
+		t.Fatal(err)
+	}
+	_, err = molcache.RestoreSimulatorBytes(data, nil, molcache.NewRegistry())
+	var se *molcache.SnapshotError
+	if !errors.As(err, &se) || se.Section != "cache" || !strings.Contains(se.Reason, "molecule 3 has the shared bit set") {
+		t.Fatalf("restore of a shared-bit molecule returned %v, want a *SnapshotError naming cache and the bit", err)
+	}
+}
+
+// TestRestoreIgnoresDroppedKeys restores a checkpoint carrying the keys
+// of state the simulator no longer keeps — the cache clock, each
+// molecule's hit and access counts, and each application's last miss
+// rate — set to arbitrary values, and continues it next to the
+// uninterrupted run: nothing read those fields, so the continuation is
+// identical access by access and in every state the checkpoint holds.
+func TestRestoreIgnoresDroppedKeys(t *testing.T) {
+	reg := molcache.NewRegistry()
+	sim, rest := ckptSim(t, reg)
+	data, err := sim.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var molecules, apps int
+	for i := range sections {
+		switch sections[i].Name {
+		case "cache":
+			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
+				st["clock"] = 987654321
+				for j, m := range st["molecules"].([]any) {
+					m.(map[string]any)["hits"] = 1000 + j
+					m.(map[string]any)["accesses"] = 5 * j
+					molecules++
+				}
+			})
+		case "resize":
+			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
+				for j, a := range st["apps"].([]any) {
+					a.(map[string]any)["last_miss"] = 0.75 - 0.1*float64(j)
+					a.(map[string]any)["have_last"] = j%2 == 0
+					apps++
+				}
+			})
+		}
+	}
+	if molecules == 0 || apps == 0 {
+		t.Fatalf("checkpoint holds %d molecules and %d applications; the injection is vacuous", molecules, apps)
+	}
+	data, err = snapshot.Encode(sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg2 := molcache.NewRegistry()
+	sim2, err := molcache.RestoreSimulatorBytes(data, nil, reg2)
+	if err != nil {
+		t.Fatalf("RestoreSimulatorBytes: %v", err)
+	}
+	for i, r := range rest {
+		ra, rb := sim.Access(r), sim2.Access(r)
+		if ra != rb {
+			t.Fatalf("access %d after restore: %+v != %+v", i, ra, rb)
+		}
+	}
+	if !reflect.DeepEqual(sim.Cache.CaptureState(), sim2.Cache.CaptureState()) {
+		t.Error("cache states diverged")
+	}
+	if !reflect.DeepEqual(sim.Controller.CaptureState(), sim2.Controller.CaptureState()) {
+		t.Error("controller states diverged")
+	}
+	if a, b := reg.Snapshot(), reg2.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("registries diverged:\nuninterrupted: %+v\nrestored: %+v", a, b)
 	}
 }

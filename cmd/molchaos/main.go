@@ -327,15 +327,22 @@ func genCampaign(src *rng.Source, accesses uint64) faults.Campaign {
 	return c
 }
 
-// genTrace draws the reference stream: 2-3 private applications with
-// hot sets and long tails, a trickle of shared traffic, 30% writes.
+// highASID is the application behind genTrace's 1-in-32 trickle. It
+// lies past stats.DenseASIDs, so its region and ledger cell live in the
+// region table's and the ledger's overflow maps, and every checkpoint
+// carries them through.
+const highASID uint16 = 0xFFFF
+
+// genTrace draws the reference stream: 2-3 applications with hot sets
+// and long tails, a trickle from highASID, 30% writes. Each addresses
+// its own window.
 func genTrace(src *rng.Source, n int) []trace.Ref {
 	apps := 2 + src.Intn(2)
 	refs := make([]trace.Ref, 0, n)
 	for i := 0; i < n; i++ {
 		var asid uint16
 		if src.Intn(32) == 0 {
-			asid = molecular.SharedASID
+			asid = highASID
 		} else {
 			asid = uint16(1 + src.Intn(apps))
 		}
@@ -354,17 +361,12 @@ func genTrace(src *rng.Source, n int) []trace.Ref {
 	return refs
 }
 
-// buildSim assembles one side: cache, shared region, optional
-// fault injector, controller and a live registry — the full attachment
-// surface a checkpoint must carry.
+// buildSim assembles one side: cache, optional fault injector,
+// controller and a live registry — the full attachment surface a
+// checkpoint must carry.
 func buildSim(setup chaosSetup, campaign *faults.Campaign) (*molcache.Simulator, error) {
 	c, err := molecular.New(setup.Config)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := c.CreateRegion(molecular.SharedASID, molecular.RegionOptions{
-		HomeCluster: 0, HomeTile: 0, InitialMolecules: 2,
-	}); err != nil {
 		return nil, err
 	}
 	if campaign != nil {

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"molcache"
 	"molcache/internal/addr"
 	"molcache/internal/cache"
 	"molcache/internal/cmp"
@@ -55,9 +54,6 @@ func main() {
 	list := flag.Bool("list", false, "list available workloads and exit")
 	faultsPath := flag.String("faults", "", "fault campaign JSON to inject (molecular caches only)")
 	checkEvery := flag.Uint64("check-invariants", 0, "audit structural invariants every N L2 accesses (0 disables)")
-	checkpointPath := flag.String("checkpoint", "", "write a crash-safe MOLC1 checkpoint here at run end (molecular caches only)")
-	checkpointEvery := flag.Uint64("checkpoint-every", 0, "with -checkpoint, also rewrite the checkpoint every N L2 accesses (0: only at run end)")
-	restorePath := flag.String("restore", "", "restore cache and controller state from a MOLC1 checkpoint before running; -cache, -goal and -faults are ignored (the checkpoint carries them)")
 	var obsFlags obs.Flags
 	obsFlags.Register(flag.CommandLine)
 	obsFlags.RegisterSpans(flag.CommandLine)
@@ -91,62 +87,41 @@ func main() {
 	}
 	defer pipe.Close()
 
-	// -restore rebuilds the molecular cache and its controller from a
-	// MOLC1 checkpoint (telemetry attaches during the restore so the
-	// registry continues where the checkpointed one left off); otherwise
-	// the cache is built fresh from the -cache spec.
-	var (
-		l2   engine.Cache
-		mol  *molecular.Cache
-		ctrl *resize.Controller
-	)
-	if *restorePath != "" {
-		if *faultsPath != "" {
-			log.Fatal("-faults cannot combine with -restore: the checkpoint carries the campaign")
+	l2, mol, err := buildCache(*cacheSpec, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *faultsPath != "" {
+		if mol == nil {
+			log.Fatal("-faults requires a molecular cache")
 		}
-		sim, err := molcache.RestoreSimulator(*restorePath, pipe.Tracer, pipe.Registry)
-		if err != nil {
-			log.Fatalf("restore %s: %v", *restorePath, err)
-		}
-		log.Printf("restored simulation state from %s (%d accesses already served)",
-			*restorePath, sim.Cache.Addresses())
-		l2, mol, ctrl = sim.Cache, sim.Cache, sim.Controller
-	} else {
-		l2, mol, err = buildCache(*cacheSpec, *seed)
+		camp, err := faults.Load(*faultsPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *faultsPath != "" {
-			if mol == nil {
-				log.Fatal("-faults requires a molecular cache")
-			}
-			camp, err := faults.Load(*faultsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			inj, err := faults.NewInjector(camp)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := mol.AttachFaults(inj); err != nil {
-				log.Fatal(err)
-			}
+		inj, err := faults.NewInjector(camp)
+		if err != nil {
+			log.Fatal(err)
 		}
+		if err := mol.AttachFaults(inj); err != nil {
+			log.Fatal(err)
+		}
+	}
+	var ctrl *resize.Controller
+	if mol != nil {
+		ctrl, err = resize.New(mol, resize.Config{DefaultGoal: *goal})
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	if pipe.Tracer != nil || pipe.Registry != nil {
 		if mol != nil {
-			ctrl, err = resize.New(mol, resize.Config{DefaultGoal: *goal})
-			if err != nil {
-				log.Fatal(err)
-			}
+			mol.AttachTelemetry(pipe.Tracer, pipe.Registry)
+		} else if tc, ok := l2.(*cache.Cache); ok {
+			tc.AttachTelemetry(pipe.Registry, "l2")
 		}
-		if pipe.Tracer != nil || pipe.Registry != nil {
-			if mol != nil {
-				mol.AttachTelemetry(pipe.Tracer, pipe.Registry)
-			} else if tc, ok := l2.(*cache.Cache); ok {
-				tc.AttachTelemetry(pipe.Registry, "l2")
-			}
-			if ctrl != nil {
-				ctrl.AttachTelemetry(pipe.Tracer, pipe.Registry)
-			}
+		if ctrl != nil {
+			ctrl.AttachTelemetry(pipe.Tracer, pipe.Registry)
 		}
 	}
 
@@ -166,8 +141,7 @@ func main() {
 	// resize controller's tick: with -check-invariants, audit the
 	// molecular cache every N accesses; with -serve, republish the
 	// introspection snapshot every -publish-every accesses (handlers
-	// never touch live state); with -checkpoint-every, rewrite the
-	// checkpoint crash-safely every N accesses.
+	// never touch live state).
 	var hooks []func()
 	chk := newAuditor(mol, *checkEvery)
 	if chk != nil {
@@ -188,27 +162,6 @@ func main() {
 		// The initial publish makes the endpoints meaningful before the
 		// first interval elapses.
 		pipe.Publish(mol, ctrl)
-	}
-	var sim *molcache.Simulator
-	if *checkpointEvery > 0 && *checkpointPath == "" {
-		log.Fatal("-checkpoint-every requires -checkpoint PATH")
-	}
-	if *checkpointPath != "" {
-		if mol == nil || ctrl == nil {
-			log.Fatal("-checkpoint requires a molecular cache")
-		}
-		sim = &molcache.Simulator{Cache: mol, Controller: ctrl}
-		if every := *checkpointEvery; every > 0 {
-			var accesses uint64
-			hooks = append(hooks, func() {
-				accesses++
-				if accesses%every == 0 {
-					if err := sim.Checkpoint(*checkpointPath); err != nil {
-						log.Printf("checkpoint: %v", err)
-					}
-				}
-			})
-		}
 	}
 	var onAccess func()
 	if len(hooks) > 0 {
@@ -242,13 +195,6 @@ func main() {
 		chk.run() // final audit after the last access
 	}
 	pipe.Publish(mol, ctrl) // final snapshot for lingering servers
-	if sim != nil {
-		if err := sim.Checkpoint(*checkpointPath); err != nil {
-			log.Printf("final checkpoint: %v", err)
-		} else {
-			log.Printf("checkpoint written to %s", *checkpointPath)
-		}
-	}
 
 	report(l2, mol, ctrl, asids, names, *goal)
 	if *explainResize {

@@ -136,9 +136,6 @@ func render(client *http.Client, base string) (string, error) {
 		"asid", "molecules", "tiles", "accesses", "miss rate", "goal", "excess", "last resize")
 	for _, r := range st.Regions {
 		asid := fmt.Sprintf("%d", r.ASID)
-		if r.Shared {
-			asid += " (shared)"
-		}
 		goal, excess := "-", "-"
 		if r.Goal > 0 {
 			goal = fmt.Sprintf("%.3f", r.Goal)

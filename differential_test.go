@@ -56,19 +56,14 @@ func diffFaultCampaign() faults.Campaign {
 	}
 }
 
-// diffCache builds one side of the pair: cache, shared region,
-// resize controller (with the post-pass invariant audit on, which also
-// verifies the block index after every grow/shrink/rebalance), registry
-// and, when asked, a fault injector expanded from the shared campaign.
+// diffCache builds one side of the pair: cache, resize controller
+// (with the post-pass invariant audit on, which also verifies the block
+// index after every grow/shrink/rebalance), registry and, when asked, a
+// fault injector expanded from the common campaign.
 func diffCache(t *testing.T, cfg molecular.Config, withFaults bool) (*molecular.Cache, *resize.Controller, *telemetry.Registry) {
 	t.Helper()
 	c, err := molecular.New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateRegion(molecular.SharedASID, molecular.RegionOptions{
-		HomeCluster: 0, HomeTile: 0, InitialMolecules: 2,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
@@ -107,7 +102,7 @@ const diffOverflowASID uint16 = stats.DenseASIDs + 44
 // molecules) and its index entries live in the overflow map.
 const diffHighASID uint16 = 5
 
-// diffPrivateASIDs are the private applications of the oracle traces.
+// diffPrivateASIDs are the applications of the oracle traces.
 var diffPrivateASIDs = []uint16{1, 2, 3, diffOverflowASID, diffHighASID}
 
 // diffAddr is the byte address of block within asid's address space.
@@ -121,20 +116,13 @@ func diffAddr(asid uint16, block uint64) uint64 {
 
 // diffTrace generates the randomized reference stream: five private
 // applications (one above the dense ASID bound, one at block numbers
-// past the packed index range) with distinct hot sets and long tails, a
-// trickle of shared-region traffic (which also exercises the
-// shared-region self-lookup), and a 30% write mix.
+// past the packed index range) with distinct hot sets and long tails,
+// and a 30% write mix.
 func diffTrace(seed uint64) []trace.Ref {
 	src := rng.New(seed)
 	refs := make([]trace.Ref, 0, diffAccesses)
 	for i := 0; i < diffAccesses; i++ {
-		var asid uint16
-		switch {
-		case src.Intn(32) == 0:
-			asid = molecular.SharedASID
-		default:
-			asid = diffPrivateASIDs[src.Intn(len(diffPrivateASIDs))]
-		}
+		asid := diffPrivateASIDs[src.Intn(len(diffPrivateASIDs))]
 		var block uint64
 		if src.Intn(4) > 0 {
 			block = uint64(src.Intn(512)) // hot set: mostly hits
@@ -254,7 +242,7 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 					if !reflect.DeepEqual(*fast.Ledger(), *ref.Ledger()) {
 						t.Errorf("ledgers diverged: fast %+v, reference %+v", *fast.Ledger(), *ref.Ledger())
 					}
-					for _, asid := range append(diffPrivateASIDs, molecular.SharedASID) {
+					for _, asid := range diffPrivateASIDs {
 						if f, r := fast.Ledger().App(asid), ref.Ledger().App(asid); f != r {
 							t.Errorf("asid %d ledger diverged: fast %+v, reference %+v", asid, f, r)
 						}

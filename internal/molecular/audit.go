@@ -13,12 +13,10 @@ import "fmt"
 //     molecule holds no lines, and the three populations sum to the
 //     cache's total.
 //  2. duplicate-line: no block is resident in two molecules of one
-//     lookup domain (a region's molecules plus the shared-bit molecules
-//     of its home cluster, which answer every ASID there), or one copy
-//     would go silently stale. The same block MAY be resident in two
-//     regions: that is legal cross-ASID residency.
-//  3. asid-isolation: a region's molecules carry its ASID, and the
-//     shared bit is set exactly on the shared region's molecules.
+//     region, its lookup domain, or one copy would go silently stale.
+//     The same block MAY be resident in two regions: that is legal
+//     cross-ASID residency.
+//  3. asid-isolation: a region's molecules carry its ASID.
 //  4. region-accounting: rows are non-empty, each member's owned bit is
 //     set and its row field names its row, the count matches the rows,
 //     and the per-tile listing the hierarchical lookup walks holds
@@ -49,7 +47,6 @@ func (c *Cache) CheckInvariants() []Violation {
 	a := audit{
 		marks:  make([]molMark, len(c.molsByID)),
 		onTile: make([]int, len(c.clusters)*c.cfg.TilesPerCluster),
-		shared: c.sharedRegion,
 	}
 	for _, cl := range c.clusters {
 		for _, t := range cl.tiles {
@@ -91,7 +88,6 @@ type audit struct {
 	marks []molMark // by molecule ID
 	// onTile counts the current region's row members per tile.
 	onTile []int
-	shared *Region
 	// owned, free and retired count the molecules in each state.
 	owned, free, retired int
 	vs                   []Violation
@@ -143,9 +139,6 @@ func (a *audit) region(r *Region, stamp int32) {
 			if m.asid != r.asid {
 				a.add("asid-isolation", "molecule %d carries ASID %d inside region %d", m.id, m.asid, r.asid)
 			}
-			if (r.asid == SharedASID) != m.shared {
-				a.add("asid-isolation", "molecule %d shared bit %v under region %d", m.id, m.shared, r.asid)
-			}
 			if m.row != i {
 				a.add("region-accounting", "molecule %d row field %d but sits in row %d of region %d",
 					m.id, m.row, i, r.asid)
@@ -180,15 +173,11 @@ func (a *audit) region(r *Region, stamp int32) {
 }
 
 // lines checks rules 2 and 6 for r: each resident line of its molecules
-// is indexed to its holder and held by no other molecule of its lookup
-// domain, and the index holds nothing else. A healthy line costs one
-// index probe, two with a shared region; only a line the index does not
-// attribute to its holder pays a scan of the domain.
+// is indexed to its holder and held by no other molecule of r, and the
+// index holds nothing else. A healthy line costs one index probe; only
+// a line the index does not attribute to its holder pays a scan of the
+// region.
 func (a *audit) lines(r *Region) {
-	shared := a.shared
-	if shared == r {
-		shared = nil
-	}
 	resident := 0
 	for _, row := range r.rows {
 		for _, m := range row {
@@ -199,16 +188,12 @@ func (a *audit) lines(r *Region) {
 				b := m.lines[i].tag
 				h := r.index.get(b)
 				if h == m {
-					if shared != nil {
-						if x := shared.index.get(b); x != nil && x.tile.cluster == r.home.cluster && x.contains(b) {
-							a.duplicate(r, m, x, b)
-						}
-					}
 					resident++
 					continue
 				}
-				if x := domainHolder(r, shared, m, b); x != nil {
-					a.duplicate(r, x, m, b)
+				if x := otherHolder(r, m, b); x != nil {
+					a.add("duplicate-line", "block %#x resident in molecules %d and %d of region %d",
+						b, x.id, m.id, r.asid)
 					continue // the block is counted with its other copy
 				}
 				if h == nil {
@@ -227,28 +212,13 @@ func (a *audit) lines(r *Region) {
 	}
 }
 
-func (a *audit) duplicate(r *Region, first, second *Molecule, b uint64) {
-	a.add("duplicate-line", "block %#x resident in molecules %d and %d of region %d's lookup domain",
-		b, first.id, second.id, r.asid)
-}
-
-// domainHolder returns a molecule of r's lookup domain other than m
-// that holds block b, or nil: the rows of r, then shared's molecules in
-// r's home cluster.
-func domainHolder(r, shared *Region, m *Molecule, b uint64) *Molecule {
+// otherHolder returns a molecule of r other than m that holds block b,
+// or nil.
+func otherHolder(r *Region, m *Molecule, b uint64) *Molecule {
 	for _, row := range r.rows {
 		for _, x := range row {
 			if x != m && x.contains(b) {
 				return x
-			}
-		}
-	}
-	if shared != nil {
-		for _, row := range shared.rows {
-			for _, x := range row {
-				if x.tile.cluster == r.home.cluster && x.contains(b) {
-					return x
-				}
 			}
 		}
 	}

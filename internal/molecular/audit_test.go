@@ -12,18 +12,22 @@ import (
 // Most tests below corrupt one field of a small healthy cache and
 // assert the rule, and the check within it, that must fire.
 
+// highASID is an ordinary application numbered past stats.DenseASIDs,
+// so the cache finds its region in the region table's overflow map.
+const highASID uint16 = 0xFFFF
+
 // auditCache returns a healthy cache of one cluster of four tiles:
 // regions 1 and 2 of two molecules each on home tiles 0 and 1, both
-// holding the same 48 blocks (legal cross-region residency), a shared
-// region of one molecule on tile 2 holding blocks of its own in other
-// slots, and one retired molecule on tile 3.
+// holding the same 48 blocks (legal cross-region residency), region 3
+// of one molecule on tile 2 holding blocks of its own in other slots,
+// and one retired molecule on tile 3.
 func auditCache(t *testing.T) *Cache {
 	t.Helper()
 	c := MustNew(smallConfig(RandyReplacement))
 	for _, p := range []struct {
 		asid    uint16
 		tile, n int
-	}{{1, 0, 2}, {2, 1, 2}, {SharedASID, 2, 1}} {
+	}{{1, 0, 2}, {2, 1, 2}, {3, 2, 1}} {
 		if _, err := c.CreateRegion(p.asid, RegionOptions{HomeCluster: 0, HomeTile: p.tile, InitialMolecules: p.n}); err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +35,7 @@ func auditCache(t *testing.T) *Cache {
 	for i := uint64(0); i < 48; i++ {
 		c.Access(ref(1, i*64, trace.Write))
 		c.Access(ref(2, i*64, trace.Read))
-		c.Access(ref(SharedASID, 1<<20+(64+i)*64, trace.Read))
+		c.Access(ref(3, 1<<20+(64+i)*64, trace.Read))
 	}
 	if _, err := c.RetireMolecule(c.clusters[0].tiles[3].free[0].id); err != nil {
 		t.Fatal(err)
@@ -78,13 +82,13 @@ func TestHealthyCacheAuditsClean(t *testing.T) {
 			cfg := smallConfig(policy)
 			cfg.LineFactor = lf
 			c := MustNew(cfg)
-			if _, err := c.CreateRegion(SharedASID, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 2}); err != nil {
+			if _, err := c.CreateRegion(highASID, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 2}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 8192; i++ {
 				asid := uint16(1 + i%3)
 				if i%17 == 0 {
-					asid = SharedASID
+					asid = highASID
 				}
 				// Every application addresses its own window, as in every
 				// mix and every served tenant.
@@ -109,12 +113,40 @@ func TestHealthyCacheAuditsClean(t *testing.T) {
 	}
 }
 
+// TestOverlappingASIDsAuditClean lets four applications address the
+// same blocks, with highASID's region created first on tile 0, where
+// round-robin placement then homes ASID 1 too: every region is its own
+// lookup domain, so each fill lands in the requestor's region and no
+// region ever holds a block twice.
+func TestOverlappingASIDsAuditClean(t *testing.T) {
+	for _, policy := range []ReplacementKind{RandomReplacement, RandyReplacement, LRUDirect} {
+		for _, lf := range []int{1, 2} {
+			cfg := smallConfig(policy)
+			cfg.LineFactor = lf
+			c := MustNew(cfg)
+			if _, err := c.CreateRegion(highASID, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 2}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8192; i++ {
+				asid := uint16(1 + i%3)
+				if i%17 == 0 {
+					asid = highASID
+				}
+				c.Access(ref(asid, uint64(i*7919%3000)*64, trace.Kind(i%2)))
+			}
+			if vs := c.CheckInvariants(); len(vs) != 0 {
+				t.Errorf("%s lf%d: %d violations, first %v", policy, lf, len(vs), vs[0])
+			}
+		}
+	}
+}
+
 // TestIndexedHealthyCacheAuditsClean checks that an index naming every
 // resident line's holder, and nothing else, passes index-consistency,
 // and that each region's index is populated, so the rule is not vacuous.
 func TestIndexedHealthyCacheAuditsClean(t *testing.T) {
 	c := auditCache(t)
-	for _, asid := range []uint16{1, 2, SharedASID} {
+	for _, asid := range []uint16{1, 2, 3} {
 		r := c.Region(asid)
 		resident := 0
 		for _, m := range r.molecules() {
@@ -189,25 +221,6 @@ func TestDuplicateLineInOneRegion(t *testing.T) {
 		"resident in molecules "+strconv.Itoa(ms[0].id)+" and "+strconv.Itoa(ms[1].id)+" of region 1")
 }
 
-func TestSharedMoleculeDuplicateInDomain(t *testing.T) {
-	c := auditCache(t)
-	m := c.Region(1).molecules()[0]
-	sh := c.Region(SharedASID).molecules()[0]
-	i := residentSlot(t, m, sh)
-	// The shared molecule, which answers every ASID in the cluster, now
-	// holds region 1's block too, and its own index agrees.
-	sh.lines[i] = m.lines[i]
-	sh.resident++
-	c.Region(SharedASID).indexAdd(m.lines[i].tag, sh)
-	vs := c.CheckInvariants()
-	wantViolation(t, vs, "duplicate-line", "of region 1's lookup domain")
-	for _, v := range vs {
-		if v.Rule != "duplicate-line" {
-			t.Errorf("want only duplicates, got %v", v)
-		}
-	}
-}
-
 func TestDoubleOwnedMolecule(t *testing.T) {
 	c := auditCache(t)
 	m := c.Region(1).molecules()[0]
@@ -235,12 +248,6 @@ func TestASIDLeak(t *testing.T) {
 	// wrong application.
 	c.Region(2).molecules()[0].asid = 1
 	wantViolation(t, c.CheckInvariants(), "asid-isolation", "carries ASID 1 inside region 2")
-}
-
-func TestSharedBitOutsideSharedRegion(t *testing.T) {
-	c := auditCache(t)
-	c.Region(1).molecules()[0].shared = true
-	wantViolation(t, c.CheckInvariants(), "asid-isolation", "shared bit true under region 1")
 }
 
 func TestFreeAndOwnedSimultaneously(t *testing.T) {
@@ -427,14 +434,14 @@ func TestViolationsInFixedOrder(t *testing.T) {
 // the same cache after ten times more lines are resident.
 func TestCheckInvariantsAllocsIndependentOfLines(t *testing.T) {
 	c := MustNew(Config{TotalSize: 1 << 20, TilesPerCluster: 4, Clusters: 2, Seed: 3})
-	if _, err := c.CreateRegion(SharedASID, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 2}); err != nil {
+	if _, err := c.CreateRegion(highASID, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 2}); err != nil {
 		t.Fatal(err)
 	}
 	fill := func(from, to int) {
 		for i := from; i < to; i++ {
 			asid := uint16(1 + i%4)
 			if i%11 == 0 {
-				asid = SharedASID
+				asid = highASID
 			}
 			c.Access(ref(asid, uint64(asid)<<32|uint64(i/5)*64, trace.Write))
 		}

@@ -134,10 +134,6 @@ type Cache struct {
 	// and the index gauges iterate deterministically without rebuilding
 	// a slice per call.
 	regionList []*Region
-	// sharedRegion caches the SharedASID region (nil until created);
-	// the lookup paths consult it on every access and every tile probe.
-	//molvet:transient memo re-derived from the restored region set
-	sharedRegion *Region
 	// molsByID indexes every molecule by its global ID (fault targeting,
 	// the audit, and the block indexes' slots, which name their molecule
 	// by ID).
@@ -155,13 +151,14 @@ type Cache struct {
 	// power of two, so the access path shifts instead of dividing.
 	//molvet:transient derived from Config.LineSize at construction
 	lineShift uint
-	clock     uint64 // logical time for LRU-Direct
-	nextHome  int    // round-robin auto-placement cursor
+	nextHome  int // round-robin auto-placement cursor
 
-	ledger    stats.Ledger
-	global    stats.Window
-	probes    *stats.Histogram
-	addresses uint64 // total references serviced (resize trigger input)
+	ledger stats.Ledger
+	global stats.Window
+	probes *stats.Histogram
+	// addresses counts the references serviced: the resize trigger's
+	// input, and the logical clock line touches record for LRU-Direct.
+	addresses uint64
 
 	remoteCycles uint64
 	// remote accumulates the NoC cycles charged by the access in flight;
@@ -199,8 +196,8 @@ var _ engine.Cache = (*Cache)(nil)
 // dozen applications reference by reference, so the lookup itself must
 // be constant-time, not a memo of the last one: ASIDs below
 // stats.DenseASIDs (the bound the per-ASID ledger uses) index an array
-// directly, and the rest — SharedASID, or a served tenant numbered past
-// it — fall back to an overflow map.
+// directly, and the rest — a served tenant numbered past it, say — fall
+// back to an overflow map.
 type regionTable struct {
 	dense    [stats.DenseASIDs]*Region
 	overflow map[uint16]*Region
@@ -245,7 +242,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	molID := 0
 	for ci := 0; ci < cfg.Clusters; ci++ {
-		cl := &Cluster{id: ci}
+		cl := &Cluster{}
 		for ti := 0; ti < cfg.TilesPerCluster; ti++ {
 			t := &Tile{id: ci*cfg.TilesPerCluster + ti, cluster: cl}
 			for mi := 0; mi < cfg.MoleculesPerTile(); mi++ {
@@ -344,7 +341,6 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 		asid:       asid,
 		home:       home,
 		policy:     c.cfg.Policy,
-		lineSize:   c.cfg.LineSize,
 		lineFactor: lf,
 		molSize:    c.cfg.MoleculeSize,
 		rows:       make([][]*Molecule, 0, maxRows),
@@ -355,9 +351,6 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 	}
 	r.appCell = c.ledger.AppRef(asid)
 	c.regions.set(asid, r)
-	if asid == SharedASID {
-		c.sharedRegion = r
-	}
 	c.regionList = append(c.regionList, r)
 	sort.Slice(c.regionList, func(i, j int) bool {
 		return c.regionList[i].asid < c.regionList[j].asid
@@ -440,9 +433,9 @@ func (c *Cache) Grow(r *Region, n int) (got int, err error) {
 		if m == nil {
 			break
 		}
-		// A freshly opened row must be seeded to a useful width before
-		// anything else grows: a thin row owns a full 1/rowMax slice of
-		// the address space and thrashes until it is widened.
+		// A thin last row is seeded to a useful width before anything
+		// else grows: a thin row owns a full 1/rowMax slice of the
+		// address space and thrashes until it is widened.
 		row := r.growthRow()
 		if last := len(r.rows) - 1; last >= 1 {
 			avg := r.count / len(r.rows)
@@ -573,10 +566,9 @@ func (c *Cache) Access(ref trace.Ref) engine.Result {
 func (c *Cache) AttachSpans(st *telemetry.SpanTracer) { c.spans = st }
 
 // access is the span-instrumented body behind Access: it advances the
-// cache's logical clocks, delivers scheduled faults, then runs region
+// cache's logical clock, delivers scheduled faults, then runs region
 // lookup, tag probing, and the fill on a miss.
 func (c *Cache) access(ref trace.Ref) engine.Result {
-	c.clock++
 	c.addresses++
 	c.remote = 0
 	if c.faults != nil {
@@ -629,7 +621,7 @@ func (c *Cache) access(ref trace.Ref) engine.Result {
 	if r.lineFactor > 1 {
 		c.invalidateCompanions(r, victim, block)
 	}
-	evicted, wb := r.fillVictim(victim, block, write, c.clock)
+	evicted, wb := r.fillVictim(victim, block, write, c.addresses)
 	r.rowMiss[victim.row]++
 	res.LinesFetched = r.lineFactor
 	res.LinesEvicted = evicted
@@ -639,31 +631,28 @@ func (c *Cache) access(ref trace.Ref) engine.Result {
 	return res
 }
 
-// fastLookup is the block-index access path: one (or two, with a shared
-// region present) map lookups decide hit/miss and locate the holding
-// molecule, while TagProbes — the modelled count of molecules a real
-// Molecular cache would enable in parallel — is computed from the
-// region's per-tile population, tile by tile, exactly as the linear
-// probe model accumulates it. The Ulmo sweep over contributing sibling
-// tiles still happens per tile (NoC fault windows and retry accounting
-// are per-traversal effects), but no molecule is scanned.
+// fastLookup is the block-index access path: one lookup in the
+// region's index decides hit/miss and locates the holding molecule,
+// while TagProbes — the modelled count of molecules a real Molecular
+// cache would enable in parallel — is computed from the region's
+// per-tile population, tile by tile, exactly as the linear probe model
+// accumulates it: every molecule the region owns on a searched tile is
+// enabled by the ASID comparison stage, wherever (or whether) the hit
+// lands. The Ulmo sweep over contributing sibling tiles still happens
+// per tile (NoC fault windows and retry accounting are per-traversal
+// effects), but no molecule is scanned.
 func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
-	shared := c.sharedRegion
-	sharedHere := shared != nil && shared.home.cluster == r.home.cluster
 	hitM := r.index.get(block)
-	if hitM == nil && sharedHere && shared != r {
-		hitM = shared.index.get(block)
-	}
 	if c.ins != nil {
 		c.ins.indexLookups.Inc()
 	}
 
-	// Stage 1: home tile (plus any shared molecules resident there).
+	// Stage 1: home tile.
 	c.spans.Begin("molcache_access_tag_probe")
-	res.TagProbes = c.tileProbes(r, shared, r.home)
+	res.TagProbes = len(r.byTile[r.home.id])
 	c.spans.EndValue(int64(res.TagProbes))
 	if hitM != nil && hitM.tile == r.home {
-		hitM.recordHit(block, write, c.clock)
+		hitM.recordHit(block, write, c.addresses)
 		res.Hit = true
 		res.DataReads = 1
 		if c.ins != nil {
@@ -675,10 +664,8 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 	// Stage 2: Ulmo sweep of the contributing sibling tiles, in tile
 	// order, stopping at the holder's tile.
 	for _, t := range r.home.cluster.tiles {
-		if t == r.home {
-			continue
-		}
-		if len(r.byTile[t.id]) == 0 && (shared == nil || len(shared.byTile[t.id]) == 0) {
+		p := len(r.byTile[t.id])
+		if t == r.home || p == 0 {
 			continue
 		}
 		if !c.ulmoTraverse() {
@@ -689,11 +676,10 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 			continue
 		}
 		c.spans.Begin("molcache_access_tag_probe")
-		p := c.tileProbes(r, shared, t)
 		c.spans.EndValue(int64(p))
 		res.TagProbes += p
 		if hitM != nil && hitM.tile == t {
-			hitM.recordHit(block, write, c.clock)
+			hitM.recordHit(block, write, c.addresses)
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.DataReads = 1
@@ -711,7 +697,7 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 // scanned until the line is found. Results, ledgers and molecule state
 // are identical to fastLookup's; only the discovery mechanics differ.
 func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
-	// Stage 1: home tile (plus any shared molecules resident there).
+	// Stage 1: home tile.
 	c.spans.Begin("molcache_access_tag_probe")
 	if hit, probes := c.probeTile(r, r.home, block, write); hit {
 		c.spans.EndValue(int64(probes))
@@ -725,14 +711,9 @@ func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine
 	}
 
 	// Stage 2: Ulmo searches only the sibling tiles whose molecules
-	// contribute to the application's region (or hold shared-bit
-	// molecules, which serve every ASID).
-	shared := c.sharedRegion
+	// contribute to the application's region.
 	for _, t := range r.home.cluster.tiles {
-		if t == r.home {
-			continue
-		}
-		if len(r.byTile[t.id]) == 0 && (shared == nil || len(shared.byTile[t.id]) == 0) {
+		if t == r.home || len(r.byTile[t.id]) == 0 {
 			continue
 		}
 		if !c.ulmoTraverse() {
@@ -755,49 +736,19 @@ func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine
 	return unreachable
 }
 
-// tileProbes returns the modelled probe count for one tile: every
-// molecule the region owns there plus every shared-bit molecule
-// answering on that tile. All of them are enabled in parallel by the
-// ASID comparison stage, so the energy-relevant count is the full
-// eligible population of every tile searched, independent of where (or
-// whether) the hit lands.
-func (c *Cache) tileProbes(r, shared *Region, t *Tile) int {
-	n := len(r.byTile[t.id])
-	if shared != nil && shared.home.cluster == t.cluster {
-		n += len(shared.byTile[t.id])
-	}
-	return n
-}
-
 // probeTile is the reference path's per-tile scan: the region's
-// molecules on tile t (and t's shared-bit molecules) are searched
-// linearly, returning hit status and the number of molecules activated.
+// molecules on tile t are searched linearly, returning hit status and
+// the number of molecules activated (all of them: the ASID comparison
+// stage enables them in parallel).
 func (c *Cache) probeTile(r *Region, t *Tile, block uint64, write bool) (bool, int) {
 	own := r.byTile[t.id]
-	probes := len(own)
-	hit := false
 	for _, m := range own {
 		if m.contains(block) {
-			m.recordHit(block, write, c.clock)
-			hit = true
-			break
+			m.recordHit(block, write, c.addresses)
+			return true, len(own)
 		}
 	}
-	// Shared molecules respond to all ASIDs on the tile.
-	if shared := c.sharedRegion; shared != nil && shared.home.cluster == t.cluster {
-		sh := shared.byTile[t.id]
-		probes += len(sh)
-		if !hit {
-			for _, m := range sh {
-				if m.contains(block) {
-					m.recordHit(block, write, c.clock)
-					hit = true
-					break
-				}
-			}
-		}
-	}
-	return hit, probes
+	return false, len(own)
 }
 
 // invalidateCompanions drops the victim's group companions from any
@@ -897,10 +848,8 @@ func (c *Cache) Contains(a uint64) bool {
 		for _, cl := range c.clusters {
 			for _, t := range cl.tiles {
 				for _, m := range t.molecules {
-					if m.owned || m.shared {
-						if m.contains(block) {
-							return true
-						}
+					if m.owned && m.contains(block) {
+						return true
 					}
 				}
 			}

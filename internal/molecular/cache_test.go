@@ -367,22 +367,6 @@ func TestWithdrawPrefersColdMolecule(t *testing.T) {
 	}
 }
 
-func TestSharedRegionVisibleToAllASIDs(t *testing.T) {
-	c := MustNew(smallConfig(RandyReplacement))
-	if _, err := c.CreateRegion(SharedASID, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 2}); err != nil {
-		t.Fatal(err)
-	}
-	// ASID 1 misses; the fill goes into app 1's own region, but a
-	// shared-region line inserted under SharedASID hits for everyone.
-	c.Access(ref(SharedASID, 0x8000, trace.Read))
-	if !c.Access(ref(1, 0x8000, trace.Read)).Hit {
-		t.Error("ASID 1 could not read the shared molecule")
-	}
-	if !c.Access(ref(2, 0x8000, trace.Read)).Hit {
-		t.Error("ASID 2 could not read the shared molecule")
-	}
-}
-
 func TestContains(t *testing.T) {
 	c := MustNew(smallConfig(RandyReplacement))
 	if c.Contains(0x9000) {

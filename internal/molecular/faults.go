@@ -123,7 +123,6 @@ func (c *Cache) RetireMolecule(id int) (RetireReport, error) {
 			// Orphaned owner (should be impossible): flush directly.
 			rep.Writebacks = m.flush()
 			m.owned = false
-			m.shared = false
 			m.row = -1
 		}
 	} else {

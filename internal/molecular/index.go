@@ -14,9 +14,8 @@ package molecular
 // Invariant: r.index[b] == m exactly when molecule m is owned by r and
 // holds a valid line with tag b. Within one region the holder is unique
 // (the duplicate-line rule CheckInvariants enforces), so a flat block →
-// molecule table (blockmap.go) suffices. Shared-bit molecules are
-// indexed by the shared region itself; a requestor's lookup consults
-// its own region's index and then the shared region's.
+// molecule table (blockmap.go) suffices, and a requestor's lookup
+// consults its own region's index alone.
 
 // indexAdd records m as the holder of block.
 func (r *Region) indexAdd(block uint64, m *Molecule) {

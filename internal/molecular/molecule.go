@@ -9,11 +9,6 @@ package molecular
 
 import "molcache/internal/trace"
 
-// SharedASID marks molecules with the shared bit set: they respond to
-// every request on their tile regardless of the requestor's ASID
-// (Figure 3's multiplexer bypass).
-const SharedASID uint16 = 0xFFFF
-
 // molLine is one 64-byte line's metadata inside a molecule: 16 bytes,
 // so a molecule's 128 lines fill 32 host cache lines instead of 48.
 // word packs the replacement timestamp with two flag bits,
@@ -56,7 +51,7 @@ func lineWord(touch uint64, dirty bool) uint64 {
 
 // Molecule is a small direct-mapped caching unit — the building block the
 // whole architecture aggregates. Its decode path is gated by an ASID
-// comparison (or bypassed when the shared bit is set).
+// comparison.
 type Molecule struct {
 	// id is the global molecule number (stable across reassignment).
 	id int
@@ -73,8 +68,6 @@ type Molecule struct {
 	// asid is the configured Application Space Identifier; only
 	// requests from this application may proceed past decode.
 	asid uint16
-	// shared bypasses the ASID comparison when set.
-	shared bool
 	// owned reports whether the molecule currently belongs to a region.
 	owned bool
 	// failed marks a hard-failed (retired) molecule: it belongs to no
@@ -88,11 +81,6 @@ type Molecule struct {
 	// counter Algorithm 1 reads to decide where to add and what to
 	// withdraw.
 	missCount uint64
-	// hits and accesses accumulate for the lifetime of the assignment
-	// (recorded for the molecule a hit actually lands in, whichever
-	// lookup path — block index or linear probe — found it).
-	hits     uint64
-	accesses uint64
 }
 
 // ID returns the global molecule number.
@@ -130,18 +118,16 @@ func (m *Molecule) index(block uint64) int {
 }
 
 // recordHit applies the bookkeeping of a probe hit on block: the line's
-// LRU timestamp advances, a write marks it dirty, and the molecule's
-// lifetime counters tick. The caller has already established residency —
-// through the region's block index on the fast path, or a linear scan on
-// the reference path — so both paths leave identical molecule state.
+// LRU timestamp advances and a write marks it dirty. The caller has
+// already established residency — through the region's block index on
+// the fast path, or a linear scan on the reference path — so both paths
+// leave identical molecule state.
 func (m *Molecule) recordHit(block uint64, write bool, clock uint64) {
 	ln := &m.lines[m.index(block)]
 	ln.word = clock<<touchShift | ln.word&lineDirty | lineValid
 	if write {
 		ln.word |= lineDirty
 	}
-	m.hits++
-	m.accesses++
 }
 
 // fill installs the lineFactor-aligned group of lines containing block.
@@ -178,13 +164,6 @@ func (m *Molecule) flush() (writebacks int) {
 	}
 	m.resident = 0
 	return writebacks
-}
-
-// resetCounters clears assignment-lifetime statistics.
-func (m *Molecule) resetCounters() {
-	m.missCount = 0
-	m.hits = 0
-	m.accesses = 0
 }
 
 // invalidate drops one line if present (a fill's companion

@@ -66,7 +66,7 @@ func TestPropertyRandyVictimFromHashedRow(t *testing.T) {
 	}
 	f := func(a uint64) bool {
 		want := r.rowFor(a)
-		v := r.victim(a, a/r.lineSize)
+		v := r.victim(a, a/c.cfg.LineSize)
 		return v != nil && v.row == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -90,7 +90,7 @@ func TestPropertyVictimStaysInRegion(t *testing.T) {
 					asid = 2
 				}
 				r := c.Region(asid)
-				v := r.victim(a, a/r.lineSize)
+				v := r.victim(a, a/c.cfg.LineSize)
 				return v != nil && v.owned && v.asid == asid
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -22,7 +22,8 @@ const (
 )
 
 // maxRows caps the replacement view's row count (the configured way size,
-// rowMax). Rows are added dynamically as the region grows.
+// rowMax). growSpread opens a region's rows at creation; later growth
+// widens them.
 const maxRows = 16
 
 // Region is an application-specific cache partition: a set of molecules
@@ -32,8 +33,7 @@ type Region struct {
 	asid       uint16
 	home       *Tile
 	policy     ReplacementKind
-	lineSize   uint64 // base line size (bytes)
-	lineFactor int    // lines fetched per miss (fixed at creation)
+	lineFactor int // lines fetched per miss (fixed at creation)
 	molSize    uint64
 
 	// rows is the replacement view. Every molecule in the region
@@ -241,9 +241,8 @@ func (r *Region) attach(m *Molecule, rowIdx int) {
 	}
 	m.owned = true
 	m.asid = r.asid
-	m.shared = r.asid == SharedASID
 	m.row = rowIdx
-	m.resetCounters()
+	m.missCount = 0
 	r.rows[rowIdx] = append(r.rows[rowIdx], m)
 	r.byTile[m.tile.id] = append(r.byTile[m.tile.id], m)
 	r.indexMolecule(m)
@@ -280,7 +279,6 @@ func (r *Region) detach(m *Molecule) (writebacks int) {
 	r.unindexMolecule(m)
 	wb := m.flush()
 	m.owned = false
-	m.shared = false
 	m.row = -1
 	r.count--
 	r.compactRows()
@@ -314,35 +312,19 @@ func (r *Region) compactRows() {
 // growthRow chooses the row a newly allocated molecule should join,
 // implementing the paper's "add along the rows with the highest miss
 // count" (Randy / LRU-Direct) and "single logical row" (Random)
-// placement. It may return len(rows) to open a fresh row when the
-// miss pressure is evenly spread and the view still has headroom.
+// placement. A Randy region keeps the rows growSpread opened and grows
+// by widening them; only a region left rowless by retirements gets a
+// fresh row 0.
 func (r *Region) growthRow() int {
 	if r.policy == RandomReplacement {
 		return 0
 	}
-	if len(r.rows) == 0 {
-		return 0
-	}
 	// Highest misses-per-molecule row wins.
 	best, bestScore := 0, -1.0
-	var total uint64
 	for i, row := range r.rows {
-		total += r.rowMiss[i]
 		score := float64(r.rowMiss[i]) / float64(len(row))
 		if score > bestScore {
 			best, bestScore = i, score
-		}
-	}
-	// Widen-first: constraining victims to a row only works when rows
-	// are wide enough that placement has slack, so a new row (growing
-	// the configured way size, rowMax) only opens once the average row
-	// width reaches rowWidenThreshold and no row's per-molecule miss
-	// count stands out. Opening rows too eagerly leaves every row thin
-	// and permanently conflict-bound.
-	if len(r.rows) < maxRows && total > 0 && r.count >= rowWidenThreshold*len(r.rows) {
-		avgPerMol := float64(total) / float64(r.count)
-		if bestScore < 2*avgPerMol {
-			return len(r.rows)
 		}
 	}
 	return best
@@ -385,7 +367,3 @@ func (r *Region) withdrawCandidate() *Molecule {
 	}
 	return pick(0)
 }
-
-// rowWidenThreshold is the average row width required before the
-// replacement view opens another row.
-const rowWidenThreshold = 1 << 30

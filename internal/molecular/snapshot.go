@@ -44,15 +44,17 @@ type LineState struct {
 
 // MolState is one molecule's complete serialized state.
 type MolState struct {
-	ID        int         `json:"id"`
-	ASID      uint16      `json:"asid,omitempty"`
+	ID   int    `json:"id"`
+	ASID uint16 `json:"asid,omitempty"`
+	// Shared is the paper's shared bit, which this simulator does not
+	// model: CaptureState never sets it, and RestoreCache refuses a
+	// checkpoint that does, since continuing without shared semantics
+	// would not reproduce the run that wrote it.
 	Shared    bool        `json:"shared,omitempty"`
 	Owned     bool        `json:"owned,omitempty"`
 	Failed    bool        `json:"failed,omitempty"`
 	Row       int         `json:"row"`
 	MissCount uint64      `json:"miss_count,omitempty"`
-	Hits      uint64      `json:"hits,omitempty"`
-	Accesses  uint64      `json:"accesses,omitempty"`
 	Lines     []LineState `json:"lines,omitempty"`
 }
 
@@ -81,7 +83,6 @@ type AppLedger struct {
 // Geometry (clusters, tiles, molecule/line sizes) is carried by the
 // Config, which travels alongside in the checkpoint.
 type CacheState struct {
-	Clock        uint64           `json:"clock"`
 	Addresses    uint64           `json:"addresses"`
 	NextHome     int              `json:"next_home"`
 	RemoteCycles uint64           `json:"remote_cycles"`
@@ -103,7 +104,6 @@ type CacheState struct {
 // in ID order, ledger apps in ASID order).
 func (c *Cache) CaptureState() CacheState {
 	st := CacheState{
-		Clock:        c.clock,
 		Addresses:    c.addresses,
 		NextHome:     c.nextHome,
 		RemoteCycles: c.remoteCycles,
@@ -134,9 +134,8 @@ func (c *Cache) CaptureState() CacheState {
 	st.Molecules = make([]MolState, len(c.molsByID))
 	for i, m := range c.molsByID {
 		ms := MolState{
-			ID: m.id, ASID: m.asid, Shared: m.shared, Owned: m.owned,
-			Failed: m.failed, Row: m.row,
-			MissCount: m.missCount, Hits: m.hits, Accesses: m.accesses,
+			ID: m.id, ASID: m.asid, Owned: m.owned, Failed: m.failed,
+			Row: m.row, MissCount: m.missCount,
 		}
 		for slot := range m.lines {
 			ln := &m.lines[slot]
@@ -194,6 +193,9 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			return nil, fmt.Errorf("molecular: restore: molecule entry %d carries ID %d", i, ms.ID)
 		}
 		m := c.molsByID[i]
+		if ms.Shared {
+			return nil, fmt.Errorf("molecular: restore: molecule %d has the shared bit set, which this simulator does not model", i)
+		}
 		if ms.Failed && ms.Owned {
 			return nil, fmt.Errorf("molecular: restore: molecule %d both failed and owned", i)
 		}
@@ -204,7 +206,6 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			return nil, fmt.Errorf("molecular: restore: molecule %d row %d outside [0,%d)", i, ms.Row, maxRows)
 		}
 		m.asid = ms.ASID
-		m.shared = ms.Shared
 		m.owned = ms.Owned
 		m.failed = ms.Failed
 		m.row = ms.Row
@@ -212,8 +213,6 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			m.row = -1
 		}
 		m.missCount = ms.MissCount
-		m.hits = ms.Hits
-		m.accesses = ms.Accesses
 		prevSlot := -1
 		for _, ln := range ms.Lines {
 			if ln.Slot < 0 || ln.Slot >= len(m.lines) {
@@ -299,7 +298,6 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			asid:         rs.ASID,
 			home:         home,
 			policy:       cfg.Policy,
-			lineSize:     cfg.LineSize,
 			lineFactor:   rs.LineFactor,
 			molSize:      cfg.MoleculeSize,
 			byTile:       make([][]*Molecule, tiles),
@@ -352,9 +350,6 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 		}
 		r.appCell = c.ledger.AppRef(rs.ASID)
 		c.regions.set(rs.ASID, r)
-		if rs.ASID == SharedASID {
-			c.sharedRegion = r
-		}
 		c.regionList = append(c.regionList, r)
 	}
 	sort.Slice(c.regionList, func(i, j int) bool {
@@ -373,7 +368,6 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	}
 
 	// Cache-wide counters, ledger and RNG.
-	c.clock = st.Clock
 	c.addresses = st.Addresses
 	c.nextHome = st.NextHome
 	c.remoteCycles = st.RemoteCycles

@@ -65,7 +65,6 @@ func (t *Tile) removeFree(m *Molecule) bool {
 // molecules to the requesting application's region — and inter-cluster
 // coherence traffic.
 type Cluster struct {
-	id    int
 	tiles []*Tile
 }
 

@@ -34,7 +34,6 @@ type TileCount struct {
 // occupancy, miss rate vs. goal, and the last resize action taken on it.
 type RegionInfo struct {
 	ASID       uint16 `json:"asid"`
-	Shared     bool   `json:"shared,omitempty"`
 	HomeTile   int    `json:"home_tile"`
 	Policy     string `json:"policy"`
 	LineFactor int    `json:"line_factor"`
@@ -166,7 +165,6 @@ func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registr
 		for _, r := range c.Regions() {
 			ri := RegionInfo{
 				ASID:           r.ASID(),
-				Shared:         r.ASID() == molecular.SharedASID,
 				HomeTile:       r.HomeTile().ID(),
 				Policy:         string(r.Policy()),
 				LineFactor:     r.LineFactor(),
@@ -188,7 +186,7 @@ func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registr
 			for _, t := range tiles {
 				ri.Tiles = append(ri.Tiles, TileCount{Tile: t, Molecules: counts[t]})
 			}
-			if ctrl != nil && !ri.Shared {
+			if ctrl != nil {
 				ri.Goal = ctrl.Goal(r.ASID())
 				if ri.Goal > 0 {
 					ri.Deviation = ri.MissRate - ri.Goal

@@ -16,8 +16,9 @@
 //   - miss rate < goal: withdraw sqrt(current * miss/goal) molecules — a
 //     self-limiting count that stops as the miss rate rises toward the
 //     goal ("withdraw molecules more slowly than you add");
-//   - goal <= miss <= 50% and improving (miss < lastMiss): grow linearly
-//     toward target = current * miss/goal, at most maxAllocation at once;
+//   - goal < miss <= 50%: grow linearly toward target = current *
+//     miss/goal, at most maxAllocation at once (the pseudo-code also asks
+//     for an improving miss rate; that gate is dropped, see resizeOne);
 //   - otherwise: leave the partition alone this period.
 //
 // After the sweep the resize period doubles when the overall miss rate is
@@ -151,8 +152,6 @@ const (
 
 // appState carries per-application controller state.
 type appState struct {
-	lastMiss   float64
-	haveLast   bool
 	lastAction Action
 	lastAlloc  int
 	maxAlloc   int
@@ -302,9 +301,6 @@ func (c *Controller) Tick() bool {
 		fired := false
 		c.regions = c.cache.AppendRegions(c.regions[:0])
 		for _, r := range c.regions {
-			if r.ASID() == molecular.SharedASID {
-				continue
-			}
 			s := c.state(r.ASID())
 			if r.Ledger().Accesses() < s.nextAt {
 				continue
@@ -341,9 +337,6 @@ func (c *Controller) resizeAll() {
 	c.regions = c.cache.AppendRegions(c.regions[:0])
 	slices.SortStableFunc(c.regions, neediestFirst)
 	for _, r := range c.regions {
-		if r.ASID() == molecular.SharedASID {
-			continue
-		}
 		c.resizeOne(r, c.state(r.ASID()))
 	}
 }
@@ -386,9 +379,6 @@ func (c *Controller) globalGoal() float64 {
 	// rate, and the sum must run in ASID order to stay bit-identical.
 	c.regions = c.cache.AppendRegions(c.regions[:0])
 	for _, r := range c.regions {
-		if r.ASID() == molecular.SharedASID {
-			continue
-		}
 		if g := c.Goal(r.ASID()); g > 0 {
 			sum += g
 			n++
@@ -445,8 +435,6 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 		// Consume the epoch's placement counters only after the grow/
 		// shrink placement has used them.
 		r.ResetEpoch()
-		s.lastMiss = miss
-		s.haveLast = true
 		s.lastAction = d.Action
 	}()
 	if goal <= 0 {
@@ -641,9 +629,7 @@ func clamp(v, lo, hi uint64) uint64 {
 }
 
 // floorDecayPeriods is how many resize passes a shrink-regret floor holds
-// before decaying by one molecule (allowing slow re-probing of the cliff),
-// and regretFactor is how far past the goal the post-shrink window must
-// land before the floor pins (plain noise around the goal must not pin).
+// before decaying by one molecule (allowing slow re-probing of the cliff).
 const floorDecayPeriods = 10
 
 // rebalanceCooldown is the number of resize passes between row

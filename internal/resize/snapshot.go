@@ -17,8 +17,6 @@ import (
 // appState field for field.
 type AppSnap struct {
 	ASID          uint16  `json:"asid"`
-	LastMiss      float64 `json:"last_miss"`
-	HaveLast      bool    `json:"have_last"`
 	LastAction    Action  `json:"last_action"`
 	LastAlloc     int     `json:"last_alloc"`
 	MaxAlloc      int     `json:"max_alloc"`
@@ -71,8 +69,7 @@ func (c *Controller) CaptureState() ControllerState {
 	for _, asid := range asids {
 		s := c.apps[asid]
 		st.Apps = append(st.Apps, AppSnap{
-			ASID: asid, LastMiss: s.lastMiss, HaveLast: s.haveLast,
-			LastAction: s.lastAction, LastAlloc: s.lastAlloc, MaxAlloc: s.maxAlloc,
+			ASID: asid, LastAction: s.lastAction, LastAlloc: s.lastAlloc, MaxAlloc: s.maxAlloc,
 			Floor: s.floor, PreShrink: s.preShrink, FloorAge: s.floorAge,
 			ShrinkAge: s.shrinkAge, RebalanceCool: s.rebalanceCool,
 			GrowSinceMark: s.growSinceMark, MissAtMark: s.missAtMark,
@@ -121,8 +118,7 @@ func (c *Controller) RestoreState(st ControllerState) error {
 			return fmt.Errorf("resize: restore: app %d has negative counters", a.ASID)
 		}
 		apps[a.ASID] = &appState{
-			lastMiss: a.LastMiss, haveLast: a.HaveLast, lastAction: a.LastAction,
-			lastAlloc: a.LastAlloc, maxAlloc: a.MaxAlloc,
+			lastAction: a.LastAction, lastAlloc: a.LastAlloc, maxAlloc: a.MaxAlloc,
 			floor: a.Floor, preShrink: a.PreShrink, floorAge: a.FloorAge,
 			shrinkAge: a.ShrinkAge, rebalanceCool: a.RebalanceCool,
 			growSinceMark: a.GrowSinceMark, missAtMark: a.MissAtMark,

@@ -6,21 +6,11 @@ import (
 	"path/filepath"
 )
 
-// WriteFile encodes sections and lands them at path crash-safely: the
+// WriteRaw lands encoded container bytes at path crash-safely: the
 // bytes go to a temp file in the same directory, are fsynced, renamed
 // over path, and the directory is fsynced so the rename itself is
 // durable. A crash at any point leaves either the previous snapshot or
 // the complete new one — never a torn file.
-func WriteFile(path string, sections []Section) error {
-	data, err := Encode(sections)
-	if err != nil {
-		return err
-	}
-	return WriteRaw(path, data)
-}
-
-// WriteRaw lands pre-encoded container bytes at path with the same
-// temp-file + fsync + atomic-rename discipline as WriteFile.
 func WriteRaw(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -50,15 +40,4 @@ func WriteRaw(path string, data []byte) error {
 		_ = d.Close()
 	}
 	return nil
-}
-
-// ReadFile reads and decodes a snapshot file. Decode errors (including
-// truncation and corruption) come back as *Error values; I/O errors are
-// wrapped os errors.
-func ReadFile(path string) ([]Section, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read %s: %w", path, err)
-	}
-	return Decode(data)
 }

@@ -24,7 +24,7 @@
 // flips, version skew and table corruption are all detected and
 // reported as *snapshot.Error values naming the failing section; no
 // input can make it panic or over-allocate. Writes are crash-safe:
-// WriteFile lands the bytes in a temp file, fsyncs, renames into place
+// WriteRaw lands the bytes in a temp file, fsyncs, renames into place
 // and fsyncs the directory, so a crash leaves either the old snapshot
 // or the new one — never a torn file.
 package snapshot

@@ -154,29 +154,41 @@ func TestDecodeOffsetLies(t *testing.T) {
 	}
 }
 
+// TestWriteReadFile lands encoded containers with WriteRaw, a second
+// one over the first, and decodes what the file then holds.
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.molc1")
+	write := func(sections []Section) {
+		t.Helper()
+		data, err := Encode(sections)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		if err := WriteRaw(path, data); err != nil {
+			t.Fatalf("WriteRaw: %v", err)
+		}
+	}
+	read := func() []Section {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		return got
+	}
 	want := sample()
-	if err := WriteFile(path, want); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if len(got) != len(want) {
+	write(want)
+	if got := read(); len(got) != len(want) {
 		t.Fatalf("read back %d sections, want %d", len(got), len(want))
 	}
 	// Overwrite must go through the same atomic path.
-	if err := WriteFile(path, want[:1]); err != nil {
-		t.Fatalf("WriteFile overwrite: %v", err)
-	}
-	got, err = ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile after overwrite: %v", err)
-	}
-	if len(got) != 1 {
+	write(want[:1])
+	if got := read(); len(got) != 1 {
 		t.Fatalf("read back %d sections after overwrite, want 1", len(got))
 	}
 	// No temp litter left behind.
@@ -186,11 +198,5 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("directory holds %d entries after writes, want just the snapshot", len(entries))
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.molc1")); err == nil {
-		t.Fatalf("ReadFile on a missing file succeeded")
 	}
 }

@@ -52,8 +52,8 @@ func (h HitMiss) String() string {
 // DenseASIDs bounds the ASIDs whose cells live in the ledger's directly
 // indexed table. Cache models name their applications with small
 // consecutive ASIDs, so Record costs a bounds check and a load instead
-// of a map lookup; larger ASIDs (SharedASID 65535, for one) fall back to
-// an overflow map. The molecular cache's ASID → region table shares the
+// of a map lookup; larger ASIDs (a served tenant numbered past the
+// bound, say) fall back to an overflow map. The molecular cache's ASID → region table shares the
 // bound.
 const DenseASIDs = 256
 

@@ -164,24 +164,6 @@ func (s Snapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// ParseJSON inverts Snapshot.JSON.
-func ParseJSON(data []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Snapshot{}, err
-	}
-	if s.Counters == nil {
-		s.Counters = map[string]uint64{}
-	}
-	if s.Gauges == nil {
-		s.Gauges = map[string]float64{}
-	}
-	if s.Histograms == nil {
-		s.Histograms = map[string]HistogramSnapshot{}
-	}
-	return s, nil
-}
-
 // formatFloat renders a float the way Prometheus text format expects,
 // round-trippable through strconv.ParseFloat.
 func formatFloat(v float64) string {

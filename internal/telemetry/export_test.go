@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,8 +30,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseJSON(data)
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, back) {

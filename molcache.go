@@ -200,9 +200,6 @@ const (
 	AdaptivePerAppTrigger = resize.AdaptivePerApp
 )
 
-// SharedASID marks shared-bit molecules that serve every application.
-const SharedASID = molecular.SharedASID
-
 // Telemetry event kinds.
 const (
 	KindAccess          = telemetry.KindAccess

@@ -26,17 +26,13 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # BENCH_OUT receives the access-path benchmark snapshot (ns/op,
-# allocs/op and fast-over-reference speedup per configuration);
-# BENCH_OBS_OUT the span-tracing overhead snapshot (disabled, unsampled,
-# sampled and always-on variants). Both are telemetry JSON — the
-# machine-readable perf trajectories CI archives.
+# allocs/op and fast-over-reference speedup per configuration) as
+# telemetry JSON — the machine-readable perf trajectory CI archives.
 BENCH_OUT ?= BENCH_access.json
-BENCH_OBS_OUT ?= BENCH_obs.json
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
 	BENCH_OUT=$(BENCH_OUT) $(GO) test -run '^TestWriteAccessBench$$' -count=1 .
-	BENCH_OBS_OUT=$(BENCH_OBS_OUT) $(GO) test -run '^TestWriteObsBench$$' -count=1 .
 
 # Stress the serving layer under the race detector: N concurrent
 # clients against a live molcached instance (and a Shutdown cutting in
@@ -48,8 +44,8 @@ race-serve:
 	$(GO) test -race -count=10 -run '^(TestRaceServe|TestShutdownUnderLoad)$$' ./internal/server
 	$(GO) test -race -count=10 -run '^TestServedTrafficOracle$$' .
 
-# Just the hot-path micro benches (fast; includes the telemetry
-# overhead comparison, whole CMP mix runs and the per-ASID ledger).
+# Just the hot-path micro benches (fast; includes whole CMP mix runs
+# and the per-ASID ledger).
 bench-micro:
 	$(GO) test -bench 'Access|CaptureMix|WorkloadGeneration|LedgerRecord' -benchmem -run=NONE . ./internal/stats
 

@@ -56,7 +56,6 @@ func main() {
 	checkEvery := flag.Uint64("check-invariants", 0, "audit structural invariants every N L2 accesses (0 disables)")
 	var obsFlags obs.Flags
 	obsFlags.Register(flag.CommandLine)
-	obsFlags.RegisterSpans(flag.CommandLine)
 	publishEvery := flag.Uint64("publish-every", 65536, "with -serve, refresh the introspection snapshot every N L2 accesses")
 	serveLinger := flag.Duration("serve-linger", 0, "with -serve, keep the introspection server up this long after the run completes")
 	explainResize := flag.Bool("explain-resize", false, "print the tail of the resize decision log after the run (molecular caches only)")
@@ -122,15 +121,6 @@ func main() {
 		}
 		if ctrl != nil {
 			ctrl.AttachTelemetry(pipe.Tracer, pipe.Registry)
-		}
-	}
-
-	if pipe.Spans != nil {
-		if !engine.AttachSpans(l2, pipe.Spans) {
-			log.Print("-trace-out: this cache has no traceable access pipeline; the span trace will be empty")
-		}
-		if ctrl != nil {
-			ctrl.AttachSpans(pipe.Spans)
 		}
 	}
 	if pipe.Server != nil {

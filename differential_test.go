@@ -9,8 +9,8 @@
 // degradation counters, telemetry snapshots, resize decision logs and
 // the complete cache state, with both caches passing the structural
 // audit. The fast side additionally carries the whole
-// observability plane (span tracing, state collection/publication), so
-// the same equalities prove that observing a run never changes it.
+// observability plane (an event tracer, state collection/publication),
+// so the same equalities prove that observing a run never changes it.
 // Any divergence means the index lost lock on the model the goldens pin.
 package molcache_test
 
@@ -58,16 +58,17 @@ func diffFaultCampaign() faults.Campaign {
 
 // diffCache builds one side of the pair: cache, resize controller
 // (with the post-pass invariant audit on, which also verifies the block
-// index after every grow/shrink/rebalance), registry and, when asked, a
+// index after every grow/shrink/rebalance), registry, the event tracer
+// tr on the cache and the controller (nil for none) and, when asked, a
 // fault injector expanded from the common campaign.
-func diffCache(t *testing.T, cfg molecular.Config, withFaults bool) (*molecular.Cache, *resize.Controller, *telemetry.Registry) {
+func diffCache(t *testing.T, cfg molecular.Config, withFaults bool, tr *telemetry.Tracer) (*molecular.Cache, *resize.Controller, *telemetry.Registry) {
 	t.Helper()
 	c, err := molecular.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	c.AttachTelemetry(nil, reg)
+	c.AttachTelemetry(tr, reg)
 	if withFaults {
 		inj, err := faults.NewInjector(diffFaultCampaign())
 		if err != nil {
@@ -88,8 +89,15 @@ func diffCache(t *testing.T, cfg molecular.Config, withFaults bool) (*molecular.
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctrl.AttachTelemetry(tr, nil)
 	return c, ctrl, reg
 }
+
+// kindCount is a sink that counts the events it receives by kind.
+type kindCount map[telemetry.Kind]int
+
+func (k kindCount) Write(e telemetry.Event) error { k[e.Kind]++; return nil }
+func (kindCount) Flush() error                    { return nil }
 
 // diffOverflowASID is the fourth private application's ASID: past the
 // dense bound, so the cache finds its region in the region table's
@@ -201,19 +209,18 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 						LineFactor:      lineFactor,
 						Seed:            2006,
 					}
-					fast, fastCtrl, fastReg := diffCache(t, cfg, withFaults)
-					ref, refCtrl, refReg := diffCache(t, cfg, withFaults)
-					ref.UseReferenceProbe(true)
-
 					// The observability plane rides the fast side only:
-					// span tracing on the access pipeline and resize
-					// ticks, plus periodic state collection/publication.
-					// The reference side stays uninstrumented, so every
-					// equality below doubles as proof that observing the
+					// an event tracer on the cache and its controller,
+					// plus periodic state collection/publication. The
+					// reference side has no tracer, so every equality
+					// below doubles as proof that observing the
 					// simulation never changes it.
-					spans := telemetry.NewSpanTracer(7, 0)
-					fast.AttachSpans(spans)
-					fastCtrl.AttachSpans(spans)
+					events := kindCount{}
+					tr := telemetry.NewTracer(0)
+					tr.SetSink(events)
+					fast, fastCtrl, fastReg := diffCache(t, cfg, withFaults, tr)
+					ref, refCtrl, refReg := diffCache(t, cfg, withFaults, nil)
+					ref.UseReferenceProbe(true)
 					pub := obs.NewPublisher()
 
 					refs := diffTrace(42 + uint64(lineFactor))
@@ -270,18 +277,18 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 
 					// Both controllers saw identical miss-rate windows, so
 					// their reasoned decision logs must match entry for
-					// entry — and the instrumented side must actually have
-					// traced something, without dropping any of it.
+					// entry — and the traced side must have published one
+					// access event per access, and its fault events too.
 					if !reflect.DeepEqual(fastCtrl.Decisions(), refCtrl.Decisions()) {
 						t.Errorf("decision logs diverged:\nfast: %+v\nreference: %+v",
 							fastCtrl.Decisions(), refCtrl.Decisions())
 					}
-					if spans.Len() == 0 || spans.SampledAccesses() == 0 {
-						t.Errorf("span tracer recorded nothing (%d spans, %d sampled accesses)",
-							spans.Len(), spans.SampledAccesses())
+					if got := events[telemetry.KindAccess]; got != len(refs) {
+						t.Errorf("tracer saw %d access events for %d accesses", got, len(refs))
 					}
-					if spans.Drops() != 0 {
-						t.Errorf("span tracer dropped %d spans", spans.Drops())
+					if withFaults && (events[telemetry.KindInvalidate] == 0 || events[telemetry.KindNoCFault] == 0) {
+						t.Errorf("fault run traced %d invalidate and %d noc-fault events, want both",
+							events[telemetry.KindInvalidate], events[telemetry.KindNoCFault])
 					}
 					if st := pub.Latest(); st == nil || st.Accesses == 0 || len(st.Regions) == 0 {
 						t.Errorf("publisher never captured a usable state: %+v", st)
@@ -343,8 +350,8 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 				// Side A runs uninterrupted; side B is checkpointed at
 				// mid-trace and abandoned; side C resumes from B's
 				// snapshot bytes with a fresh registry.
-				aCache, aCtrl, aReg := diffCache(t, cfg, withFaults)
-				bCache, bCtrl, bReg := diffCache(t, cfg, withFaults)
+				aCache, aCtrl, aReg := diffCache(t, cfg, withFaults, nil)
+				bCache, bCtrl, bReg := diffCache(t, cfg, withFaults, nil)
 				a := &molcache.Simulator{Cache: aCache, Controller: aCtrl}
 				b := &molcache.Simulator{Cache: bCache, Controller: bCtrl}
 				// The facade restore attaches controller telemetry too, so

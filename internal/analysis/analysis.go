@@ -14,7 +14,7 @@
 //     internal/runner, internal/telemetry and internal/obs, so the
 //     simulation core stays single-threaded by construction and the
 //     race detector's clean bill actually means something.
-//   - telemetry discipline: metric and span names are grep-able string
+//   - telemetry discipline: metric names are grep-able string
 //     literals in the project namespaces, never assembled with
 //     fmt.Sprintf.
 //   - error discipline: library packages reserve panic for constructor

@@ -7,10 +7,9 @@ import (
 	"regexp"
 )
 
-// telemetryNamesRule pins metric and span names to grep-able literals.
-// Every name handed to Registry.Counter/Gauge/Histogram/
-// RegisterGaugeFunc — and every span name handed to SpanTracer.Begin/
-// BeginSolo — must either be a constant matching the project namespaces
+// telemetryNamesRule pins metric names to grep-able literals. Every
+// name handed to Registry.Counter/Gauge/Histogram/RegisterGaugeFunc
+// must either be a constant matching the project namespaces
 // (molcache_*, runner_*, resize_*, obs_*, with an optional {label}
 // block) or a concatenation whose leftmost operand is such a
 // literal — the one sanctioned dynamic form, used to attach
@@ -24,7 +23,7 @@ func init() { Register(telemetryNamesRule{}) }
 func (telemetryNamesRule) Name() string { return "telemetry-names" }
 
 func (telemetryNamesRule) Doc() string {
-	return "metric and span names must be literals (or literal-prefixed label concatenations) in the molcache_/runner_/resize_/obs_ namespaces, never fmt.Sprintf"
+	return "metric names must be literals (or literal-prefixed label concatenations) in the molcache_/runner_/resize_/obs_ namespaces, never fmt.Sprintf"
 }
 
 // registryMethods are the Registry entry points whose first argument is
@@ -33,13 +32,7 @@ var registryMethods = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true, "RegisterGaugeFunc": true,
 }
 
-// spanMethods are the SpanTracer entry points whose first argument is a
-// span name. (StartAccess/End take no name and need no check.)
-var spanMethods = map[string]bool{
-	"Begin": true, "BeginSolo": true,
-}
-
-// fullNameRE matches a complete metric or span name: namespace prefix,
+// fullNameRE matches a complete metric name: namespace prefix,
 // snake body, optional label block.
 var fullNameRE = regexp.MustCompile(`^(molcache|runner|resize|obs)_[a-z0-9_]+(\{.+\})?$`)
 
@@ -56,7 +49,7 @@ func (r telemetryNamesRule) Check(cfg Config, pkg *Package) []Diagnostic {
 				return true
 			}
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || (!registryMethods[sel.Sel.Name] && !spanMethods[sel.Sel.Name]) {
+			if !ok || !registryMethods[sel.Sel.Name] {
 				return true
 			}
 			recv := pkg.receiverType(call)

@@ -1,15 +1,15 @@
 // Package obs is a molvet fixture seeded with the failure shapes the
-// observability plane makes tempting: stamping an ASID into a span name
-// with fmt.Sprintf (one telemetry-names finding), opening a span under
-// a name outside the project namespaces (a second), and registering a
-// histogram whose name is assembled dynamically with no literal head (a
-// third). Its import path ends in internal/obs, so the suffix-matched
-// scoping treats it exactly like the real package — which also means
-// the goroutine below must NOT be diagnosed: internal/obs is on the
-// concurrency allow-list. The literal-name span and histogram at the
-// bottom are the sanctioned patterns and must stay diagnostic-free.
-// The golden test pins every expected diagnostic; edits here must be
-// mirrored in testdata/obs.golden.
+// observability plane makes tempting: stamping an ASID into a counter
+// name with fmt.Sprintf (one telemetry-names finding), registering a
+// gauge under a name outside the project namespaces (a second), and
+// registering a histogram whose name is assembled dynamically with no
+// literal head (a third). Its import path ends in internal/obs, so the
+// suffix-matched scoping treats it exactly like the real package — which
+// also means the goroutine below must NOT be diagnosed: internal/obs is
+// on the concurrency allow-list. The literal-name counter and histogram
+// at the bottom are the sanctioned patterns and must stay
+// diagnostic-free. The golden test pins every expected diagnostic;
+// edits here must be mirrored in testdata/obs.golden.
 package obs
 
 import (
@@ -18,18 +18,16 @@ import (
 	"molcache/internal/telemetry"
 )
 
-// TracePerApp stamps the ASID into the span name itself
-// (telemetry-names) instead of tagging the span with its ASID argument.
-func TracePerApp(st *telemetry.SpanTracer, asid uint16) {
-	st.Begin(fmt.Sprintf("obs_publish_asid_%d", asid))
-	st.End()
+// CountPerApp stamps the ASID into the counter name itself
+// (telemetry-names) instead of tagging it with an {asid} label block.
+func CountPerApp(reg *telemetry.Registry, asid uint16) {
+	reg.Counter(fmt.Sprintf("obs_publish_asid_%d", asid)).Inc()
 }
 
-// TraceOffNamespace opens a span outside the project namespaces
+// GaugeOffNamespace registers a gauge outside the project namespaces
 // (telemetry-names).
-func TraceOffNamespace(st *telemetry.SpanTracer) {
-	st.BeginSolo("collectState", 1, 0)
-	st.EndSolo()
+func GaugeOffNamespace(reg *telemetry.Registry) {
+	reg.Gauge("collectState").Set(1)
 }
 
 // RegisterDynamic builds the histogram name at run time from a bare
@@ -44,11 +42,10 @@ func Broadcast(ch chan struct{}) {
 	go func() { ch <- struct{}{} }()
 }
 
-// TraceCollect is the sanctioned span pattern — a literal obs_* name —
-// and must produce no diagnostics.
-func TraceCollect(st *telemetry.SpanTracer) {
-	st.BeginSolo("obs_collect_state", 1, 0)
-	st.EndSolo()
+// CountCollect is the sanctioned counter pattern — a literal obs_* name
+// — and must produce no diagnostics.
+func CountCollect(reg *telemetry.Registry) {
+	reg.Counter("obs_collect_state_total").Inc()
 }
 
 // RegisterLatency is the sanctioned histogram pattern — a literal obs_*

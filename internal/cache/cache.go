@@ -72,7 +72,6 @@ type line struct {
 // write-allocate semantics. It implements engine.Cache.
 type Cache struct {
 	cfg     Config
-	sets    int
 	ways    int
 	shift   uint // log2(lineSize)
 	setBits uint // log2(sets)
@@ -97,7 +96,6 @@ func New(cfg Config) (*Cache, error) {
 	sets := int(cfg.Size / cfg.LineSize / uint64(cfg.Ways))
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
 		ways:    cfg.Ways,
 		shift:   addr.Log2(cfg.LineSize),
 		setBits: addr.Log2(uint64(sets)),

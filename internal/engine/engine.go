@@ -10,7 +10,6 @@ package engine
 import (
 	"context"
 
-	"molcache/internal/telemetry"
 	"molcache/internal/trace"
 )
 
@@ -57,24 +56,6 @@ type Cache interface {
 	// Name identifies the configuration in reports,
 	// e.g. "8MB 4-way" or "6MB Molecular (Randy)".
 	Name() string
-}
-
-// Spanner is implemented by cache models whose access pipeline supports
-// span-level tracing (the molecular cache; the set-associative
-// baselines have no pipeline worth tracing).
-type Spanner interface {
-	AttachSpans(*telemetry.SpanTracer)
-}
-
-// AttachSpans binds st to c when the model supports span tracing and
-// reports whether it did, so drivers attach uniformly without caring
-// which model they were handed.
-func AttachSpans(c Cache, st *telemetry.SpanTracer) bool {
-	s, ok := c.(Spanner)
-	if ok {
-		s.AttachSpans(st)
-	}
-	return ok
 }
 
 // Run replays a trace through c and returns aggregate access counts.

@@ -176,11 +176,6 @@ type Cache struct {
 	//molvet:transient derived metric cells re-created when the registry is re-attached
 	ins *instruments
 
-	// spans, when attached, traces a deterministic 1-in-N sample of the
-	// access pipeline (AttachSpans).
-	//molvet:transient telemetry attachment re-established after restore
-	spans *telemetry.SpanTracer
-
 	// faults, when attached, schedules hard failures, corruptions and
 	// NoC delays against the access count; deg counts what was absorbed.
 	//molvet:transient live attachment re-wired on restore; its cursors checkpoint via faults.CursorState
@@ -546,35 +541,15 @@ func (c *Cache) Rebalance(r *Region) bool {
 // partition size) and computes the modelled TagProbes count from tile
 // geometry; UseReferenceProbe(true) switches to the original linear
 // molecule scan. Both paths produce identical results.
+//
+// Each access advances the cache's logical clock and delivers the
+// faults scheduled for it before the lookup runs.
 func (c *Cache) Access(ref trace.Ref) engine.Result {
-	// Span sampling is decided purely by the access count, so a traced
-	// run takes exactly the same decisions as an untraced one; the
-	// unsampled path costs one nil check (plus one modulo when a tracer
-	// is attached) and allocates nothing.
-	if st := c.spans; st != nil && st.StartAccess(c.addresses+1, ref.ASID) {
-		st.Begin("molcache_access")
-		res := c.access(ref)
-		st.EndValue(int64(res.TagProbes))
-		st.FinishAccess()
-		return res
-	}
-	return c.access(ref)
-}
-
-// AttachSpans binds a span tracer to the access pipeline (access ->
-// region lookup -> tag probe -> NoC transit -> fill). Nil detaches.
-func (c *Cache) AttachSpans(st *telemetry.SpanTracer) { c.spans = st }
-
-// access is the span-instrumented body behind Access: it advances the
-// cache's logical clock, delivers scheduled faults, then runs region
-// lookup, tag probing, and the fill on a miss.
-func (c *Cache) access(ref trace.Ref) engine.Result {
 	c.addresses++
 	c.remote = 0
 	if c.faults != nil {
 		c.applyScheduledFaults()
 	}
-	c.spans.Begin("molcache_access_region_lookup")
 	r := c.regions.get(ref.ASID)
 	if r == nil {
 		var err error
@@ -582,11 +557,9 @@ func (c *Cache) access(ref trace.Ref) engine.Result {
 		if err != nil {
 			// Auto-admit can fail once degradation has exhausted the
 			// placement space; serve the access uncached instead of dying.
-			c.spans.End()
 			return c.bypassMiss(nil, ref, engine.Result{})
 		}
 	}
-	c.spans.End()
 	block := ref.Addr >> c.lineShift
 	write := kindIsWrite(ref.Kind)
 
@@ -616,7 +589,6 @@ func (c *Cache) access(ref trace.Ref) engine.Result {
 		// resident there; filling now could duplicate it. Serve uncached.
 		return c.bypassMiss(r, ref, res)
 	}
-	c.spans.Begin("molcache_access_fill")
 	victim := r.victim(ref.Addr, block)
 	if r.lineFactor > 1 {
 		c.invalidateCompanions(r, victim, block)
@@ -626,7 +598,6 @@ func (c *Cache) access(ref trace.Ref) engine.Result {
 	res.LinesFetched = r.lineFactor
 	res.LinesEvicted = evicted
 	res.Writebacks = wb
-	c.spans.EndValue(int64(wb))
 	c.finish(r, ref, &res)
 	return res
 }
@@ -648,9 +619,7 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 	}
 
 	// Stage 1: home tile.
-	c.spans.Begin("molcache_access_tag_probe")
 	res.TagProbes = len(r.byTile[r.home.id])
-	c.spans.EndValue(int64(res.TagProbes))
 	if hitM != nil && hitM.tile == r.home {
 		hitM.recordHit(block, write, c.addresses)
 		res.Hit = true
@@ -668,15 +637,13 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 		if t == r.home || p == 0 {
 			continue
 		}
-		if !c.ulmoTraverse() {
+		if !c.ulmoTraverse(r.asid) {
 			// The delay fault outlasted the Ulmo's retry budget: this
 			// tile's molecules are unreachable for the current access —
 			// even when the index knows the line is resident there.
 			unreachable = true
 			continue
 		}
-		c.spans.Begin("molcache_access_tag_probe")
-		c.spans.EndValue(int64(p))
 		res.TagProbes += p
 		if hitM != nil && hitM.tile == t {
 			hitM.recordHit(block, write, c.addresses)
@@ -698,16 +665,12 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 // are identical to fastLookup's; only the discovery mechanics differ.
 func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
 	// Stage 1: home tile.
-	c.spans.Begin("molcache_access_tag_probe")
-	if hit, probes := c.probeTile(r, r.home, block, write); hit {
-		c.spans.EndValue(int64(probes))
+	hit, probes := c.probeTile(r, r.home, block, write)
+	res.TagProbes = probes
+	if hit {
 		res.Hit = true
-		res.TagProbes = probes
 		res.DataReads = 1
 		return false
-	} else {
-		c.spans.EndValue(int64(probes))
-		res.TagProbes += probes
 	}
 
 	// Stage 2: Ulmo searches only the sibling tiles whose molecules
@@ -716,21 +679,17 @@ func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine
 		if t == r.home || len(r.byTile[t.id]) == 0 {
 			continue
 		}
-		if !c.ulmoTraverse() {
+		if !c.ulmoTraverse(r.asid) {
 			unreachable = true
 			continue
 		}
-		c.spans.Begin("molcache_access_tag_probe")
-		if hit, probes := c.probeTile(r, t, block, write); hit {
-			c.spans.EndValue(int64(probes))
+		hit, probes = c.probeTile(r, t, block, write)
+		res.TagProbes += probes
+		if hit {
 			res.Hit = true
 			res.RemoteTileHit = true
-			res.TagProbes += probes
 			res.DataReads = 1
 			return false
-		} else {
-			c.spans.EndValue(int64(probes))
-			res.TagProbes += probes
 		}
 	}
 	return unreachable
@@ -830,11 +789,10 @@ func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 	}
 	c.remoteCycles += c.remote
 	if c.tracer != nil {
-		c.tracer.Emit(telemetry.Event{
-			At: c.addresses, Kind: telemetry.KindAccess, ASID: ref.ASID, Addr: ref.Addr,
-			Hit: res.Hit, Remote: res.RemoteTileHit,
-			Value: int64(res.TagProbes), Aux: int64(res.Writebacks),
-		})
+		// Tracer.Access does not inline, so the check stays here: an
+		// untraced access pays a comparison, not a call.
+		c.tracer.Access(c.addresses, ref.ASID, ref.Addr, res.Hit, res.RemoteTileHit,
+			res.TagProbes, res.Writebacks)
 	}
 }
 

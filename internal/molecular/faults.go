@@ -89,11 +89,11 @@ type RetireReport struct {
 }
 
 // RetireMolecule permanently withdraws a molecule after a hard fault:
-// its lines are written back and invalidated (with coherence
-// back-invalidations emitted for every resident line, so inclusive
-// upper levels drop their copies), the owning region's replacement view
-// shrinks around it, and the unit never re-enters any free pool. The
-// next resize epoch re-grows the region from healthy spares.
+// its lines are written back and invalidated (with a back-invalidation
+// event emitted for every resident line, so inclusive upper levels drop
+// their copies), the owning region's replacement view shrinks around
+// it, and the unit never re-enters any free pool. The next resize epoch
+// re-grows the region from healthy spares.
 func (c *Cache) RetireMolecule(id int) (RetireReport, error) {
 	if id < 0 || id >= len(c.molsByID) {
 		return RetireReport{}, fmt.Errorf("molecular: molecule %d outside [0,%d)", id, len(c.molsByID))
@@ -107,13 +107,16 @@ func (c *Cache) RetireMolecule(id int) (RetireReport, error) {
 		r := c.regions.get(m.asid)
 		rep.WasOwned = true
 		rep.ASID = m.asid
-		// Emit coherence back-invalidations before the flush destroys
-		// the residency information.
+		// Emit the back-invalidations before the flush destroys the
+		// residency information.
 		blocks := m.ValidBlocks()
 		rep.LinesLost = len(blocks)
 		if c.tracer != nil {
 			for _, b := range blocks {
-				c.tracer.Coherence(telemetry.KindInvalidate, b*c.cfg.LineSize, -1)
+				c.tracer.Emit(telemetry.Event{
+					At: c.addresses, Kind: telemetry.KindInvalidate, ASID: m.asid,
+					Addr: b * c.cfg.LineSize,
+				})
 			}
 		}
 		if r != nil {
@@ -209,21 +212,12 @@ func (c *Cache) applyScheduledFaults() {
 	}
 }
 
-// ulmoTraverse accounts one Ulmo request traversal to a sibling tile as
-// a NoC-transit span whose value is the fault-retry penalty charged.
-func (c *Cache) ulmoTraverse() bool {
-	c.spans.Begin("molcache_access_noc_transit")
-	start := c.remote
-	ok := c.ulmoHop()
-	c.spans.EndValue(int64(c.remote - start))
-	return ok
-}
-
-// ulmoHop is ulmoTraverse's body: it applies any active NoC fault
+// ulmoTraverse accounts one Ulmo request traversal to a sibling tile
+// for an access by asid's region. It applies any active NoC fault
 // window — each dropped response costs a retransmission with linearly
 // growing backoff, and a fault outlasting the retry budget reports the
 // tile unreachable for this access.
-func (c *Cache) ulmoHop() (reachable bool) {
+func (c *Cache) ulmoTraverse(asid uint16) (reachable bool) {
 	if c.faults == nil {
 		return true
 	}
@@ -259,7 +253,7 @@ func (c *Cache) ulmoHop() (reachable bool) {
 			aux = 1
 		}
 		c.tracer.Emit(telemetry.Event{
-			At: c.addresses, Kind: telemetry.KindNoCFault,
+			At: c.addresses, Kind: telemetry.KindNoCFault, ASID: asid,
 			Value: int64(retries), Aux: aux,
 		})
 	}

@@ -326,6 +326,82 @@ func TestNoCDelayRetriesAndAbandon(t *testing.T) {
 	}
 }
 
+// TestFaultEventsSayWhenAndWhose holds the fault events to the access
+// they happened at and the region they hit: every back-invalidation a
+// retirement emits carries the access count at retirement and the
+// owning region's ASID, and every noc-fault event the ASID of the
+// region whose Ulmo sweep met the delay window.
+func TestFaultEventsSayWhenAndWhose(t *testing.T) {
+	c := MustNew(smallConfig(RandyReplacement))
+	r, err := c.CreateRegion(9, RegionOptions{HomeCluster: 0, HomeTile: 0, InitialMolecules: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Grow(r, 8); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.TileCounts()) < 2 {
+		t.Fatal("region did not spill to a sibling tile")
+	}
+	sink := telemetry.NewMemorySink()
+	tr := telemetry.NewTracer(0)
+	tr.SetSink(sink)
+	c.AttachTelemetry(tr, nil)
+	warm(c, 9, 512, trace.Write)
+
+	var victim *Molecule
+	for _, m := range r.molecules() {
+		if m.validLines() > 0 {
+			victim = m
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no owned molecule holds lines after warmup")
+	}
+	retiredAt, lines := c.Addresses(), victim.validLines()
+	if _, err := c.RetireMolecule(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+
+	inj, err := faults.NewInjector(faults.Campaign{
+		NoCDelays: []faults.NoCDelay{{At: retiredAt + 1, Duration: 50, ExtraCycles: 7, DropAttempts: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachFaults(inj); err != nil {
+		t.Fatal(err)
+	}
+	// Lines the warmup never touched miss on the home tile, so each
+	// access sweeps the sibling tiles inside the window.
+	for i := 0; i < 50; i++ {
+		c.Access(ref(9, uint64(1024+i)*64, trace.Read))
+	}
+
+	var invalidates, nocFaults int
+	for _, e := range sink.Events() {
+		switch e.Kind {
+		case telemetry.KindInvalidate:
+			invalidates++
+			if e.At != retiredAt || e.ASID != 9 {
+				t.Errorf("invalidate event %+v, want at %d and asid 9", e, retiredAt)
+			}
+		case telemetry.KindNoCFault:
+			nocFaults++
+			if e.ASID != 9 {
+				t.Errorf("noc-fault event %+v, want asid 9", e)
+			}
+		}
+	}
+	if invalidates != lines {
+		t.Errorf("%d invalidate events for %d resident lines", invalidates, lines)
+	}
+	if nocFaults == 0 {
+		t.Error("no noc-fault events inside the delay window")
+	}
+}
+
 func TestFaultFreePathUnchanged(t *testing.T) {
 	run := func(attach bool) (uint64, uint64) {
 		c := MustNew(smallConfig(RandyReplacement))

@@ -167,9 +167,9 @@ func (c *Cache) CaptureState() CacheState {
 // RestoreCache rebuilds a cache from a captured state, validating every
 // cross-reference. On success the returned cache is a byte-identical
 // continuation of the captured one; on any inconsistency it returns an
-// error describing the violation (never panics). Telemetry, faults,
-// interconnect and span attachments are NOT restored here — callers
-// re-attach them and then load the telemetry snapshot.
+// error describing the violation (never panics). Telemetry and fault
+// attachments are NOT restored here — callers re-attach them and then
+// load the telemetry snapshot.
 func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	c, err := New(cfg)
 	if err != nil {

@@ -12,8 +12,7 @@ import (
 )
 
 // Flags is the observability flag set every CLI mounts, so
-// -events/-metrics/-serve (and, where span tracing applies,
-// -trace-out/-trace-sample) mean the same thing in molsim, experiments
+// -events/-metrics/-serve mean the same thing in molsim, experiments
 // and sweep.
 type Flags struct {
 	// Events is the JSONL telemetry event file (-events).
@@ -23,10 +22,6 @@ type Flags struct {
 	Metrics string
 	// Serve is the introspection server listen address (-serve).
 	Serve string
-	// TraceOut is the Chrome trace-event JSON span file (-trace-out).
-	TraceOut string
-	// TraceSample traces one access in every TraceSample (-trace-sample).
-	TraceSample int
 }
 
 // Register mounts the core observability flags on fs.
@@ -34,13 +29,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Events, "events", "", "write telemetry events (JSONL) to this file")
 	fs.StringVar(&f.Metrics, "metrics", "", "write a final metrics snapshot (Prometheus text) to this file; \"-\" for stdout")
 	fs.StringVar(&f.Serve, "serve", "", "serve live introspection (/metrics /regions /decisions /events /debug/pprof) on this address, e.g. :9464")
-}
-
-// RegisterSpans additionally mounts the span-tracing flags, for
-// commands that drive a cache with a traceable access pipeline.
-func (f *Flags) RegisterSpans(fs *flag.FlagSet) {
-	fs.StringVar(&f.TraceOut, "trace-out", "", "write sampled access-pipeline spans (Chrome trace-event JSON, loads in ui.perfetto.dev) to this file")
-	fs.IntVar(&f.TraceSample, "trace-sample", telemetry.DefaultSpanSample, "with -trace-out, trace every Nth access (deterministic in the access count; 1 = every access)")
 }
 
 // Pipeline is everything Setup built from the flags. Nil fields mean
@@ -51,8 +39,6 @@ type Pipeline struct {
 	Tracer *telemetry.Tracer
 	// Registry accumulates metrics (non-nil with -metrics or -serve).
 	Registry *telemetry.Registry
-	// Spans samples the access pipeline (non-nil with -trace-out).
-	Spans *telemetry.SpanTracer
 	// Publisher and Server exist with -serve; Tap feeds /events.
 	Publisher *Publisher
 	Server    *Server
@@ -92,13 +78,6 @@ func (f Flags) Setup() (*Pipeline, error) {
 	if f.Metrics != "" || serving {
 		p.Registry = telemetry.NewRegistry()
 	}
-	if f.TraceOut != "" {
-		sample := f.TraceSample
-		if sample < 0 {
-			sample = 0 // NewSpanTracer substitutes the default
-		}
-		p.Spans = telemetry.NewSpanTracer(uint64(sample), 0)
-	}
 	if serving {
 		p.Publisher = NewPublisher()
 		srv, err := Serve(f.Serve, Options{
@@ -128,9 +107,9 @@ func (p *Pipeline) Publish(c *molecular.Cache, ctrl *resize.Controller) {
 }
 
 // Finish drains the pipeline's file outputs: flushes and closes the
-// event sink, writes the span trace and the final metrics snapshot.
-// Idempotent; logs (rather than returns) write errors, matching how the
-// CLIs treat telemetry output.
+// event sink and writes the final metrics snapshot. Idempotent; logs
+// (rather than returns) write errors, matching how the CLIs treat
+// telemetry output.
 func (p *Pipeline) Finish() {
 	if p == nil || p.finished {
 		return
@@ -143,11 +122,6 @@ func (p *Pipeline) Finish() {
 	}
 	if p.eventsF != nil {
 		if err := p.eventsF.Close(); err != nil {
-			log.Print(err)
-		}
-	}
-	if p.Spans != nil && p.flags.TraceOut != "" {
-		if err := writeSpanTrace(p.flags.TraceOut, p.Spans); err != nil {
 			log.Print(err)
 		}
 	}
@@ -172,16 +146,4 @@ func (p *Pipeline) Close() {
 			log.Print(err)
 		}
 	}
-}
-
-func writeSpanTrace(path string, st *telemetry.SpanTracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := st.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

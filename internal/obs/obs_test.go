@@ -459,29 +459,25 @@ func TestEventTapTeesToInnerSink(t *testing.T) {
 func TestPipelineSetupAndFinish(t *testing.T) {
 	dir := t.TempDir()
 	f := obs.Flags{
-		Events:      dir + "/events.jsonl",
-		Metrics:     dir + "/metrics.prom",
-		Serve:       "127.0.0.1:0",
-		TraceOut:    dir + "/spans.json",
-		TraceSample: 1,
+		Events:  dir + "/events.jsonl",
+		Metrics: dir + "/metrics.prom",
+		Serve:   "127.0.0.1:0",
 	}
 	p, err := f.Setup()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Tracer == nil || p.Registry == nil || p.Spans == nil ||
+	if p.Tracer == nil || p.Registry == nil ||
 		p.Publisher == nil || p.Server == nil || p.Tap == nil {
 		t.Fatalf("pipeline incomplete: %+v", p)
 	}
 
 	c, ctrl, _ := simWorld(t)
 	// Re-home the cache's metrics onto the pipeline registry and attach
-	// the pipeline tracer/spans, as the CLIs do.
+	// the pipeline tracer, as the CLIs do.
 	c.AttachTelemetry(p.Tracer, p.Registry)
-	c.AttachSpans(p.Spans)
 	ctrl.AttachTelemetry(p.Tracer, p.Registry)
-	ctrl.AttachSpans(p.Spans)
 	for i := 0; i < 2000; i++ {
 		c.Access(trace.Ref{ASID: 1, Addr: 1<<36 | uint64(i%97)*64, Kind: trace.Read})
 		ctrl.Tick()
@@ -504,19 +500,6 @@ func TestPipelineSetupAndFinish(t *testing.T) {
 	if err != nil || !strings.Contains(string(metrics), "molcache_molecular_hits_total") {
 		t.Fatalf("metrics file: %v\n%s", err, metrics)
 	}
-	spans, err := os.ReadFile(f.TraceOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(spans, &chrome); err != nil {
-		t.Fatalf("span trace not JSON: %v", err)
-	}
-	if len(chrome.TraceEvents) == 0 {
-		t.Fatal("span trace empty")
-	}
 }
 
 func TestPipelineEmptyFlagsIsInert(t *testing.T) {
@@ -524,7 +507,7 @@ func TestPipelineEmptyFlagsIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Tracer != nil || p.Registry != nil || p.Spans != nil || p.Server != nil {
+	if p.Tracer != nil || p.Registry != nil || p.Server != nil {
 		t.Fatalf("empty flags built something: %+v", p)
 	}
 	p.Publish(nil, nil) // no-op, must not panic

@@ -15,11 +15,8 @@ import (
 // remaining banks are searched set-associatively before declaring a
 // miss. Ownership is a map maintained by software (the OS in POCA).
 type HomeBank struct {
-	name     string
-	banks    []*base
-	bankSize uint64
-	ways     int
-	lineSize uint64
+	name  string
+	banks []*base
 	// home maps an ASID to its bank; unmapped ASIDs hash by ASID.
 	home   map[uint16]int
 	ledger stats.Ledger
@@ -36,10 +33,7 @@ func NewHomeBank(banks int, bankSize uint64, ways int, lineSize uint64) (*HomeBa
 	hb := &HomeBank{
 		name: fmt.Sprintf("%s HomeBank(%dx%s)",
 			addr.Bytes(uint64(banks)*bankSize), banks, addr.Bytes(bankSize)),
-		bankSize: bankSize,
-		ways:     ways,
-		lineSize: lineSize,
-		home:     map[uint16]int{},
+		home: map[uint16]int{},
 	}
 	for i := 0; i < banks; i++ {
 		b, err := newBase(bankSize, ways, lineSize)

@@ -38,15 +38,13 @@ type line struct {
 
 // base carries the geometry and storage shared by the schemes here.
 type base struct {
-	size     uint64
-	ways     int
-	lineSize uint64
-	sets     int
-	shift    uint
-	mask     uint64
-	clock    uint64
-	lines    []line
-	ledger   stats.Ledger
+	ways   int
+	sets   int
+	shift  uint
+	mask   uint64
+	clock  uint64
+	lines  []line
+	ledger stats.Ledger
 }
 
 func newBase(size uint64, ways int, lineSize uint64) (*base, error) {
@@ -66,13 +64,11 @@ func newBase(size uint64, ways int, lineSize uint64) (*base, error) {
 	}
 	sets := int(lines) / ways
 	return &base{
-		size:     size,
-		ways:     ways,
-		lineSize: lineSize,
-		sets:     sets,
-		shift:    addr.Log2(lineSize),
-		mask:     uint64(sets - 1),
-		lines:    make([]line, int(lines)),
+		ways:  ways,
+		sets:  sets,
+		shift: addr.Log2(lineSize),
+		mask:  uint64(sets - 1),
+		lines: make([]line, int(lines)),
 	}, nil
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"molcache/internal/addr"
 	"molcache/internal/molecular"
-	"molcache/internal/telemetry"
 	"molcache/internal/trace"
 )
 
@@ -97,27 +96,6 @@ func TestDecisionReasonsForInaction(t *testing.T) {
 		if d.Action != ActionNone || d.Reason == "" {
 			t.Fatalf("unmanaged decision wrong: %+v", d)
 		}
-	}
-}
-
-// Solo resize_tick spans must wrap every fired pass.
-func TestResizeTickSpans(t *testing.T) {
-	cache := newCache(t)
-	ctrl := MustNew(cache, Config{Period: 2000, MinPeriod: 2000, DefaultGoal: 0.1})
-	st := telemetry.NewSpanTracer(1<<30, 0) // never samples accesses
-	ctrl.AttachSpans(st)
-	drive(cache, ctrl, 1, 0, 4*addr.MB, 10000)
-	spans := st.Spans()
-	if len(spans) == 0 {
-		t.Fatal("no resize_tick spans recorded")
-	}
-	for _, sp := range spans {
-		if sp.Name != "resize_tick" || sp.Depth != 0 {
-			t.Fatalf("unexpected span %+v", sp)
-		}
-	}
-	if st.Drops() != 0 {
-		t.Fatalf("span drops: %d", st.Drops())
 	}
 }
 

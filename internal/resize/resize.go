@@ -194,19 +194,13 @@ type Controller struct {
 	//molvet:transient per-pass scratch, refilled from the cache at every pass
 	regions []*molecular.Region
 
-	// tracer, decisions and spans are the telemetry attachments (nil by
+	// tracer and decisions are the telemetry attachments (nil by
 	// default; a detached controller pays one pointer check per pass).
 	//molvet:transient telemetry attachment re-established after restore
 	tracer *telemetry.Tracer
 	//molvet:transient derived metric cells re-created when the registry is re-attached
 	decisions map[Action]*telemetry.Counter
-	//molvet:transient telemetry attachment re-established after restore
-	spans *telemetry.SpanTracer
 }
-
-// AttachSpans routes resize passes through st as solo "resize_tick"
-// spans (one per pass, always recorded). Nil detaches.
-func (c *Controller) AttachSpans(st *telemetry.SpanTracer) { c.spans = st }
 
 // New builds a controller for cache.
 func New(cache *molecular.Cache, cfg Config) (*Controller, error) {
@@ -290,10 +284,8 @@ func (c *Controller) Tick() bool {
 		if c.cache.Addresses() < c.nextAt {
 			return false
 		}
-		c.spans.BeginSolo("resize_tick", c.cache.Addresses(), 0)
 		c.resizeAll()
 		c.adaptGlobal()
-		c.spans.EndSolo()
 		c.nextAt = c.cache.Addresses() + c.period
 		c.debugCheck()
 		return true
@@ -305,9 +297,7 @@ func (c *Controller) Tick() bool {
 			if r.Ledger().Accesses() < s.nextAt {
 				continue
 			}
-			c.spans.BeginSolo("resize_tick", c.cache.Addresses(), r.ASID())
 			miss := c.resizeOne(r, s)
-			c.spans.EndSolo()
 			// Adapt this app's own period.
 			if goal := c.Goal(r.ASID()); goal > 0 {
 				if miss < goal {

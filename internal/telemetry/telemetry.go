@@ -8,7 +8,7 @@
 // counts that feed the power model — so the simulation stack emits what
 // it observes through this package: every cache access outcome, every
 // region create/grow/shrink/rebalance, every resize decision, every
-// coherence invalidation.
+// fault the cache absorbs.
 //
 // Design constraints, in order:
 //
@@ -57,7 +57,8 @@ const (
 	// action name, Value the signed molecule delta, Aux the size after.
 	KindResize
 	// KindInvalidate is a back-invalidation of an upper level's copy:
-	// a retired molecule emits one per resident line.
+	// a retired molecule emits one per resident line, with the owning
+	// region's ASID and the line's address.
 	KindInvalidate
 	// KindMoleculeRetire is a hard molecule failure: the molecule was
 	// flushed, withdrawn from its region and permanently retired. Value
@@ -147,7 +148,7 @@ type Event struct {
 	Kind Kind `json:"kind"`
 	// ASID identifies the application, when one is involved.
 	ASID uint16 `json:"asid"`
-	// Addr is the referenced address (access and coherence events).
+	// Addr is the referenced address (access and invalidate events).
 	Addr uint64 `json:"addr,omitempty"`
 	// Hit and Remote qualify access events.
 	Hit    bool `json:"hit,omitempty"`
@@ -232,8 +233,8 @@ func (t *Tracer) Access(at uint64, asid uint16, addr uint64, hit, remote bool, p
 	})
 }
 
-// Region emits a region-lifecycle event (create/grow/shrink/rebalance/
-// rehome), with delta and the size after.
+// Region emits a region-lifecycle event (create/grow/shrink/rebalance),
+// with delta and the size after.
 func (t *Tracer) Region(kind Kind, at uint64, asid uint16, delta, size int) {
 	if t == nil {
 		return
@@ -248,15 +249,6 @@ func (t *Tracer) Resize(at uint64, asid uint16, action string, delta, size int) 
 	}
 	t.Emit(Event{At: at, Kind: KindResize, ASID: asid, Detail: action,
 		Value: int64(delta), Aux: int64(size)})
-}
-
-// Coherence emits an invalidation event; value identifies the victim
-// cache.
-func (t *Tracer) Coherence(kind Kind, addr uint64, victimCache int) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: kind, Addr: addr, Value: int64(victimCache)})
 }
 
 // Emitted returns the total number of events recorded (including those

@@ -19,7 +19,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Access(1, 2, 3, true, false, 4, 0)
 	tr.Region(KindRegionGrow, 1, 2, 3, 4)
 	tr.Resize(1, 2, "grow-chunk", 3, 4)
-	tr.Coherence(KindInvalidate, 64, 1)
 	tr.SetSink(NewMemorySink())
 	if got := tr.Events(); got != nil {
 		t.Errorf("nil tracer Events() = %v, want nil", got)

@@ -145,13 +145,6 @@ type (
 	Registry = telemetry.Registry
 	// ProfileConfig wires -cpuprofile / -memprofile / -trace flags.
 	ProfileConfig = telemetry.ProfileConfig
-	// SpanTracer samples accesses deterministically (1 in every) and
-	// records each pipeline stage of a sampled access as a nested span.
-	// A nil *SpanTracer is a valid no-op; WriteChromeTrace exports the
-	// buffer in Chrome trace-event format (Perfetto/chrome://tracing).
-	SpanTracer = telemetry.SpanTracer
-	// SpanEvent is one recorded pipeline span.
-	SpanEvent = telemetry.SpanEvent
 
 	// FaultCampaign is a deterministic schedule of hardware faults
 	// (molecule failures, line corruptions, NoC delays) keyed to the
@@ -323,13 +316,6 @@ func NewTracer(ringSize int) *Tracer { return telemetry.NewTracer(ringSize) }
 // valid no-op registry.
 func NewRegistry() *Registry { return telemetry.NewRegistry() }
 
-// NewSpanTracer builds a span tracer sampling one access in `every`
-// (0 selects the default 1-in-64) with a buffer of `limit` spans
-// (<= 0 selects the default). A nil *SpanTracer is a valid no-op.
-func NewSpanTracer(every uint64, limit int) *SpanTracer {
-	return telemetry.NewSpanTracer(every, limit)
-}
-
 // NewMemorySink buffers traced events in memory.
 func NewMemorySink() *MemorySink { return telemetry.NewMemorySink() }
 
@@ -366,15 +352,6 @@ func NewSimulator(mcfg MolecularConfig, rcfg ResizeConfig) (*Simulator, error) {
 func (s *Simulator) AttachTelemetry(tr *Tracer, reg *Registry) {
 	s.Cache.AttachTelemetry(tr, reg)
 	s.Controller.AttachTelemetry(tr, reg)
-}
-
-// AttachSpans routes both the cache's access pipeline and the
-// controller's resize passes through st as sampled nested spans.
-// Attaching nil detaches; the unsampled and detached paths are
-// allocation-free.
-func (s *Simulator) AttachSpans(st *SpanTracer) {
-	s.Cache.AttachSpans(st)
-	s.Controller.AttachSpans(st)
 }
 
 // InjectFaults attaches a fault campaign to the simulator's cache.

@@ -43,15 +43,21 @@ fetch() {
 	fi
 }
 
+trap cleanup EXIT INT TERM
+
+# Build a real binary so the cleanup's kill reaches molsim itself: under
+# `go run` it would stop the wrapper and leave the compiled child
+# serving until its -serve-linger ran out.
+echo "obs-smoke: building molsim"
+go build -o "${DIR}/molsim" ./cmd/molsim || fail "molsim does not build"
 echo "obs-smoke: starting molsim -serve ${ADDR}"
-go run ./cmd/molsim \
+"${DIR}/molsim" \
 	-cache molecular:2MB:1x4:Randy -mix crafty,CRC,DRR -refs 1500000 \
 	-serve "${ADDR}" -publish-every 8192 -serve-linger 60s \
 	>"${LOG}" 2>&1 &
 SIM_PID=$!
-trap cleanup EXIT INT TERM
 
-# Poll until the server is up (go run compiles first, so be patient).
+# Poll until the server is up.
 BASE="http://${ADDR}"
 i=0
 until fetch "${BASE}/" "${DIR}/index.txt" 2>/dev/null; do
@@ -110,8 +116,8 @@ SIM_PID=""
 
 # --- Serving layer: molcached ---------------------------------------
 # Boot the daemon with the deterministic two-tenant demo, a journal and
-# a checkpoint path. Build a real binary so SIGTERM reaches the daemon
-# directly (no `go run` wrapper in between).
+# a checkpoint path. Like molsim, it runs as a built binary, so SIGTERM
+# reaches the daemon directly.
 cfail() {
 	echo "obs-smoke: FAIL: $1" >&2
 	echo "--- molcached log ---" >&2

@@ -105,9 +105,9 @@ func (kindCount) Flush() error                    { return nil }
 const diffOverflowASID uint16 = stats.DenseASIDs + 44
 
 // diffHighASID is the fifth private application's ASID. Its addresses
-// have bit 63 set, so its block numbers lie past the largest block a
-// packed block-index slot holds (2^57-2 for the oracle caches' 64
-// molecules) and its index entries live in the overflow map.
+// have bit 63 set, so its block numbers use the top bit a 64-byte line's
+// block has (bit 57): the line words and the index's confirming reads
+// must keep every bit of them.
 const diffHighASID uint16 = 5
 
 // diffPrivateASIDs are the applications of the oracle traces.
@@ -124,8 +124,8 @@ func diffAddr(asid uint16, block uint64) uint64 {
 
 // diffTrace generates the randomized reference stream: five private
 // applications (one above the dense ASID bound, one at block numbers
-// past the packed index range) with distinct hot sets and long tails,
-// and a 30% write mix.
+// at the top of the 64-byte-line range) with distinct hot sets and long
+// tails, and a 30% write mix.
 func diffTrace(seed uint64) []trace.Ref {
 	src := rng.New(seed)
 	refs := make([]trace.Ref, 0, diffAccesses)
@@ -150,18 +150,16 @@ func diffTrace(seed uint64) []trace.Ref {
 	return refs
 }
 
-// overflowLines counts the resident lines of asid's region whose block
-// lies past the largest block a packed index slot holds (2^57-2 for the
-// oracle caches' 64 molecules), so its index keeps them in the
-// overflow map.
-func overflowLines(st molecular.CacheState, asid uint16) int {
+// highLines counts the resident lines of asid's region whose block has
+// bit 57 set, the top bit of a block at 64-byte lines.
+func highLines(st molecular.CacheState, asid uint16) int {
 	n := 0
 	for _, ms := range st.Molecules {
 		if !ms.Owned || ms.ASID != asid {
 			continue
 		}
 		for _, ln := range ms.Lines {
-			if ln.Tag > 1<<57-2 {
+			if ln.Tag >= 1<<57 {
 				n++
 			}
 		}
@@ -309,11 +307,11 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 						t.Errorf("reference cache has violations: %v", vs)
 					}
 
-					// The high tenant's lines lie past the packed range, so
-					// the clean audit found each in its index's overflow map;
-					// without such lines the packed bound went untested.
-					if overflowLines(fst, diffHighASID) == 0 {
-						t.Error("no resident block past the packed range; the overflow map went unexercised")
+					// The high tenant's lines carry bit 57, so the clean audit
+					// and the equal states held them exact; without such
+					// lines the top of the block range went untested.
+					if highLines(fst, diffHighASID) == 0 {
+						t.Error("no resident block with bit 57 set; the top of the block range went unexercised")
 					}
 				})
 			}

@@ -3,6 +3,7 @@ package cmp
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"molcache/internal/engine"
 	"molcache/internal/trace"
@@ -21,10 +22,15 @@ const (
 
 // captureBlock is the size of a capture block in bytes, and maxRecord
 // the most one captured miss takes in it: a header byte and a varint.
+// capture starts a record only where maxRecord bytes remain, so every
+// record has at least 8 bytes of block from its first byte on, which
+// flush's one 8-byte load per record needs.
 const (
 	captureBlock = 256 << 10
 	maxRecord    = 1 + binary.MaxVarintLen64
 )
+
+var _ [maxRecord - 8]struct{}
 
 // Event kinds. Every chunk ends with exactly one event that is not a
 // miss: evHits, the hits after the chunk's last miss, or evOutside at a
@@ -194,17 +200,38 @@ func (s *System) flush(base *[maxCores]uint64) {
 	out := make([]trace.Ref, len(s.captured)+s.blockRefs)
 	n := copy(out, s.captured)
 	for _, b := range append(s.blocks, s.block) {
-		for len(b) > 0 {
-			h := b[0]
-			d, w := binary.Varint(b[1:])
+		full := b[:cap(b)]
+		for off := 0; off < len(b); {
+			h, d, w := decodeRecord(full[off:])
 			i := h >> 1
 			base[i] += uint64(d)
 			out[n] = trace.Ref{Addr: base[i], ASID: s.cores[i].asid, CPU: i, Kind: trace.Kind(h & 1)}
 			n++
-			b = b[1+w:]
+			off += w
 		}
 	}
 	s.captured, s.blocks, s.block, s.blockRefs = out, nil, nil, 0
+}
+
+// decodeRecord decodes the capture record at the start of b, which
+// holds at least 8 bytes: its header byte h, its address delta d and
+// its length w. One 8-byte load holds the header and a varint of up to
+// 7 bytes (a delta within ±2^48), whose 7-bit groups are gathered
+// without a per-byte loop; a longer varint, such as a core's first
+// delta, falls back to binary.Varint.
+func decodeRecord(b []byte) (h byte, d int64, w int) {
+	x := binary.LittleEndian.Uint64(b)
+	v := x >> 8
+	end := ^v & 0x0080808080808080 // high bit clear: the varint's last byte
+	if end == 0 {
+		d, w = binary.Varint(b[1:])
+		return byte(x), d, 1 + w
+	}
+	n := bits.TrailingZeros64(end)>>3 + 1
+	v &= 1<<(8*n) - 1
+	u := v&0x7f | v>>1&(0x7f<<7) | v>>2&(0x7f<<14) | v>>3&(0x7f<<21) |
+		v>>4&(0x7f<<28) | v>>5&(0x7f<<35) | v>>6&(0x7f<<42)
+	return byte(x), int64(u>>1) ^ -int64(u&1), 1 + n
 }
 
 // issuedBefore counts the references issued before core i's next miss at

@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -528,5 +529,32 @@ func TestCaptureAnyAddress(t *testing.T) {
 	s.flush(new([maxCores]uint64))
 	if err := diffRuns(systemRun{want, l2.Ledger()}, systemRun{s.Captured(), l2.Ledger()}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRecordMatchesVarint holds flush's one-load record decoder
+// to binary.Varint at every varint length from 1 to 10 bytes, on both
+// sides of each length's bound, with the bytes after the record set to
+// every pattern: the decoder must stop at the varint's last byte.
+func TestDecodeRecordMatchesVarint(t *testing.T) {
+	deltas := []int64{0, 1, -1, math.MaxInt64, math.MinInt64}
+	for k := 1; k < 64; k++ {
+		deltas = append(deltas, 1<<k-1, 1<<k, -1<<k, -1<<k-1)
+	}
+	for _, d := range deltas {
+		for _, tail := range []byte{0, 0x80, 0xff} {
+			for _, h := range []byte{0, 1<<5 - 1} {
+				rec := binary.AppendVarint([]byte{h}, d)
+				want := len(rec)
+				for len(rec) < 8+want {
+					rec = append(rec, tail)
+				}
+				gh, gd, gw := decodeRecord(rec)
+				if gh != h || gd != d || gw != want {
+					t.Fatalf("delta %d, tail %#x: decoded header %#x, delta %d, length %d; want %#x, %d, %d",
+						d, tail, gh, gd, gw, h, d, want)
+				}
+			}
+		}
 	}
 }

@@ -174,20 +174,24 @@ func (a *audit) region(r *Region, stamp int32) {
 
 // lines checks rules 2 and 6 for r: each resident line of its molecules
 // is indexed to its holder and held by no other molecule of r, and the
-// index holds nothing else. A healthy line costs one index probe; only
-// a line the index does not attribute to its holder pays a scan of the
-// region.
+// index holds nothing else. The check probes the index raw, by key,
+// without the confirming read of the slab a lookup makes, so an entry
+// naming the wrong holder is reported as such. An entry names one line
+// (molecule and slot), so finding each resident line's own entry and
+// counting no more entries than lines proves the index exact. A healthy
+// line costs one probe; only a line without its entry pays a scan of
+// the region.
 func (a *audit) lines(r *Region) {
 	resident := 0
 	for _, row := range r.rows {
 		for _, m := range row {
-			for i := range m.lines {
-				if !m.lines[i].valid() {
+			for _, ln := range m.lines {
+				if !ln.valid() {
 					continue
 				}
-				b := m.lines[i].tag
-				h := r.index.get(b)
-				if h == m {
+				b := ln.block()
+				own, other := r.index.probe(b, m.id)
+				if own {
 					resident++
 					continue
 				}
@@ -196,12 +200,12 @@ func (a *audit) lines(r *Region) {
 						b, x.id, m.id, r.asid)
 					continue // the block is counted with its other copy
 				}
-				if h == nil {
+				if other < 0 {
 					a.add("index-consistency", "region %d: resident block %#x of molecule %d missing from the index",
 						r.asid, b, m.id)
 				} else {
 					a.add("index-consistency", "region %d: block %#x resident in molecule %d but indexed to %d",
-						r.asid, b, m.id, h.id)
+						r.asid, b, m.id, other)
 				}
 				resident++
 			}

@@ -77,6 +77,10 @@ func (c Config) Validate() error {
 	if err := addr.CheckPow2("line size", c.LineSize); err != nil {
 		return err
 	}
+	if c.LineSize < minLineSize {
+		return fmt.Errorf("molecular: line size %d below %d bytes: a line word holds a block number of at most 62 bits",
+			c.LineSize, minLineSize)
+	}
 	if c.LineFactor < 1 || !addr.IsPow2(uint64(c.LineFactor)) {
 		return fmt.Errorf("molecular: line factor must be a power of two, got %d", c.LineFactor)
 	}
@@ -93,6 +97,10 @@ func (c Config) Validate() error {
 	perTile := total / tiles
 	if perTile < 2 {
 		return fmt.Errorf("molecular: only %d molecules per tile; need >= 2", perTile)
+	}
+	if need := bits.Len64(total) + bits.Len64(linesPerMol-1); need > 32 {
+		return fmt.Errorf("molecular: %d molecules of %d lines overflow the block index's 32-bit entry (molecule ID and line slot need %d bits)",
+			total, linesPerMol, need)
 	}
 	if c.InitialMolecules < 0 || uint64(c.InitialMolecules) > perTile {
 		return fmt.Errorf("molecular: initial allocation %d exceeds tile capacity %d",
@@ -138,6 +146,15 @@ type Cache struct {
 	// the audit, and the block indexes' slots, which name their molecule
 	// by ID).
 	molsByID []*Molecule
+	// lines is every molecule's lines in one slab, molecule by molecule:
+	// molecule id's slot s is lines[id<<slotBits | s]. Each molecule's
+	// lines field is its run of the slab, and the block indexes confirm
+	// their fingerprints against it.
+	lines []molLine
+	// touch parallels lines with LRU-Direct's timestamps: the logical
+	// clock at each line's last fill or hit. Only an LRU-Direct cache
+	// allocates it; nil otherwise.
+	touch []uint64
 
 	// refProbe routes lookups through the original linear probe scan
 	// instead of the block index — the differential oracle the fast path
@@ -147,6 +164,10 @@ type Cache struct {
 
 	//molvet:transient derived from Config geometry at construction
 	linesPerMol uint64
+	// slotBits is log2(linesPerMol): a slab position is a molecule ID
+	// shifted by it, plus a slot.
+	//molvet:transient derived from Config geometry at construction
+	slotBits uint
 	// lineShift is log2(LineSize) — the config validator guarantees a
 	// power of two, so the access path shifts instead of dividing.
 	//molvet:transient derived from Config.LineSize at construction
@@ -231,27 +252,38 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:         cfg,
 		linesPerMol: cfg.MoleculeSize / cfg.LineSize,
+		slotBits:    uint(bits.TrailingZeros64(cfg.MoleculeSize / cfg.LineSize)),
 		lineShift:   uint(bits.TrailingZeros64(cfg.LineSize)),
 		probes:      stats.NewHistogram(cfg.MoleculesPerTile()*cfg.TilesPerCluster + 1),
 		src:         rng.New(cfg.Seed ^ 0x5eed),
+	}
+	n := int(c.linesPerMol)
+	c.lines = make([]molLine, c.TotalMolecules()*n)
+	if cfg.Policy == LRUDirect {
+		c.touch = make([]uint64, len(c.lines))
 	}
 	molID := 0
 	for ci := 0; ci < cfg.Clusters; ci++ {
 		cl := &Cluster{}
 		for ti := 0; ti < cfg.TilesPerCluster; ti++ {
-			t := &Tile{id: ci*cfg.TilesPerCluster + ti, cluster: cl}
+			t := &Tile{id: ci*cfg.TilesPerCluster + ti, cluster: cl, firstLine: molID * n}
 			for mi := 0; mi < cfg.MoleculesPerTile(); mi++ {
+				lo, hi := molID*n, (molID+1)*n
 				m := &Molecule{
 					id:    molID,
 					tile:  t,
-					lines: make([]molLine, c.linesPerMol),
+					lines: c.lines[lo:hi:hi],
 					row:   -1,
+				}
+				if c.touch != nil {
+					m.touch = c.touch[lo:hi:hi]
 				}
 				molID++
 				t.molecules = append(t.molecules, m)
 				t.free = append(t.free, m)
 				c.molsByID = append(c.molsByID, m)
 			}
+			t.endLine = molID * n
 			cl.tiles = append(cl.tiles, t)
 		}
 		c.clusters = append(c.clusters, cl)
@@ -341,7 +373,7 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 		rows:       make([][]*Molecule, 0, maxRows),
 		rowMiss:    make([]uint64, 0, maxRows),
 		byTile:     make([][]*Molecule, c.cfg.Clusters*c.cfg.TilesPerCluster),
-		index:      newBlockMap(c.molsByID),
+		index:      newBlockMap(c.lines, c.slotBits, len(c.molsByID)),
 		src:        rng.New(c.cfg.Seed ^ uint64(asid)<<20 ^ 0xbeef),
 	}
 	r.appCell = c.ledger.AppRef(asid)
@@ -545,6 +577,16 @@ func (c *Cache) Rebalance(r *Region) bool {
 // Each access advances the cache's logical clock and delivers the
 // faults scheduled for it before the lookup runs.
 func (c *Cache) Access(ref trace.Ref) engine.Result {
+	var res engine.Result
+	c.AccessInto(ref, &res)
+	return res
+}
+
+// AccessInto is Access writing the result through res, which it
+// overwrites whole: a batch replay hands it each slot of its results
+// slice, so the 56-byte result is neither returned by value nor copied.
+func (c *Cache) AccessInto(ref trace.Ref, res *engine.Result) {
+	*res = engine.Result{}
 	c.addresses++
 	c.remote = 0
 	if c.faults != nil {
@@ -557,22 +599,22 @@ func (c *Cache) Access(ref trace.Ref) engine.Result {
 		if err != nil {
 			// Auto-admit can fail once degradation has exhausted the
 			// placement space; serve the access uncached instead of dying.
-			return c.bypassMiss(nil, ref, engine.Result{})
+			c.bypassMiss(nil, ref, res)
+			return
 		}
 	}
 	block := ref.Addr >> c.lineShift
 	write := kindIsWrite(ref.Kind)
 
-	var res engine.Result
 	var unreachable bool
 	if c.refProbe {
-		unreachable = c.referenceLookup(r, block, write, &res)
+		unreachable = c.referenceLookup(r, block, write, res)
 	} else {
-		unreachable = c.fastLookup(r, block, write, &res)
+		unreachable = c.fastLookup(r, block, write, res)
 	}
 	if res.Hit {
-		c.finish(r, ref, &res)
-		return res
+		c.finish(r, ref, res)
+		return
 	}
 
 	// Miss: fetch lineFactor lines into the policy's victim molecule.
@@ -581,13 +623,15 @@ func (c *Cache) Access(ref trace.Ref) engine.Result {
 		// re-grow from healthy spares now rather than waiting for the
 		// next resize epoch, and serve uncached if none exist.
 		if got, _ := c.Grow(r, 1); got == 0 {
-			return c.bypassMiss(r, ref, res)
+			c.bypassMiss(r, ref, res)
+			return
 		}
 	}
 	if unreachable {
 		// A contributing tile never answered, so the line may still be
 		// resident there; filling now could duplicate it. Serve uncached.
-		return c.bypassMiss(r, ref, res)
+		c.bypassMiss(r, ref, res)
+		return
 	}
 	victim := r.victim(ref.Addr, block)
 	if r.lineFactor > 1 {
@@ -598,30 +642,42 @@ func (c *Cache) Access(ref trace.Ref) engine.Result {
 	res.LinesFetched = r.lineFactor
 	res.LinesEvicted = evicted
 	res.Writebacks = wb
-	c.finish(r, ref, &res)
-	return res
+	c.finish(r, ref, res)
+}
+
+// hitLine applies a hit's bookkeeping to the slab's line pos: a write
+// marks it dirty, and LRU-Direct stamps its touch. Both lookup paths
+// record hits here, so they leave identical line state.
+func (c *Cache) hitLine(pos int, write bool) {
+	if write {
+		c.lines[pos] |= lineDirty
+	}
+	if c.touch != nil {
+		c.touch[pos] = c.addresses
+	}
 }
 
 // fastLookup is the block-index access path: one lookup in the
-// region's index decides hit/miss and locates the holding molecule,
-// while TagProbes — the modelled count of molecules a real Molecular
-// cache would enable in parallel — is computed from the region's
-// per-tile population, tile by tile, exactly as the linear probe model
-// accumulates it: every molecule the region owns on a searched tile is
-// enabled by the ASID comparison stage, wherever (or whether) the hit
-// lands. The Ulmo sweep over contributing sibling tiles still happens
-// per tile (NoC fault windows and retry accounting are per-traversal
-// effects), but no molecule is scanned.
+// region's index decides hit/miss and locates the holding line, whose
+// slab position also says which tile holds it, so a hit reads no
+// molecule. TagProbes — the modelled count of molecules a real
+// Molecular cache would enable in parallel — is computed from the
+// region's per-tile population, tile by tile, exactly as the linear
+// probe model accumulates it: every molecule the region owns on a
+// searched tile is enabled by the ASID comparison stage, wherever (or
+// whether) the hit lands. The Ulmo sweep over contributing sibling
+// tiles still happens per tile (NoC fault windows and retry accounting
+// are per-traversal effects), but no molecule is scanned.
 func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
-	hitM := r.index.get(block)
+	pos := r.index.get(block) // -1 on a miss, which no tile holds
 	if c.ins != nil {
 		c.ins.indexLookups.Inc()
 	}
 
 	// Stage 1: home tile.
 	res.TagProbes = len(r.byTile[r.home.id])
-	if hitM != nil && hitM.tile == r.home {
-		hitM.recordHit(block, write, c.addresses)
+	if r.home.holdsLine(pos) {
+		c.hitLine(pos, write)
 		res.Hit = true
 		res.DataReads = 1
 		if c.ins != nil {
@@ -645,8 +701,8 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 			continue
 		}
 		res.TagProbes += p
-		if hitM != nil && hitM.tile == t {
-			hitM.recordHit(block, write, c.addresses)
+		if t.holdsLine(pos) {
+			c.hitLine(pos, write)
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.DataReads = 1
@@ -703,7 +759,7 @@ func (c *Cache) probeTile(r *Region, t *Tile, block uint64, write bool) (bool, i
 	own := r.byTile[t.id]
 	for _, m := range own {
 		if m.contains(block) {
-			m.recordHit(block, write, c.addresses)
+			c.hitLine(m.id<<c.slotBits|m.index(block), write)
 			return true, len(own)
 		}
 	}
@@ -737,9 +793,11 @@ func (c *Cache) invalidateCompanions(r *Region, victim *Molecule, block uint64) 
 			}
 			continue
 		}
-		if m := r.index.get(b); m != nil && m != victim {
-			m.invalidate(b)
-			r.indexRemove(b, m)
+		if pos := r.index.get(b); pos >= 0 {
+			if m := c.molsByID[pos>>c.slotBits]; m != victim {
+				m.invalidate(b)
+				r.indexRemove(b, m)
+			}
 		}
 	}
 }
@@ -815,7 +873,7 @@ func (c *Cache) Contains(a uint64) bool {
 		return false
 	}
 	for _, r := range c.regionList {
-		if r.index.get(block) != nil {
+		if r.index.get(block) >= 0 {
 			return true
 		}
 	}

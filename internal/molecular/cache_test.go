@@ -1,6 +1,7 @@
 package molecular
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,46 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) succeeded, want error", cfg)
 		}
+	}
+}
+
+// TestConfigValidateEncodingBounds pins the two geometry bounds the
+// layout sets: a line word holds a block of at most 62 bits, so lines
+// are at least 4 bytes, and a block-index entry names a molecule and a
+// line slot in 32 bits. Each bound is reported by name, a geometry on
+// it is accepted (the index entry's is checked without building the
+// 128 GB cache), and a 4-byte-line cache keeps its largest blocks
+// exact.
+func TestConfigValidateEncodingBounds(t *testing.T) {
+	_, err := New(Config{TotalSize: 64 * addr.KB, MoleculeSize: 1 * addr.KB, LineSize: 2})
+	if err == nil || !strings.Contains(err.Error(), "below 4 bytes") {
+		t.Errorf("2-byte lines: err = %v, want the 4-byte bound", err)
+	}
+	// 2^24 molecules need 25 ID bits, and 128 lines 7 slot bits: 32.
+	onBound := Config{TotalSize: 128 << 30, MoleculeSize: 8 * addr.KB, TilesPerCluster: 4}.withDefaults()
+	if err := onBound.Validate(); err != nil {
+		t.Errorf("2^24 molecules of 128 lines: %v", err)
+	}
+	over := onBound
+	over.TotalSize *= 2
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "32-bit entry") {
+		t.Errorf("2^25 molecules of 128 lines: err = %v, want the index entry bound", err)
+	}
+
+	c := MustNew(Config{TotalSize: 64 * addr.KB, MoleculeSize: 1 * addr.KB, LineSize: 4, Policy: LRUDirect})
+	top := ^uint64(0) &^ 3 // block 2^62-1
+	for _, a := range []uint64{top, top &^ (1 << 63), 0} {
+		if c.Access(ref(1, a, trace.Write)).Hit {
+			t.Errorf("cold access to %#x hit", a)
+		}
+	}
+	for _, a := range []uint64{top, top &^ (1 << 63), 0} {
+		if !c.Access(ref(1, a, trace.Read)).Hit || !c.Contains(a) {
+			t.Errorf("block of %#x not resident after its fill", a)
+		}
+	}
+	if vs := c.CheckInvariants(); len(vs) != 0 {
+		t.Error(vs)
 	}
 }
 

@@ -165,7 +165,7 @@ func (c *Cache) CorruptLine(moleculeID, line int) (wasValid, wasDirty bool, err 
 	if m.failed {
 		return false, false, nil
 	}
-	tag := m.lines[line].tag
+	tag := m.lines[line].block()
 	wasValid, wasDirty = m.corrupt(line)
 	if wasValid && m.owned {
 		// The lost line must leave the owner's block index too, or the
@@ -267,11 +267,10 @@ func (c *Cache) ulmoTraverse(asid uint16) (reachable bool) {
 // access whose region could not even be auto-admitted. All bypasses
 // flow through finish, so ledger, probe-histogram and telemetry
 // accounting is uniform with cached accesses.
-func (c *Cache) bypassMiss(r *Region, ref trace.Ref, res engine.Result) engine.Result {
+func (c *Cache) bypassMiss(r *Region, ref trace.Ref, res *engine.Result) {
 	c.deg.UncachedBypasses++
 	if c.ins != nil {
 		c.ins.bypasses.Inc()
 	}
-	c.finish(r, ref, &res)
-	return res
+	c.finish(r, ref, res)
 }

@@ -11,22 +11,24 @@ package molecular
 // linear probe model the index replaces (Cache.UseReferenceProbe keeps
 // that model alive as a differential oracle).
 //
-// Invariant: r.index[b] == m exactly when molecule m is owned by r and
-// holds a valid line with tag b. Within one region the holder is unique
-// (the duplicate-line rule CheckInvariants enforces), so a flat block →
-// molecule table (blockmap.go) suffices, and a requestor's lookup
-// consults its own region's index alone.
+// Invariant: r.index holds an entry for block b naming molecule m
+// exactly when m is owned by r and holds a valid line with tag b. Within
+// one region the holder is unique (the duplicate-line rule
+// CheckInvariants enforces), so a flat block → line table (blockmap.go)
+// suffices, and a requestor's lookup consults its own region's index
+// alone.
 
-// indexAdd records m as the holder of block.
+// indexAdd records m as the holder of block, which the index must not
+// hold yet.
 func (r *Region) indexAdd(block uint64, m *Molecule) {
-	r.index.set(block, m)
+	r.index.add(block, m.id)
 }
 
 // indexRemove drops the index entry for block if (and only if) it names
 // m — a stale entry for a different holder must survive its companion's
 // eviction.
 func (r *Region) indexRemove(block uint64, m *Molecule) {
-	r.index.remove(block, m)
+	r.index.remove(block, m.id)
 }
 
 // indexMolecule registers every resident line of m. Molecules normally
@@ -34,9 +36,9 @@ func (r *Region) indexRemove(block uint64, m *Molecule) {
 // sweep over invalid lines; it keeps attach correct even for a molecule
 // carrying residue.
 func (r *Region) indexMolecule(m *Molecule) {
-	for i := range m.lines {
-		if m.lines[i].valid() {
-			r.indexAdd(m.lines[i].tag, m)
+	for _, ln := range m.lines {
+		if ln.valid() {
+			r.indexAdd(ln.block(), m)
 		}
 	}
 }
@@ -45,9 +47,9 @@ func (r *Region) indexMolecule(m *Molecule) {
 // the detach/retire/rebalance half of the maintenance contract, run
 // before the flush destroys the tags.
 func (r *Region) unindexMolecule(m *Molecule) {
-	for i := range m.lines {
-		if m.lines[i].valid() {
-			r.indexRemove(m.lines[i].tag, m)
+	for _, ln := range m.lines {
+		if ln.valid() {
+			r.indexRemove(ln.block(), m)
 		}
 	}
 }
@@ -59,9 +61,8 @@ func (r *Region) unindexMolecule(m *Molecule) {
 func (r *Region) fillVictim(victim *Molecule, block uint64, write bool, clock uint64) (evicted, writebacks int) {
 	group := block &^ uint64(r.lineFactor-1)
 	for i := 0; i < r.lineFactor; i++ {
-		b := group + uint64(i)
-		if ln := &victim.lines[victim.index(b)]; ln.valid() {
-			r.indexRemove(ln.tag, victim)
+		if ln := victim.lines[victim.index(group+uint64(i))]; ln.valid() {
+			r.indexRemove(ln.block(), victim)
 		}
 	}
 	evicted, writebacks = victim.fill(block, r.lineFactor, write, clock)

@@ -32,16 +32,16 @@ func verifyIndexBijection(t *testing.T, c *Cache) bool {
 		resident := make(map[uint64]*Molecule)
 		for _, row := range r.rows {
 			for _, m := range row {
-				for i := range m.lines {
-					if !m.lines[i].valid() {
+				for _, ln := range m.lines {
+					if !ln.valid() {
 						continue
 					}
-					if prev, dup := resident[m.lines[i].tag]; dup {
+					if prev, dup := resident[ln.block()]; dup {
 						t.Logf("region %d: block %#x resident in molecules %d and %d",
-							r.asid, m.lines[i].tag, prev.id, m.id)
+							r.asid, ln.block(), prev.id, m.id)
 						return false
 					}
-					resident[m.lines[i].tag] = m
+					resident[ln.block()] = m
 				}
 			}
 		}
@@ -50,8 +50,8 @@ func verifyIndexBijection(t *testing.T, c *Cache) bool {
 			return false
 		}
 		for b, m := range resident {
-			if got := r.index.get(b); got != m {
-				t.Logf("region %d: block %#x resident in %d, index names %v", r.asid, b, m.id, got)
+			if got := r.index.holder(b); got != m.id {
+				t.Logf("region %d: block %#x resident in %d, index names %d", r.asid, b, m.id, got)
 				return false
 			}
 		}
@@ -155,13 +155,13 @@ func TestIndexDropsRetiredMolecule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range blocks {
-		if r.index.get(b) == victim {
+		if r.index.holder(b) == victim.id {
 			t.Errorf("block %#x still indexed to retired molecule %d", b, victim.ID())
 		}
 	}
-	r.index.each(func(b uint64, m *Molecule) {
-		if m == victim {
-			t.Errorf("retired molecule %d still indexed under block %#x", victim.ID(), b)
+	r.index.each(func(id, slot int) {
+		if id == victim.id {
+			t.Errorf("retired molecule %d still indexed at slot %d", victim.ID(), slot)
 		}
 	})
 	if !verifyIndexBijection(t, c) {
@@ -179,9 +179,9 @@ func TestIndexDropsWithdrawnMolecules(t *testing.T) {
 	if n == 0 {
 		t.Fatalf("shrink withdrew nothing from a %d-molecule region", before)
 	}
-	r.index.each(func(b uint64, m *Molecule) {
-		if !m.owned || m.asid != r.asid {
-			t.Errorf("block %#x indexed to molecule %d which left the region", b, m.id)
+	r.index.each(func(id, slot int) {
+		if m := c.molsByID[id]; !m.owned || m.asid != r.asid {
+			t.Errorf("slot %d indexed to molecule %d which left the region", slot, m.id)
 		}
 	})
 	if !verifyIndexBijection(t, c) {

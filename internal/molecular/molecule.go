@@ -9,45 +9,43 @@ package molecular
 
 import "molcache/internal/trace"
 
-// molLine is one 64-byte line's metadata inside a molecule: 16 bytes,
-// so a molecule's 128 lines fill 32 host cache lines instead of 48.
-// word packs the replacement timestamp with two flag bits,
-// touch<<2 | dirty<<1 | valid; an invalid line is the zero value.
-type molLine struct {
-	tag  uint64 // full block number (addr / lineSize)
-	word uint64
-}
+// molLine is one line's metadata, 8 bytes: block<<2 | dirty<<1 | valid,
+// where block is the line's full block number (addr / lineSize). A
+// block has at most 62 bits because Config.Validate requires lines of
+// at least minLineSize bytes, so the word holds every block exactly. An
+// invalid line is zero. LRU-Direct's timestamp is not in the word: it
+// sits in the cache's parallel touch array, which only LRU-Direct
+// caches allocate.
+type molLine uint64
 
-// The line word's flag bits and the shift of its touch field. touch is
-// the cache's logical clock at the line's last fill or hit (the
-// LRU-Direct policy's timestamp); it advances once per access, so its
-// 62 bits never wrap in a simulated run, and RestoreCache rejects a
-// checkpoint whose touch does not fit.
+// The line word's flag bits, and the smallest line size whose block
+// numbers fit the word's 62-bit block field.
 const (
-	lineValid  = 1
-	lineDirty  = 2
-	touchShift = 2
-	// maxTouch is the largest touch the line word holds.
-	maxTouch = 1<<(64-touchShift) - 1
+	lineValid   = 1
+	lineDirty   = 2
+	minLineSize = 4
 )
 
-// valid reports whether the line holds a block.
-func (ln *molLine) valid() bool { return ln.word&lineValid != 0 }
-
-// dirty reports whether the line holds a modified block.
-func (ln *molLine) dirty() bool { return ln.word&lineDirty != 0 }
-
-// touch returns the line's replacement timestamp.
-func (ln *molLine) touch() uint64 { return ln.word >> touchShift }
-
-// lineWord packs a valid line's timestamp and dirty bit.
-func lineWord(touch uint64, dirty bool) uint64 {
-	w := touch<<touchShift | lineValid
+// lineWord returns the word of a valid line holding block.
+func lineWord(block uint64, dirty bool) molLine {
+	w := molLine(block<<2 | lineValid)
 	if dirty {
 		w |= lineDirty
 	}
 	return w
 }
+
+// valid reports whether the line holds a block.
+func (ln molLine) valid() bool { return ln&lineValid != 0 }
+
+// dirty reports whether the line holds a modified block.
+func (ln molLine) dirty() bool { return ln&lineDirty != 0 }
+
+// block returns the block number a valid line holds.
+func (ln molLine) block() uint64 { return uint64(ln >> 2) }
+
+// holds reports whether the line is valid and holds block b.
+func (ln molLine) holds(b uint64) bool { return ln&^lineDirty == lineWord(b, false) }
 
 // Molecule is a small direct-mapped caching unit — the building block the
 // whole architecture aggregates. Its decode path is gated by an ASID
@@ -57,8 +55,14 @@ type Molecule struct {
 	id int
 	// tile is the physical tile holding this molecule.
 	tile *Tile
-	// lines are the direct-mapped entries.
+	// lines is the molecule's run of the cache's line slab: slot s is
+	// the slab's line id<<slotBits | s.
 	lines []molLine
+	// touch is the molecule's run of the cache's LRU-Direct timestamps
+	// (the logical clock at each line's last fill or hit; only a valid
+	// line's is ever read); nil under the other policies, which never
+	// read it.
+	touch []uint64
 	// resident counts the valid lines, kept current by every path that
 	// validates or drops one (fill, invalidate, corrupt, flush and the
 	// checkpoint restore), so the resize controller's withdraw choice
@@ -99,9 +103,9 @@ func (m *Molecule) Failed() bool { return m.failed }
 // retirement path's view of the contents).
 func (m *Molecule) ValidBlocks() []uint64 {
 	var out []uint64
-	for i := range m.lines {
-		if m.lines[i].valid() {
-			out = append(out, m.lines[i].tag)
+	for _, ln := range m.lines {
+		if ln.valid() {
+			out = append(out, ln.block())
 		}
 	}
 	return out
@@ -117,19 +121,6 @@ func (m *Molecule) index(block uint64) int {
 	return int(block & uint64(len(m.lines)-1))
 }
 
-// recordHit applies the bookkeeping of a probe hit on block: the line's
-// LRU timestamp advances and a write marks it dirty. The caller has
-// already established residency — through the region's block index on
-// the fast path, or a linear scan on the reference path — so both paths
-// leave identical molecule state.
-func (m *Molecule) recordHit(block uint64, write bool, clock uint64) {
-	ln := &m.lines[m.index(block)]
-	ln.word = clock<<touchShift | ln.word&lineDirty | lineValid
-	if write {
-		ln.word |= lineDirty
-	}
-}
-
 // fill installs the lineFactor-aligned group of lines containing block.
 // It returns the number of valid lines evicted and how many of those were
 // dirty. Only the accessed line is marked dirty on a write miss
@@ -138,14 +129,17 @@ func (m *Molecule) fill(block uint64, lineFactor int, write bool, clock uint64) 
 	group := block &^ uint64(lineFactor-1)
 	for i := 0; i < lineFactor; i++ {
 		b := group + uint64(i)
-		ln := &m.lines[m.index(b)]
-		if ln.valid() {
+		s := m.index(b)
+		if ln := m.lines[s]; ln.valid() {
 			evicted++
 			if ln.dirty() {
 				writebacks++
 			}
 		}
-		*ln = molLine{tag: b, word: lineWord(clock, write && b == block)}
+		m.lines[s] = lineWord(b, write && b == block)
+		if m.touch != nil {
+			m.touch[s] = clock
+		}
 	}
 	m.resident += lineFactor - evicted
 	m.missCount++
@@ -156,12 +150,12 @@ func (m *Molecule) fill(block uint64, lineFactor int, write bool, clock uint64) 
 // real cache would write back. Used when a molecule is withdrawn from a
 // region or reassigned.
 func (m *Molecule) flush() (writebacks int) {
-	for i := range m.lines {
-		if m.lines[i].dirty() {
+	for _, ln := range m.lines {
+		if ln.dirty() {
 			writebacks++
 		}
-		m.lines[i] = molLine{}
 	}
+	clear(m.lines)
 	m.resident = 0
 	return writebacks
 }
@@ -169,12 +163,11 @@ func (m *Molecule) flush() (writebacks int) {
 // invalidate drops one line if present (a fill's companion
 // back-invalidation).
 func (m *Molecule) invalidate(block uint64) (present, dirty bool) {
-	ln := &m.lines[m.index(block)]
-	if ln.valid() && ln.tag == block {
-		d := ln.dirty()
-		*ln = molLine{}
+	s := m.index(block)
+	if ln := m.lines[s]; ln.holds(block) {
+		m.lines[s] = 0
 		m.resident--
-		return true, d
+		return true, ln.dirty()
 	}
 	return false, false
 }
@@ -184,34 +177,32 @@ func (m *Molecule) invalidate(block uint64) (present, dirty bool) {
 // copy was dirty — dirty loss is silent data loss, since the writeback
 // that would have preserved it never happens.
 func (m *Molecule) corrupt(idx int) (wasValid, wasDirty bool) {
-	ln := &m.lines[idx]
-	wasValid, wasDirty = ln.valid(), ln.dirty()
-	*ln = molLine{}
-	if wasValid {
+	ln := m.lines[idx]
+	m.lines[idx] = 0
+	if ln.valid() {
 		m.resident--
 	}
-	return wasValid, wasDirty
+	return ln.valid(), ln.dirty()
 }
 
 // contains reports whether block is resident, without updating state.
 func (m *Molecule) contains(block uint64) bool {
-	ln := &m.lines[m.index(block)]
-	return ln.valid() && ln.tag == block
+	return m.lines[m.index(block)].holds(block)
 }
 
-// lineTouch returns the LRU timestamp of the slot block maps to and
-// whether the slot currently holds a valid line.
+// lineTouch returns the LRU-Direct timestamp of the slot block maps to
+// and whether the slot currently holds a valid line.
 func (m *Molecule) lineTouch(block uint64) (uint64, bool) {
-	ln := &m.lines[m.index(block)]
-	return ln.touch(), ln.valid()
+	s := m.index(block)
+	return m.touch[s], m.lines[s].valid()
 }
 
 // validLines counts resident lines by scanning them: the audit
 // CheckInvariants holds the resident count to.
 func (m *Molecule) validLines() int {
 	n := 0
-	for i := range m.lines {
-		if m.lines[i].valid() {
+	for _, ln := range m.lines {
+		if ln.valid() {
 			n++
 		}
 	}

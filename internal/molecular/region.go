@@ -44,7 +44,7 @@ type Region struct {
 	// preallocated to the cache's tile count so the access path never
 	// allocates or hashes.
 	byTile [][]*Molecule
-	// index is the fast-path block index: block number → the molecule
+	// index is the fast-path block index: block number → the slab line
 	// holding it (see index.go for the maintenance contract).
 	index blockMap
 	count int

@@ -2,6 +2,7 @@ package molecular
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"molcache/internal/rng"
@@ -34,7 +35,10 @@ import (
 // before the engine resumes.
 
 // LineState is one resident line of a molecule (invalid slots are
-// omitted; Slot identifies the direct-mapped entry).
+// omitted; Slot identifies the direct-mapped entry). Touch is the
+// line's LRU-Direct timestamp, written by LRU-Direct caches only; the
+// other policies never read it, so RestoreCache ignores a touch in
+// their checkpoints (builds that stamped every line wrote one there).
 type LineState struct {
 	Slot  int    `json:"slot"`
 	Tag   uint64 `json:"tag"`
@@ -137,13 +141,17 @@ func (c *Cache) CaptureState() CacheState {
 			ID: m.id, ASID: m.asid, Owned: m.owned, Failed: m.failed,
 			Row: m.row, MissCount: m.missCount,
 		}
+		base := m.id << c.slotBits
 		for slot := range m.lines {
-			ln := &m.lines[slot]
-			if ln.valid() {
-				ms.Lines = append(ms.Lines, LineState{
-					Slot: slot, Tag: ln.tag, Dirty: ln.dirty(), Touch: ln.touch(),
-				})
+			ln := c.lines[base+slot]
+			if !ln.valid() {
+				continue
 			}
+			ls := LineState{Slot: slot, Tag: ln.block(), Dirty: ln.dirty()}
+			if c.touch != nil {
+				ls.Touch = c.touch[base+slot]
+			}
+			ms.Lines = append(ms.Lines, ls)
 		}
 		st.Molecules[i] = ms
 	}
@@ -187,6 +195,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	}
 
 	// Molecule contents first: every later structure references them.
+	maxBlock := uint64(math.MaxUint64) >> c.lineShift
 	for i := range st.Molecules {
 		ms := &st.Molecules[i]
 		if ms.ID != i {
@@ -213,6 +222,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			m.row = -1
 		}
 		m.missCount = ms.MissCount
+		base := i << c.slotBits
 		prevSlot := -1
 		for _, ln := range ms.Lines {
 			if ln.Slot < 0 || ln.Slot >= len(m.lines) {
@@ -230,11 +240,14 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 				return nil, fmt.Errorf("molecular: restore: molecule %d tag %#x maps to slot %d, stored in %d",
 					i, ln.Tag, m.index(ln.Tag), ln.Slot)
 			}
-			if ln.Touch > maxTouch {
-				return nil, fmt.Errorf("molecular: restore: molecule %d slot %d touch %d exceeds the line word's %d",
-					i, ln.Slot, ln.Touch, uint64(maxTouch))
+			if ln.Tag > maxBlock {
+				return nil, fmt.Errorf("molecular: restore: molecule %d slot %d tag %#x exceeds the largest block %#x of %d-byte lines",
+					i, ln.Slot, ln.Tag, maxBlock, cfg.LineSize)
 			}
-			m.lines[ln.Slot] = molLine{tag: ln.Tag, word: lineWord(ln.Touch, ln.Dirty)}
+			c.lines[base+ln.Slot] = lineWord(ln.Tag, ln.Dirty)
+			if c.touch != nil {
+				c.touch[base+ln.Slot] = ln.Touch
+			}
 		}
 		m.resident = len(ms.Lines)
 	}
@@ -301,7 +314,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			lineFactor:   rs.LineFactor,
 			molSize:      cfg.MoleculeSize,
 			byTile:       make([][]*Molecule, tiles),
-			index:        newBlockMap(c.molsByID),
+			index:        newBlockMap(c.lines, c.slotBits, total),
 			rowMiss:      append([]uint64(nil), rs.RowMiss...),
 			window:       stats.Window{},
 			ledger:       rs.Ledger,

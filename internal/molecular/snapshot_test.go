@@ -66,10 +66,10 @@ func TestSnapshotRoundTripRegionTable(t *testing.T) {
 
 // TestSnapshotRoundTripLRUDirect checkpoints an LRU-Direct cache, whose
 // victim choice reads every candidate line's touch timestamp, mid-run.
-// The restore must rebuild each line word exactly — tag, touch, dirty
-// and valid bits — and the restored cache must continue access by
-// access like the uninterrupted one. A touch too wide for the line word
-// is rejected, not truncated.
+// The restore must rebuild each line exactly — its word (tag, dirty and
+// valid bits) and its touch — and the restored cache must continue
+// access by access like the uninterrupted one. A tag too wide for the
+// line size is rejected, not truncated.
 func TestSnapshotRoundTripLRUDirect(t *testing.T) {
 	src := rng.New(1717)
 	refs := make([]trace.Ref, 20000)
@@ -92,18 +92,20 @@ func TestSnapshotRoundTripLRUDirect(t *testing.T) {
 		t.Fatalf("RestoreCache: %v", err)
 	}
 	dirty, touches := 0, map[uint64]bool{}
-	for id, m := range a.molsByID {
-		for slot, ln := range m.lines {
-			if got := b.molsByID[id].lines[slot]; got != ln {
-				t.Fatalf("molecule %d slot %d: restored line %+v, captured %+v", id, slot, got, ln)
-			}
-			if ln.dirty() {
-				dirty++
-			}
-			if ln.valid() {
-				touches[ln.touch()] = true
-			}
+	for i, ln := range a.lines {
+		if got := b.lines[i]; got != ln {
+			t.Fatalf("slab line %d: restored %#x, captured %#x", i, got, ln)
 		}
+		if !ln.valid() {
+			continue // an invalid line's touch is never read
+		}
+		if got := b.touch[i]; got != a.touch[i] {
+			t.Fatalf("slab line %d: restored touch %d, captured %d", i, got, a.touch[i])
+		}
+		if ln.dirty() {
+			dirty++
+		}
+		touches[a.touch[i]] = true
 	}
 	if dirty == 0 || len(touches) < 100 {
 		t.Fatalf("%d dirty lines and %d distinct touches at the cut; the round trip is vacuous", dirty, len(touches))
@@ -119,11 +121,57 @@ func TestSnapshotRoundTripLRUDirect(t *testing.T) {
 
 	for i := range st.Molecules {
 		if len(st.Molecules[i].Lines) > 0 {
-			st.Molecules[i].Lines[0].Touch = maxTouch + 1
+			st.Molecules[i].Lines[0].Tag |= 1 << 58 // same slot, past 64-byte lines' largest block
 			break
 		}
 	}
 	if _, err := RestoreCache(a.Config(), st); err == nil {
-		t.Error("RestoreCache accepted a touch wider than the line word")
+		t.Error("RestoreCache accepted a tag wider than the line size allows")
+	}
+}
+
+// TestSnapshotRestoresRandyTouches restores a Randy checkpoint whose
+// lines carry touch values, as builds that stamped every line with
+// LRU-Direct's timestamp wrote them. Randy never reads a touch, so the
+// restore drops them: the restored cache continues access by access
+// like the uninterrupted one, and its own checkpoints carry none.
+func TestSnapshotRestoresRandyTouches(t *testing.T) {
+	src := rng.New(2021)
+	refs := make([]trace.Ref, 20000)
+	for i := range refs {
+		asid := uint16(1 + src.Intn(2))
+		refs[i] = ref(asid, uint64(asid)<<32|uint64(src.Intn(3000))*64, trace.Kind(src.Intn(2)))
+	}
+	a := MustNew(smallConfig(RandyReplacement))
+	cut := len(refs) / 2
+	for _, r := range refs[:cut] {
+		a.Access(r)
+	}
+	st := a.CaptureState()
+	stamped := 0
+	for i := range st.Molecules {
+		for j := range st.Molecules[i].Lines {
+			ln := &st.Molecules[i].Lines[j]
+			if ln.Touch != 0 {
+				t.Fatalf("molecule %d slot %d: a Randy cache wrote touch %d", i, ln.Slot, ln.Touch)
+			}
+			ln.Touch = uint64(cut - stamped) // a distinct clock reading per line
+			stamped++
+		}
+	}
+	if stamped < 1000 {
+		t.Fatalf("only %d lines resident at the cut; the restore is vacuous", stamped)
+	}
+	b, err := RestoreCache(a.Config(), st)
+	if err != nil {
+		t.Fatalf("RestoreCache: %v", err)
+	}
+	for i, r := range refs[cut:] {
+		if ra, rb := a.Access(r), b.Access(r); ra != rb {
+			t.Fatalf("access %d after restore (%v): uninterrupted %+v, restored %+v", cut+i, r, ra, rb)
+		}
+	}
+	if !reflect.DeepEqual(a.CaptureState(), b.CaptureState()) {
+		t.Error("final states differ between the uninterrupted and the restored cache")
 	}
 }

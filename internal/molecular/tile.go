@@ -10,6 +10,10 @@ type Tile struct {
 	cluster   *Cluster
 	molecules []*Molecule
 	free      []*Molecule // unassigned molecules, LIFO
+	// firstLine and endLine bound the tile's lines in the cache's slab:
+	// its molecules are numbered consecutively, so their lines are one
+	// run.
+	firstLine, endLine int
 }
 
 // ID returns the tile number (global across the cache).
@@ -17,6 +21,10 @@ func (t *Tile) ID() int { return t.id }
 
 // Cluster returns the owning tile cluster.
 func (t *Tile) Cluster() *Cluster { return t.cluster }
+
+// holdsLine reports whether the slab's line pos belongs to one of the
+// tile's molecules (never for pos -1).
+func (t *Tile) holdsLine(pos int) bool { return pos >= t.firstLine && pos < t.endLine }
 
 // takeFree removes and returns one free molecule, or nil when empty.
 func (t *Tile) takeFree() *Molecule {

@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"molcache/internal/addr"
 	"molcache/internal/molecular"
@@ -98,6 +100,66 @@ func TestCollectState(t *testing.T) {
 	empty := obs.Collect(nil, nil, nil)
 	if empty.Accesses != 0 || len(empty.Regions) != 0 {
 		t.Fatalf("nil collect not empty: %+v", empty)
+	}
+}
+
+// TestCollectCopiesOnlyNewDecisions publishes a controller whose ring
+// is full after every few resize passes. Each publish must allocate in
+// proportion to the decisions recorded since the last one — the
+// append-only copy amortizes to two decisions' worth per new decision —
+// not to the 4,096-decision ring, which a copy of the whole log per
+// publish would cost. The published slices stay exactly the ring, and
+// a slice already published is never written again.
+func TestCollectCopiesOnlyNewDecisions(t *testing.T) {
+	c, err := molecular.New(molecular.Config{TotalSize: 512 * addr.KB, Seed: 2006})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := resize.New(c, resize.Config{Trigger: resize.Constant, Period: 1, DefaultGoal: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	step := func(n int) {
+		for end := i + n; i < end; i++ {
+			asid := uint16(1 + i%3)
+			c.Access(trace.Ref{ASID: asid, Addr: uint64(asid)<<36 | uint64(i%997)*64, Kind: trace.Read})
+			ctrl.Tick()
+		}
+	}
+	step(2 * resize.DefaultDecisionLog) // three regions: a decision each per pass
+	first := obs.Collect(nil, ctrl, nil)
+	if len(first.Decisions) != resize.DefaultDecisionLog {
+		t.Fatalf("ring holds %d decisions, want it full (%d)", len(first.Decisions), resize.DefaultDecisionLog)
+	}
+	snapshot := append([]resize.Decision(nil), first.Decisions...)
+
+	const perPublish = 4 // passes, so 12 decisions
+	rounds := 3 * resize.DefaultDecisionLog / (3 * perPublish)
+	var bytes, decisions uint64
+	var ms0, ms1 runtime.MemStats
+	for r := 0; r < rounds; r++ {
+		before := ctrl.DecisionCount()
+		step(perPublish)
+		decisions += ctrl.DecisionCount() - before
+		runtime.ReadMemStats(&ms0)
+		st := obs.Collect(nil, ctrl, nil)
+		runtime.ReadMemStats(&ms1)
+		bytes += ms1.TotalAlloc - ms0.TotalAlloc
+		if len(st.Decisions) != resize.DefaultDecisionLog || st.Decisions[len(st.Decisions)-1].Seq != ctrl.DecisionCount() {
+			t.Fatalf("round %d: published %d decisions ending at seq %d, want the full ring ending at %d",
+				r, len(st.Decisions), st.Decisions[len(st.Decisions)-1].Seq, ctrl.DecisionCount())
+		}
+	}
+	size := uint64(unsafe.Sizeof(resize.Decision{}))
+	perNew := float64(bytes) / float64(decisions)
+	t.Logf("%d publishes of %d new decisions each: %.0f B per new decision (%d B a decision, %d B a ring copy)",
+		rounds, decisions/uint64(rounds), perNew, size, size*resize.DefaultDecisionLog)
+	if perNew > float64(3*size) {
+		t.Errorf("publishing allocated %.0f B per new decision, want at most %d (3 decisions' worth)", perNew, 3*size)
+	}
+	if !reflect.DeepEqual(first.Decisions, snapshot) {
+		t.Error("a published decision slice was written after its publish")
 	}
 }
 

@@ -144,15 +144,12 @@ func (p *Publisher) Latest() *State {
 // corresponding sections come back empty.
 func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registry) *State {
 	s := &State{}
-	var lastByASID map[uint16]*resize.Decision
 	if ctrl != nil {
+		// The controller's log is shared and read-only, and copies only
+		// the decisions recorded since the last publish: a State's
+		// slice is never written after it is published.
 		s.Decisions = ctrl.Decisions()
 		s.DecisionsTotal = ctrl.DecisionCount()
-		lastByASID = make(map[uint16]*resize.Decision, 8)
-		for i := range s.Decisions {
-			d := &s.Decisions[i]
-			lastByASID[d.ASID] = d
-		}
 	}
 	if c != nil {
 		s.Cache = c.Name()
@@ -162,7 +159,9 @@ func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registr
 		s.MissRate = led.Total.MissRate()
 		s.FreeMolecules = c.FreeMolecules()
 		s.RemoteCycles = c.RemoteCycles()
-		for _, r := range c.Regions() {
+		regions := c.Regions()
+		lastByASID := lastResizes(s.Decisions, regions)
+		for _, r := range regions {
 			ri := RegionInfo{
 				ASID:           r.ASID(),
 				HomeTile:       r.HomeTile().ID(),
@@ -200,6 +199,23 @@ func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registr
 	// runs on the sim thread by contract.
 	s.Metrics = reg.Snapshot()
 	return s
+}
+
+// lastResizes returns each region's most recent decision in decs,
+// walking back from the newest only until every region has one.
+func lastResizes(decs []resize.Decision, regions []*molecular.Region) map[uint16]*resize.Decision {
+	last := make(map[uint16]*resize.Decision, len(regions))
+	pending := make(map[uint16]bool, len(regions))
+	for _, r := range regions {
+		pending[r.ASID()] = true
+	}
+	for i := len(decs) - 1; i >= 0 && len(pending) > 0; i-- {
+		if d := &decs[i]; pending[d.ASID] {
+			last[d.ASID] = d
+			delete(pending, d.ASID)
+		}
+	}
+	return last
 }
 
 // sortInts is a dependency-free insertion sort (tile lists are tiny).

@@ -164,16 +164,35 @@ func (c *Controller) record(d Decision) {
 	c.decHead = (c.decHead + 1) % DefaultDecisionLog
 }
 
-// Decisions returns the retained decision log, oldest first, rendering
-// the reasons recorded since the last call.
+// Decisions returns the retained decision log, oldest first. The slice
+// is shared and read-only. A call renders the reasons of the decisions
+// recorded since the last call and copies only those, onto an
+// append-only array whose earlier entries no call writes again, so the
+// slices successive calls return share it, and a caller that reads the
+// log at every publish (obs.Collect) pays for the new decisions, not
+// the ring. When the array is full, the retained decisions move to a
+// fresh one of twice the ring's length; slices already returned keep
+// the old one.
 func (c *Controller) Decisions() []Decision {
-	for i := range c.decs {
-		c.decs[i].render()
+	n := len(c.decs)
+	if n == 0 {
+		return []Decision{}
 	}
-	out := make([]Decision, 0, len(c.decs))
-	out = append(out, c.decs[c.decHead:]...)
-	out = append(out, c.decs[:c.decHead]...)
-	return out
+	fresh := int(min(c.decSeq-c.pubSeq, uint64(n)))
+	if fresh > 0 {
+		if len(c.pub)+fresh > cap(c.pub) {
+			kept := c.pub[len(c.pub)-(n-fresh):]
+			c.pub = append(make([]Decision, 0, 2*n), kept...)
+		}
+		for i := n - fresh; i < n; i++ {
+			d := &c.decs[(c.decHead+i)%n]
+			d.render()
+			c.pub = append(c.pub, *d)
+		}
+		c.pubSeq = c.decSeq
+	}
+	end := len(c.pub)
+	return c.pub[end-n : end : end]
 }
 
 // DecisionCount returns the total number of decisions recorded,

@@ -188,6 +188,12 @@ type Controller struct {
 	decs    []Decision
 	decHead int
 	decSeq  uint64
+	// pub is the append-only array Decisions copies the ring onto, and
+	// pubSeq the Seq of the last decision it holds.
+	//molvet:transient read-side copy of the ring, rebuilt from it by the next Decisions call
+	pub []Decision
+	//molvet:transient read-side cursor over the ring, reset with pub at restore
+	pubSeq uint64
 
 	// regions is the pass's scratch list of the cache's partitions,
 	// reused so a pass allocates nothing.

@@ -2,6 +2,7 @@ package resize
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -58,7 +59,7 @@ func (c *Controller) CaptureState() ControllerState {
 		Period:      c.period,
 		NextAt:      c.nextAt,
 		Cycles:      c.cycles,
-		Decisions:   c.Decisions(),
+		Decisions:   slices.Clone(c.Decisions()), // the log is shared; a checkpoint owns its copy
 		DecisionSeq: c.decSeq,
 	}
 	asids := make([]uint16, 0, len(c.apps))
@@ -135,5 +136,6 @@ func (c *Controller) RestoreState(st ControllerState) error {
 	c.decs = append([]Decision(nil), st.Decisions...)
 	c.decHead = 0
 	c.decSeq = st.DecisionSeq
+	c.pub, c.pubSeq = nil, c.decSeq-uint64(len(c.decs))
 	return nil
 }

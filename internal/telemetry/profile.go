@@ -37,11 +37,6 @@ func (p *ProfileConfig) RegisterFlagsNamed(fs *flag.FlagSet, cpu, mem, trace str
 	fs.StringVar(&p.Trace, trace, "", "write a runtime execution trace to `file`")
 }
 
-// Enabled reports whether any profile output is requested.
-func (p ProfileConfig) Enabled() bool {
-	return p.CPUProfile != "" || p.MemProfile != "" || p.Trace != ""
-}
-
 // Start begins the requested profiles and returns the stop function
 // that finishes them (writing the heap profile, stopping the CPU
 // profile and execution trace, closing files). Stop is safe to call

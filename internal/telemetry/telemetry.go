@@ -185,9 +185,6 @@ func NewTracer(ringSize int) *Tracer {
 	return &Tracer{ring: make([]Event, 0, ringSize)}
 }
 
-// Enabled reports whether the tracer records events (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetSink attaches a sink that receives every subsequent event
 // synchronously. A nil sink detaches.
 func (t *Tracer) SetSink(s Sink) {

@@ -12,9 +12,6 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer reports enabled")
-	}
 	tr.Emit(Event{Kind: KindAccess})
 	tr.Access(1, 2, 3, true, false, 4, 0)
 	tr.Region(KindRegionGrow, 1, 2, 3, 4)

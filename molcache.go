@@ -392,7 +392,8 @@ func (s *Simulator) CheckInvariants() []InvariantViolation {
 
 // Access applies one reference and runs the resize trigger.
 func (s *Simulator) Access(r Ref) AccessResult {
-	res := s.Cache.Access(r)
+	var res AccessResult
+	s.Cache.AccessInto(r, &res)
 	s.Controller.Tick()
 	return res
 }
@@ -402,14 +403,16 @@ func (s *Simulator) Access(r Ref) AccessResult {
 // simulator owns and reuses: the slice is valid until this simulator's
 // next AccessBatch call, which overwrites it, so a caller that keeps
 // results past that call copies them first. Replaying in windows of a
-// fixed size therefore allocates nothing after the first window.
+// fixed size therefore allocates nothing after the first window. Each
+// access writes its result straight into its slot.
 func (s *Simulator) AccessBatch(refs []Ref) []AccessResult {
 	if cap(s.batch) < len(refs) {
 		s.batch = make([]AccessResult, len(refs))
 	}
 	out := s.batch[:len(refs)]
-	for i, r := range refs {
-		out[i] = s.Access(r)
+	for i := range refs {
+		s.Cache.AccessInto(refs[i], &out[i])
+		s.Controller.Tick()
 	}
 	return out
 }

@@ -25,14 +25,8 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# BENCH_OUT receives the access-path benchmark snapshot (ns/op,
-# allocs/op and fast-over-reference speedup per configuration) as
-# telemetry JSON — the machine-readable perf trajectory CI archives.
-BENCH_OUT ?= BENCH_access.json
-
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
-	BENCH_OUT=$(BENCH_OUT) $(GO) test -run '^TestWriteAccessBench$$' -count=1 .
 
 # Stress the serving layer under the race detector: N concurrent
 # clients against a live molcached instance (and a Shutdown cutting in

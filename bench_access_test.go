@@ -4,15 +4,10 @@
 // and the paper's twelve-application mix replayed into the Table 2
 // simulator (BenchmarkAccessMix12), where the tenants interleave
 // reference by reference and resizing runs.
-// TestWriteAccessBench re-runs the hit-stream grid through
-// testing.Benchmark and writes the results as a telemetry snapshot
-// (BENCH_access.json via `make bench`), giving future PRs a
-// machine-readable perf trajectory.
 package molcache_test
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -23,7 +18,6 @@ import (
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
 	"molcache/internal/stats"
-	"molcache/internal/telemetry"
 	"molcache/internal/trace"
 	"molcache/internal/workload"
 )
@@ -321,50 +315,4 @@ func TestAccessBatchZeroAllocs(t *testing.T) {
 	if other := twin.AccessBatch(window[:1]); &other[0] == &long[0] {
 		t.Error("two simulators share one results buffer")
 	}
-}
-
-// TestWriteAccessBench runs the access grid through testing.Benchmark
-// and writes ns/op, allocs/op and the fast-over-reference speedup as a
-// telemetry snapshot to $BENCH_OUT. Skipped unless BENCH_OUT is set:
-// `make bench` (and the CI bench job) set it to BENCH_access.json.
-func TestWriteAccessBench(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set; set it to write the access benchmark snapshot")
-	}
-	reg := telemetry.NewRegistry()
-	for _, policy := range benchPolicies {
-		for _, mols := range []int{16, 64} {
-			for _, lf := range []int{1, 4} {
-				policy, mols, lf := policy, mols, lf
-				run := func(reference bool) testing.BenchmarkResult {
-					return testing.Benchmark(func(b *testing.B) {
-						benchAccessHot(b, policy, mols, lf, reference)
-					})
-				}
-				fast, ref := run(false), run(true)
-				cfg := fmt.Sprintf("%s/mol%d/lf%d", policy, mols, lf)
-				record := func(path string, r testing.BenchmarkResult) float64 {
-					ns := float64(r.T.Nanoseconds()) / float64(r.N)
-					label := fmt.Sprintf("{config=%q,path=%q}", cfg, path)
-					reg.Gauge("molcache_index_bench_ns_per_op" + label).Set(ns)
-					reg.Gauge("molcache_index_bench_allocs_per_op" + label).Set(float64(r.AllocsPerOp()))
-					return ns
-				}
-				fastNs := record("fast", fast)
-				refNs := record("reference", ref)
-				speedup := refNs / fastNs
-				reg.Gauge("molcache_index_bench_speedup" + fmt.Sprintf("{config=%q}", cfg)).Set(speedup)
-				t.Logf("%s: fast %.1f ns/op, reference %.1f ns/op, speedup %.2fx", cfg, fastNs, refNs, speedup)
-			}
-		}
-	}
-	data, err := reg.Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

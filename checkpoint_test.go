@@ -264,10 +264,13 @@ func TestRestoreRefusesSharedBit(t *testing.T) {
 
 // TestRestoreIgnoresDroppedKeys restores a checkpoint carrying the keys
 // of state the simulator no longer keeps — the cache clock, each
-// molecule's hit and access counts, and each application's last miss
-// rate — set to arbitrary values, and continues it next to the
-// uninterrupted run: nothing read those fields, so the continuation is
-// identical access by access and in every state the checkpoint holds.
+// molecule's hit and access counts, each application's last miss rate,
+// each region's own ledger (its ASID's ledger cell holds the same
+// counts), the probe histogram's maximum and the resize config's
+// per-application daemon cost (now a constant) — set to arbitrary values,
+// and continues it next to the uninterrupted run: nothing read those
+// fields, so the continuation is identical access by access and in
+// every state the checkpoint holds.
 func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 	reg := molcache.NewRegistry()
 	sim, rest := ckptSim(t, reg)
@@ -279,7 +282,7 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var molecules, apps int
+	var molecules, regions, apps int
 	for i := range sections {
 		switch sections[i].Name {
 		case "cache":
@@ -290,6 +293,15 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 					m.(map[string]any)["accesses"] = 5 * j
 					molecules++
 				}
+				for j, r := range st["regions"].([]any) {
+					r.(map[string]any)["ledger"] = map[string]any{"Hits": 31 * j, "Misses": 1 << 40}
+					regions++
+				}
+				st["probes"].(map[string]any)["Max"] = 4242
+			})
+		case "config":
+			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
+				st["resize"].(map[string]any)["CostCyclesPerApp"] = 98765
 			})
 		case "resize":
 			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
@@ -301,8 +313,9 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 			})
 		}
 	}
-	if molecules == 0 || apps == 0 {
-		t.Fatalf("checkpoint holds %d molecules and %d applications; the injection is vacuous", molecules, apps)
+	if molecules == 0 || regions == 0 || apps == 0 {
+		t.Fatalf("checkpoint holds %d molecules, %d regions and %d applications; the injection is vacuous",
+			molecules, regions, apps)
 	}
 	data, err = snapshot.Encode(sections)
 	if err != nil {
@@ -327,5 +340,65 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 	}
 	if a, b := reg.Snapshot(), reg2.Snapshot(); !reflect.DeepEqual(a, b) {
 		t.Errorf("registries diverged:\nuninterrupted: %+v\nrestored: %+v", a, b)
+	}
+}
+
+// TestRestoreRefusesOversizedWindows restores checkpoints whose resize
+// windows hold more than the counts they are read from: a region window
+// past its ASID's ledger cell, and the global window past the ledger
+// total. A window is a mark on its count, so neither has a mark to
+// restore, and each restore must fail with a *SnapshotError naming the
+// cache.
+func TestRestoreRefusesOversizedWindows(t *testing.T) {
+	sim, _ := ckptSim(t, molcache.NewRegistry())
+	data, err := sim.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each edit sets one window to its count plus one miss.
+	oneMore := func(hm any) map[string]any {
+		m := hm.(map[string]any)
+		misses, err := m["Misses"].(json.Number).Int64()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]any{"Hits": m["Hits"], "Misses": misses + 1}
+	}
+	for _, tc := range []struct {
+		name, reason string
+		edit         func(st map[string]any)
+	}{
+		{"region", "window", func(st map[string]any) {
+			r := st["regions"].([]any)[0].(map[string]any)
+			for _, a := range st["ledger_apps"].([]any) {
+				if app := a.(map[string]any); app["asid"] == r["asid"] {
+					r["window"] = oneMore(app["hm"])
+				}
+			}
+		}},
+		{"global", "global window", func(st map[string]any) {
+			st["global"] = oneMore(st["ledger_total"])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sections, err := snapshot.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sections {
+				if sections[i].Name == "cache" {
+					sections[i].Payload = editJSON(t, sections[i].Payload, tc.edit)
+				}
+			}
+			edited, err := snapshot.Encode(sections)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = molcache.RestoreSimulatorBytes(edited, nil, molcache.NewRegistry())
+			var se *molcache.SnapshotError
+			if !errors.As(err, &se) || se.Section != "cache" || !strings.Contains(se.Reason, tc.reason) {
+				t.Fatalf("restore of an oversized %s window returned %v, want a *SnapshotError naming cache and the window", tc.name, err)
+			}
+		})
 	}
 }

@@ -17,7 +17,6 @@ package molcache_test
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"molcache"
@@ -167,23 +166,6 @@ func highLines(st molecular.CacheState, asid uint16) int {
 	return n
 }
 
-// stripIndexMetrics removes the molcache_index_* instruments — the only
-// telemetry allowed to differ between the two paths (the oracle never
-// consults the index, so its lookup/hit counters stay zero).
-func stripIndexMetrics(s telemetry.Snapshot) telemetry.Snapshot {
-	for name := range s.Counters {
-		if strings.HasPrefix(name, "molcache_index_") {
-			delete(s.Counters, name)
-		}
-	}
-	for name := range s.Gauges {
-		if strings.HasPrefix(name, "molcache_index_") {
-			delete(s.Gauges, name)
-		}
-	}
-	return s
-}
-
 // TestDifferentialFastPathVsReferenceProbe is the oracle lock: every
 // replacement policy × line factor × fault toggle, 12k accesses each,
 // zero tolerated divergence anywhere the model is observable.
@@ -261,8 +243,8 @@ func TestDifferentialFastPathVsReferenceProbe(t *testing.T) {
 					if f, r := fast.Degradation(), ref.Degradation(); f != r {
 						t.Errorf("degradation stats diverged: fast %+v, reference %+v", f, r)
 					}
-					fs := stripIndexMetrics(fastReg.Snapshot())
-					rs := stripIndexMetrics(refReg.Snapshot())
+					fs := fastReg.Snapshot()
+					rs := refReg.Snapshot()
 					if !reflect.DeepEqual(fs.Counters, rs.Counters) {
 						t.Errorf("telemetry counters diverged:\nfast: %v\nreference: %v", fs.Counters, rs.Counters)
 					}

@@ -173,9 +173,10 @@ func DefaultConfig() Config {
 			"internal/molecular",
 		},
 		HotPathStops: []string{
-			// Sanctioned slow paths off the fast path: structural growth
-			// and degradation may allocate.
-			"Cache.CreateRegion",
+			// Sanctioned slow paths off the fast path: region creation
+			// (auto-admission on first touch), structural growth and
+			// degradation may allocate.
+			"Cache.admit",
 			"Cache.Grow",
 			"Cache.RetireMolecule",
 			"Cache.CorruptLine",

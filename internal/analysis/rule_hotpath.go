@@ -1,7 +1,7 @@
 package analysis
 
 // hotpath-alloc: the access fast path stays allocation-free. The
-// 0 allocs/op numbers behind BENCH_access are a load-bearing property
+// 0 allocs/op numbers of the access benchmarks are a load-bearing property
 // (the differential oracle replays millions of accesses), and they are
 // one innocent fmt.Errorf away from quietly regressing. This rule walks
 // the call-graph closure of the configured HotPathRoots (Cache.Access),

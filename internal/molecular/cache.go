@@ -174,6 +174,11 @@ type Cache struct {
 	lineShift uint
 	nextHome  int // round-robin auto-placement cursor
 
+	// ledger is the one per-access hit/miss record: finish writes its
+	// total and the accessing ASID's cell, and every other hit/miss
+	// count reads it. A region's lifetime counts are its ASID's cell;
+	// global is a mark on the total, and each region's window a mark on
+	// its cell.
 	ledger stats.Ledger
 	global stats.Window
 	probes *stats.Histogram
@@ -257,6 +262,7 @@ func New(cfg Config) (*Cache, error) {
 		probes:      stats.NewHistogram(cfg.MoleculesPerTile()*cfg.TilesPerCluster + 1),
 		src:         rng.New(cfg.Seed ^ 0x5eed),
 	}
+	c.global = stats.NewWindow(&c.ledger.Total)
 	n := int(c.linesPerMol)
 	c.lines = make([]molLine, c.TotalMolecules()*n)
 	if cfg.Policy == LRUDirect {
@@ -345,9 +351,7 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 	ci := opts.HomeCluster
 	ti := opts.HomeTile
 	if ci < 0 || ti < 0 {
-		ci = c.nextHome % len(c.clusters)
-		ti = (c.nextHome / len(c.clusters)) % c.cfg.TilesPerCluster
-		c.nextHome++
+		ci, ti = c.roundRobin()
 	}
 	if ci >= len(c.clusters) || ti >= c.cfg.TilesPerCluster {
 		return nil, fmt.Errorf("molecular: placement (cluster %d, tile %d) out of range", ci, ti)
@@ -363,7 +367,23 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 	if !addr.IsPow2(uint64(lf)) || uint64(lf) > c.linesPerMol {
 		return nil, fmt.Errorf("molecular: bad line factor %d", lf)
 	}
-	home := c.clusters[ci].tiles[ti]
+	return c.admit(asid, c.clusters[ci].tiles[ti], initial, lf), nil
+}
+
+// roundRobin returns the next automatic placement's cluster and tile,
+// always within the geometry.
+func (c *Cache) roundRobin() (ci, ti int) {
+	ci = c.nextHome % len(c.clusters)
+	ti = (c.nextHome / len(c.clusters)) % c.cfg.TilesPerCluster
+	c.nextHome++
+	return ci, ti
+}
+
+// admit creates asid's region on home with the given initial size and
+// line factor: CreateRegion once its checks have passed. Auto-admission
+// on first touch calls it directly, since its round-robin placement and
+// the config's validated defaults pass every one of those checks.
+func (c *Cache) admit(asid uint16, home *Tile, initial, lf int) *Region {
 	r := &Region{
 		asid:       asid,
 		home:       home,
@@ -377,6 +397,7 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 		src:        rng.New(c.cfg.Seed ^ uint64(asid)<<20 ^ 0xbeef),
 	}
 	r.appCell = c.ledger.AppRef(asid)
+	r.window = stats.NewWindow(r.appCell)
 	c.regions.set(asid, r)
 	c.regionList = append(c.regionList, r)
 	sort.Slice(c.regionList, func(i, j int) bool {
@@ -390,7 +411,7 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 	if c.tracer != nil {
 		c.tracer.Region(telemetry.KindRegionCreate, c.addresses, asid, r.count, r.count)
 	}
-	return r, nil
+	return r
 }
 
 // growSpread performs the initial allocation, spreading molecules
@@ -594,14 +615,8 @@ func (c *Cache) AccessInto(ref trace.Ref, res *engine.Result) {
 	}
 	r := c.regions.get(ref.ASID)
 	if r == nil {
-		var err error
-		r, err = c.CreateRegion(ref.ASID, RegionOptions{HomeCluster: -1, HomeTile: -1})
-		if err != nil {
-			// Auto-admit can fail once degradation has exhausted the
-			// placement space; serve the access uncached instead of dying.
-			c.bypassMiss(nil, ref, res)
-			return
-		}
+		ci, ti := c.roundRobin()
+		r = c.admit(ref.ASID, c.clusters[ci].tiles[ti], c.cfg.InitialMolecules, c.cfg.LineFactor)
 	}
 	block := ref.Addr >> c.lineShift
 	write := kindIsWrite(ref.Kind)
@@ -670,9 +685,6 @@ func (c *Cache) hitLine(pos int, write bool) {
 // are per-traversal effects), but no molecule is scanned.
 func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
 	pos := r.index.get(block) // -1 on a miss, which no tile holds
-	if c.ins != nil {
-		c.ins.indexLookups.Inc()
-	}
 
 	// Stage 1: home tile.
 	res.TagProbes = len(r.byTile[r.home.id])
@@ -680,9 +692,6 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 		c.hitLine(pos, write)
 		res.Hit = true
 		res.DataReads = 1
-		if c.ins != nil {
-			c.ins.indexHits.Inc()
-		}
 		return false
 	}
 
@@ -706,9 +715,6 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.DataReads = 1
-			if c.ins != nil {
-				c.ins.indexHits.Inc()
-			}
 			return false
 		}
 	}
@@ -802,23 +808,17 @@ func (c *Cache) invalidateCompanions(r *Region, victim *Molecule, block uint64) 
 	}
 }
 
-// finish records ledgers, windows and probe accounting for one access,
-// and — when telemetry is attached — the counters and the access event.
-// r may be nil for an access bypassed before any region existed (the
-// auto-admit failure path); cache-wide accounting still happens.
+// finish records one access: its outcome in the ledger, the region's
+// occupancy and the probe histogram, and — when telemetry is attached —
+// the counters and the access event. The ledger's total and the ASID's
+// cell are the only hit/miss counts an access writes; the region's
+// lifetime counts and the resize windows read them.
 func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
-	c.global.Record(res.Hit)
-	if r != nil {
-		// r.appCell is r's cell in c.ledger, cached at region creation —
-		// this is c.ledger.Record(ref.ASID, …) without the map lookup.
-		c.ledger.Total.Record(res.Hit)
-		r.appCell.Record(res.Hit)
-		r.window.Record(res.Hit)
-		r.ledger.Record(res.Hit)
-		r.occupancySum += uint64(r.count)
-	} else {
-		c.ledger.Record(ref.ASID, res.Hit)
-	}
+	// r.appCell is r's cell in c.ledger, cached at region creation —
+	// this is c.ledger.Record(ref.ASID, …) without the lookup.
+	c.ledger.Total.Record(res.Hit)
+	r.appCell.Record(res.Hit)
+	r.occupancySum += uint64(r.count)
 	c.probes.Observe(uint64(res.TagProbes))
 	if c.ins != nil {
 		// Modelled service time: the L2-hit latency as the base, the
@@ -830,9 +830,7 @@ func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 		}
 		c.ins.serviceHist.Observe(svc)
 		c.ins.probeHist.Observe(float64(res.TagProbes))
-		if r != nil {
-			r.svcHist.Observe(svc)
-		}
+		r.svcHist.Observe(svc)
 		if res.Hit {
 			c.ins.hits.Inc()
 		} else {

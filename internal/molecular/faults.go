@@ -261,12 +261,11 @@ func (c *Cache) ulmoTraverse(asid uint16) (reachable bool) {
 }
 
 // bypassMiss serves an access from memory without installing the line —
-// the degradation path for a region with no molecules left, for a
+// the degradation path for a region with no molecules left, or for a
 // lookup whose contributing tiles never answered (filling then could
-// duplicate a line still resident remotely), or — with r nil — for an
-// access whose region could not even be auto-admitted. All bypasses
-// flow through finish, so ledger, probe-histogram and telemetry
-// accounting is uniform with cached accesses.
+// duplicate a line still resident remotely). All bypasses flow through
+// finish, so ledger, probe-histogram and telemetry accounting is
+// uniform with cached accesses.
 func (c *Cache) bypassMiss(r *Region, ref trace.Ref, res *engine.Result) {
 	c.deg.UncachedBypasses++
 	if c.ins != nil {

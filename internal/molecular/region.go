@@ -53,14 +53,15 @@ type Region struct {
 	// (Randy's placement signal).
 	rowMiss []uint64
 
-	// window feeds the resize controller's periodic miss-rate reads.
-	window stats.Window
-	// lifetime counts for reporting.
-	ledger stats.HitMiss
 	// appCell is this ASID's cell in the cache-wide ledger
 	// (stats.Ledger.AppRef), cached at creation so the access path
-	// records per-application counts without a map lookup.
+	// records per-application counts without a lookup. It is the
+	// region's lifetime count: the region exists before its ASID's
+	// first access, and nothing else writes the cell.
 	appCell *stats.HitMiss
+	// window feeds the resize controller's periodic miss-rate reads: a
+	// mark on appCell.
+	window stats.Window
 
 	// occupancySum accumulates the molecule count at every access so
 	// HPM can use the time-weighted average partition size.
@@ -133,13 +134,14 @@ func (r *Region) RowMissCounts() []uint64 {
 // Window exposes the resize controller's miss-rate window.
 func (r *Region) Window() *stats.Window { return &r.window }
 
-// Ledger returns the region's lifetime hit/miss counts.
-func (r *Region) Ledger() stats.HitMiss { return r.ledger }
+// Ledger returns the region's lifetime hit/miss counts: its ASID's cell
+// of the cache's ledger.
+func (r *Region) Ledger() stats.HitMiss { return *r.appCell }
 
 // AverageMolecules returns the time-weighted average partition size, the
 // denominator of the HPM metric.
 func (r *Region) AverageMolecules() float64 {
-	n := r.ledger.Accesses()
+	n := r.appCell.Accesses()
 	if n == 0 {
 		return float64(r.count)
 	}

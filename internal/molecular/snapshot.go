@@ -65,6 +65,8 @@ type MolState struct {
 // RegionSnap is one region's serialized state. Policy, line size and
 // molecule size are config-derived and not repeated here; LineFactor is
 // kept because CreateRegion can override the config default per region.
+// The region's lifetime counts are its ASID's entry in LedgerApps, and
+// Window holds the counts since the resize controller last rolled it.
 type RegionSnap struct {
 	ASID         uint16        `json:"asid"`
 	HomeTile     int           `json:"home_tile"`
@@ -72,7 +74,6 @@ type RegionSnap struct {
 	Rows         [][]int       `json:"rows"`
 	RowMiss      []uint64      `json:"row_miss"`
 	Window       stats.HitMiss `json:"window"`
-	Ledger       stats.HitMiss `json:"ledger"`
 	OccupancySum uint64        `json:"occupancy_sum"`
 	RNG          [4]uint64     `json:"rng"`
 }
@@ -116,7 +117,6 @@ func (c *Cache) CaptureState() CacheState {
 			Buckets: append([]uint64(nil), c.probes.Buckets...),
 			Count:   c.probes.Count,
 			Sum:     c.probes.Sum,
-			Max:     c.probes.Max,
 		},
 		Global:      c.global.Snapshot(),
 		LedgerTotal: c.ledger.Total,
@@ -163,7 +163,6 @@ func (c *Cache) CaptureState() CacheState {
 			Rows:         r.RowMolecules(),
 			RowMiss:      r.RowMissCounts(),
 			Window:       r.window.Snapshot(),
-			Ledger:       r.ledger,
 			OccupancySum: r.occupancySum,
 			RNG:          r.src.State(),
 		}
@@ -316,12 +315,9 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			byTile:       make([][]*Molecule, tiles),
 			index:        newBlockMap(c.lines, c.slotBits, total),
 			rowMiss:      append([]uint64(nil), rs.RowMiss...),
-			window:       stats.Window{},
-			ledger:       rs.Ledger,
 			occupancySum: rs.OccupancySum,
 			src:          rng.New(cfg.Seed ^ uint64(rs.ASID)<<20 ^ 0xbeef),
 		}
-		r.window.Restore(rs.Window)
 		if err := r.src.SetState(rs.RNG); err != nil {
 			return nil, fmt.Errorf("molecular: restore: region %d: %w", rs.ASID, err)
 		}
@@ -395,8 +391,6 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	copy(c.probes.Buckets, st.Probes.Buckets)
 	c.probes.Count = st.Probes.Count
 	c.probes.Sum = st.Probes.Sum
-	c.probes.Max = st.Probes.Max
-	c.global.Restore(st.Global)
 	c.ledger.Total = st.LedgerTotal
 	prevASID := -1
 	for _, app := range st.LedgerApps {
@@ -406,11 +400,18 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 		prevASID = int(app.ASID)
 		c.ledger.SetApp(app.ASID, app.HM)
 	}
-	// Re-bind the per-region ledger cells now that the ledger is final
-	// (SetApp reuses the cells AppRef handed out above, so this is a
-	// no-op safety net rather than a correctness requirement).
-	for _, r := range c.regionList {
-		r.appCell = c.ledger.AppRef(r.asid)
+	// The windows are marks on the restored ledger (SetApp kept the
+	// cells AppRef handed the regions above), and each must fit in the
+	// count it reads.
+	if err := c.global.Restore(st.Global); err != nil {
+		return nil, fmt.Errorf("molecular: restore: global window: %w", err)
+	}
+	for i := range st.Regions {
+		r := c.regions.get(st.Regions[i].ASID)
+		r.window = stats.NewWindow(r.appCell)
+		if err := r.window.Restore(st.Regions[i].Window); err != nil {
+			return nil, fmt.Errorf("molecular: restore: region %d window: %w", r.asid, err)
+		}
 	}
 
 	// The deep gate: the full structural audit before the cache is

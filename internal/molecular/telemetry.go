@@ -30,11 +30,6 @@ type instruments struct {
 	nocAbandoned     *telemetry.Counter
 	bypasses         *telemetry.Counter
 
-	// Fast-path block-index counters (only ticked on the index path, so
-	// a reference-probe cache reports zero for both).
-	indexLookups *telemetry.Counter
-	indexHits    *telemetry.Counter
-
 	// Distribution instruments: tag probes per access and the modelled
 	// access service time (hit/miss base latency plus NoC transit).
 	probeHist   *telemetry.Histogram
@@ -78,9 +73,6 @@ func (c *Cache) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) {
 		nocAbandoned:     reg.Counter("molcache_fault_noc_abandoned_lookups_total"),
 		bypasses:         reg.Counter("molcache_fault_uncached_bypasses_total"),
 
-		indexLookups: reg.Counter("molcache_index_lookups_total"),
-		indexHits:    reg.Counter("molcache_index_hits_total"),
-
 		probeHist:   reg.Histogram("molcache_molecular_probe_count", probeCountBounds),
 		serviceHist: reg.Histogram("molcache_access_service_cycles", nil),
 	}
@@ -122,7 +114,7 @@ func (c *Cache) registerRegionGauges(r *Region) {
 	}
 	label := `{asid="` + strconv.Itoa(int(r.asid)) + `"}`
 	c.reg.RegisterGaugeFunc("molcache_region_miss_rate"+label,
-		func() float64 { return r.ledger.MissRate() })
+		func() float64 { return r.appCell.MissRate() })
 	c.reg.RegisterGaugeFunc("molcache_region_molecules"+label,
 		func() float64 { return float64(r.count) })
 	r.svcHist = c.reg.Histogram("molcache_access_service_cycles"+label, nil)

@@ -69,9 +69,6 @@ type Config struct {
 	// (defaults 1000 and 100000). The cap bounds how long a phase
 	// change can go unnoticed after a quiet stretch.
 	MinPeriod, MaxPeriod uint64
-	// CostCyclesPerApp models the daemon's compute cost (default 1500,
-	// the paper's measured figure).
-	CostCyclesPerApp uint64
 	// DebugCheck audits the cache's structural invariants (including the
 	// fast-path block index) after every resize pass. The controller
 	// panics on a violation — resize passes mutate the replacement view
@@ -95,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPeriod == 0 {
 		c.MaxPeriod = 100000
-	}
-	if c.CostCyclesPerApp == 0 {
-		c.CostCyclesPerApp = 1500
 	}
 	return c
 }
@@ -172,6 +166,10 @@ type appState struct {
 	period        uint64 // per-app trigger only
 	nextAt        uint64 // per-app trigger only (in app-local accesses)
 }
+
+// costCyclesPerApp is the daemon's modelled compute cost for one
+// partition's resize decision: 1500 cycles, the paper's measured figure.
+const costCyclesPerApp = 1500
 
 // Controller drives periodic resizing of a molecular cache.
 type Controller struct {
@@ -389,7 +387,7 @@ func (c *Controller) globalGoal() float64 {
 // resizeOne applies Algorithm 1 to one partition and returns the windowed
 // miss rate it used.
 func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
-	c.cycles += c.cfg.CostCyclesPerApp
+	c.cycles += costCyclesPerApp
 	w := r.Window().Roll()
 	goal := c.Goal(r.ASID())
 	miss := w.MissRate()

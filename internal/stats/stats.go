@@ -1,7 +1,7 @@
 // Package stats provides the counters and aggregations every cache model
 // in the repository reports through: hit/miss ledgers (global and
-// per-ASID), sliding miss-rate windows for the resize controller and
-// simple histograms.
+// per-ASID), the periodic windows the resize controller reads off them,
+// and simple histograms.
 package stats
 
 import (
@@ -75,9 +75,9 @@ func (l *Ledger) Record(asid uint16, hit bool) {
 }
 
 // AppRef returns the stable counter cell for one ASID, creating it if
-// needed. The pointer stays valid until Reset; hot paths cache it so a
-// per-access Record needs no lookup at all (the caller must still bump
-// Total itself).
+// needed. The pointer stays valid for the ledger's lifetime; hot paths
+// cache it so a per-access Record needs no lookup at all (the caller
+// must still bump Total itself).
 func (l *Ledger) AppRef(asid uint16) *HitMiss {
 	if int(asid) < len(l.dense) && l.dense[asid] != nil {
 		return l.dense[asid]
@@ -144,13 +144,6 @@ func (l *Ledger) ASIDs() []uint16 {
 	return ids
 }
 
-// Reset clears all counters.
-func (l *Ledger) Reset() {
-	l.Total = HitMiss{}
-	l.dense = nil
-	l.overflow = nil
-}
-
 // SetApp overwrites the counters for one ASID, creating the cell if
 // needed. Restore paths use it to rebuild a ledger from a checkpoint;
 // the returned pointer is the same stable cell AppRef would hand out.
@@ -160,29 +153,42 @@ func (l *Ledger) SetApp(asid uint16, hm HitMiss) *HitMiss {
 	return cell
 }
 
-// Window is a resettable hit/miss counter used for periodic miss-rate
-// sampling (the resize controller reads and resets one per partition and
-// one global window every resize period).
+// Window reads a running hit/miss count, recorded elsewhere, in
+// periods: it keeps the count at its last Roll (the mark), so reading
+// the window subtracts and rolling moves the mark. The resize
+// controller reads and rolls one per partition, over the partition's
+// ledger cell, and one over the ledger total, every resize period.
 type Window struct {
-	cur HitMiss
+	count *HitMiss
+	mark  HitMiss
 }
 
-// Record adds one access to the current window.
-func (w *Window) Record(hit bool) { w.cur.Record(hit) }
+// NewWindow returns an empty window over count.
+func NewWindow(count *HitMiss) Window { return Window{count: count, mark: *count} }
 
-// Snapshot returns the counters accumulated since the last Roll.
-func (w *Window) Snapshot() HitMiss { return w.cur }
+// Snapshot returns the counts recorded since the last Roll.
+func (w *Window) Snapshot() HitMiss {
+	return HitMiss{Hits: w.count.Hits - w.mark.Hits, Misses: w.count.Misses - w.mark.Misses}
+}
 
-// Roll returns the accumulated counters and starts a fresh window.
+// Roll returns the counts recorded since the last Roll and starts a
+// fresh window.
 func (w *Window) Roll() HitMiss {
-	out := w.cur
-	w.cur = HitMiss{}
+	out := w.Snapshot()
+	w.mark = *w.count
 	return out
 }
 
-// Restore overwrites the current window with previously captured
-// counters (checkpoint restore).
-func (w *Window) Restore(hm HitMiss) { w.cur = hm }
+// Restore makes the window hold hm, counts a checkpoint captured since
+// the last Roll, by setting the mark hm below the running count. It
+// refuses an hm the count does not contain.
+func (w *Window) Restore(hm HitMiss) error {
+	if hm.Hits > w.count.Hits || hm.Misses > w.count.Misses {
+		return fmt.Errorf("stats: window %v exceeds its count %v", hm, *w.count)
+	}
+	w.mark = HitMiss{Hits: w.count.Hits - hm.Hits, Misses: w.count.Misses - hm.Misses}
+	return nil
+}
 
 // Histogram is a fixed-bucket counter for small non-negative integers
 // (e.g. probes per access). Values beyond the last bucket land in it.
@@ -190,7 +196,6 @@ type Histogram struct {
 	Buckets []uint64
 	Count   uint64
 	Sum     uint64
-	Max     uint64
 }
 
 // NewHistogram returns a histogram with n buckets for values 0..n-1;
@@ -208,9 +213,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.Buckets[i]++
 	h.Count++
 	h.Sum += v
-	if v > h.Max {
-		h.Max = v
-	}
 }
 
 // Mean returns the average observed value.

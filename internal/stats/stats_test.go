@@ -46,10 +46,6 @@ func TestLedgerPerApp(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Errorf("ASIDs = %v, want [1 2]", ids)
 	}
-	l.Reset()
-	if l.Total.Accesses() != 0 || len(l.ASIDs()) != 0 {
-		t.Error("Reset did not clear the ledger")
-	}
 }
 
 // Property: over ASIDs drawn from the whole uint16 range (half of them
@@ -123,9 +119,10 @@ func TestAppRefStable(t *testing.T) {
 }
 
 func TestWindowRoll(t *testing.T) {
-	var w Window
-	w.Record(true)
-	w.Record(false)
+	var count HitMiss
+	w := NewWindow(&count)
+	count.Record(true)
+	count.Record(false)
 	got := w.Roll()
 	if got.Hits != 1 || got.Misses != 1 {
 		t.Errorf("Roll = %+v", got)
@@ -133,9 +130,35 @@ func TestWindowRoll(t *testing.T) {
 	if w.Snapshot().Accesses() != 0 {
 		t.Error("window not cleared after Roll")
 	}
-	w.Record(false)
+	count.Record(false)
 	if w.Snapshot().Misses != 1 {
 		t.Error("window did not accumulate after Roll")
+	}
+}
+
+// A window over a count already running starts empty; Restore sets
+// the mark so the window holds the given counts, and refuses counts
+// the running count does not contain.
+func TestWindowRestore(t *testing.T) {
+	count := HitMiss{Hits: 5, Misses: 3}
+	w := NewWindow(&count)
+	if got := w.Snapshot(); got != (HitMiss{}) {
+		t.Fatalf("new window = %+v, want empty", got)
+	}
+	if err := w.Restore(HitMiss{Hits: 2, Misses: 3}); err != nil {
+		t.Fatal(err)
+	}
+	count.Record(true)
+	if got := w.Roll(); got != (HitMiss{Hits: 3, Misses: 3}) {
+		t.Errorf("Roll after Restore = %+v, want hits=3 misses=3", got)
+	}
+	for _, hm := range []HitMiss{{Hits: 7}, {Misses: 4}} {
+		if err := w.Restore(hm); err == nil {
+			t.Errorf("Restore(%+v) over %+v succeeded", hm, count)
+		}
+	}
+	if got := w.Snapshot(); got != (HitMiss{}) {
+		t.Errorf("a refused Restore moved the mark: window = %+v", got)
 	}
 }
 
@@ -147,8 +170,8 @@ func TestHistogram(t *testing.T) {
 	if h.Buckets[0] != 1 || h.Buckets[1] != 2 || h.Buckets[2] != 1 || h.Buckets[3] != 1 {
 		t.Errorf("Buckets = %v", h.Buckets)
 	}
-	if h.Count != 5 || h.Sum != 13 || h.Max != 9 {
-		t.Errorf("Count/Sum/Max = %d/%d/%d", h.Count, h.Sum, h.Max)
+	if h.Count != 5 || h.Sum != 13 {
+		t.Errorf("Count/Sum = %d/%d", h.Count, h.Sum)
 	}
 	if got := h.Mean(); math.Abs(got-13.0/5) > 1e-12 {
 		t.Errorf("Mean = %v", got)

@@ -158,12 +158,6 @@ func (r *Registry) AtomicSnapshot() Snapshot {
 	return s
 }
 
-// JSON serializes the snapshot (stable field order via sorted map keys,
-// courtesy of encoding/json).
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // formatFloat renders a float the way Prometheus text format expects,
 // round-trippable through strconv.ParseFloat.
 func formatFloat(v float64) string {

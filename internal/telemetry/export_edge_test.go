@@ -101,7 +101,7 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	reg.Histogram(`molcache_access_service_cycles{asid="1"}`, nil).Observe(212)
 	snap := reg.Snapshot()
 
-	data, err := snap.JSON()
+	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

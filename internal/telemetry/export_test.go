@@ -26,7 +26,7 @@ func populated() *Registry {
 
 func TestJSONRoundTrip(t *testing.T) {
 	snap := populated().Snapshot()
-	data, err := snap.JSON()
+	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

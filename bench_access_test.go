@@ -196,12 +196,16 @@ func BenchmarkAccessMix12(b *testing.B) {
 
 // TestAccessHotPathZeroAllocs pins the allocation-elimination claim
 // deterministically (benchmarks only report; this fails the build):
-// a steady-state hit allocates nothing, on either path — for one
-// warmed tenant, and for two hit in alternation, one of them at an
-// ASID past the region table's dense bound.
+// a steady-state hit allocates nothing, on either path and with a
+// metrics registry attached — for one warmed tenant, and for two hit in
+// alternation, one of them at an ASID past the region table's dense
+// bound.
 func TestAccessHotPathZeroAllocs(t *testing.T) {
-	for _, reference := range []bool{false, true} {
-		c, refs := hotCache(t, molecular.RandyReplacement, 64, 1, reference)
+	for _, tc := range []struct{ reference, metrics bool }{{false, false}, {true, false}, {false, true}} {
+		c, refs := hotCache(t, molecular.RandyReplacement, 64, 1, tc.reference)
+		if tc.metrics {
+			c.AttachTelemetry(nil, molcache.NewRegistry())
+		}
 		hitsBefore := c.Ledger().Total.Hits
 		i := 0
 		allocs := testing.AllocsPerRun(1000, func() {
@@ -209,10 +213,10 @@ func TestAccessHotPathZeroAllocs(t *testing.T) {
 			i++
 		})
 		if allocs != 0 {
-			t.Errorf("reference=%v: %v allocs per hit, want 0", reference, allocs)
+			t.Errorf("%+v: %v allocs per hit, want 0", tc, allocs)
 		}
 		if c.Ledger().Total.Hits == hitsBefore {
-			t.Errorf("reference=%v: warmed stream did not hit; the property is vacuous", reference)
+			t.Errorf("%+v: warmed stream did not hit; the property is vacuous", tc)
 		}
 	}
 

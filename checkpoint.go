@@ -201,8 +201,9 @@ func RestoreSimulatorBytes(data []byte, tr *Tracer, reg *Registry) (*Simulator, 
 		}
 	}
 
-	// Telemetry: re-attach first so gauge funcs and per-region
-	// instruments exist, then pour the snapshot's values back in.
+	// Telemetry: re-attach first so the funcs and per-region
+	// instruments exist, then pour the snapshot's values back into the
+	// instruments (LoadSnapshot ignores every name the registry lacks).
 	sim.AttachTelemetry(tr, reg)
 	if reg != nil {
 		if payload, err := snapshot.Find(sections, sectionTelemetry); err == nil {

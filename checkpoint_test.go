@@ -266,11 +266,13 @@ func TestRestoreRefusesSharedBit(t *testing.T) {
 // of state the simulator no longer keeps — the cache clock, each
 // molecule's hit and access counts, each application's last miss rate,
 // each region's own ledger (its ASID's ledger cell holds the same
-// counts), the probe histogram's maximum and the resize config's
-// per-application daemon cost (now a constant) — set to arbitrary values,
-// and continues it next to the uninterrupted run: nothing read those
-// fields, so the continuation is identical access by access and in
-// every state the checkpoint holds.
+// counts), the probe histogram's maximum, the resize config's
+// per-application daemon cost (now a constant), the deleted
+// molcache_index_* counters and the counters the registry now reads from
+// the cache — set to arbitrary values, and continues it next to the
+// uninterrupted run: nothing read those fields, so the continuation is
+// identical access by access, in every state the checkpoint holds and
+// in the registry, where no deleted metric comes back.
 func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 	reg := molcache.NewRegistry()
 	sim, rest := ckptSim(t, reg)
@@ -302,6 +304,15 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 		case "config":
 			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
 				st["resize"].(map[string]any)["CostCyclesPerApp"] = 98765
+			})
+		case "telemetry":
+			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
+				counters := st["counters"].(map[string]any)
+				counters["molcache_index_lookups_total"] = 45418
+				counters["molcache_index_hits_total"] = 100000
+				counters["molcache_molecular_hits_total"] = 1 << 40
+				counters["molcache_fault_uncached_bypasses_total"] = 12
+				st["gauges"].(map[string]any)["molcache_fault_retired_molecules"] = 3
 			})
 		case "resize":
 			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
@@ -338,8 +349,12 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 	if !reflect.DeepEqual(sim.Controller.CaptureState(), sim2.Controller.CaptureState()) {
 		t.Error("controller states diverged")
 	}
-	if a, b := reg.Snapshot(), reg2.Snapshot(); !reflect.DeepEqual(a, b) {
+	a, b := reg.Snapshot(), reg2.Snapshot()
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("registries diverged:\nuninterrupted: %+v\nrestored: %+v", a, b)
+	}
+	if _, ok := b.Counters["molcache_index_lookups_total"]; ok {
+		t.Error("restored registry publishes the deleted molcache_index_lookups_total")
 	}
 }
 

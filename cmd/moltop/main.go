@@ -173,13 +173,20 @@ func render(client *http.Client, base string) (string, error) {
 	if v, ok := snap.Gauges["molcache_molecular_avg_probes_per_access"]; ok {
 		m.AddRow("molcache_molecular_avg_probes_per_access", fmt.Sprintf("%.3f", v))
 	}
-	for _, k := range []string{
-		"molcache_molecular_probe_count",
-		"molcache_access_service_cycles",
-	} {
-		if h, ok := snap.Histograms[k]; ok && h.Count > 0 {
-			m.AddRow(k+" (mean)", fmt.Sprintf("%.2f over %d", h.Sum/float64(h.Count), h.Count))
+	if h, ok := snap.Histograms["molcache_molecular_probe_count"]; ok && h.Count > 0 {
+		m.AddRow("molcache_molecular_probe_count (mean)", fmt.Sprintf("%.2f over %d", h.Sum/float64(h.Count), h.Count))
+	}
+	// Service time is kept per region; the cache-wide mean sums them.
+	var svcSum float64
+	var svcCount uint64
+	for k, h := range snap.Histograms {
+		if strings.HasPrefix(k, "molcache_access_service_cycles{") {
+			svcSum += h.Sum
+			svcCount += h.Count
 		}
+	}
+	if svcCount > 0 {
+		m.AddRow("molcache_access_service_cycles (mean)", fmt.Sprintf("%.2f over %d", svcSum/float64(svcCount), svcCount))
 	}
 	b.WriteString(m.String())
 	return b.String(), nil

@@ -8,7 +8,7 @@ import (
 )
 
 // telemetryNamesRule pins metric names to grep-able literals. Every
-// name handed to Registry.Counter/Gauge/Histogram/RegisterGaugeFunc
+// name handed to Registry.Counter/Gauge/Histogram or to a Register*Func
 // must either be a constant matching the project namespaces
 // (molcache_*, runner_*, resize_*, obs_*, with an optional {label}
 // block) or a concatenation whose leftmost operand is such a
@@ -29,7 +29,8 @@ func (telemetryNamesRule) Doc() string {
 // registryMethods are the Registry entry points whose first argument is
 // a metric name.
 var registryMethods = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true, "RegisterGaugeFunc": true,
+	"Counter": true, "Gauge": true, "Histogram": true,
+	"RegisterGaugeFunc": true, "RegisterCounterFunc": true, "RegisterHistogramFunc": true,
 }
 
 // fullNameRE matches a complete metric name: namespace prefix,

@@ -1,9 +1,11 @@
 // Package obs is a molvet fixture seeded with the failure shapes the
 // observability plane makes tempting: stamping an ASID into a counter
 // name with fmt.Sprintf (one telemetry-names finding), registering a
-// gauge under a name outside the project namespaces (a second), and
+// gauge under a name outside the project namespaces (a second),
 // registering a histogram whose name is assembled dynamically with no
-// literal head (a third). Its import path ends in internal/obs, so the
+// literal head (a third), and the same mistakes through the func
+// registrations: a counter func outside the namespaces (a fourth) and a
+// histogram func named with fmt.Sprintf (a fifth). Its import path ends in internal/obs, so the
 // suffix-matched scoping treats it exactly like the real package — which
 // also means the goroutine below must NOT be diagnosed: internal/obs is
 // on the concurrency allow-list. The literal-name counter and histogram
@@ -34,6 +36,18 @@ func GaugeOffNamespace(reg *telemetry.Registry) {
 // "obs_" head that names no metric (telemetry-names).
 func RegisterDynamic(reg *telemetry.Registry, which string) {
 	reg.Histogram("obs_"+which+"_latency_seconds", nil).Observe(1)
+}
+
+// CountOffNamespace registers a counter func outside the project
+// namespaces (telemetry-names).
+func CountOffNamespace(reg *telemetry.Registry, n *uint64) {
+	reg.RegisterCounterFunc("collectCount", func() uint64 { return *n })
+}
+
+// HistogramPerApp stamps the ASID into a histogram func's name with
+// fmt.Sprintf (telemetry-names).
+func HistogramPerApp(reg *telemetry.Registry, asid uint16, fn func() telemetry.HistogramSnapshot) {
+	reg.RegisterHistogramFunc(fmt.Sprintf("obs_probe_count_%d", asid), fn)
 }
 
 // Broadcast starts a goroutine — allowed here: internal/obs is on the

@@ -10,6 +10,7 @@ import (
 	"molcache/internal/addr"
 	"molcache/internal/engine"
 	"molcache/internal/stats"
+	"molcache/internal/telemetry"
 	"molcache/internal/trace"
 )
 
@@ -81,9 +82,9 @@ type Cache struct {
 	clock   uint64   // advances once per access
 	ledger  stats.Ledger
 
-	// ins holds the telemetry instruments (nil by default: the access
-	// path pays one pointer check when metrics are off).
-	ins *cacheInstruments
+	// writebacks is the attached registry's writeback counter (nil, a
+	// no-op, by default); the ledger holds every other count it exports.
+	writebacks *telemetry.Counter
 }
 
 var _ engine.Cache = (*Cache)(nil)
@@ -142,9 +143,6 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 			stamps[w] = c.clock
 			c.ledger.Total.Hits++
 			c.ledger.AppRef(r.ASID).Hits++
-			if c.ins != nil {
-				c.ins.record(true, c.ways, false)
-			}
 			res.Hit = true
 			return res
 		}
@@ -164,15 +162,13 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 		res.LinesEvicted = 1
 		if set[way].dirty {
 			res.Writebacks = 1
+			c.writebacks.Inc()
 		}
 	}
 	stamps[way] = c.clock
 	set[way] = line{tag: tag, valid: true, dirty: write}
 	c.ledger.Total.Misses++
 	c.ledger.AppRef(r.ASID).Misses++
-	if c.ins != nil {
-		c.ins.record(false, c.ways, res.Writebacks == 1)
-	}
 	return res
 }
 

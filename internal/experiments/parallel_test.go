@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,7 +95,9 @@ func TestFigure5JobsIdentical(t *testing.T) {
 
 // TestSweepProgressAndMetrics: the runner's observability hooks fire from
 // the experiment layer — the runner_* counters account for every grid
-// point and the throughput gauge has a value.
+// point and the throughput gauge has a value — and no grid point's
+// simulation metrics land in the shared registry, where unlike
+// configurations would sum and the last to register would speak for all.
 func TestSweepProgressAndMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	opt := smallSweep(2)
@@ -110,6 +113,9 @@ func TestSweepProgressAndMetrics(t *testing.T) {
 	}
 	if got := reg.Gauge("runner_jobs_per_second").Value(); got <= 0 {
 		t.Errorf("runner_jobs_per_second = %v after %d points, want > 0", got, len(rows))
+	}
+	if text := reg.Snapshot().PrometheusString(); strings.Contains(text, "molcache_") {
+		t.Errorf("sweep registry holds simulation metrics:\n%s", text)
 	}
 }
 

@@ -37,9 +37,10 @@ type SweepOptions struct {
 	// identical at any worker count: every point replays the same
 	// immutable captured trace and rows come back in grid order.
 	Jobs int
-	// Tracer and Registry, when set, observe the scheduler and accumulate
-	// the simulation counters across every swept combination (the gauges
-	// reflect whichever point registered last).
+	// Tracer and Registry, when set, observe the scheduler: job events
+	// and the runner_* metrics. No grid point attaches its simulation
+	// metrics, since one registry cannot tell unlike configurations
+	// apart.
 	Tracer   *telemetry.Tracer
 	Registry *telemetry.Registry
 }
@@ -169,10 +170,6 @@ func sweepOne(ctx context.Context, pt SweepRow, goals map[uint16]float64,
 	ctrl, err := resize.New(mc, resize.Config{Goals: goals})
 	if err != nil {
 		return nil, err
-	}
-	if opt.Registry != nil {
-		mc.AttachTelemetry(nil, opt.Registry)
-		ctrl.AttachTelemetry(nil, opt.Registry)
 	}
 	for i, r := range refs {
 		if i&0x3fff == 0 {

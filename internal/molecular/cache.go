@@ -404,9 +404,6 @@ func (c *Cache) admit(asid uint16, home *Tile, initial, lf int) *Region {
 		return c.regionList[i].asid < c.regionList[j].asid
 	})
 	c.growSpread(r, initial)
-	if c.ins != nil {
-		c.ins.regionMakes.Inc()
-	}
 	c.registerRegionGauges(r)
 	if c.tracer != nil {
 		c.tracer.Region(telemetry.KindRegionCreate, c.addresses, asid, r.count, r.count)
@@ -810,9 +807,10 @@ func (c *Cache) invalidateCompanions(r *Region, victim *Molecule, block uint64) 
 
 // finish records one access: its outcome in the ledger, the region's
 // occupancy and the probe histogram, and — when telemetry is attached —
-// the counters and the access event. The ledger's total and the ASID's
-// cell are the only hit/miss counts an access writes; the region's
-// lifetime counts and the resize windows read them.
+// the counts no simulator structure keeps and the access event. The
+// ledger's total and the ASID's cell are the only hit/miss counts an
+// access writes; the region's lifetime counts, the resize windows and
+// the registry's hit, miss and probe metrics read them.
 func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 	// r.appCell is r's cell in c.ledger, cached at region creation —
 	// this is c.ledger.Record(ref.ASID, …) without the lookup.
@@ -828,18 +826,10 @@ func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 		if !res.Hit {
 			svc += engine.MemoryCycles
 		}
-		c.ins.serviceHist.Observe(svc)
-		c.ins.probeHist.Observe(float64(res.TagProbes))
 		r.svcHist.Observe(svc)
-		if res.Hit {
-			c.ins.hits.Inc()
-		} else {
-			c.ins.misses.Inc()
-		}
 		if res.RemoteTileHit {
 			c.ins.remoteHits.Inc()
 		}
-		c.ins.tagProbes.Add(uint64(res.TagProbes))
 		c.ins.writebacks.Add(uint64(res.Writebacks))
 		c.ins.linesFetched.Add(uint64(res.LinesFetched))
 	}

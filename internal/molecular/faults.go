@@ -137,10 +137,6 @@ func (c *Cache) RetireMolecule(id int) (RetireReport, error) {
 	c.deg.RetiredMolecules++
 	c.deg.RetirementWritebacks += uint64(rep.Writebacks)
 	c.deg.RetirementLinesLost += uint64(rep.LinesLost)
-	if c.ins != nil {
-		c.ins.retirements.Inc()
-		c.ins.retireWritebacks.Add(uint64(rep.Writebacks))
-	}
 	if c.tracer != nil {
 		c.tracer.Emit(telemetry.Event{
 			At: c.addresses, Kind: telemetry.KindMoleculeRetire, ASID: rep.ASID,
@@ -178,12 +174,6 @@ func (c *Cache) CorruptLine(moleculeID, line int) (wasValid, wasDirty bool, err 
 		c.deg.LineCorruptions++
 		if wasDirty {
 			c.deg.DirtyCorruptions++
-		}
-		if c.ins != nil {
-			c.ins.corruptions.Inc()
-			if wasDirty {
-				c.ins.dirtyCorruptions.Inc()
-			}
 		}
 	}
 	if c.tracer != nil {
@@ -241,12 +231,6 @@ func (c *Cache) ulmoTraverse(asid uint16) (reachable bool) {
 	if abandoned {
 		c.deg.NoCAbandonedLookups++
 	}
-	if c.ins != nil {
-		c.ins.nocRetries.Add(retries)
-		if abandoned {
-			c.ins.nocAbandoned.Inc()
-		}
-	}
 	if c.tracer != nil {
 		aux := int64(0)
 		if abandoned {
@@ -268,8 +252,5 @@ func (c *Cache) ulmoTraverse(asid uint16) (reachable bool) {
 // uniform with cached accesses.
 func (c *Cache) bypassMiss(r *Region, ref trace.Ref, res *engine.Result) {
 	c.deg.UncachedBypasses++
-	if c.ins != nil {
-		c.ins.bypasses.Inc()
-	}
 	c.finish(r, ref, res)
 }

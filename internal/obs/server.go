@@ -20,7 +20,7 @@ type Options struct {
 	// been published — /metrics.
 	Publisher *Publisher
 	// Registry is the /metrics fallback before the first publish; only
-	// its AtomicSnapshot is taken (gauge funcs stay on the sim thread).
+	// its AtomicSnapshot is taken (registry funcs stay on the sim thread).
 	Registry *telemetry.Registry
 	// Tap feeds /events.
 	Tap *EventTap
@@ -106,9 +106,9 @@ func healthzHandler(opts Options) http.HandlerFunc {
 func metricsHandler(opts Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// Prefer the last published snapshot: it is internally
-		// consistent and includes gauge-func values, which only the sim
-		// thread may read. Before the first publish, fall back to the
-		// registry's lock-free subset.
+		// consistent and includes the registry funcs' values, which only
+		// the sim thread may read. Before the first publish, fall back to
+		// the registry's lock-free subset.
 		var snap telemetry.Snapshot
 		switch st := opts.Publisher.Latest(); {
 		case st != nil:

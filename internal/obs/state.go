@@ -9,7 +9,7 @@
 // goroutine that owns the cache calls Collect + Publish at points of
 // its choosing (every N accesses, end of run); handlers only read the
 // last published *State through an atomic pointer, plus the registry's
-// AtomicSnapshot (counters/gauges/histograms only — gauge funcs read
+// AtomicSnapshot (counters/gauges/histograms only — registry funcs read
 // sim state and stay on the sim thread). This package is on molvet's
 // concurrency allow-list; the simulation packages it observes are not,
 // and stay free of goroutines.
@@ -140,7 +140,7 @@ func (p *Publisher) Latest() *State {
 
 // Collect builds an immutable State from the live simulation objects.
 // It MUST run on the goroutine that owns the cache — it walks regions
-// and evaluates registry gauge funcs. Any argument may be nil; the
+// and evaluates registry funcs. Any argument may be nil; the
 // corresponding sections come back empty.
 func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registry) *State {
 	s := &State{}
@@ -195,7 +195,7 @@ func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registr
 			s.Regions = append(s.Regions, ri)
 		}
 	}
-	// The full snapshot (gauge funcs included) is safe here: Collect
+	// The full snapshot (registry funcs included) is safe here: Collect
 	// runs on the sim thread by contract.
 	s.Metrics = reg.Snapshot()
 	return s

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -59,57 +60,37 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a frozen view of a registry, the unit both exporters
-// serialize. Gauge funcs are evaluated at snapshot time and appear as
-// plain gauges.
+// serialize. Funcs are evaluated at snapshot time and appear as plain
+// gauges, counters and histograms.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot freezes the registry's current state. A nil registry yields
-// an empty (but usable) snapshot.
+// Snapshot freezes the registry's current state: AtomicSnapshot plus
+// the value of every func. A nil registry yields an empty (but usable)
+// snapshot.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+	s := r.AtomicSnapshot()
 	if r == nil {
 		return s
 	}
 	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	fns := make(map[string]func() float64, len(r.gaugeFns))
-	for k, v := range r.gaugeFns {
-		fns[k] = v
-	}
+	gaugeFns := maps.Clone(r.gaugeFns)
+	counterFns := maps.Clone(r.counterFns)
+	histFns := maps.Clone(r.histFns)
 	r.mu.RUnlock()
-
-	for name, c := range counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range gauges {
-		s.Gauges[name] = g.Value()
-	}
-	// Gauge funcs run outside the registry lock: they commonly read
+	// Funcs run outside the registry lock: they commonly read
 	// simulation state that may itself call back into the registry.
-	for name, fn := range fns {
+	for name, fn := range gaugeFns {
 		s.Gauges[name] = fn()
 	}
-	for name, h := range hists {
-		s.Histograms[name] = h.snapshot()
+	for name, fn := range counterFns {
+		s.Counters[name] = fn()
+	}
+	for name, fn := range histFns {
+		s.Histograms[name] = fn()
 	}
 	return s
 }
@@ -130,9 +111,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 }
 
 // AtomicSnapshot freezes only the registry's lock-free instruments —
-// counters, set gauges and histograms — and skips gauge funcs, whose
-// closures typically read live simulation state and are therefore only
-// safe to run on the goroutine that owns the simulation. This is the
+// counters, set gauges and histograms — and skips funcs, whose closures
+// typically read live simulation state and are therefore only safe to
+// run on the goroutine that owns the simulation. This is the
 // snapshot concurrent readers (the introspection HTTP server) may take
 // at any time.
 func (r *Registry) AtomicSnapshot() Snapshot {

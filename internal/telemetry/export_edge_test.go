@@ -130,18 +130,32 @@ func TestAtomicSnapshotSkipsGaugeFuncs(t *testing.T) {
 	reg.Counter("molcache_edge_hits_total").Add(3)
 	reg.Gauge("molcache_edge_occupancy").Set(1.5)
 	reg.Histogram("molcache_probe_count", []float64{1, 2}).Observe(2)
-	called := false
+	called := 0
 	reg.RegisterGaugeFunc("molcache_edge_derived", func() float64 {
-		called = true
+		called++
 		return 42
+	})
+	reg.RegisterCounterFunc("molcache_edge_view_total", func() uint64 {
+		called++
+		return 7
+	})
+	reg.RegisterHistogramFunc("molcache_edge_view_hist", func() HistogramSnapshot {
+		called++
+		return HistogramSnapshot{Buckets: []Bucket{{math.Inf(+1), 0}}}
 	})
 
 	snap := reg.AtomicSnapshot()
-	if called {
-		t.Fatal("AtomicSnapshot ran a gauge func")
+	if called != 0 {
+		t.Fatal("AtomicSnapshot ran a func")
 	}
 	if _, ok := snap.Gauges["molcache_edge_derived"]; ok {
 		t.Fatal("AtomicSnapshot exported a gauge func")
+	}
+	if _, ok := snap.Counters["molcache_edge_view_total"]; ok {
+		t.Fatal("AtomicSnapshot exported a counter func")
+	}
+	if _, ok := snap.Histograms["molcache_edge_view_hist"]; ok {
+		t.Fatal("AtomicSnapshot exported a histogram func")
 	}
 	if snap.Counters["molcache_edge_hits_total"] != 3 ||
 		snap.Gauges["molcache_edge_occupancy"] != 1.5 ||
@@ -150,8 +164,9 @@ func TestAtomicSnapshotSkipsGaugeFuncs(t *testing.T) {
 	}
 
 	full := reg.Snapshot()
-	if !called || full.Gauges["molcache_edge_derived"] != 42 {
-		t.Fatal("full Snapshot must still evaluate gauge funcs")
+	if called != 3 || full.Gauges["molcache_edge_derived"] != 42 ||
+		full.Counters["molcache_edge_view_total"] != 7 || full.Histograms["molcache_edge_view_hist"].Buckets == nil {
+		t.Fatal("full Snapshot must still evaluate every func")
 	}
 
 	var nilReg *Registry

@@ -135,21 +135,32 @@ func (h *Histogram) Sum() float64 {
 // disabled registry — every lookup returns the nil instrument, whose
 // methods are no-ops — which is how instrumented packages run with
 // metrics off at the cost of one pointer check at attach time.
+//
+// Beside the instruments that hold their own counts, a registry holds
+// funcs evaluated at snapshot time: views over state their caller
+// already keeps, which cost nothing per access.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	//molvet:transient views over live state, re-registered by the AttachTelemetry a restore runs before LoadSnapshot
 	gaugeFns map[string]func() float64
+	//molvet:transient views over live state, re-registered by the AttachTelemetry a restore runs before LoadSnapshot
+	counterFns map[string]func() uint64
+	//molvet:transient views over live state, re-registered by the AttachTelemetry a restore runs before LoadSnapshot
+	histFns map[string]func() HistogramSnapshot
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		gaugeFns: make(map[string]func() float64),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		hists:      make(map[string]*Histogram),
+		gaugeFns:   make(map[string]func() float64),
+		counterFns: make(map[string]func() uint64),
+		histFns:    make(map[string]func() HistogramSnapshot),
 	}
 }
 
@@ -272,35 +283,68 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // Panics on a malformed name, a nil fn, or a name already registered
 // as a different instrument type.
 func (r *Registry) RegisterGaugeFunc(name string, fn func() float64) {
-	if r == nil {
-		return
+	if r != nil {
+		registerFunc(r, r.gaugeFns, name, "gauge func", fn, fn == nil)
 	}
+}
+
+// RegisterCounterFunc registers a counter whose value fn reads at
+// snapshot time from a count the caller already keeps, so the count is
+// kept once and the access path writes no copy of it. fn must never
+// decrease. Re-registering a name replaces its fn. Panics like
+// RegisterGaugeFunc.
+func (r *Registry) RegisterCounterFunc(name string, fn func() uint64) {
+	if r != nil {
+		registerFunc(r, r.counterFns, name, "counter func", fn, fn == nil)
+	}
+}
+
+// RegisterHistogramFunc registers a histogram whose cumulative buckets,
+// count and sum fn builds at snapshot time from a distribution the
+// caller already keeps. Re-registering a name replaces its fn. Panics
+// like RegisterGaugeFunc.
+func (r *Registry) RegisterHistogramFunc(name string, fn func() HistogramSnapshot) {
+	if r != nil {
+		registerFunc(r, r.histFns, name, "histogram func", fn, fn == nil)
+	}
+}
+
+// registerFunc binds name to fn in fns, one of the registry's func
+// maps, replacing an earlier fn of the same kind. It panics on a
+// malformed name, a nil fn (isNil) or a name bound to another kind.
+func registerFunc[F any](r *Registry, fns map[string]F, name, as string, fn F, isNil bool) {
 	if err := validName(name); err != nil {
 		panic(err)
 	}
-	if fn == nil {
-		panic("telemetry: nil gauge func for " + name)
+	if isNil {
+		panic("telemetry: nil " + as + " for " + name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.gaugeFns[name]; !ok {
-		r.checkFreeLocked(name, "gauge-func")
+	if _, ok := fns[name]; !ok {
+		r.checkFreeLocked(name, as)
 	}
-	r.gaugeFns[name] = fn
+	fns[name] = fn
 }
 
 // checkFreeLocked panics if name is already bound to another type.
 func (r *Registry) checkFreeLocked(name, as string) {
-	if _, ok := r.counters[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as counter, wanted %s", name, as))
+	var kind string
+	switch {
+	case r.counters[name] != nil:
+		kind = "counter"
+	case r.gauges[name] != nil:
+		kind = "gauge"
+	case r.hists[name] != nil:
+		kind = "histogram"
+	case r.gaugeFns[name] != nil:
+		kind = "gauge func"
+	case r.counterFns[name] != nil:
+		kind = "counter func"
+	case r.histFns[name] != nil:
+		kind = "histogram func"
+	default:
+		return
 	}
-	if _, ok := r.gauges[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as gauge, wanted %s", name, as))
-	}
-	if _, ok := r.hists[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as histogram, wanted %s", name, as))
-	}
-	if _, ok := r.gaugeFns[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as gauge func, wanted %s", name, as))
-	}
+	panic(fmt.Sprintf("telemetry: %q already registered as %s, wanted %s", name, kind, as))
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -83,6 +84,41 @@ func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 	v = 2
 	if got := r.Snapshot().Gauges["derived"]; got != 2 {
 		t.Errorf("snapshot gauge = %v, want 2 after update", got)
+	}
+}
+
+// TestCounterAndHistogramFuncs: func-backed counters and histograms
+// read their source at every Snapshot, re-registering a name replaces
+// its func, and a func name is as exclusive as an instrument's.
+func TestCounterAndHistogramFuncs(t *testing.T) {
+	r := NewRegistry()
+	var n uint64 = 3
+	r.RegisterCounterFunc("views_total", func() uint64 { return n })
+	hs := HistogramSnapshot{Count: 1, Sum: 2, Buckets: []Bucket{{2, 1}, {math.Inf(+1), 1}}}
+	r.RegisterHistogramFunc("views_hist", func() HistogramSnapshot { return hs })
+	if s := r.Snapshot(); s.Counters["views_total"] != 3 || !reflect.DeepEqual(s.Histograms["views_hist"], hs) {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	n = 5
+	r.RegisterCounterFunc("views_total", func() uint64 { return 2 * n })
+	if got := r.Snapshot().Counters["views_total"]; got != 10 {
+		t.Errorf("counter func = %d after re-registration, want 10", got)
+	}
+	for name, register := range map[string]func(){
+		"counter over a counter func": func() { r.Counter("views_total") },
+		"gauge func over a histogram func": func() {
+			r.RegisterGaugeFunc("views_hist", func() float64 { return 0 })
+		},
+		"nil counter func": func() { r.RegisterCounterFunc("views_nil_total", nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			register()
+		}()
 	}
 }
 

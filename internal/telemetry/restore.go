@@ -4,61 +4,40 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // LoadSnapshot overwrites the registry's instruments with the values of
 // a previously exported Snapshot — the checkpoint-restore inverse of
-// Snapshot(). Instruments named in the snapshot are created if absent
-// (histograms inherit the snapshot's bucket bounds) and set if present;
-// instruments the snapshot does not mention are left untouched.
-//
-// Names registered as gauge funcs are skipped: their values are
-// recomputed from live simulation state at the next Snapshot, and the
-// exported Gauges map includes them, so loading them back would collide
-// with the func registration. Restore paths should therefore re-attach
-// instrumentation (recreating the gauge funcs) before calling
-// LoadSnapshot.
+// AtomicSnapshot. Only the counters, gauges and histograms the registry
+// holds are loaded; every other name is ignored, as a checkpoint's JSON
+// ignores the keys of state the simulator no longer keeps. That covers
+// metrics the running build has deleted and names it now serves from
+// funcs, which read the restored simulation state instead. Restore
+// paths therefore attach instrumentation (registering the instruments
+// and funcs) before calling LoadSnapshot.
 //
 // Unlike the lookup methods, LoadSnapshot never panics on bad input —
 // snapshots may come from corrupted checkpoint files — and instead
-// returns an error naming the offending instrument. On error the
-// registry may be partially loaded; callers treating that as fatal
-// should discard the registry.
+// returns an error naming the offending histogram: a malformed one, or
+// a registered one whose bounds differ. On error the registry may be
+// partially loaded; callers treating that as fatal should discard the
+// registry.
 func (r *Registry) LoadSnapshot(s Snapshot) error {
 	if r == nil {
 		return fmt.Errorf("telemetry: cannot load a snapshot into a nil registry")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-
-	for _, name := range sortedKeys(s.Counters) {
-		c, ok := r.counters[name]
-		if !ok {
-			if err := r.claimLocked(name, "counter"); err != nil {
-				return err
-			}
-			c = &Counter{}
-			r.counters[name] = c
+	for name, v := range s.Counters {
+		if c, ok := r.counters[name]; ok {
+			c.v.Store(v)
 		}
-		c.v.Store(s.Counters[name])
 	}
-
-	for _, name := range sortedKeys(s.Gauges) {
-		if _, isFn := r.gaugeFns[name]; isFn {
-			continue // recomputed from live state at the next Snapshot
+	for name, v := range s.Gauges {
+		if g, ok := r.gauges[name]; ok {
+			g.bits.Store(math.Float64bits(v))
 		}
-		g, ok := r.gauges[name]
-		if !ok {
-			if err := r.claimLocked(name, "gauge"); err != nil {
-				return err
-			}
-			g = &Gauge{}
-			r.gauges[name] = g
-		}
-		g.bits.Store(math.Float64bits(s.Gauges[name]))
 	}
-
 	for _, name := range sortedKeys(s.Histograms) {
 		hs := s.Histograms[name]
 		bounds, perBucket, err := decodeHistogramSnapshot(hs)
@@ -67,14 +46,7 @@ func (r *Registry) LoadSnapshot(s Snapshot) error {
 		}
 		h, ok := r.hists[name]
 		if !ok {
-			if err := r.claimLocked(name, "histogram"); err != nil {
-				return err
-			}
-			h = &Histogram{
-				bounds:  bounds,
-				buckets: make([]atomic.Uint64, len(bounds)+1),
-			}
-			r.hists[name] = h
+			continue
 		}
 		if !boundsEqual(h.bounds, bounds) {
 			return fmt.Errorf("telemetry: histogram %q: snapshot bounds %v do not match registered bounds %v",
@@ -85,27 +57,6 @@ func (r *Registry) LoadSnapshot(s Snapshot) error {
 		}
 		h.count.Store(hs.Count)
 		h.sumBits.Store(math.Float64bits(hs.Sum))
-	}
-	return nil
-}
-
-// claimLocked is checkFreeLocked's non-panicking sibling, plus name
-// validation: snapshots restored from disk are untrusted input.
-func (r *Registry) claimLocked(name, as string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	if _, ok := r.counters[name]; ok {
-		return fmt.Errorf("telemetry: %q already registered as counter, snapshot wants %s", name, as)
-	}
-	if _, ok := r.gauges[name]; ok {
-		return fmt.Errorf("telemetry: %q already registered as gauge, snapshot wants %s", name, as)
-	}
-	if _, ok := r.hists[name]; ok {
-		return fmt.Errorf("telemetry: %q already registered as histogram, snapshot wants %s", name, as)
-	}
-	if _, ok := r.gaugeFns[name]; ok {
-		return fmt.Errorf("telemetry: %q already registered as gauge func, snapshot wants %s", name, as)
 	}
 	return nil
 }

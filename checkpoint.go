@@ -9,17 +9,18 @@ import (
 	"molcache/internal/molecular"
 	"molcache/internal/resize"
 	"molcache/internal/snapshot"
-	"molcache/internal/telemetry"
 )
 
 // This file is the crash-safe checkpoint/restore facade: Checkpoint
 // packs the full simulation state — cache geometry and contents, resize
-// controller state (including the decision ring), fault-injection
-// cursors and the live telemetry registry — into a MOLC1 container
-// (internal/snapshot), and Restore rebuilds a byte-identical
-// continuation from one. A run checkpointed at access N and restored
-// produces exactly the Results, ledgers, histograms and telemetry an
-// uninterrupted run produces.
+// controller state (including the decision ring) and fault-injection
+// cursors — into a MOLC1 container (internal/snapshot), and Restore
+// rebuilds a byte-identical continuation from one. Every count the
+// metrics registry reports is simulator state, so the checkpoint saves
+// it once, and a registry attached to the restored simulator reads it:
+// a run checkpointed at access N and restored produces exactly the
+// Results, ledgers, histograms and metrics an uninterrupted run
+// produces.
 //
 // Restores are corruption-tolerant: envelope damage (truncation, bit
 // flips, version skew) and semantic damage (states a healthy simulator
@@ -30,14 +31,15 @@ import (
 // molecular.RestoreCache runs once as its last step, before the engine
 // resumes.
 
-// Checkpoint section names.
+// Checkpoint section names. Checkpoints written by earlier builds may
+// also carry a "meta" section (the access count, which the cache
+// section holds too) and a "telemetry" section (a copy of counts the
+// cache and controller sections now hold); a restore ignores both.
 const (
-	sectionMeta      = "meta"
-	sectionConfig    = "config"
-	sectionCache     = "cache"
-	sectionResize    = "resize"
-	sectionTelemetry = "telemetry"
-	sectionFaults    = "faults"
+	sectionConfig = "config"
+	sectionCache  = "cache"
+	sectionResize = "resize"
+	sectionFaults = "faults"
 	// sectionNoC held the interconnect traffic counters of a mesh this
 	// simulator no longer models. Restore rejects a checkpoint that has
 	// one: continuing without the hop latency it recorded would not
@@ -48,12 +50,6 @@ const (
 // SnapshotError is the typed error a failed restore reports: Section
 // names the MOLC1 section that was corrupt or inconsistent.
 type SnapshotError = snapshot.Error
-
-// checkpointMeta is quick-inspection context (molchaos repro bundles
-// and healthz read it without decoding the heavyweight sections).
-type checkpointMeta struct {
-	Addresses uint64 `json:"addresses"`
-}
 
 // checkpointConfig carries the configurations needed to rebuild the
 // simulator skeleton before state is poured back in.
@@ -77,15 +73,15 @@ func sectionErr(section string, err error) error {
 }
 
 // EncodeCheckpoint serializes the simulator's complete state as a MOLC1
-// container. Telemetry and fault sections appear only when the
-// corresponding attachment exists.
+// container. The fault section appears only when an injector is
+// attached.
 func (s *Simulator) EncodeCheckpoint() ([]byte, error) {
 	cache := s.Cache
 	cfg := checkpointConfig{
 		Molecular: cache.Config(),
 		Resize:    s.Controller.Config(),
 	}
-	sections := make([]snapshot.Section, 0, 6)
+	sections := make([]snapshot.Section, 0, 4)
 	add := func(name string, v any) error {
 		payload, err := json.Marshal(v)
 		if err != nil {
@@ -93,9 +89,6 @@ func (s *Simulator) EncodeCheckpoint() ([]byte, error) {
 		}
 		sections = append(sections, snapshot.Section{Name: name, Payload: payload})
 		return nil
-	}
-	if err := add(sectionMeta, checkpointMeta{Addresses: cache.Addresses()}); err != nil {
-		return nil, err
 	}
 	if err := add(sectionConfig, cfg); err != nil {
 		return nil, err
@@ -110,11 +103,6 @@ func (s *Simulator) EncodeCheckpoint() ([]byte, error) {
 		if err := add(sectionFaults, checkpointFaults{
 			Campaign: inj.Campaign(), Cursors: inj.CursorState(),
 		}); err != nil {
-			return nil, err
-		}
-	}
-	if reg := cache.Registry(); reg != nil {
-		if err := add(sectionTelemetry, reg.AtomicSnapshot()); err != nil {
 			return nil, err
 		}
 	}
@@ -133,13 +121,12 @@ func (s *Simulator) Checkpoint(path string) error {
 }
 
 // RestoreSimulatorBytes rebuilds a simulator from an encoded checkpoint.
-// tr and reg are the caller's telemetry attachments (either may be nil);
-// when reg is non-nil the snapshot's instrument values are loaded into
-// it after attachment, so the registry continues exactly where the
-// checkpointed one left off. The restored cache passes the structural
-// audit (every rule, block-index consistency included) before being
-// returned; any corruption yields a typed error naming the section.
-func RestoreSimulatorBytes(data []byte, tr *Tracer, reg *Registry) (*Simulator, error) {
+// It comes back detached, as NewSimulator's does: AttachTelemetry binds
+// a tracer and a registry to it, and the registry reads the restored
+// counts. The restored cache passes the structural audit (every rule,
+// block-index consistency included) before being returned; any
+// corruption yields a typed error naming the section.
+func RestoreSimulatorBytes(data []byte) (*Simulator, error) {
 	sections, err := snapshot.Decode(data)
 	if err != nil {
 		return nil, err
@@ -200,31 +187,15 @@ func RestoreSimulatorBytes(data []byte, tr *Tracer, reg *Registry) (*Simulator, 
 			return nil, sectionErr(sectionFaults, err)
 		}
 	}
-
-	// Telemetry: re-attach first so the funcs and per-region
-	// instruments exist, then pour the snapshot's values back into the
-	// instruments (LoadSnapshot ignores every name the registry lacks).
-	sim.AttachTelemetry(tr, reg)
-	if reg != nil {
-		if payload, err := snapshot.Find(sections, sectionTelemetry); err == nil {
-			var ms telemetry.Snapshot
-			if err := json.Unmarshal(payload, &ms); err != nil {
-				return nil, sectionErr(sectionTelemetry, err)
-			}
-			if err := reg.LoadSnapshot(ms); err != nil {
-				return nil, sectionErr(sectionTelemetry, err)
-			}
-		}
-	}
 	return sim, nil
 }
 
 // RestoreSimulator reads a MOLC1 checkpoint file and rebuilds the
 // simulator from it (see RestoreSimulatorBytes).
-func RestoreSimulator(path string, tr *Tracer, reg *Registry) (*Simulator, error) {
+func RestoreSimulator(path string) (*Simulator, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("molcache: read checkpoint %s: %w", path, err)
 	}
-	return RestoreSimulatorBytes(data, tr, reg)
+	return RestoreSimulatorBytes(data)
 }

@@ -2,8 +2,11 @@ package molcache_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -83,11 +86,12 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	reg2 := molcache.NewRegistry()
-	sim2, err := molcache.RestoreSimulator(path, nil, reg2)
+	sim2, err := molcache.RestoreSimulator(path)
 	if err != nil {
 		t.Fatalf("RestoreSimulator: %v", err)
 	}
+	reg2 := molcache.NewRegistry()
+	sim2.AttachTelemetry(nil, reg2)
 	for i, r := range rest {
 		ra, rb := sim.Access(r), sim2.Access(r)
 		if ra != rb {
@@ -96,6 +100,9 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	if a, b := *sim.Cache.Ledger(), *sim2.Cache.Ledger(); a.Total != b.Total {
 		t.Errorf("ledger totals diverged: %+v != %+v", a.Total, b.Total)
+	}
+	if a, b := reg.Snapshot(), reg2.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("registries diverged:\nuninterrupted: %+v\nrestored: %+v", a, b)
 	}
 }
 
@@ -197,7 +204,7 @@ func TestRestoreCorruptionTyped(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := molcache.RestoreSimulatorBytes(tc.damaged, nil, molcache.NewRegistry())
+			_, err := molcache.RestoreSimulatorBytes(tc.damaged)
 			if err == nil {
 				t.Fatal("damaged checkpoint restored without error")
 			}
@@ -255,7 +262,7 @@ func TestRestoreRefusesSharedBit(t *testing.T) {
 	if data, err = snapshot.Encode(sections); err != nil {
 		t.Fatal(err)
 	}
-	_, err = molcache.RestoreSimulatorBytes(data, nil, molcache.NewRegistry())
+	_, err = molcache.RestoreSimulatorBytes(data)
 	var se *molcache.SnapshotError
 	if !errors.As(err, &se) || se.Section != "cache" || !strings.Contains(se.Reason, "molecule 3 has the shared bit set") {
 		t.Fatalf("restore of a shared-bit molecule returned %v, want a *SnapshotError naming cache and the bit", err)
@@ -263,16 +270,18 @@ func TestRestoreRefusesSharedBit(t *testing.T) {
 }
 
 // TestRestoreIgnoresDroppedKeys restores a checkpoint carrying the keys
-// of state the simulator no longer keeps — the cache clock, each
-// molecule's hit and access counts, each application's last miss rate,
-// each region's own ledger (its ASID's ledger cell holds the same
-// counts), the probe histogram's maximum, the resize config's
-// per-application daemon cost (now a constant), the deleted
-// molcache_index_* counters and the counters the registry now reads from
-// the cache — set to arbitrary values, and continues it next to the
-// uninterrupted run: nothing read those fields, so the continuation is
+// and sections of state the simulator no longer keeps — the cache clock
+// and remote-cycle total (now the regions' sum), each molecule's hit and
+// access counts, each application's last miss rate, each region's own
+// ledger (its ASID's ledger cell holds the same counts), the probe
+// histogram's maximum, the resize config's per-application daemon cost
+// (now a constant), and the meta and telemetry sections of earlier
+// builds, whose telemetry copied counts the cache and controller now
+// keep — set to arbitrary values, and continues it next to the
+// uninterrupted run: nothing reads them, so the continuation is
 // identical access by access, in every state the checkpoint holds and
-// in the registry, where no deleted metric comes back.
+// in a registry attached after the restore, where no injected value
+// shows.
 func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 	reg := molcache.NewRegistry()
 	sim, rest := ckptSim(t, reg)
@@ -290,6 +299,7 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 		case "cache":
 			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
 				st["clock"] = 987654321
+				st["remote_cycles"] = 55555
 				for j, m := range st["molecules"].([]any) {
 					m.(map[string]any)["hits"] = 1000 + j
 					m.(map[string]any)["accesses"] = 5 * j
@@ -305,15 +315,6 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
 				st["resize"].(map[string]any)["CostCyclesPerApp"] = 98765
 			})
-		case "telemetry":
-			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
-				counters := st["counters"].(map[string]any)
-				counters["molcache_index_lookups_total"] = 45418
-				counters["molcache_index_hits_total"] = 100000
-				counters["molcache_molecular_hits_total"] = 1 << 40
-				counters["molcache_fault_uncached_bypasses_total"] = 12
-				st["gauges"].(map[string]any)["molcache_fault_retired_molecules"] = 3
-			})
 		case "resize":
 			sections[i].Payload = editJSON(t, sections[i].Payload, func(st map[string]any) {
 				for j, a := range st["apps"].([]any) {
@@ -328,15 +329,31 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 		t.Fatalf("checkpoint holds %d molecules, %d regions and %d applications; the injection is vacuous",
 			molecules, regions, apps)
 	}
+	sections = append(sections,
+		snapshot.Section{Name: "meta", Payload: []byte(`{"addresses":123456789}`)},
+		snapshot.Section{Name: "telemetry", Payload: []byte(`{
+			"counters": {
+				"molcache_index_lookups_total": 45418,
+				"molcache_molecular_hits_total": 1099511627776,
+				"molcache_molecular_remote_tile_hits_total": 777,
+				"molcache_molecular_writebacks_total": 888,
+				"molcache_resize_actions_total{action=\"shrink\"}": 999,
+				"molcache_fault_uncached_bypasses_total": 12
+			},
+			"gauges": {"molcache_fault_retired_molecules": 3},
+			"histograms": {"molcache_access_service_cycles{asid=\"1\"}": {"count": 5, "sum": 60,
+				"buckets": [{"le": "16", "count": 5}, {"le": "+Inf", "count": 5}]}}
+		}`)})
 	data, err = snapshot.Encode(sections)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg2 := molcache.NewRegistry()
-	sim2, err := molcache.RestoreSimulatorBytes(data, nil, reg2)
+	sim2, err := molcache.RestoreSimulatorBytes(data)
 	if err != nil {
 		t.Fatalf("RestoreSimulatorBytes: %v", err)
 	}
+	reg2 := molcache.NewRegistry()
+	sim2.AttachTelemetry(nil, reg2)
 	for i, r := range rest {
 		ra, rb := sim.Access(r), sim2.Access(r)
 		if ra != rb {
@@ -348,6 +365,9 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sim.Controller.CaptureState(), sim2.Controller.CaptureState()) {
 		t.Error("controller states diverged")
+	}
+	if a, b := sim.Cache.RemoteCycles(), sim2.Cache.RemoteCycles(); a != b {
+		t.Errorf("remote cycles diverged: %d != %d", a, b)
 	}
 	a, b := reg.Snapshot(), reg2.Snapshot()
 	if !reflect.DeepEqual(a, b) {
@@ -362,8 +382,10 @@ func TestRestoreIgnoresDroppedKeys(t *testing.T) {
 // windows hold more than the counts they are read from: a region window
 // past its ASID's ledger cell, and the global window past the ledger
 // total. A window is a mark on its count, so neither has a mark to
-// restore, and each restore must fail with a *SnapshotError naming the
-// cache.
+// restore. A region's NoC-penalized accesses are a share of its ledger
+// cell too, so a checkpoint with more of them than the cell counts is
+// refused the same way. Each restore must fail with a *SnapshotError
+// naming the cache.
 func TestRestoreRefusesOversizedWindows(t *testing.T) {
 	sim, _ := ckptSim(t, molcache.NewRegistry())
 	data, err := sim.EncodeCheckpoint()
@@ -394,6 +416,15 @@ func TestRestoreRefusesOversizedWindows(t *testing.T) {
 		{"global", "global window", func(st map[string]any) {
 			st["global"] = oneMore(st["ledger_total"])
 		}},
+		{"noc", "NoC-penalized accesses", func(st map[string]any) {
+			r := st["regions"].([]any)[0].(map[string]any)
+			for _, a := range st["ledger_apps"].([]any) {
+				if app := a.(map[string]any); app["asid"] == r["asid"] {
+					noc := r["noc"].(map[string]any)
+					noc["accesses"] = oneMore(app["hm"])
+				}
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sections, err := snapshot.Decode(data)
@@ -409,11 +440,70 @@ func TestRestoreRefusesOversizedWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = molcache.RestoreSimulatorBytes(edited, nil, molcache.NewRegistry())
+			_, err = molcache.RestoreSimulatorBytes(edited)
 			var se *molcache.SnapshotError
 			if !errors.As(err, &se) || se.Section != "cache" || !strings.Contains(se.Reason, tc.reason) {
-				t.Fatalf("restore of an oversized %s window returned %v, want a *SnapshotError naming cache and the window", tc.name, err)
+				t.Fatalf("restore of an oversized %s count returned %v, want a *SnapshotError naming cache and %q", tc.name, err, tc.reason)
 			}
 		})
 	}
+}
+
+// TestRestoreParentCheckpoint restores testdata/checkpoint-with-telemetry.molc,
+// a checkpoint written by the last build whose checkpoints carried a
+// meta and a telemetry section (commit 1408dff): a faulted Randy
+// simulator with a registry attached, checkpointed after the first
+// 6,000 references of diffTrace(99). It continues the restored
+// simulator over diffTrace(2026) with a registry attached, and the
+// digest of the continuation's results, ledger and decision log must
+// equal testdata/checkpoint-with-telemetry.sha256, the digest that
+// build computed for its own continuation.
+func TestRestoreParentCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint-with-telemetry.molc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "checkpoint-with-telemetry.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"meta", "telemetry", "faults"} {
+		if _, err := snapshot.Find(sections, name); err != nil {
+			t.Fatalf("fixture lacks its %s section: %v", name, err)
+		}
+	}
+	sim, err := molcache.RestoreSimulatorBytes(data)
+	if err != nil {
+		t.Fatalf("RestoreSimulatorBytes: %v", err)
+	}
+	sim.AttachTelemetry(nil, molcache.NewRegistry())
+	if got := continuationDigest(t, sim); got != strings.TrimSpace(string(want)) {
+		t.Errorf("continuation digest %s, want %s", got, strings.TrimSpace(string(want)))
+	}
+}
+
+// continuationDigest runs diffTrace(2026) through sim and returns the
+// SHA-256 of every access's result, the final ledger (total, then each
+// ASID's cell in ASID order) and the decision log as JSON.
+func continuationDigest(t *testing.T, sim *molcache.Simulator) string {
+	t.Helper()
+	h := sha256.New()
+	for _, r := range diffTrace(2026) {
+		fmt.Fprintf(h, "%+v\n", sim.Access(r))
+	}
+	l := sim.Cache.Ledger()
+	fmt.Fprintf(h, "total %+v\n", l.Total)
+	for _, asid := range l.ASIDs() {
+		fmt.Fprintf(h, "app %d %+v\n", asid, l.App(asid))
+	}
+	dec, err := json.Marshal(sim.Controller.Decisions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(dec)
+	return hex.EncodeToString(h.Sum(nil))
 }

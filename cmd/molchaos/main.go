@@ -173,11 +173,12 @@ func runIteration(seed uint64, accesses, mutations int, out string, iter int) *f
 		}
 		if kills[i] {
 			delete(kills, i) // die once per kill point
-			restored, err := molcache.RestoreSimulatorBytes(ckBytes, nil, molcache.NewRegistry())
+			restored, err := molcache.RestoreSimulatorBytes(ckBytes)
 			if err != nil {
 				return bundle(fmt.Sprintf("restore after kill at access %d (checkpoint at %d): %v",
 					i, ckAt, err), ckBytes, i)
 			}
+			restored.AttachTelemetry(nil, molcache.NewRegistry())
 			victim = restored
 			i = ckAt
 		}
@@ -208,7 +209,7 @@ func runIteration(seed uint64, accesses, mutations int, out string, iter int) *f
 	if err := victim.Checkpoint(path); err != nil {
 		return bundle(fmt.Sprintf("Checkpoint(%s): %v", path, err), final, len(refs)-1)
 	}
-	fromFile, err := molcache.RestoreSimulator(path, nil, molcache.NewRegistry())
+	fromFile, err := molcache.RestoreSimulator(path)
 	if err != nil {
 		return bundle(fmt.Sprintf("RestoreSimulator(%s): %v", path, err), final, len(refs)-1)
 	}
@@ -236,7 +237,7 @@ func probeRestore(damaged []byte) (reason string) {
 			reason = fmt.Sprintf("restore panicked: %v", r)
 		}
 	}()
-	_, err := molcache.RestoreSimulatorBytes(damaged, nil, molcache.NewRegistry())
+	_, err := molcache.RestoreSimulatorBytes(damaged)
 	if err == nil {
 		return "damaged snapshot restored without error"
 	}

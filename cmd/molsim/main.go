@@ -117,7 +117,7 @@ func main() {
 		if mol != nil {
 			mol.AttachTelemetry(pipe.Tracer, pipe.Registry)
 		} else if tc, ok := l2.(*cache.Cache); ok {
-			tc.AttachTelemetry(pipe.Registry, "l2")
+			tc.AttachTelemetry(pipe.Registry)
 		}
 		if ctrl != nil {
 			ctrl.AttachTelemetry(pipe.Tracer, pipe.Registry)

@@ -329,16 +329,15 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 				}
 				// Side A runs uninterrupted; side B is checkpointed at
 				// mid-trace and abandoned; side C resumes from B's
-				// snapshot bytes with a fresh registry.
+				// snapshot bytes with a fresh registry attached after
+				// the restore, as to a new simulator.
 				aCache, aCtrl, aReg := diffCache(t, cfg, withFaults, nil)
-				bCache, bCtrl, bReg := diffCache(t, cfg, withFaults, nil)
+				bCache, bCtrl, _ := diffCache(t, cfg, withFaults, nil)
 				a := &molcache.Simulator{Cache: aCache, Controller: aCtrl}
 				b := &molcache.Simulator{Cache: bCache, Controller: bCtrl}
-				// The facade restore attaches controller telemetry too, so
-				// the live sides must carry the resize instruments as well
-				// or the final registry comparison sees extra names.
+				// C's registry carries the controller's series too, so A's
+				// must as well.
 				aCtrl.AttachTelemetry(nil, aReg)
-				bCtrl.AttachTelemetry(nil, bReg)
 
 				refs := diffTrace(1234)
 				cut := len(refs) / 2
@@ -353,11 +352,12 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 				if err != nil {
 					t.Fatalf("EncodeCheckpoint: %v", err)
 				}
-				cReg := telemetry.NewRegistry()
-				c, err := molcache.RestoreSimulatorBytes(data, nil, cReg)
+				c, err := molcache.RestoreSimulatorBytes(data)
 				if err != nil {
 					t.Fatalf("RestoreSimulatorBytes: %v", err)
 				}
+				cReg := telemetry.NewRegistry()
+				c.AttachTelemetry(nil, cReg)
 				// The restored state must equal the checkpointed one
 				// before either serves another access.
 				if !reflect.DeepEqual(b.Cache.CaptureState(), c.Cache.CaptureState()) {
@@ -398,15 +398,8 @@ func TestDifferentialCheckpointRestore(t *testing.T) {
 						t.Errorf("fault stats diverged: uninterrupted %+v, restored %+v", fa, fc)
 					}
 				}
-				as, cs := aReg.Snapshot(), cReg.Snapshot()
-				if !reflect.DeepEqual(as.Counters, cs.Counters) {
-					t.Errorf("telemetry counters diverged:\nuninterrupted: %v\nrestored: %v", as.Counters, cs.Counters)
-				}
-				if !reflect.DeepEqual(as.Gauges, cs.Gauges) {
-					t.Errorf("telemetry gauges diverged:\nuninterrupted: %v\nrestored: %v", as.Gauges, cs.Gauges)
-				}
-				if !reflect.DeepEqual(as.Histograms, cs.Histograms) {
-					t.Errorf("telemetry histograms diverged:\nuninterrupted: %v\nrestored: %v", as.Histograms, cs.Histograms)
+				if as, cs := aReg.Snapshot(), cReg.Snapshot(); !reflect.DeepEqual(as, cs) {
+					t.Errorf("registries diverged:\nuninterrupted: %+v\nrestored: %+v", as, cs)
 				}
 				if !reflect.DeepEqual(a.Controller.Decisions(), c.Controller.Decisions()) {
 					t.Errorf("decision logs diverged:\nuninterrupted: %+v\nrestored: %+v",

@@ -1,9 +1,11 @@
 // Telemetry: trace a resizing run and read the live metrics.
 // A two-phase workload blows its miss-rate goal mid-run; the tracer
 // captures every region event and resize decision as structured events
-// (streamed as JSON lines into an in-memory sink here; use a JSONLSink
-// over a file in a real harness), and the registry's counters, gauges
-// and histogram export as a Prometheus text page and a JSON snapshot.
+// (held in an in-memory sink here; use a JSONLSink over a file in a
+// real harness), and the registry's counters, gauges and histograms
+// export as a Prometheus text page. Every metric is a view over counts
+// the simulator keeps, read when the snapshot is taken, so the attached
+// registry adds nothing to an access.
 package main
 
 import (
@@ -64,8 +66,8 @@ func main() {
 		}
 	}
 
-	// The metrics registry: a point-in-time snapshot, exportable as
-	// Prometheus text or JSON.
+	// The metrics registry: a point-in-time snapshot, exported as
+	// Prometheus text.
 	snap := reg.Snapshot()
 	fmt.Println("\nmetrics snapshot (Prometheus text format):")
 	fmt.Print(snap.PrometheusString())

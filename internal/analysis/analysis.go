@@ -159,11 +159,6 @@ func DefaultConfig() Config {
 				Capture: []string{"Injector.CursorState"},
 				Restore: []string{"Injector.RestoreCursors"},
 			},
-			{
-				Package: "internal/telemetry", Struct: "Registry",
-				Capture: []string{"Registry.Snapshot"},
-				Restore: []string{"Registry.LoadSnapshot"},
-			},
 		},
 
 		HotPathRoots: []string{

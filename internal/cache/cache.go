@@ -10,7 +10,6 @@ import (
 	"molcache/internal/addr"
 	"molcache/internal/engine"
 	"molcache/internal/stats"
-	"molcache/internal/telemetry"
 	"molcache/internal/trace"
 )
 
@@ -81,10 +80,9 @@ type Cache struct {
 	stamps  []uint64 // LRU recency, parallel to lines: the clock at each line's last fill or hit
 	clock   uint64   // advances once per access
 	ledger  stats.Ledger
-
-	// writebacks is the attached registry's writeback counter (nil, a
-	// no-op, by default); the ledger holds every other count it exports.
-	writebacks *telemetry.Counter
+	// writebacks counts dirty victims written back; the ledger holds
+	// every other count the registry reads.
+	writebacks uint64
 }
 
 var _ engine.Cache = (*Cache)(nil)
@@ -162,7 +160,7 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 		res.LinesEvicted = 1
 		if set[way].dirty {
 			res.Writebacks = 1
-			c.writebacks.Inc()
+			c.writebacks++
 		}
 	}
 	stamps[way] = c.clock

@@ -3,23 +3,18 @@ package cache
 import "molcache/internal/telemetry"
 
 // AttachTelemetry registers the cache's metrics under the fixed
-// molcache_cache_* names, tagged with a {cache="<instance>"} label
-// (default instance "cache"); the label keeps several caches — molsim's
-// L2 and a baseline, say — apart inside one shared registry while the
-// metric names stay grep-able literals. Hits, misses and tag probes
-// are funcs over the cache's ledger (every access probes all ways), so
-// they report lifetime totals; only the writeback count, which no other
-// structure keeps, is written per access. A nil registry detaches.
-func (c *Cache) AttachTelemetry(reg *telemetry.Registry, instance string) {
+// molcache_cache_* names with the {cache="l2"} label: molsim's L2 is
+// the one traditional cache an entry point attaches. Every metric is a
+// view over the cache's own counts (its ledger, and its writebacks;
+// every access probes all ways), so the registry writes nothing per
+// access and reports lifetime totals. A nil registry registers nothing.
+func (c *Cache) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
-		c.writebacks = nil
 		return
 	}
-	if instance == "" {
-		instance = "cache"
-	}
-	label := `{cache="` + instance + `"}`
-	c.writebacks = reg.Counter("molcache_cache_writebacks_total" + label)
+	const label = `{cache="l2"}`
+	reg.RegisterCounterFunc("molcache_cache_writebacks_total"+label,
+		func() uint64 { return c.writebacks })
 	reg.RegisterCounterFunc("molcache_cache_hits_total"+label,
 		func() uint64 { return c.ledger.Total.Hits })
 	reg.RegisterCounterFunc("molcache_cache_misses_total"+label,

@@ -91,6 +91,16 @@ type molecularRun struct {
 // placement pins an application's partition to a home cluster and tile.
 type placement struct{ Cluster, Tile int }
 
+// oneAppPerTile pins applications 1 through n to tiles 0 through n-1 of
+// cluster 0: the paper's static processor-tile binding.
+func oneAppPerTile(n int) map[uint16]placement {
+	out := make(map[uint16]placement, n)
+	for i := 0; i < n; i++ {
+		out[uint16(i+1)] = placement{Cluster: 0, Tile: i}
+	}
+	return out
+}
+
 // replayMolecular replays refs into a fresh molecular cache driven by a
 // resize controller with the given goals. Applications are admitted on
 // first touch unless placements pre-assigns their homes. Replay checks

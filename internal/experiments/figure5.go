@@ -142,14 +142,10 @@ func Figure5(opt Options) ([]Figure5Point, error) {
 // app i pinned to tile i-1 (the paper's static processor-tile binding).
 func figure5Molecular(ctx context.Context, size uint64, policy molecular.ReplacementKind,
 	goals metrics.Goals, refs []trace.Ref, seed uint64) (*molecularRun, error) {
-	placements := map[uint16]placement{}
-	for asid := uint16(1); asid <= 4; asid++ {
-		placements[asid] = placement{Cluster: 0, Tile: int(asid - 1)}
-	}
 	return replayMolecular(ctx,
 		fourTileMolecular(size, policy, seed),
 		resize.Config{Trigger: resize.AdaptiveGlobal, Goals: resizeGoals(goals)},
-		placements, refs)
+		oneAppPerTile(4), refs)
 }
 
 // perAppMiss extracts miss rates keyed by benchmark name.

@@ -11,7 +11,6 @@ import (
 	"molcache/internal/metrics"
 	"molcache/internal/molecular"
 	"molcache/internal/partition"
-	"molcache/internal/resize"
 	"molcache/internal/runner"
 	"molcache/internal/stackdist"
 	"molcache/internal/stats"
@@ -138,14 +137,7 @@ func RelatedWork(opt Options) ([]RelatedWorkRow, error) {
 		jobs = append(jobs, runner.Job[RelatedWorkRow]{
 			Name: "molecular-" + string(policy),
 			Run: func(ctx context.Context) (RelatedWorkRow, error) {
-				placements := map[uint16]placement{}
-				for asid := uint16(1); asid <= 4; asid++ {
-					placements[asid] = placement{Cluster: 0, Tile: int(asid - 1)}
-				}
-				run, err := replayMolecular(ctx,
-					fourTileMolecular(relatedSize, policy, opt.Seed),
-					resize.Config{Trigger: resize.AdaptiveGlobal, Goals: resizeGoals(goals)},
-					placements, refs)
+				run, err := figure5Molecular(ctx, relatedSize, policy, goals, refs, opt.Seed)
 				if err != nil {
 					return RelatedWorkRow{}, err
 				}

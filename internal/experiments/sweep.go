@@ -106,12 +106,7 @@ func Sweep(opt SweepOptions) ([]SweepRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	goals := map[uint16]float64{}
-	mg := metrics.Goals{}
-	for asid := uint16(1); asid <= 4; asid++ {
-		goals[asid] = opt.Goal
-		mg[asid] = opt.Goal
-	}
+	goals := metrics.UniformGoals(opt.Goal, 1, 2, 3, 4)
 	var points []SweepRow
 	for _, size := range opt.Sizes {
 		for _, mol := range opt.MoleculeSizes {
@@ -132,7 +127,7 @@ func Sweep(opt SweepOptions) ([]SweepRow, error) {
 	}
 	return runner.Map(context.Background(), pool, points,
 		func(ctx context.Context, _ int, pt SweepRow) (SweepRow, error) {
-			cells, err := sweepOne(ctx, pt, goals, mg, refs, opt)
+			cells, err := sweepOne(ctx, pt, goals, refs, opt.Seed)
 			if err != nil {
 				if ctx.Err() != nil {
 					// Cancellation, not an infeasible geometry.
@@ -146,46 +141,28 @@ func Sweep(opt SweepOptions) ([]SweepRow, error) {
 		})
 }
 
-// sweepOne replays the trace into one configuration and formats the CSV
-// record, mirroring the serial CLI byte for byte.
-func sweepOne(ctx context.Context, pt SweepRow, goals map[uint16]float64,
-	mg metrics.Goals, refs []trace.Ref, opt SweepOptions) ([]string, error) {
-	mc, err := molecular.New(molecular.Config{
+// sweepOne replays the trace into one configuration, each application
+// on its own tile, and formats the CSV record, mirroring the serial CLI
+// byte for byte.
+func sweepOne(ctx context.Context, pt SweepRow, goals metrics.Goals,
+	refs []trace.Ref, seed uint64) ([]string, error) {
+	run, err := replayMolecular(ctx, molecular.Config{
 		TotalSize:    pt.Size,
 		MoleculeSize: pt.MoleculeSize,
 		Policy:       pt.Policy,
 		LineFactor:   pt.LineFactor,
-		Seed:         opt.Seed,
-	})
+		Seed:         seed,
+	}, resize.Config{Goals: resizeGoals(goals)}, oneAppPerTile(4), refs)
 	if err != nil {
 		return nil, err
 	}
-	for asid := uint16(1); asid <= 4; asid++ {
-		if _, err := mc.CreateRegion(asid, molecular.RegionOptions{
-			HomeCluster: 0, HomeTile: int(asid - 1),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	ctrl, err := resize.New(mc, resize.Config{Goals: goals})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range refs {
-		if i&0x3fff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		mc.Access(r)
-		ctrl.Tick()
-	}
+	mc := run.Cache
 	return []string{
 		addr.Bytes(pt.Size),
 		addr.Bytes(pt.MoleculeSize),
 		string(pt.Policy),
 		strconv.Itoa(pt.LineFactor),
-		fmt.Sprintf("%.4f", metrics.AverageDeviation(mc.Ledger(), mg)),
+		fmt.Sprintf("%.4f", metrics.AverageDeviation(mc.Ledger(), goals)),
 		fmt.Sprintf("%.4f", mc.Ledger().Total.MissRate()),
 		fmt.Sprintf("%.1f", mc.AverageProbes()),
 		strconv.Itoa(mc.FreeMolecules()),

@@ -186,32 +186,50 @@ type Cache struct {
 	// input, and the logical clock line touches record for LRU-Direct.
 	addresses uint64
 
-	remoteCycles uint64
 	// remote accumulates the NoC cycles charged by the access in flight;
-	// finish folds it into remoteCycles once the modelled service time
-	// has consumed it.
-	//molvet:transient per-access scratch, zeroed at the start of every access
+	// finish charges them to the accessing region and zeroes it.
+	//molvet:transient per-access scratch, zero between accesses
 	remote uint64
 
-	// tracer, reg and ins are the telemetry attachments (all nil by
-	// default: the access path pays two pointer checks when disabled).
+	// tracer and reg are the telemetry attachments (both nil by
+	// default). The registry only reads the cache's own counts, so an
+	// attached one costs the access path nothing; the tracer costs one
+	// pointer check per access when detached.
 	//molvet:transient telemetry attachment re-established after restore
 	tracer *telemetry.Tracer
-	//molvet:transient telemetry attachment; registry state checkpoints via telemetry.Snapshot
+	//molvet:transient telemetry attachment re-established after restore; it holds views, not counts
 	reg *telemetry.Registry
-	//molvet:transient derived metric cells re-created when the registry is re-attached
-	ins *instruments
 
 	// faults, when attached, schedules hard failures, corruptions and
 	// NoC delays against the access count; deg counts what was absorbed.
 	//molvet:transient live attachment re-wired on restore; its cursors checkpoint via faults.CursorState
 	faults *faults.Injector
 	deg    DegradationStats
+	// counts holds the event counts no other structure keeps, each
+	// written where its event happens.
+	counts Counts
 
 	src *rng.Source
 }
 
 var _ engine.Cache = (*Cache)(nil)
+
+// Counts are the cache's event counts that no other structure holds:
+// the registry reads them and the checkpoint saves them. None changes
+// on a home-tile hit.
+type Counts struct {
+	// RemoteHits counts hits found on a sibling tile by the Ulmo sweep.
+	RemoteHits uint64 `json:"remote_hits"`
+	// Writebacks counts dirty lines written back by fills and shrinks.
+	Writebacks uint64 `json:"writebacks"`
+	// LinesFetched counts base lines fetched by fills.
+	LinesFetched uint64 `json:"lines_fetched"`
+	// Grown, Shrunk and Rebalanced count the molecules Grow allocated,
+	// Shrink withdrew and Rebalance moved.
+	Grown      uint64 `json:"grown"`
+	Shrunk     uint64 `json:"shrunk"`
+	Rebalanced uint64 `json:"rebalanced"`
+}
 
 // regionTable maps ASIDs to regions. The paper's mixes interleave a
 // dozen applications reference by reference, so the lookup itself must
@@ -404,7 +422,7 @@ func (c *Cache) admit(asid uint16, home *Tile, initial, lf int) *Region {
 		return c.regionList[i].asid < c.regionList[j].asid
 	})
 	c.growSpread(r, initial)
-	c.registerRegionGauges(r)
+	c.registerRegionSeries(r)
 	if c.tracer != nil {
 		c.tracer.Region(telemetry.KindRegionCreate, c.addresses, asid, r.count, r.count)
 	}
@@ -492,9 +510,7 @@ func (c *Cache) Grow(r *Region, n int) (got int, err error) {
 		got++
 	}
 	if got > 0 {
-		if c.ins != nil {
-			c.ins.grows.Add(uint64(got))
-		}
+		c.counts.Grown += uint64(got)
 		if c.tracer != nil {
 			c.tracer.Region(telemetry.KindRegionGrow, c.addresses, r.asid, got, r.count)
 		}
@@ -516,10 +532,8 @@ func (c *Cache) Shrink(r *Region, n int) (withdrawn, writebacks int) {
 		withdrawn++
 	}
 	if withdrawn > 0 {
-		if c.ins != nil {
-			c.ins.shrinks.Add(uint64(withdrawn))
-			c.ins.writebacks.Add(uint64(writebacks))
-		}
+		c.counts.Shrunk += uint64(withdrawn)
+		c.counts.Writebacks += uint64(writebacks)
 		if c.tracer != nil {
 			c.tracer.Region(telemetry.KindRegionShrink, c.addresses, r.asid, -withdrawn, r.count)
 		}
@@ -571,9 +585,7 @@ func (c *Cache) Rebalance(r *Region) bool {
 		return false
 	}
 	r.attach(m2, hot)
-	if c.ins != nil {
-		c.ins.rebalances.Inc()
-	}
+	c.counts.Rebalanced++
 	if c.tracer != nil {
 		c.tracer.Region(telemetry.KindRegionRebalance, c.addresses, r.asid, 0, r.count)
 	}
@@ -606,7 +618,6 @@ func (c *Cache) Access(ref trace.Ref) engine.Result {
 func (c *Cache) AccessInto(ref trace.Ref, res *engine.Result) {
 	*res = engine.Result{}
 	c.addresses++
-	c.remote = 0
 	if c.faults != nil {
 		c.applyScheduledFaults()
 	}
@@ -654,6 +665,8 @@ func (c *Cache) AccessInto(ref trace.Ref, res *engine.Result) {
 	res.LinesFetched = r.lineFactor
 	res.LinesEvicted = evicted
 	res.Writebacks = wb
+	c.counts.LinesFetched += uint64(r.lineFactor)
+	c.counts.Writebacks += uint64(wb)
 	c.finish(r, ref, res)
 }
 
@@ -712,6 +725,7 @@ func (c *Cache) fastLookup(r *Region, block uint64, write bool, res *engine.Resu
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.DataReads = 1
+			c.counts.RemoteHits++
 			return false
 		}
 	}
@@ -748,6 +762,7 @@ func (c *Cache) referenceLookup(r *Region, block uint64, write bool, res *engine
 			res.Hit = true
 			res.RemoteTileHit = true
 			res.DataReads = 1
+			c.counts.RemoteHits++
 			return false
 		}
 	}
@@ -806,11 +821,11 @@ func (c *Cache) invalidateCompanions(r *Region, victim *Molecule, block uint64) 
 }
 
 // finish records one access: its outcome in the ledger, the region's
-// occupancy and the probe histogram, and — when telemetry is attached —
-// the counts no simulator structure keeps and the access event. The
-// ledger's total and the ASID's cell are the only hit/miss counts an
-// access writes; the region's lifetime counts, the resize windows and
-// the registry's hit, miss and probe metrics read them.
+// occupancy and the probe histogram, the NoC penalty it paid, and —
+// when a tracer is attached — the access event. The ledger's total and
+// the ASID's cell are the only hit/miss counts an access writes; the
+// region's lifetime counts, the resize windows and the registry's hit,
+// miss, probe and service-time metrics read them.
 func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 	// r.appCell is r's cell in c.ledger, cached at region creation —
 	// this is c.ledger.Record(ref.ASID, …) without the lookup.
@@ -818,22 +833,10 @@ func (c *Cache) finish(r *Region, ref trace.Ref, res *engine.Result) {
 	r.appCell.Record(res.Hit)
 	r.occupancySum += uint64(r.count)
 	c.probes.Observe(uint64(res.TagProbes))
-	if c.ins != nil {
-		// Modelled service time: the L2-hit latency as the base, the
-		// memory latency when the line was fetched, plus whatever NoC
-		// fault penalty this access incurred.
-		svc := float64(engine.L2HitCycles + c.remote)
-		if !res.Hit {
-			svc += engine.MemoryCycles
-		}
-		r.svcHist.Observe(svc)
-		if res.RemoteTileHit {
-			c.ins.remoteHits.Inc()
-		}
-		c.ins.writebacks.Add(uint64(res.Writebacks))
-		c.ins.linesFetched.Add(uint64(res.LinesFetched))
+	if c.remote != 0 {
+		r.payNoC(c.remote, res.Hit)
+		c.remote = 0
 	}
-	c.remoteCycles += c.remote
 	if c.tracer != nil {
 		// Tracer.Access does not inline, so the check stays here: an
 		// untraced access pays a comparison, not a call.
@@ -875,8 +878,15 @@ func (c *Cache) FreeInCluster(r *Region) int {
 }
 
 // RemoteCycles returns the cycles NoC delay faults have charged Ulmo
-// traversals: every retransmission's backoff, summed over the run.
-func (c *Cache) RemoteCycles() uint64 { return c.remoteCycles }
+// traversals: every retransmission's backoff, summed over the regions
+// whose accesses paid it.
+func (c *Cache) RemoteCycles() uint64 {
+	var n uint64
+	for _, r := range c.regionList {
+		n += r.noc.Cycles
+	}
+	return n
+}
 
 // FreeMolecules returns the number of unassigned molecules cache-wide.
 func (c *Cache) FreeMolecules() int {

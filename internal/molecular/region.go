@@ -3,9 +3,9 @@ package molecular
 import (
 	"fmt"
 
+	"molcache/internal/engine"
 	"molcache/internal/rng"
 	"molcache/internal/stats"
-	"molcache/internal/telemetry"
 )
 
 // ReplacementKind selects the molecule-selection policy for a region.
@@ -67,11 +67,43 @@ type Region struct {
 	// HPM can use the time-weighted average partition size.
 	occupancySum uint64
 
-	// svcHist is the per-ASID service-time histogram, bound when a
-	// registry is attached (nil otherwise; Observe is nil-safe).
-	svcHist *telemetry.Histogram
-
 	src *rng.Source
+
+	// noc records the accesses that paid a NoC fault penalty. Every
+	// other access's service time follows from whether it hit, so noc
+	// and appCell give the region's service-time distribution exactly.
+	noc NoCPenalties
+}
+
+// serviceCycleBounds are the bucket bounds of a region's service-time
+// histogram, molcache_access_service_cycles{asid}.
+var serviceCycleBounds = [...]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+
+// NoCPenalties describes a region's accesses that paid a NoC fault
+// penalty: how many hit and missed, the penalty cycles they paid in
+// all, and how many fell in each service-time bucket (the last is the
+// +Inf bucket).
+type NoCPenalties struct {
+	Accesses stats.HitMiss                       `json:"accesses"`
+	Cycles   uint64                              `json:"cycles"`
+	Service  [len(serviceCycleBounds) + 1]uint64 `json:"service"`
+}
+
+// serviceCycles is an access's modelled service time: the L2-hit
+// latency, the memory latency when the line was fetched, and the NoC
+// penalty it paid.
+func serviceCycles(hit bool, penalty uint64) uint64 {
+	if hit {
+		return engine.L2HitCycles + penalty
+	}
+	return engine.L2HitCycles + engine.MemoryCycles + penalty
+}
+
+// payNoC records an access of the region that paid penalty NoC cycles.
+func (r *Region) payNoC(penalty uint64, hit bool) {
+	r.noc.Accesses.Record(hit)
+	r.noc.Cycles += penalty
+	r.noc.Service[bucketOf(serviceCycleBounds[:], float64(serviceCycles(hit, penalty)))]++
 }
 
 // ASID returns the owning application's identifier.

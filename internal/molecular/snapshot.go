@@ -65,8 +65,9 @@ type MolState struct {
 // RegionSnap is one region's serialized state. Policy, line size and
 // molecule size are config-derived and not repeated here; LineFactor is
 // kept because CreateRegion can override the config default per region.
-// The region's lifetime counts are its ASID's entry in LedgerApps, and
-// Window holds the counts since the resize controller last rolled it.
+// The region's lifetime counts are its ASID's entry in LedgerApps,
+// Window holds the counts since the resize controller last rolled it,
+// and NoC the accesses among them all that paid a NoC penalty.
 type RegionSnap struct {
 	ASID         uint16        `json:"asid"`
 	HomeTile     int           `json:"home_tile"`
@@ -75,6 +76,7 @@ type RegionSnap struct {
 	RowMiss      []uint64      `json:"row_miss"`
 	Window       stats.HitMiss `json:"window"`
 	OccupancySum uint64        `json:"occupancy_sum"`
+	NoC          NoCPenalties  `json:"noc"`
 	RNG          [4]uint64     `json:"rng"`
 }
 
@@ -88,15 +90,15 @@ type AppLedger struct {
 // Geometry (clusters, tiles, molecule/line sizes) is carried by the
 // Config, which travels alongside in the checkpoint.
 type CacheState struct {
-	Addresses    uint64           `json:"addresses"`
-	NextHome     int              `json:"next_home"`
-	RemoteCycles uint64           `json:"remote_cycles"`
-	RNG          [4]uint64        `json:"rng"`
-	Probes       stats.Histogram  `json:"probes"`
-	Global       stats.HitMiss    `json:"global"`
-	LedgerTotal  stats.HitMiss    `json:"ledger_total"`
-	LedgerApps   []AppLedger      `json:"ledger_apps"`
-	Degradation  DegradationStats `json:"degradation"`
+	Addresses   uint64           `json:"addresses"`
+	NextHome    int              `json:"next_home"`
+	RNG         [4]uint64        `json:"rng"`
+	Probes      stats.Histogram  `json:"probes"`
+	Global      stats.HitMiss    `json:"global"`
+	LedgerTotal stats.HitMiss    `json:"ledger_total"`
+	LedgerApps  []AppLedger      `json:"ledger_apps"`
+	Counts      Counts           `json:"counts"`
+	Degradation DegradationStats `json:"degradation"`
 	// FreeLists holds each tile's free pool as molecule IDs in stored
 	// (bottom-to-top) order; index = global tile ID.
 	FreeLists [][]int      `json:"free_lists"`
@@ -109,10 +111,9 @@ type CacheState struct {
 // in ID order, ledger apps in ASID order).
 func (c *Cache) CaptureState() CacheState {
 	st := CacheState{
-		Addresses:    c.addresses,
-		NextHome:     c.nextHome,
-		RemoteCycles: c.remoteCycles,
-		RNG:          c.src.State(),
+		Addresses: c.addresses,
+		NextHome:  c.nextHome,
+		RNG:       c.src.State(),
 		Probes: stats.Histogram{
 			Buckets: append([]uint64(nil), c.probes.Buckets...),
 			Count:   c.probes.Count,
@@ -120,6 +121,7 @@ func (c *Cache) CaptureState() CacheState {
 		},
 		Global:      c.global.Snapshot(),
 		LedgerTotal: c.ledger.Total,
+		Counts:      c.counts,
 		Degradation: c.deg,
 	}
 	for _, asid := range c.ledger.ASIDs() {
@@ -164,6 +166,7 @@ func (c *Cache) CaptureState() CacheState {
 			RowMiss:      r.RowMissCounts(),
 			Window:       r.window.Snapshot(),
 			OccupancySum: r.occupancySum,
+			NoC:          r.noc,
 			RNG:          r.src.State(),
 		}
 		st.Regions = append(st.Regions, rs)
@@ -175,8 +178,8 @@ func (c *Cache) CaptureState() CacheState {
 // cross-reference. On success the returned cache is a byte-identical
 // continuation of the captured one; on any inconsistency it returns an
 // error describing the violation (never panics). Telemetry and fault
-// attachments are NOT restored here — callers re-attach them and then
-// load the telemetry snapshot.
+// attachments are NOT restored here — callers attach them as to a new
+// cache, and an attached registry reads the restored counts.
 func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	c, err := New(cfg)
 	if err != nil {
@@ -316,6 +319,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			index:        newBlockMap(c.lines, c.slotBits, total),
 			rowMiss:      append([]uint64(nil), rs.RowMiss...),
 			occupancySum: rs.OccupancySum,
+			noc:          rs.NoC,
 			src:          rng.New(cfg.Seed ^ uint64(rs.ASID)<<20 ^ 0xbeef),
 		}
 		if err := r.src.SetState(rs.RNG); err != nil {
@@ -379,7 +383,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	// Cache-wide counters, ledger and RNG.
 	c.addresses = st.Addresses
 	c.nextHome = st.NextHome
-	c.remoteCycles = st.RemoteCycles
+	c.counts = st.Counts
 	c.deg = st.Degradation
 	if err := c.src.SetState(st.RNG); err != nil {
 		return nil, fmt.Errorf("molecular: restore: cache rng: %w", err)
@@ -402,7 +406,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	}
 	// The windows are marks on the restored ledger (SetApp kept the
 	// cells AppRef handed the regions above), and each must fit in the
-	// count it reads.
+	// count it reads, as must the region's penalized accesses.
 	if err := c.global.Restore(st.Global); err != nil {
 		return nil, fmt.Errorf("molecular: restore: global window: %w", err)
 	}
@@ -411,6 +415,9 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 		r.window = stats.NewWindow(r.appCell)
 		if err := r.window.Restore(st.Regions[i].Window); err != nil {
 			return nil, fmt.Errorf("molecular: restore: region %d window: %w", r.asid, err)
+		}
+		if err := r.noc.check(*r.appCell); err != nil {
+			return nil, fmt.Errorf("molecular: restore: region %d: %w", r.asid, err)
 		}
 	}
 
@@ -421,4 +428,20 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 			len(vs), vs[0].Rule, vs[0].Detail)
 	}
 	return c, nil
+}
+
+// check reports whether the penalized accesses fit in the region's
+// lifetime counts hm and fill exactly the service-time buckets.
+func (p NoCPenalties) check(hm stats.HitMiss) error {
+	if p.Accesses.Hits > hm.Hits || p.Accesses.Misses > hm.Misses {
+		return fmt.Errorf("NoC-penalized accesses %v exceed the ledger's %v", p.Accesses, hm)
+	}
+	var n uint64
+	for _, k := range p.Service {
+		n += k
+	}
+	if n != p.Accesses.Accesses() {
+		return fmt.Errorf("NoC-penalized service buckets hold %d accesses, not %d", n, p.Accesses.Accesses())
+	}
+	return nil
 }

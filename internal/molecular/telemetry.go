@@ -7,48 +7,19 @@ import (
 	"molcache/internal/telemetry"
 )
 
-// instruments caches the registry handles the access and resize paths
-// increment, so an access never does a name lookup. They hold the
-// counts no simulator structure keeps; every count the cache already
-// keeps (the ledger, the probe histogram, the degradation counts, the
-// region list) is a func the registry reads at snapshot time. A nil
-// *instruments (the default) means metrics are off and finish pays a
-// single pointer check.
-type instruments struct {
-	remoteHits   *telemetry.Counter
-	writebacks   *telemetry.Counter
-	linesFetched *telemetry.Counter
-	grows        *telemetry.Counter
-	shrinks      *telemetry.Counter
-	rebalances   *telemetry.Counter
-}
-
-// probeCountBounds buckets the per-access tag-probe count: 1 probe for
-// a direct home-tile hit up through full-cluster sweeps.
-var probeCountBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // AttachTelemetry routes the cache's observations through a tracer
 // (structured events) and a registry (live metrics). Either may be nil;
 // a nil tracer records no events and a nil registry registers no
-// metrics, leaving the access path with one pointer check each.
-// Regions created before the call get their gauges registered now;
-// regions created after, at creation. The counters the registry reads
-// from the cache's own counts report lifetime totals, whenever the
-// registry is attached.
+// metrics. Every metric is a view over a count the cache keeps and its
+// checkpoint saves, so the registry writes nothing per access and
+// reports lifetime totals whenever it is attached. Regions created
+// before the call get their series registered now; regions created
+// after, at creation.
 func (c *Cache) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) {
 	c.tracer = tr
 	c.reg = reg
 	if reg == nil {
-		c.ins = nil
 		return
-	}
-	c.ins = &instruments{
-		remoteHits:   reg.Counter("molcache_molecular_remote_tile_hits_total"),
-		writebacks:   reg.Counter("molcache_molecular_writebacks_total"),
-		linesFetched: reg.Counter("molcache_molecular_lines_fetched_total"),
-		grows:        reg.Counter("molcache_molecular_grow_molecules_total"),
-		shrinks:      reg.Counter("molcache_molecular_shrink_molecules_total"),
-		rebalances:   reg.Counter("molcache_molecular_rebalances_total"),
 	}
 	reg.RegisterCounterFunc("molcache_molecular_hits_total",
 		func() uint64 { return c.ledger.Total.Hits })
@@ -56,10 +27,24 @@ func (c *Cache) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) {
 		func() uint64 { return c.ledger.Total.Misses })
 	reg.RegisterCounterFunc("molcache_molecular_tag_probes_total",
 		func() uint64 { return c.probes.Sum })
+	reg.RegisterCounterFunc("molcache_molecular_remote_tile_hits_total",
+		func() uint64 { return c.counts.RemoteHits })
+	reg.RegisterCounterFunc("molcache_molecular_writebacks_total",
+		func() uint64 { return c.counts.Writebacks })
+	reg.RegisterCounterFunc("molcache_molecular_lines_fetched_total",
+		func() uint64 { return c.counts.LinesFetched })
+	reg.RegisterCounterFunc("molcache_molecular_grow_molecules_total",
+		func() uint64 { return c.counts.Grown })
+	reg.RegisterCounterFunc("molcache_molecular_shrink_molecules_total",
+		func() uint64 { return c.counts.Shrunk })
+	reg.RegisterCounterFunc("molcache_molecular_rebalances_total",
+		func() uint64 { return c.counts.Rebalanced })
 	// Regions are never deleted, so the list's length counts creations.
 	reg.RegisterCounterFunc("molcache_molecular_region_creates_total",
 		func() uint64 { return uint64(len(c.regionList)) })
-	reg.RegisterHistogramFunc("molcache_molecular_probe_count", c.probeCountSnapshot)
+	bounds := c.probeCountBounds()
+	reg.RegisterHistogramFunc("molcache_molecular_probe_count",
+		func() telemetry.HistogramSnapshot { return c.probeCountSnapshot(bounds) })
 
 	reg.RegisterCounterFunc("molcache_fault_retired_molecules_total",
 		func() uint64 { return c.deg.RetiredMolecules })
@@ -90,48 +75,81 @@ func (c *Cache) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) {
 		func() float64 { return c.ledger.Total.MissRate() })
 	reg.RegisterGaugeFunc("molcache_molecular_avg_probes_per_access",
 		func() float64 { return c.AverageProbes() })
-	// Regions() iterates in ASID order, so gauge registration (and any
-	// panic on a name collision) is deterministic.
+	// Regions() iterates in ASID order, so registration (and any panic
+	// on a name collision) is deterministic.
 	for _, r := range c.Regions() {
-		c.registerRegionGauges(r)
+		c.registerRegionSeries(r)
 	}
+}
+
+// probeCountBounds buckets the per-access tag-probe count: 1 probe for
+// a direct home-tile hit, doubling through 128 and on until a bucket
+// holds a sweep of every molecule in a cluster, the most one access
+// can probe.
+func (c *Cache) probeCountBounds() []float64 {
+	perCluster := float64(c.cfg.MoleculesPerTile() * c.cfg.TilesPerCluster)
+	bounds := []float64{1}
+	for top := 1.0; top < 128 || top < perCluster; {
+		top *= 2
+		bounds = append(bounds, top)
+	}
+	return bounds
 }
 
 // probeCountSnapshot folds the probe histogram, which has one bucket
 // per possible probe count (0 through every molecule of a cluster),
-// into probeCountBounds' cumulative buckets. The fold is exact: each
-// count lands in every bucket whose bound it does not exceed, as an
+// into bounds. The fold is exact: each count lands in the bucket an
 // observation of it would.
-func (c *Cache) probeCountSnapshot() telemetry.HistogramSnapshot {
-	hs := telemetry.HistogramSnapshot{
-		Count:   c.probes.Count,
-		Sum:     float64(c.probes.Sum),
-		Buckets: make([]telemetry.Bucket, len(probeCountBounds)+1),
+func (c *Cache) probeCountSnapshot(bounds []float64) telemetry.HistogramSnapshot {
+	counts := make([]uint64, len(bounds)+1)
+	for probes, n := range c.probes.Buckets {
+		counts[bucketOf(bounds, float64(probes))] += n
 	}
-	for i := range hs.Buckets {
-		hs.Buckets[i].UpperBound = math.Inf(+1)
-		if i < len(probeCountBounds) {
-			hs.Buckets[i].UpperBound = probeCountBounds[i]
-		}
-		for probes, n := range c.probes.Buckets {
-			if float64(probes) <= hs.Buckets[i].UpperBound {
-				hs.Buckets[i].Count += n
-			}
+	return cumulative(bounds, counts, float64(c.probes.Sum))
+}
+
+// serviceCycleSnapshot is region r's service-time histogram: every
+// access the ledger cell counts, at the latency serviceCycles gives it.
+// The accesses that paid no NoC penalty sit at the hit or the miss
+// latency; the penalized ones are in r.noc's buckets.
+func serviceCycleSnapshot(r *Region) telemetry.HistogramSnapshot {
+	hit, miss := serviceCycles(true, 0), serviceCycles(false, 0)
+	counts := r.noc.Service
+	counts[bucketOf(serviceCycleBounds[:], float64(hit))] += r.appCell.Hits - r.noc.Accesses.Hits
+	counts[bucketOf(serviceCycleBounds[:], float64(miss))] += r.appCell.Misses - r.noc.Accesses.Misses
+	sum := r.appCell.Hits*hit + r.appCell.Misses*miss + r.noc.Cycles
+	return cumulative(serviceCycleBounds[:], counts[:], float64(sum))
+}
+
+// bucketOf returns the bucket an observation of v lands in: the first
+// whose upper bound is at least v, or len(bounds) for +Inf.
+func bucketOf(bounds []float64, v float64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	return i
+}
+
+// cumulative builds a histogram snapshot from per-bucket counts
+// (counts[len(bounds)] is the +Inf bucket) and the observations' sum.
+func cumulative(bounds []float64, counts []uint64, sum float64) telemetry.HistogramSnapshot {
+	hs := telemetry.HistogramSnapshot{Sum: sum, Buckets: make([]telemetry.Bucket, len(counts))}
+	for i, n := range counts {
+		hs.Count += n
+		hs.Buckets[i] = telemetry.Bucket{UpperBound: math.Inf(+1), Count: hs.Count}
+		if i < len(bounds) {
+			hs.Buckets[i].UpperBound = bounds[i]
 		}
 	}
 	return hs
 }
 
-// Registry returns the attached metrics registry (nil when metrics are
-// off). Checkpointing reads it to fold the live counters into the
-// snapshot alongside the cache state.
-func (c *Cache) Registry() *telemetry.Registry { return c.reg }
-
-// registerRegionGauges exports one region's miss rate, size and service-
+// registerRegionSeries exports one region's miss rate, size and service-
 // time distribution — the paper's per-ASID quantities that Algorithm 1
 // steers by, plus the latency distribution Com-CAS-style apportioning
 // wants instead of a scalar.
-func (c *Cache) registerRegionGauges(r *Region) {
+func (c *Cache) registerRegionSeries(r *Region) {
 	if c.reg == nil {
 		return
 	}
@@ -140,5 +158,6 @@ func (c *Cache) registerRegionGauges(r *Region) {
 		func() float64 { return r.appCell.MissRate() })
 	c.reg.RegisterGaugeFunc("molcache_region_molecules"+label,
 		func() float64 { return float64(r.count) })
-	r.svcHist = c.reg.Histogram("molcache_access_service_cycles"+label, nil)
+	c.reg.RegisterHistogramFunc("molcache_access_service_cycles"+label,
+		func() telemetry.HistogramSnapshot { return serviceCycleSnapshot(r) })
 }

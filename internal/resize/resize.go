@@ -144,6 +144,9 @@ const (
 	ActionRebalance Action = "rebalance"
 )
 
+// allActions lists every Action a decision can take.
+var allActions = [...]Action{ActionGrowChunk, ActionGrowLinear, ActionShrink, ActionNone, ActionRebalance}
+
 // appState carries per-application controller state.
 type appState struct {
 	lastAction Action
@@ -198,12 +201,14 @@ type Controller struct {
 	//molvet:transient per-pass scratch, refilled from the cache at every pass
 	regions []*molecular.Region
 
-	// tracer and decisions are the telemetry attachments (nil by
-	// default; a detached controller pays one pointer check per pass).
+	// actions counts the decisions made, by action; the registry reads
+	// it.
+	actions map[Action]uint64
+
+	// tracer is the event attachment (nil by default; a detached
+	// controller pays one pointer check per decision).
 	//molvet:transient telemetry attachment re-established after restore
 	tracer *telemetry.Tracer
-	//molvet:transient derived metric cells re-created when the registry is re-attached
-	decisions map[Action]*telemetry.Counter
 }
 
 // New builds a controller for cache.
@@ -213,11 +218,12 @@ func New(cache *molecular.Cache, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	return &Controller{
-		cfg:    cfg,
-		cache:  cache,
-		period: cfg.Period,
-		nextAt: cfg.Period,
-		apps:   make(map[uint16]*appState),
+		cfg:     cfg,
+		cache:   cache,
+		period:  cfg.Period,
+		nextAt:  cfg.Period,
+		apps:    make(map[uint16]*appState),
+		actions: make(map[Action]uint64),
 	}, nil
 }
 
@@ -425,7 +431,10 @@ func (c *Controller) resizeOne(r *molecular.Region, s *appState) float64 {
 		d.Floor = s.floor
 		d.SizeAfter = r.MoleculeCount()
 		c.record(d)
-		c.observe(d)
+		c.actions[d.Action]++
+		if c.tracer != nil {
+			c.tracer.Resize(d.At, d.ASID, string(d.Action), d.Delta, d.SizeAfter)
+		}
 		// Consume the epoch's placement counters only after the grow/
 		// shrink placement has used them.
 		r.ResetEpoch()

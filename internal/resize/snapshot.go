@@ -2,6 +2,7 @@ package resize
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 )
@@ -10,9 +11,10 @@ import (
 // consults between passes is serialized: the shared period/trigger
 // cursor, the per-application state (shrink-regret floors, futility
 // audit marks, freeze counters, per-app periods), the daemon cycle
-// account, and the bounded decision ring. Restore validates
-// untrusted input and returns errors, never panics — corrupted
-// checkpoints must degrade to a cold start, not kill the run.
+// account, the bounded decision ring and the per-action decision
+// counts. Restore validates untrusted input and returns errors, never
+// panics — corrupted checkpoints must degrade to a cold start, not kill
+// the run.
 
 // AppSnap is one application's serialized controller state, mirroring
 // appState field for field.
@@ -43,9 +45,11 @@ type ControllerState struct {
 	Cycles uint64    `json:"cycles"`
 	Apps   []AppSnap `json:"apps"`
 	// Decisions is the ring's contents oldest-first (as Decisions()
-	// returns them); DecisionSeq is the lifetime count.
-	Decisions   []Decision `json:"decisions"`
-	DecisionSeq uint64     `json:"decision_seq"`
+	// returns them); DecisionSeq is the lifetime count, and Actions
+	// splits it by action.
+	Decisions   []Decision        `json:"decisions"`
+	DecisionSeq uint64            `json:"decision_seq"`
+	Actions     map[Action]uint64 `json:"actions"`
 }
 
 // Config returns the controller's (defaulted) configuration — the one
@@ -61,6 +65,7 @@ func (c *Controller) CaptureState() ControllerState {
 		Cycles:      c.cycles,
 		Decisions:   slices.Clone(c.Decisions()), // the log is shared; a checkpoint owns its copy
 		DecisionSeq: c.decSeq,
+		Actions:     maps.Clone(c.actions),
 	}
 	asids := make([]uint16, 0, len(c.apps))
 	for asid := range c.apps {
@@ -102,6 +107,22 @@ func (c *Controller) RestoreState(st ControllerState) error {
 		return fmt.Errorf("resize: restore: %d retained decisions exceed ring capacity %d",
 			len(st.Decisions), DefaultDecisionLog)
 	}
+	// A checkpoint without action counts restores them as zero.
+	actions := make(map[Action]uint64, len(allActions))
+	var decided uint64
+	for _, a := range allActions {
+		if n, ok := st.Actions[a]; ok {
+			actions[a] = n
+			decided += n
+		}
+	}
+	if len(actions) != len(st.Actions) {
+		return fmt.Errorf("resize: restore: action counts name an unknown action")
+	}
+	if decided > st.DecisionSeq {
+		return fmt.Errorf("resize: restore: action counts total %d decisions, more than the lifetime count %d",
+			decided, st.DecisionSeq)
+	}
 	apps := make(map[uint16]*appState, len(st.Apps))
 	prev := -1
 	for i := range st.Apps {
@@ -110,9 +131,7 @@ func (c *Controller) RestoreState(st ControllerState) error {
 			return fmt.Errorf("resize: restore: app states not in ascending ASID order at %d", a.ASID)
 		}
 		prev = int(a.ASID)
-		switch a.LastAction {
-		case "", ActionGrowChunk, ActionGrowLinear, ActionShrink, ActionNone, ActionRebalance:
-		default:
+		if a.LastAction != "" && !slices.Contains(allActions[:], a.LastAction) {
 			return fmt.Errorf("resize: restore: app %d has unknown last action %q", a.ASID, a.LastAction)
 		}
 		if a.MaxAlloc < 0 || a.Floor < 0 || a.Frozen < 0 || a.GrowSinceMark < 0 {
@@ -131,6 +150,7 @@ func (c *Controller) RestoreState(st ControllerState) error {
 	c.nextAt = st.NextAt
 	c.cycles = st.Cycles
 	c.apps = apps
+	c.actions = actions
 	// The ring is reloaded linearized: head 0, oldest first. Decisions()
 	// re-linearizes on read, so the external view is unchanged.
 	c.decs = append([]Decision(nil), st.Decisions...)

@@ -266,19 +266,24 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// boot builds the simulator (warm or cold) and the journal.
+// boot builds the simulator (warm or cold) and the journal, then
+// attaches the sim-plane telemetry to whichever simulator it built.
 func (s *Server) boot() error {
 	if s.cfg.CheckpointPath != "" {
 		if _, err := os.Stat(s.cfg.CheckpointPath); err == nil {
-			if err := s.restore(); err == nil {
-				return nil
-			} else {
+			if err := s.restore(); err != nil {
 				s.restoreErr = err
 				s.servReg.Counter("molcache_server_restore_failures_total").Inc()
 			}
 		}
 	}
-	return s.coldStart()
+	if !s.warm {
+		if err := s.coldStart(); err != nil {
+			return err
+		}
+	}
+	s.sim.AttachTelemetry(s.tr, s.reg)
+	return nil
 }
 
 func (s *Server) coldStart() error {
@@ -286,7 +291,6 @@ func (s *Server) coldStart() error {
 	if err != nil {
 		return err
 	}
-	sim.AttachTelemetry(s.tr, s.reg)
 	if err := sim.InjectFaults(s.cfg.Faults); err != nil {
 		return err
 	}
@@ -334,7 +338,7 @@ func (s *Server) restore() error {
 	if err != nil {
 		return err
 	}
-	sim, err := molcache.RestoreSimulatorBytes(simBytes, s.tr, s.reg)
+	sim, err := molcache.RestoreSimulatorBytes(simBytes)
 	if err != nil {
 		return err
 	}

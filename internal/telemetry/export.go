@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
@@ -15,57 +14,26 @@ import (
 // Bucket is one cumulative histogram bucket in a snapshot.
 type Bucket struct {
 	// UpperBound is the bucket's inclusive upper bound; the final
-	// bucket's is +Inf (serialized as the string "+Inf" in JSON).
-	UpperBound float64 `json:"le"`
+	// bucket's is +Inf.
+	UpperBound float64
 	// Count is the cumulative observation count at this bound.
-	Count uint64 `json:"count"`
-}
-
-// MarshalJSON renders +Inf as the Prometheus-conventional "+Inf".
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	le := strconv.FormatFloat(b.UpperBound, 'g', -1, 64)
-	if math.IsInf(b.UpperBound, +1) {
-		le = "+Inf"
-	}
-	return []byte(fmt.Sprintf(`{"le":%q,"count":%d}`, le, b.Count)), nil
-}
-
-// UnmarshalJSON parses the representation MarshalJSON produces.
-func (b *Bucket) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		LE    string `json:"le"`
-		Count uint64 `json:"count"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	b.Count = raw.Count
-	if raw.LE == "+Inf" {
-		b.UpperBound = math.Inf(+1)
-		return nil
-	}
-	v, err := strconv.ParseFloat(raw.LE, 64)
-	if err != nil {
-		return fmt.Errorf("telemetry: bad bucket bound %q: %w", raw.LE, err)
-	}
-	b.UpperBound = v
-	return nil
+	Count uint64
 }
 
 // HistogramSnapshot is one histogram's frozen state.
 type HistogramSnapshot struct {
-	Count   uint64   `json:"count"`
-	Sum     float64  `json:"sum"`
-	Buckets []Bucket `json:"buckets"`
+	Count   uint64
+	Sum     float64
+	Buckets []Bucket
 }
 
-// Snapshot is a frozen view of a registry, the unit both exporters
-// serialize. Funcs are evaluated at snapshot time and appear as plain
-// gauges, counters and histograms.
+// Snapshot is a frozen view of a registry, the unit the Prometheus
+// exporter serializes. Funcs are evaluated at snapshot time and appear
+// as plain gauges, counters and histograms.
 type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters   map[string]uint64
+	Gauges     map[string]float64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot freezes the registry's current state: AtomicSnapshot plus

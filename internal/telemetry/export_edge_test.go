@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
 	"reflect"
 	"strconv"
@@ -92,36 +91,6 @@ func TestPrometheusLabeledHistogramRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap, got) {
 		t.Fatalf("text round trip diverged:\nwant %+v\ngot  %+v", snap, got)
-	}
-}
-
-func TestHistogramJSONRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	reg.Histogram(`molcache_access_service_cycles{asid="1"}`, nil).Observe(12)
-	reg.Histogram(`molcache_access_service_cycles{asid="1"}`, nil).Observe(212)
-	snap := reg.Snapshot()
-
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"le": "+Inf"`) {
-		t.Fatalf("+Inf bucket not serialized as string:\n%s", data)
-	}
-	var got Snapshot
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("JSON round trip diverged:\nwant %+v\ngot  %+v", snap, got)
-	}
-	hs := got.Histograms[`molcache_access_service_cycles{asid="1"}`]
-	if hs.Count != 2 || hs.Sum != 224 {
-		t.Fatalf("histogram state lost: %+v", hs)
-	}
-	last := hs.Buckets[len(hs.Buckets)-1]
-	if !math.IsInf(last.UpperBound, +1) || last.Count != 2 {
-		t.Fatalf("+Inf bucket lost: %+v", last)
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,21 +21,6 @@ func populated() *Registry {
 		h.Observe(v)
 	}
 	return r
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	snap := populated().Snapshot()
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, back) {
-		t.Errorf("JSON round trip diverged:\n got %+v\nwant %+v", back, snap)
-	}
 }
 
 func TestPrometheusRoundTrip(t *testing.T) {

@@ -140,16 +140,13 @@ func (h *Histogram) Sum() float64 {
 // funcs evaluated at snapshot time: views over state their caller
 // already keeps, which cost nothing per access.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	//molvet:transient views over live state, re-registered by the AttachTelemetry a restore runs before LoadSnapshot
-	gaugeFns map[string]func() float64
-	//molvet:transient views over live state, re-registered by the AttachTelemetry a restore runs before LoadSnapshot
+	mu         sync.RWMutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	hists      map[string]*Histogram
+	gaugeFns   map[string]func() float64
 	counterFns map[string]func() uint64
-	//molvet:transient views over live state, re-registered by the AttachTelemetry a restore runs before LoadSnapshot
-	histFns map[string]func() HistogramSnapshot
+	histFns    map[string]func() HistogramSnapshot
 }
 
 // NewRegistry returns an empty registry.

@@ -5,8 +5,10 @@
 # output. Then repeat for the serving layer: boot molcached with the
 # two-tenant demo, assert /healthz answers 200 with a fresh snapshot and
 # /tenants lists both demo tenants, and verify SIGTERM leaves a
-# checkpoint behind. Exits nonzero (and prints the daemon log) on any
-# failure.
+# checkpoint behind. Finally boot molcached twice more from that
+# checkpoint and journal: each boot must warm-restore, and the
+# simulator's metrics must read the same on both. Exits nonzero (and
+# prints the daemon log) on any failure.
 set -eu
 
 PORT="${OBS_SMOKE_PORT:-19464}"
@@ -199,3 +201,51 @@ CACHED_PID=""
 grep -q "checkpoint written" "${CACHED_LOG}" || cfail "shutdown log missing checkpoint line"
 
 echo "obs-smoke: OK (molcached /healthz /tenants /metrics served, SIGTERM checkpointed)"
+
+# --- Warm restarts ----------------------------------------------------
+# Boot the daemon twice more from its own checkpoint and journal, with
+# no demo traffic. Each boot must warm-restore, and the sim-plane
+# series of /metrics (every count behind them is simulator state the
+# checkpoint saves) must be identical across the two boots.
+warm_boot() {
+	CACHED_LOG="${DIR}/molcached.warm$1.log"
+	"${DIR}/molcached" \
+		-listen "${CACHED_ADDR}" -serve "${CACHED_OBS}" \
+		-cache molecular:1MB:4x2:Randy -publish-every 500 \
+		-journal "${DIR}/access.molc" -checkpoint "${CKPT}" \
+		>"${CACHED_LOG}" 2>&1 &
+	CACHED_PID=$!
+	i=0
+	until grep -q "serving on" "${CACHED_LOG}" && fetch "${CBASE}/metrics" "${DIR}/wmetrics$1.prom" 2>/dev/null; do
+		i=$((i + 1))
+		if [ "${i}" -ge 120 ]; then
+			cfail "warm boot $1 did not serve /metrics within 120s"
+		fi
+		if ! kill -0 "${CACHED_PID}" 2>/dev/null; then
+			cfail "warm boot $1 exited before serving"
+		fi
+		sleep 1
+	done
+	grep -q "warm restore" "${CACHED_LOG}" || cfail "boot $1 from the checkpoint did not warm-restore"
+	grep -E '^molcache_(molecular_|resize_|fault_|region_|access_service_cycles)' \
+		"${DIR}/wmetrics$1.prom" >"${DIR}/wsim$1.prom"
+	kill -TERM "${CACHED_PID}"
+	i=0
+	while kill -0 "${CACHED_PID}" 2>/dev/null; do
+		i=$((i + 1))
+		if [ "${i}" -ge 30 ]; then
+			cfail "warm boot $1 did not exit within 30s of SIGTERM"
+		fi
+		sleep 1
+	done
+	wait "${CACHED_PID}" 2>/dev/null || cfail "warm boot $1 exited nonzero"
+	CACHED_PID=""
+}
+warm_boot 1
+warm_boot 2
+grep -q '^molcache_molecular_hits_total [1-9]' "${DIR}/wsim1.prom" \
+	|| cfail "warm boot reports no molecular hits: $(grep molcache_molecular_hits_total "${DIR}/wsim1.prom")"
+cmp -s "${DIR}/wsim1.prom" "${DIR}/wsim2.prom" \
+	|| cfail "sim-plane /metrics differ across warm boots: $(diff "${DIR}/wsim1.prom" "${DIR}/wsim2.prom" | head -20)"
+
+echo "obs-smoke: OK (two warm boots restored identical sim-plane /metrics)"

@@ -44,19 +44,18 @@ func main() {
 
 func run() error {
 	var (
-		listen       = flag.String("listen", "127.0.0.1:11411", "key/value protocol listen address")
-		serve        = flag.String("serve", "", "introspection server address (empty disables)")
-		cacheSpec    = flag.String("cache", "molecular:1MB:4x2:Randy", "cache spec molecular:SIZE:CxT:POLICY")
-		seed         = flag.Uint64("seed", 2006, "replacement randomness seed")
-		goal         = flag.Float64("goal", 0.2, "default tenant miss-rate goal")
-		period       = flag.Uint64("period", 0, "initial resize period in accesses (0 = paper default)")
-		addrBits     = flag.Uint("addr-bits", 26, "per-tenant address-space width in bits")
-		publishEvery = flag.Uint64("publish-every", 8192, "refresh the obs snapshot every N accesses")
-		journalPath  = flag.String("journal", "", "MOLC1 access journal path (empty disables)")
-		ckptPath     = flag.String("checkpoint", "", "checkpoint path for SIGTERM save / warm restore")
-		faultsPath   = flag.String("faults", "", "JSON fault campaign to inject")
-		demo         = flag.Bool("demo", false, "run the two-tenant SLO demo workload, then keep serving")
-		demoOps      = flag.Int("demo-ops", 20000, "operations per demo tenant")
+		listen      = flag.String("listen", "127.0.0.1:11411", "key/value protocol listen address")
+		serve       = flag.String("serve", "", "introspection server address (empty disables)")
+		cacheSpec   = flag.String("cache", "molecular:1MB:4x2:Randy", "cache spec molecular:SIZE:CxT:POLICY")
+		seed        = flag.Uint64("seed", 2006, "replacement randomness seed")
+		goal        = flag.Float64("goal", 0.2, "default tenant miss-rate goal")
+		period      = flag.Uint64("period", 0, "initial resize period in accesses (0 = paper default)")
+		addrBits    = flag.Uint("addr-bits", 26, "per-tenant address-space width in bits")
+		journalPath = flag.String("journal", "", "MOLC1 access journal path (empty disables)")
+		ckptPath    = flag.String("checkpoint", "", "checkpoint path for SIGTERM save / warm restore")
+		faultsPath  = flag.String("faults", "", "JSON fault campaign to inject")
+		demo        = flag.Bool("demo", false, "run the two-tenant SLO demo workload, then keep serving")
+		demoOps     = flag.Int("demo-ops", 20000, "operations per demo tenant")
 	)
 	flag.Parse()
 
@@ -70,7 +69,6 @@ func run() error {
 		Molecular:      mcfg,
 		Resize:         resize.Config{Period: *period, DefaultGoal: *goal},
 		AddrBits:       *addrBits,
-		PublishEvery:   *publishEvery,
 		JournalPath:    *journalPath,
 		CheckpointPath: *ckptPath,
 	}

@@ -178,7 +178,6 @@ func runIteration(seed uint64, accesses, mutations int, out string, iter int) *f
 				return bundle(fmt.Sprintf("restore after kill at access %d (checkpoint at %d): %v",
 					i, ckAt, err), ckBytes, i)
 			}
-			restored.AttachTelemetry(nil, molcache.NewRegistry())
 			victim = restored
 			i = ckAt
 		}
@@ -362,9 +361,8 @@ func genTrace(src *rng.Source, n int) []trace.Ref {
 	return refs
 }
 
-// buildSim assembles one side: cache, optional fault injector,
-// controller and a live registry — the full attachment surface a
-// checkpoint must carry.
+// buildSim assembles one side: cache, optional fault injector and
+// controller.
 func buildSim(setup chaosSetup, campaign *faults.Campaign) (*molcache.Simulator, error) {
 	c, err := molecular.New(setup.Config)
 	if err != nil {
@@ -383,9 +381,7 @@ func buildSim(setup chaosSetup, campaign *faults.Campaign) (*molcache.Simulator,
 	if err != nil {
 		return nil, err
 	}
-	sim := &molcache.Simulator{Cache: c, Controller: ctrl}
-	sim.AttachTelemetry(nil, molcache.NewRegistry())
-	return sim, nil
+	return &molcache.Simulator{Cache: c, Controller: ctrl}, nil
 }
 
 // writeBundle lands a minimized repro bundle: the scenario, the fault

@@ -131,7 +131,9 @@ func DefaultConfig() Config {
 			"internal/telemetry",
 			// The observability plane runs an HTTP server and event
 			// broadcast next to the single-threaded simulation; its
-			// handlers only ever read published immutable snapshots.
+			// handlers reach simulation state only through their
+			// command's state source: a published immutable snapshot,
+			// or one collected under the owner's lock.
 			"internal/obs",
 			// The serving layer runs one goroutine per connection; each
 			// reaches the simulator, journal, value store and tenant

@@ -68,7 +68,7 @@ func TestRegistryViewsReadTheCache(t *testing.T) {
 		writebacks += uint64(res.Writebacks)
 		linesFetched += uint64(res.LinesFetched)
 		svc := serviceCycles(res.Hit, c.RemoteCycles()-before)
-		observed.Histogram(`molcache_access_service_cycles{asid="`+strconv.Itoa(int(r.ASID))+`"}`, nil).
+		observed.Histogram(`molcache_access_service_cycles{asid="`+strconv.Itoa(int(r.ASID))+`"}`, serviceCycleBounds[:]).
 			Observe(float64(svc))
 	}
 	src := rng.New(11)

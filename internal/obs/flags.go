@@ -39,7 +39,9 @@ type Pipeline struct {
 	Tracer *telemetry.Tracer
 	// Registry accumulates metrics (non-nil with -metrics or -serve).
 	Registry *telemetry.Registry
-	// Publisher and Server exist with -serve; Tap feeds /events.
+	// Publisher and Server exist with -serve: the server serves the
+	// Publisher's latest state, and the registry until there is one.
+	// Tap feeds /events.
 	Publisher *Publisher
 	Server    *Server
 	Tap       *EventTap
@@ -81,9 +83,9 @@ func (f Flags) Setup() (*Pipeline, error) {
 	if serving {
 		p.Publisher = NewPublisher()
 		srv, err := Serve(f.Serve, Options{
-			Publisher: p.Publisher,
-			Registry:  p.Registry,
-			Tap:       p.Tap,
+			State:    p.Publisher.Latest,
+			Registry: p.Registry,
+			Tap:      p.Tap,
 		})
 		if err != nil {
 			if p.eventsF != nil {

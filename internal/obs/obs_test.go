@@ -200,7 +200,7 @@ func TestServerEndpoints(t *testing.T) {
 	pub.Publish(obs.Collect(c, ctrl, reg))
 	tap := obs.NewEventTap(nil)
 
-	srv, err := obs.Serve("127.0.0.1:0", obs.Options{Publisher: pub, Registry: reg, Tap: tap})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Options{State: pub.Latest, Registry: reg, Tap: tap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestServerEndpoints(t *testing.T) {
 func TestTenantsEndpoint(t *testing.T) {
 	c, ctrl, reg := simWorld(t)
 	pub := obs.NewPublisher()
-	srv, err := obs.Serve("127.0.0.1:0", obs.Options{Publisher: pub, Registry: reg})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Options{State: pub.Latest, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	c, ctrl, reg := simWorld(t)
 	pub := obs.NewPublisher()
 	tap := obs.NewEventTap(nil)
-	srv, err := obs.Serve("127.0.0.1:0", obs.Options{Publisher: pub, Registry: reg, Tap: tap})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Options{State: pub.Latest, Registry: reg, Tap: tap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestHealthzEndpoint(t *testing.T) {
 
 	type health struct {
 		Status           string  `json:"status"`
-		LastPublish      string  `json:"last_publish"`
+		SnapshotTaken    string  `json:"snapshot_taken"`
 		SnapshotAge      float64 `json:"snapshot_age_seconds"`
 		SnapshotAtAccess uint64  `json:"snapshot_at_access"`
 		EventsWritten    uint64  `json:"events_written"`
@@ -362,12 +362,12 @@ func TestHealthzEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
 		t.Fatalf("/healthz not JSON: %v\n%s", err, body)
 	}
-	if h.Status != "no-snapshot" || h.SnapshotAge != -1 || h.LastPublish != "" {
+	if h.Status != "no-snapshot" || h.SnapshotAge != -1 || h.SnapshotTaken != "" {
 		t.Fatalf("pre-publish health wrong: %+v", h)
 	}
 
 	// After a publish: ok, a fresh age, the snapshot's access count and
-	// a parseable publish time.
+	// a parseable time it was taken.
 	pub.Publish(obs.Collect(c, ctrl, reg))
 	if err := tap.Write(telemetry.Event{Kind: telemetry.KindAccess}); err != nil {
 		t.Fatal(err)
@@ -385,8 +385,8 @@ func TestHealthzEndpoint(t *testing.T) {
 	if h.SnapshotAtAccess != 6000 {
 		t.Fatalf("snapshot_at_access = %d, want 6000", h.SnapshotAtAccess)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, h.LastPublish); err != nil {
-		t.Fatalf("last_publish %q does not parse: %v", h.LastPublish, err)
+	if _, err := time.Parse(time.RFC3339Nano, h.SnapshotTaken); err != nil {
+		t.Fatalf("snapshot_taken %q does not parse: %v", h.SnapshotTaken, err)
 	}
 	if h.EventsWritten != 1 || h.EventsDropped != 0 {
 		t.Fatalf("event tap counts wrong: %+v", h)
@@ -396,7 +396,7 @@ func TestHealthzEndpoint(t *testing.T) {
 func TestServerBeforeFirstPublishFallsBack(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("molcache_test_total").Add(3)
-	srv, err := obs.Serve("127.0.0.1:0", obs.Options{Publisher: obs.NewPublisher(), Registry: reg})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Options{State: obs.NewPublisher().Latest, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestEventsSSEStream(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	tr.SetSink(tap)
 
-	srv, err := obs.Serve("127.0.0.1:0", obs.Options{Publisher: obs.NewPublisher(), Tap: tap})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Options{Tap: tap})
 	if err != nil {
 		t.Fatal(err)
 	}

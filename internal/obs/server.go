@@ -16,14 +16,25 @@ import (
 // field may be nil; the matching endpoint degrades gracefully (503 for
 // /events without a tap, empty documents elsewhere).
 type Options struct {
-	// Publisher supplies /regions, /decisions and — when a state has
-	// been published — /metrics.
-	Publisher *Publisher
-	// Registry is the /metrics fallback before the first publish; only
-	// its AtomicSnapshot is taken (registry funcs stay on the sim thread).
+	// State supplies /regions, /tenants, /decisions, /healthz and —
+	// when it returns a state — /metrics. Handlers call it once per
+	// request on their own goroutines, so it returns either an immutable
+	// published State (Publisher.Latest) or one it collects under the
+	// lock that guards the simulation. A nil result means no state yet.
+	State func() *State
+	// Registry is the /metrics fallback while State has none; only its
+	// AtomicSnapshot is taken (registry funcs stay with the simulation).
 	Registry *telemetry.Registry
 	// Tap feeds /events.
 	Tap *EventTap
+}
+
+// state returns the source's current State (nil without a source).
+func (o Options) state() *State {
+	if o.State == nil {
+		return nil
+	}
+	return o.State()
 }
 
 // NewMux builds the introspection handler tree:
@@ -71,28 +82,26 @@ func indexHandler(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthzHandler reports the observability plane's own health: whether
-// a state has been published, how stale it is, and whether the event
-// tap is shedding load. It reads only atomics and the published
-// pointer, so it is safe from any goroutine.
+// the source has a state, when it was taken and how stale it is, and
+// whether the event tap is shedding load. Everything but the tap counts
+// comes from the one state it serves.
 func healthzHandler(opts Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		resp := struct {
 			Status           string  `json:"status"`
-			LastPublish      string  `json:"last_publish,omitempty"`
+			SnapshotTaken    string  `json:"snapshot_taken,omitempty"`
 			SnapshotAge      float64 `json:"snapshot_age_seconds"`
 			SnapshotAtAccess uint64  `json:"snapshot_at_access"`
 			EventsWritten    uint64  `json:"events_written"`
 			EventsDropped    uint64  `json:"events_dropped"`
 			EventSubscribers int     `json:"event_subscribers"`
 		}{Status: "ok", SnapshotAge: -1}
-		if st := opts.Publisher.Latest(); st != nil {
+		if st := opts.state(); st != nil {
+			resp.SnapshotTaken = st.Taken.UTC().Format(time.RFC3339Nano)
+			resp.SnapshotAge = time.Since(st.Taken).Seconds()
 			resp.SnapshotAtAccess = st.At
 		} else {
 			resp.Status = "no-snapshot"
-		}
-		if t := opts.Publisher.LastPublish(); !t.IsZero() {
-			resp.LastPublish = t.UTC().Format(time.RFC3339Nano)
-			resp.SnapshotAge = time.Since(t).Seconds()
 		}
 		if opts.Tap != nil {
 			resp.EventsWritten = opts.Tap.Written()
@@ -105,12 +114,12 @@ func healthzHandler(opts Options) http.HandlerFunc {
 
 func metricsHandler(opts Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// Prefer the last published snapshot: it is internally
-		// consistent and includes the registry funcs' values, which only
-		// the sim thread may read. Before the first publish, fall back to
+		// Prefer the source's state: it is internally consistent and
+		// includes the registry funcs' values, which only the
+		// simulation's owner may read. While it has none, fall back to
 		// the registry's lock-free subset.
 		var snap telemetry.Snapshot
-		switch st := opts.Publisher.Latest(); {
+		switch st := opts.state(); {
 		case st != nil:
 			snap = st.Metrics
 		case opts.Registry != nil:
@@ -123,7 +132,7 @@ func metricsHandler(opts Options) http.HandlerFunc {
 
 func regionsHandler(opts Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		st := opts.Publisher.Latest()
+		st := opts.state()
 		if st == nil {
 			st = &State{}
 		}
@@ -140,7 +149,7 @@ func regionsHandler(opts Options) http.HandlerFunc {
 
 func tenantsHandler(opts Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		st := opts.Publisher.Latest()
+		st := opts.state()
 		if st == nil {
 			st = &State{}
 		}
@@ -158,7 +167,7 @@ func tenantsHandler(opts Options) http.HandlerFunc {
 
 func decisionsHandler(opts Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		st := opts.Publisher.Latest()
+		st := opts.state()
 		if st == nil {
 			st = &State{}
 		}

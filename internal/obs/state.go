@@ -1,18 +1,24 @@
 // Package obs is the live observability plane: an introspection HTTP
 // server (Prometheus metrics, region topology, resize decisions, an SSE
-// event stream, pprof), a publisher that hands the server immutable
-// snapshots of simulation state, and the shared observability flag set
-// every CLI mounts.
+// event stream, pprof) that serves States from a source its caller
+// supplies, a publisher for commands that push States, and the shared
+// observability flag set every CLI mounts.
 //
 // The concurrency contract keeps the deterministic simulation single-
-// threaded: HTTP handlers NEVER touch live simulation objects. The
-// goroutine that owns the cache calls Collect + Publish at points of
-// its choosing (every N accesses, end of run); handlers only read the
-// last published *State through an atomic pointer, plus the registry's
-// AtomicSnapshot (counters/gauges/histograms only — registry funcs read
-// sim state and stay on the sim thread). This package is on molvet's
-// concurrency allow-list; the simulation packages it observes are not,
-// and stay free of goroutines.
+// threaded: HTTP handlers never touch live simulation objects
+// themselves. Each request asks Options.State for a State, and the
+// source decides how one is made safely. molsim's simulation runs on
+// one goroutine with no lock, so it calls Collect + Publish at points
+// of its choosing (every N accesses, end of run) and serves
+// Publisher.Latest, the last published State behind an atomic pointer.
+// molcached guards its simulator with one lock, so its source takes
+// that lock and runs Collect, and every response reads the server as it
+// stands. While the source has no State (sweep and experiments never
+// publish one), /metrics serves the registry's AtomicSnapshot
+// (counters/gauges/histograms only — registry funcs read sim state and
+// stay with its owner). This package is on molvet's concurrency
+// allow-list; the simulation packages it observes are not, and stay
+// free of goroutines.
 package obs
 
 import (
@@ -30,7 +36,7 @@ type TileCount struct {
 	Molecules int `json:"molecules"`
 }
 
-// RegionInfo is the published view of one per-ASID region: topology,
+// RegionInfo is the served view of one per-ASID region: topology,
 // occupancy, miss rate vs. goal, and the last resize action taken on it.
 type RegionInfo struct {
 	ASID       uint16 `json:"asid"`
@@ -54,7 +60,7 @@ type RegionInfo struct {
 	LastResize *resize.Decision `json:"last_resize,omitempty"`
 }
 
-// TenantInfo is the published view of one molcached tenant: the
+// TenantInfo is the served view of one molcached tenant: the
 // name-to-ASID binding, its SLO goal, stored-key count and the region
 // stats that tell whether the goal is being met. The serving layer
 // (internal/server) fills these in after Collect; simulators without a
@@ -73,13 +79,17 @@ type TenantInfo struct {
 	SLOMet bool `json:"slo_met"`
 }
 
-// State is one immutable snapshot of the simulation, built on the sim
-// thread by Collect and served read-only by the HTTP handlers. The
-// decision log and tenant table are kept out of the /regions payload
-// (each has its own endpoint) via the json:"-" tag.
+// State is one immutable snapshot of the simulation, built by Collect
+// on the goroutine (or under the lock) that owns the cache and served
+// read-only by the HTTP handlers. The decision log and tenant table are
+// kept out of the /regions payload (each has its own endpoint) via the
+// json:"-" tag.
 type State struct {
-	Cache         string       `json:"cache,omitempty"`
-	At            uint64       `json:"at"`
+	Cache string `json:"cache,omitempty"`
+	At    uint64 `json:"at"`
+	// Taken is the wall-clock time Collect built the state; /healthz
+	// reports its age, and the deterministic simulation never reads it.
+	Taken         time.Time    `json:"-"`
 	Accesses      uint64       `json:"accesses"`
 	MissRate      float64      `json:"miss_rate"`
 	FreeMolecules int          `json:"free_molecules"`
@@ -93,14 +103,11 @@ type State struct {
 }
 
 // Publisher hands immutable States from the simulation goroutine to the
-// HTTP handlers. Publish/Latest are safe from any goroutine; a nil
+// HTTP handlers of a command that pushes them (Options.State:
+// Publisher.Latest). Publish/Latest are safe from any goroutine; a nil
 // *Publisher is valid and always Latest()s nil.
 type Publisher struct {
 	cur atomic.Pointer[State]
-	// lastPub is the wall-clock time of the last Publish in Unix
-	// nanoseconds (0 before the first). /healthz reports it as the
-	// snapshot age; the deterministic simulation never reads it.
-	lastPub atomic.Int64
 }
 
 // NewPublisher returns an empty publisher.
@@ -113,20 +120,6 @@ func (p *Publisher) Publish(s *State) {
 		return
 	}
 	p.cur.Store(s)
-	p.lastPub.Store(time.Now().UnixNano())
-}
-
-// LastPublish returns when Publish last ran (the zero time before the
-// first publish, or on a nil publisher).
-func (p *Publisher) LastPublish() time.Time {
-	if p == nil {
-		return time.Time{}
-	}
-	n := p.lastPub.Load()
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n)
 }
 
 // Latest returns the most recently published state (nil before the
@@ -139,15 +132,15 @@ func (p *Publisher) Latest() *State {
 }
 
 // Collect builds an immutable State from the live simulation objects.
-// It MUST run on the goroutine that owns the cache — it walks regions
-// and evaluates registry funcs. Any argument may be nil; the
-// corresponding sections come back empty.
+// It MUST run on the goroutine that owns the cache, or under the lock
+// that guards it — it walks regions and evaluates registry funcs. Any
+// argument may be nil; the corresponding sections come back empty.
 func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registry) *State {
-	s := &State{}
+	s := &State{Taken: time.Now()}
 	if ctrl != nil {
 		// The controller's log is shared and read-only, and copies only
-		// the decisions recorded since the last publish: a State's
-		// slice is never written after it is published.
+		// the decisions recorded since the last call: a State's slice
+		// is never written after Collect returns it.
 		s.Decisions = ctrl.Decisions()
 		s.DecisionsTotal = ctrl.DecisionCount()
 	}
@@ -196,7 +189,7 @@ func Collect(c *molecular.Cache, ctrl *resize.Controller, reg *telemetry.Registr
 		}
 	}
 	// The full snapshot (registry funcs included) is safe here: Collect
-	// runs on the sim thread by contract.
+	// runs where the cache may be read, by contract.
 	s.Metrics = reg.Snapshot()
 	return s
 }

@@ -169,8 +169,8 @@ func (c *Controller) record(d Decision) {
 // recorded since the last call and copies only those, onto an
 // append-only array whose earlier entries no call writes again, so the
 // slices successive calls return share it, and a caller that reads the
-// log at every publish (obs.Collect) pays for the new decisions, not
-// the ring. When the array is full, the retained decisions move to a
+// log for every state it collects (obs.Collect) pays for the new
+// decisions, not the ring. When the array is full, the retained decisions move to a
 // fresh one of twice the ring's length; slices already returned keep
 // the old one.
 func (c *Controller) Decisions() []Decision {

@@ -9,9 +9,10 @@
 //
 // Concurrency contract: one goroutine per client connection decodes a
 // request, runs its critical section under the server's one mutex —
-// the store change, Simulator.Access, the journal frame and any due
-// obs publish — and writes the reply after unlocking. The mutex guards
-// the simulator, value store, tenant table and journal; nothing else
+// the store change, Simulator.Access and the journal frame — and
+// writes the reply after unlocking. An obs request holds the same
+// mutex while it collects the State it serves. The mutex guards the
+// simulator, value store, tenant table and journal; nothing else
 // touches them while the server runs, and there is no request queue.
 package server
 

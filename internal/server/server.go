@@ -44,15 +44,6 @@ type Config struct {
 	// AddrBits is each tenant's address-space width: keys hash into
 	// [0, 2^AddrBits) within a per-ASID base (default 26, max 36).
 	AddrBits uint
-	// EventRing sizes the telemetry tracer ring (default 4096). The
-	// replayer must use the same size for event-stream identity.
-	EventRing int
-	// PublishEvery refreshes the obs snapshot every N accesses
-	// (default 8192; the server also publishes at boot, on every TENANT
-	// request and at shutdown).
-	PublishEvery uint64
-	// MaxTenants bounds TENANT registrations (default 1024).
-	MaxTenants int
 
 	// JournalPath enables the MOLC1-framed access journal (the
 	// differential oracle's input). Empty disables journaling.
@@ -66,17 +57,17 @@ func (c Config) withDefaults() Config {
 	if c.AddrBits == 0 {
 		c.AddrBits = 26
 	}
-	if c.EventRing == 0 {
-		c.EventRing = 4096
-	}
-	if c.PublishEvery == 0 {
-		c.PublishEvery = 8192
-	}
-	if c.MaxTenants == 0 {
-		c.MaxTenants = 1024
-	}
 	return c
 }
+
+// MaxTenants bounds TENANT registrations; the next one is refused with
+// ERR tenant-limit.
+const MaxTenants = 1024
+
+// eventRing sizes the sim-plane tracer ring. The genesis frame records
+// it (JournalConfig.EventRing), so the replayer builds the same ring and
+// the event streams compare.
+const eventRing = 4096
 
 // asidShift places each tenant's address space at asid<<36, matching
 // the workload-generator convention, so AddrBits may be at most 36.
@@ -154,9 +145,10 @@ type Server struct {
 	obsSrv *obs.Server
 
 	// mu is the one lock over simulation state: the simulator, journal,
-	// value store, tenant table and publish cursor below. A connection
-	// goroutine holds it for one request's critical section; Shutdown
-	// takes it to stop admitting and again to close the journal.
+	// value store and tenant table below. A connection goroutine holds
+	// it for one request's critical section, an obs request while it
+	// collects a State; Shutdown takes it to stop admitting and again to
+	// close the journal.
 	mu       sync.Mutex
 	sim      *molcache.Simulator
 	lineSize uint64
@@ -164,7 +156,6 @@ type Server struct {
 	store    map[string]map[string][]byte
 	tenants  map[string]*Tenant
 	nextASID uint16
-	pubAt    uint64
 	stopping bool
 
 	tr      *telemetry.Tracer
@@ -172,7 +163,6 @@ type Server struct {
 	servReg *telemetry.Registry // server-plane: request/journal counters
 	ctr     counters
 	tap     *obs.EventTap
-	pub     *obs.Publisher
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -208,7 +198,7 @@ func (s *Server) journalConfig() JournalConfig {
 		Resize:    s.cfg.Resize,
 		Faults:    s.cfg.Faults,
 		AddrBits:  s.cfg.AddrBits,
-		EventRing: s.cfg.EventRing,
+		EventRing: eventRing,
 	}
 }
 
@@ -226,13 +216,17 @@ func New(cfg Config) (*Server, error) {
 		store:    make(map[string]map[string][]byte),
 		tenants:  make(map[string]*Tenant),
 		nextASID: 1,
-		tr:       telemetry.NewTracer(cfg.EventRing),
+		tr:       telemetry.NewTracer(eventRing),
 		reg:      telemetry.NewRegistry(),
 		servReg:  telemetry.NewRegistry(),
-		pub:      obs.NewPublisher(),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.ctr = newCounters(s.servReg)
+	// The tenant table is read under mu: state is the one caller of
+	// servReg.Snapshot, which evaluates funcs.
+	s.servReg.RegisterGaugeFunc("molcache_server_tenants", func() float64 {
+		return float64(len(s.tenants))
+	})
 	s.tap = obs.NewEventTap(nil)
 	s.tr.SetSink(s.tap)
 
@@ -241,11 +235,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	if cfg.ObsListen != "" {
-		srv, err := obs.Serve(cfg.ObsListen, obs.Options{
-			Publisher: s.pub,
-			Registry:  s.reg,
-			Tap:       s.tap,
-		})
+		srv, err := obs.Serve(cfg.ObsListen, obs.Options{State: s.state, Tap: s.tap})
 		if err != nil {
 			s.journal.Close()
 			return nil, err
@@ -261,7 +251,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ln = ln
 
-	s.publish()
 	go s.acceptLoop()
 	return s, nil
 }
@@ -569,10 +558,9 @@ func (s *Server) serveConn(c net.Conn) {
 
 // handle runs one TENANT, GET, SET or DEL request's critical section:
 // under mu it applies the store change, admits the access through the
-// serial Simulator.Access path, journals it, and publishes when the
-// access count has advanced PublishEvery past the last publish. A GET's
-// value is safe to write after unlocking: a stored value slice is
-// never modified, only replaced.
+// serial Simulator.Access path and journals it. A GET's value is safe
+// to write after unlocking: a stored value slice is never modified,
+// only replaced.
 func (s *Server) handle(req Request) response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -580,12 +568,7 @@ func (s *Server) handle(req Request) response {
 		return response{err: errShuttingDown}
 	}
 	if req.Verb == VerbTenant {
-		resp := s.handleTenant(req)
-		// Tenant admin ops are rare and observable: republish so
-		// /tenants reflects the change immediately rather than at the
-		// next PublishEvery boundary.
-		s.publish()
-		return resp
+		return s.handleTenant(req)
 	}
 	t, ok := s.tenants[req.Tenant]
 	if !ok {
@@ -622,9 +605,6 @@ func (s *Server) handle(req Request) response {
 		s.ctr.journalErrors.Inc()
 	}
 	s.ctr.accesses.Inc()
-	if s.sim.Cache.Addresses()-s.pubAt >= s.cfg.PublishEvery {
-		s.publish()
-	}
 	resp.hit = res.Hit
 	return resp
 }
@@ -650,8 +630,8 @@ func (s *Server) handleTenant(req Request) response {
 		}
 		return response{asid: t.ASID}
 	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
-		return response{err: errProto(ErrTenantLimit, "tenant limit %d reached", s.cfg.MaxTenants)}
+	if len(s.tenants) >= MaxTenants {
+		return response{err: errProto(ErrTenantLimit, "tenant limit %d reached", MaxTenants)}
 	}
 	asid := s.nextASID
 	_, err := s.sim.Cache.CreateRegion(asid, molecular.RegionOptions{
@@ -675,16 +655,17 @@ func (s *Server) handleTenant(req Request) response {
 	return response{asid: asid}
 }
 
-// publish collects an immutable obs.State, extends it with the tenant
-// view and the server-plane metrics, and installs it for the HTTP
-// handlers. Runs under mu (or before the server accepts connections).
-func (s *Server) publish() {
+// state is the obs handlers' state source: under mu it collects an
+// obs.State and extends it with the tenant view and the server-plane
+// metrics, so every response reads the server between two critical
+// sections, and /tenants and /metrics agree.
+func (s *Server) state() *obs.State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := obs.Collect(s.sim.Cache, s.sim.Controller, s.reg)
 	st.Tenants = s.collectTenants(st)
-	st.Metrics = mergeSnapshots(st.Metrics, s.servReg.AtomicSnapshot())
-	s.servReg.Gauge("molcache_server_tenants").Set(float64(len(s.tenants)))
-	s.pubAt = st.At
-	s.pub.Publish(st)
+	st.Metrics = mergeSnapshots(st.Metrics, s.servReg.Snapshot())
+	return st
 }
 
 func (s *Server) collectTenants(st *obs.State) []obs.TenantInfo {
@@ -734,9 +715,9 @@ func mergeSnapshots(sim, serv telemetry.Snapshot) telemetry.Snapshot {
 // (a critical section already running finishes first, because this
 // waits for the lock; later ones answer ERR shutting-down), stops
 // accepting, closes every connection and waits for its goroutine,
-// then publishes a final obs snapshot, syncs and closes the journal
-// and — when configured — writes a checkpoint. The obs server stays up
-// for post-mortem scraping until Close. Safe to call more than once.
+// then syncs and closes the journal and — when configured — writes a
+// checkpoint. The obs server stays up for post-mortem scraping of the
+// final state until Close. Safe to call more than once.
 func (s *Server) Shutdown() error {
 	s.shutdownOnce.Do(func() {
 		s.mu.Lock()
@@ -753,7 +734,6 @@ func (s *Server) Shutdown() error {
 
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.publish()
 		if err := s.journal.Close(); err != nil {
 			s.shutdownErr = err
 		}

@@ -233,8 +233,8 @@ func TestTenantsEndpoint(t *testing.T) {
 	if err := f.Server.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	// The final publish ran during shutdown; the obs plane stays up for
-	// post-mortem scraping until Close.
+	// The obs plane stays up for post-mortem scraping until Close, and
+	// serves the final state.
 	var page struct {
 		At      uint64 `json:"at"`
 		Tenants []struct {
@@ -262,7 +262,103 @@ func TestTenantsEndpoint(t *testing.T) {
 		t.Errorf("tenant[1] = %+v, want batch", page.Tenants[1])
 	}
 	if page.At == 0 {
-		t.Error("published snapshot has zero access clock after traffic")
+		t.Error("served state has zero access clock after traffic")
+	}
+}
+
+// TestObsReadsLiveServer: the introspection plane reads the running
+// server when asked. With one tenant registered and a few hundred
+// accesses admitted, and no shutdown, /metrics already counts the
+// tenant and every access, and /tenants and /healthz report the same
+// state.
+func TestObsReadsLiveServer(t *testing.T) {
+	const accesses = 300
+	f := servertest.Boot(t, servertest.Options{NoCheckpoint: true, Obs: true})
+	c := f.Client()
+	if _, err := c.Tenant("web", 0.2, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < accesses; i++ {
+		if _, err := c.Set("web", fmt.Sprintf("k%d", i%40), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := servertest.GetBody(f.Server.ObsURL() + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	snap, err := telemetry.ParsePrometheus(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("parse /metrics: %v", err)
+	}
+	if got := snap.Gauges["molcache_server_tenants"]; got != 1 {
+		t.Errorf("molcache_server_tenants = %v, want 1", got)
+	}
+	hits, misses := snap.Counters["molcache_molecular_hits_total"], snap.Counters["molcache_molecular_misses_total"]
+	if hits+misses != accesses {
+		t.Errorf("molecular hits %v + misses %v = %v, want the %d admitted accesses", hits, misses, hits+misses, accesses)
+	}
+	var page struct {
+		Tenants []struct {
+			Name     string `json:"name"`
+			Accesses uint64 `json:"accesses"`
+		} `json:"tenants"`
+	}
+	if err := servertest.GetJSON(f.Server.ObsURL()+"/tenants", &page); err != nil {
+		t.Fatalf("GET /tenants: %v", err)
+	}
+	if len(page.Tenants) != 1 || page.Tenants[0].Name != "web" || page.Tenants[0].Accesses != accesses {
+		t.Errorf("/tenants = %+v, want web with %d accesses", page.Tenants, accesses)
+	}
+	var health struct {
+		Status string `json:"status"`
+		At     uint64 `json:"snapshot_at_access"`
+	}
+	if err := servertest.GetJSON(f.Server.ObsURL()+"/healthz", &health); err != nil {
+		t.Fatalf("GET /healthz: %v", err)
+	}
+	if health.Status != "ok" || health.At != accesses {
+		t.Errorf("/healthz = %+v, want ok at access %d", health, accesses)
+	}
+}
+
+// TestTenantLimit: once MaxTenants tenants are registered, a new name is
+// refused with ERR tenant-limit and journals nothing, while a
+// registered tenant's TENANT still answers.
+func TestTenantLimit(t *testing.T) {
+	f := servertest.Boot(t, servertest.Options{NoCheckpoint: true})
+	c := f.Client()
+	for i := 0; i < server.MaxTenants; i++ {
+		if _, err := c.Tenant(fmt.Sprintf("t%d", i), 0.2, 0); err != nil {
+			t.Fatalf("TENANT t%d: %v", i, err)
+		}
+	}
+	var pe *server.ProtocolError
+	if _, err := c.Tenant("one-too-many", 0.2, 0); !errors.As(err, &pe) || pe.Code != server.ErrTenantLimit {
+		t.Fatalf("TENANT past the limit: got %v, want %s", err, server.ErrTenantLimit)
+	}
+	if asid, err := c.Tenant("t0", 0.2, 0); err != nil || asid != 1 {
+		t.Errorf("TENANT of a registered tenant at the limit: asid=%d err=%v, want 1", asid, err)
+	}
+	if err := f.Server.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	_, frames, err := server.ReadJournalFile(f.JournalPath)
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	var registered int
+	for _, fr := range frames {
+		if fr.Tenant == nil {
+			continue
+		}
+		if fr.Tenant.Name == "one-too-many" {
+			t.Errorf("refused tenant was journaled: %+v", *fr.Tenant)
+		}
+		registered++
+	}
+	if registered != server.MaxTenants {
+		t.Errorf("journal holds %d tenant frames, want %d", registered, server.MaxTenants)
 	}
 }
 
@@ -329,7 +425,7 @@ func TestRaceServe(t *testing.T) {
 		t.Errorf("journal covers %d accesses, clients admitted %d", journaled, wantAccesses)
 	}
 
-	// The served /metrics page (post-shutdown final publish) must agree.
+	// The served /metrics page, scraped after shutdown, must agree.
 	resp, err := http.Get(obsURL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -454,15 +550,14 @@ func TestShutdownUnderLoad(t *testing.T) {
 
 // TestServedPathAllocs pins the served request path's garbage: a raw
 // client that allocates nothing sends pre-rendered GETs and SETs (three
-// to one) over preloaded keys to a live server with its journal on and
-// the daemon's publish cadence, and the whole process may allocate at
-// most 3 times per request.
+// to one) over preloaded keys to a live server with its journal on, and
+// the whole process may allocate at most 3 times per request.
 func TestServedPathAllocs(t *testing.T) {
 	const (
 		keys   = 512
 		rounds = 24
 	)
-	f := servertest.Boot(t, servertest.Options{NoCheckpoint: true, PublishEvery: 8192})
+	f := servertest.Boot(t, servertest.Options{NoCheckpoint: true})
 	c := f.Client()
 	if _, err := c.Tenant("web", 0.2, 0); err != nil {
 		t.Fatal(err)

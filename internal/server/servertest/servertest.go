@@ -20,12 +20,10 @@ import (
 // defaults (1 MB 2x4 Randy cache, 400-access resize period, journal
 // and checkpoint enabled under a test temp dir).
 type Options struct {
-	Molecular    molecular.Config
-	Resize       resize.Config
-	Faults       faults.Campaign
-	AddrBits     uint
-	EventRing    int
-	PublishEvery uint64
+	Molecular molecular.Config
+	Resize    resize.Config
+	Faults    faults.Campaign
+	AddrBits  uint
 	// NoJournal / NoCheckpoint disable the respective paths.
 	NoJournal    bool
 	NoCheckpoint bool
@@ -46,9 +44,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Resize.Period == 0 {
 		o.Resize = resize.Config{Period: 400, MinPeriod: 200, MaxPeriod: 4000, DefaultGoal: 0.2}
-	}
-	if o.PublishEvery == 0 {
-		o.PublishEvery = 500
 	}
 	return o
 }
@@ -89,8 +84,6 @@ func (f *Fixture) config() server.Config {
 		Resize:         f.opts.Resize,
 		Faults:         f.opts.Faults,
 		AddrBits:       f.opts.AddrBits,
-		EventRing:      f.opts.EventRing,
-		PublishEvery:   f.opts.PublishEvery,
 		JournalPath:    f.JournalPath,
 		CheckpointPath: f.CheckpointPath,
 	}

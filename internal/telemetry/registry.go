@@ -45,20 +45,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by d (a compare-and-swap loop).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 for nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -76,10 +62,6 @@ type Histogram struct {
 	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
-
-// DefaultLatencyBounds suits the cycle-granular latencies the CMP
-// substrate models (L1 hit = 1 cycle up to DRAM = hundreds).
-var DefaultLatencyBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 func newHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
@@ -250,18 +232,15 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns (creating if needed) the named histogram with the
-// given bucket upper bounds (ignored if the histogram already exists;
-// DefaultLatencyBounds when nil). Panics on a malformed name or a name
-// already registered as a different instrument type.
+// given bucket upper bounds (ignored if the histogram already exists).
+// Panics on a malformed name or a name already registered as a
+// different instrument type.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
 	if err := validName(name); err != nil {
 		panic(err)
-	}
-	if bounds == nil {
-		bounds = DefaultLatencyBounds
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -11,12 +11,11 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	h := r.Histogram("z", nil)
+	h := r.Histogram("z", []float64{1, 10})
 	r.RegisterGaugeFunc("f", nil) // nil fn would panic on a live registry
 	c.Add(5)
 	c.Inc()
 	g.Set(1.5)
-	g.Add(2)
 	h.Observe(3)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments accumulated state")
@@ -40,9 +39,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("molcache_miss_rate")
 	g.Set(0.25)
-	g.Add(0.25)
-	if g.Value() != 0.5 {
-		t.Errorf("gauge = %v, want 0.5", g.Value())
+	if g.Value() != 0.25 {
+		t.Errorf("gauge = %v, want 0.25", g.Value())
 	}
 }
 
@@ -174,7 +172,7 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(float64(i % 20))
-				ga.Add(1)
+				ga.Set(1)
 			}
 		}()
 	}
@@ -182,11 +180,11 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 	if v := r.Counter("shared_total").Value(); v != 8000 {
 		t.Errorf("counter = %d, want 8000", v)
 	}
-	if n := r.Histogram("shared_hist", nil).Count(); n != 8000 {
+	if n := r.Histogram("shared_hist", []float64{10}).Count(); n != 8000 {
 		t.Errorf("histogram count = %d, want 8000", n)
 	}
-	if v := r.Gauge("shared_gauge").Value(); v != 8000 {
-		t.Errorf("gauge = %v, want 8000", v)
+	if v := r.Gauge("shared_gauge").Value(); v != 1 {
+		t.Errorf("gauge = %v, want 1", v)
 	}
 }
 

@@ -3,9 +3,9 @@
 # on an ephemeral port, poll until the server answers, then assert that
 # /metrics, /regions, /decisions and / all return non-empty, well-formed
 # output. Then repeat for the serving layer: boot molcached with the
-# two-tenant demo, assert /healthz answers 200 with a fresh snapshot and
-# /tenants lists both demo tenants, and verify SIGTERM leaves a
-# checkpoint behind. Finally boot molcached twice more from that
+# two-tenant demo, assert /healthz answers 200 with a fresh snapshot,
+# /tenants lists both demo tenants and /metrics counts them, and verify
+# SIGTERM leaves a checkpoint behind. Finally boot molcached twice more from that
 # checkpoint and journal: each boot must warm-restore, and the
 # simulator's metrics must read the same on both. Exits nonzero (and
 # prints the daemon log) on any failure.
@@ -106,7 +106,7 @@ fetch "${BASE}/debug/pprof/cmdline" "${DIR}/pprof.txt" || fail "GET /debug/pprof
 
 fetch "${BASE}/healthz" "${DIR}/healthz.json" || fail "GET /healthz"
 grep -q '"status": "ok"' "${DIR}/healthz.json" || fail "/healthz not ok: $(cat "${DIR}/healthz.json")"
-grep -q '"last_publish"' "${DIR}/healthz.json" || fail "/healthz missing last publish time"
+grep -q '"snapshot_taken"' "${DIR}/healthz.json" || fail "/healthz missing snapshot time"
 grep -q '"snapshot_age_seconds"' "${DIR}/healthz.json" || fail "/healthz missing snapshot age"
 grep -q '"events_dropped"' "${DIR}/healthz.json" || fail "/healthz missing event-tap drop count"
 
@@ -135,7 +135,7 @@ go build -o "${DIR}/molcached" ./cmd/molcached || cfail "molcached does not buil
 echo "obs-smoke: starting molcached -serve ${CACHED_OBS}"
 "${DIR}/molcached" \
 	-listen "${CACHED_ADDR}" -serve "${CACHED_OBS}" \
-	-cache molecular:1MB:4x2:Randy -demo -demo-ops 3000 -publish-every 500 \
+	-cache molecular:1MB:4x2:Randy -demo -demo-ops 3000 \
 	-journal "${DIR}/access.molc" -checkpoint "${CKPT}" \
 	>"${CACHED_LOG}" 2>&1 &
 CACHED_PID=$!
@@ -153,10 +153,10 @@ until fetch "${CBASE}/healthz" "${DIR}/chealthz.json" 2>/dev/null; do
 	sleep 1
 done
 
-# /healthz must be ok with a fresh (non-stale) published snapshot. The
-# demo runs before the daemon waits on signals, so once /tenants shows
-# both tenants the final demo publish has happened; a snapshot older
-# than 60s at that point means the publish cadence is broken.
+# Wait until /tenants lists both demo tenants. molcached collects the
+# state each request serves, so /healthz must then report a snapshot
+# taken just now (one older than 60s means it serves a stale state) and
+# /metrics must count the same two tenants.
 i=0
 while :; do
 	fetch "${CBASE}/tenants" "${DIR}/tenants.json" || cfail "GET /tenants"
@@ -182,6 +182,8 @@ AGE="$(sed -n 's/.*"snapshot_age_seconds": \([0-9]*\)\(\.[0-9]*\)\?.*/\1/p' "${D
 fetch "${CBASE}/metrics" "${DIR}/cmetrics.prom" || cfail "GET /metrics"
 grep -q '^molcache_server_accesses_total' "${DIR}/cmetrics.prom" \
 	|| cfail "/metrics missing server access counter"
+grep -q '^molcache_server_tenants 2$' "${DIR}/cmetrics.prom" \
+	|| cfail "/metrics does not count the two demo tenants: $(grep molcache_server_tenants "${DIR}/cmetrics.prom")"
 grep -q 'molcache_server_requests_total{verb=' "${DIR}/cmetrics.prom" \
 	|| cfail "/metrics missing per-verb request counters"
 
@@ -211,7 +213,7 @@ warm_boot() {
 	CACHED_LOG="${DIR}/molcached.warm$1.log"
 	"${DIR}/molcached" \
 		-listen "${CACHED_ADDR}" -serve "${CACHED_OBS}" \
-		-cache molecular:1MB:4x2:Randy -publish-every 500 \
+		-cache molecular:1MB:4x2:Randy \
 		-journal "${DIR}/access.molc" -checkpoint "${CKPT}" \
 		>"${CACHED_LOG}" 2>&1 &
 	CACHED_PID=$!

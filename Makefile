@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race race-serve vet lint bench bench-micro fuzz faults obs-smoke soak clean
+.PHONY: all build test race race-cmp race-serve vet lint bench bench-micro fuzz faults obs-smoke soak clean
 
 all: build vet lint test
 
@@ -37,6 +37,14 @@ bench:
 race-serve:
 	$(GO) test -race -count=10 -run '^(TestRaceServe|TestShutdownUnderLoad)$$' ./internal/server
 	$(GO) test -race -count=10 -run '^TestServedTrafficOracle$$' .
+
+# The run-ahead CMP capture under the race detector: Runs with and
+# without the helper that fills stage-1 chunks beside the merge, on every
+# way a Run ends, and the spare-processor gate that grants the helper
+# (the CI race job). Each test runs ten times to vary the interleavings.
+race-cmp:
+	$(GO) test -race -count=10 -run '^TestRunAhead' ./internal/cmp
+	$(GO) test -race -count=10 -run '^TestAhead' ./internal/runner
 
 # Just the hot-path micro benches (fast; includes whole CMP mix runs
 # and the per-ASID ledger).

@@ -236,14 +236,28 @@ func hashLedger(h io.Writer, led *stats.Ledger) {
 	}
 }
 
+// runAllocSlack is how many more times a Run may allocate at 10M
+// processor references than at 1M. What a Run allocates apart from its
+// references is the same at every length: the closures that start and
+// join its run-ahead helper and, when the runtime's per-processor caches
+// have none free, a goroutine descriptor for the helper and a sudog for
+// each goroutine that parks on the ring's condition or the join (the
+// merge, the helper and the caller). A longer Run parks more often, so
+// it may find a cache empty where the shorter did not: over 400 runs of
+// this test in 40 fresh processes on a 2-vCPU box, a Run allocated 19-21
+// times at 1M references and 19-22 at 10M. runAllocSlack leaves room over
+// that spread and stays far below what the longer Run would add with one
+// allocation per stage-1 chunk (2,449) or per merged miss (about 1M).
+const runAllocSlack = 8
+
 // TestRunAllocsIndependentOfLength guards the run path against
 // per-reference heap allocation: a capture-off Run of the twelve-app mix
-// allocates as much at 100K processor references as at 1M (the cores
-// and their chunks are built up front, the L2 ledger's cells at each
-// ASID's first access; the L1 filters keep no ledger). A garbage
-// collection, or the runtime's own work during a long run, shifts the
-// count by a few, so the collector is off while measuring and each
-// length takes the least of three runs.
+// allocates no more at 10M processor references than at 1M, up to
+// runAllocSlack (the cores and their chunk rings are built up front, the
+// L2 ledger's cells at each ASID's first access; the L1 filters keep no
+// ledger). A garbage collection shifts the count by a few, so the
+// collector is off while measuring, and each length takes the least of
+// three Runs.
 func TestRunAllocsIndependentOfLength(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(refs int) uint64 {
@@ -262,8 +276,10 @@ func TestRunAllocsIndependentOfLength(t *testing.T) {
 		}
 		return least
 	}
-	if short, long := allocs(100_000), allocs(1_000_000); short != long {
-		t.Errorf("Run allocates %d times at 100K references and %d at 1M, want the same", short, long)
+	short, long := allocs(1_000_000), allocs(10_000_000)
+	t.Logf("Run allocates %d times at 1M references and %d at 10M", short, long)
+	if long > short+runAllocSlack {
+		t.Errorf("Run allocates %d times at 1M references and %d at 10M, want at most %d more", short, long, runAllocSlack)
 	}
 }
 

@@ -2,6 +2,7 @@ package cmp
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/bits"
 
@@ -55,17 +56,30 @@ type event struct {
 	kind uint8
 }
 
-// core is one processor: a workload, an ASID, a private L1 and the
-// stage-1 chunk of its references that stage 2 has not merged yet.
+// core is one processor: a workload, an ASID, a private L1 and a ring
+// of two stage-1 chunks, the one stage 2 is merging and the one after
+// it.
 type core struct {
 	asid uint16
 	gen  workload.Generator
 	l1   filter
-	// left is how many references stage 1 may still generate.
+	// left is how many references stage 1 may still generate. gen, l1
+	// and left belong to whoever holds the core's claim to fill its
+	// next chunk: the merge or the Run's helper, one at a time.
 	left int
-	// ev is the unread part of the core's current chunk, whose storage
-	// buf every chunk reuses.
-	ev, buf []event
+	// ev is the unread part of the chunk stage 2 is merging, in
+	// bufs[cur]. The helper fills the next chunk into bufs[cur^1]; the
+	// merge, filling it itself, reuses bufs[cur].
+	ev   []event
+	bufs [2][]event
+	cur  int
+	// Guarded by System.mu: ahead is the next chunk once the helper has
+	// filled it (nil until then), claimed is set while a fill of the
+	// next chunk runs outside the lock, and taken is when the merge last
+	// moved on to a chunk.
+	ahead   []event
+	claimed bool
+	taken   uint64
 	// ready is the cycle the core's next pending reference issues at, and
 	// hits the L1 hits pending before ev[0], the next miss (or the end of
 	// the core's references).
@@ -74,17 +88,16 @@ type core struct {
 
 // fill is stage 1: it runs the core's next chunkRefs references (fewer
 // when its budget runs out or the chunk fills with misses) through its L1
-// into a new chunk.
-func (c *core) fill() {
-	ev := c.buf[:0]
+// into ev's storage and returns the chunk.
+func (c *core) fill(ev []event) []event {
+	ev = ev[:0]
 	n, hits := 0, uint32(0)
 	for lim := min(c.left, chunkRefs); n < lim && len(ev) < chunkEvents-1; {
 		acc := c.gen.Next()
 		n++
 		if acc.Addr>>asidShift != uint64(c.asid) {
 			c.left = 0
-			c.ev = append(ev, event{addr: acc.Addr, hits: hits, kind: evOutside})
-			return
+			return append(ev, event{addr: acc.Addr, hits: hits, kind: evOutside})
 		}
 		if c.l1.access(acc.Addr) {
 			hits++
@@ -98,18 +111,19 @@ func (c *core) fill() {
 		hits = 0
 	}
 	c.left -= n
-	c.ev = append(ev, event{hits: hits, kind: evHits})
+	return append(ev, event{hits: hits, kind: evHits})
 }
 
 // advance moves core i to its next miss, taking in the hits of the
 // evHits events on the way, and sets its key. Once stage 1 has generated
-// the core's whole budget, it parks the core at its last evHits with
-// the key math.MaxUint64 (Run's next budget resumes it).
+// the core's whole budget and the merge has read it, it parks the core
+// with the key math.MaxUint64 (Run's next budget resumes it).
 func (s *System) advance(i int) {
 	c := &s.cores[i]
 	for {
-		if len(c.ev) == 0 {
-			c.fill()
+		if len(c.ev) == 0 && !s.next(i) {
+			s.keys[i] = math.MaxUint64
+			return
 		}
 		e := &c.ev[0]
 		c.hits += uint64(e.hits)
@@ -118,17 +132,118 @@ func (s *System) advance(i int) {
 			s.keys[i] = (c.ready+c.hits)<<4 | uint64(i)
 			return
 		}
-		if c.left == 0 {
-			s.keys[i] = math.MaxUint64
-			return
-		}
 		c.ev = nil
 	}
 }
 
+// errFillPanicked stops a Run on a System where a stage-1 fill panicked:
+// that core's generator and L1 are lost mid-chunk.
+var errFillPanicked = errors.New("cmp: a stage-1 fill panicked; the system cannot run on")
+
+// next moves the merge on to core i's next chunk and reports whether
+// there is one: the chunk ahead when the helper has filled it, else one
+// the merge fills into the chunk it has just read, after waiting for the
+// helper if it is filling the chunk ahead. So without a helper each core
+// reuses one chunk's storage. There is none once the core has generated
+// its whole budget. It panics with errFillPanicked once a fill has
+// panicked.
+func (s *System) next(i int) bool {
+	c := &s.cores[i]
+	s.mu.Lock()
+	for c.claimed && !s.failed {
+		s.wake.Wait()
+	}
+	if s.failed {
+		s.mu.Unlock()
+		panic(errFillPanicked)
+	}
+	switch {
+	case c.ahead != nil:
+		c.ev, c.ahead = c.ahead, nil
+		c.cur ^= 1
+	case c.left > 0:
+		c.ev = s.claimFill(i, c.bufs[c.cur])
+	default:
+		s.mu.Unlock()
+		return false
+	}
+	s.taken++
+	c.taken = s.taken
+	s.wake.Broadcast()
+	s.mu.Unlock()
+	return true
+}
+
+// claimFill fills buf with core i's next chunk under the core's claim,
+// outside s.mu, which it is called and returns with held. A fill that
+// panics marks the System failed, so that nothing waits for its chunk,
+// and unwinds with s.mu released.
+func (s *System) claimFill(i int, buf []event) []event {
+	c := &s.cores[i]
+	c.claimed = true
+	s.mu.Unlock()
+	filled := false
+	defer func() {
+		if !filled {
+			s.mu.Lock()
+			s.failed = true
+			s.wake.Broadcast()
+			s.mu.Unlock()
+		}
+	}()
+	ev := c.fill(buf)
+	filled = true
+	s.mu.Lock()
+	c.claimed = false
+	return ev
+}
+
+// runAhead is a Run's helper: until stopAhead, it fills the chunk ahead
+// of the emptiest ring and waits while there is none to fill.
+func (s *System) runAhead() {
+	s.mu.Lock()
+	for s.helping {
+		if i := s.emptiest(); i >= 0 {
+			c := &s.cores[i]
+			c.ahead = s.claimFill(i, c.bufs[c.cur^1])
+			s.helped++
+			s.wake.Broadcast()
+		} else {
+			s.wake.Wait()
+		}
+	}
+	s.mu.Unlock()
+}
+
+// stopAhead tells the Run's helper to return once the fill it is running
+// is in its ring.
+func (s *System) stopAhead() {
+	s.mu.Lock()
+	s.helping = false
+	s.wake.Broadcast()
+	s.mu.Unlock()
+}
+
+// emptiest returns the core whose chunk ahead the helper fills next, or
+// -1 when there is none to fill: of the cores with budget left and no
+// chunk ahead, filled or being filled, the one whose ring the merge
+// moved on in longest ago. On a tie it takes the highest core ID, so at
+// a Run's start, while the merge fills the cores' first chunks from
+// core 0 up, the helper works down from the last core.
+func (s *System) emptiest() int {
+	best := -1
+	for i := range s.cores {
+		c := &s.cores[i]
+		if c.ahead == nil && !c.claimed && c.left > 0 && (best < 0 || c.taken <= s.cores[best].taken) {
+			best = i
+		}
+	}
+	return best
+}
+
 // merge is stage 2: it merges misses through the L2 until the target is
-// reached or every core has issued all it generated, filling a core's
-// next chunk whenever it has read the last.
+// reached or every core has issued all it generated, moving a core on to
+// its next chunk whenever it has read the last.
 func (s *System) merge() error {
 	keys := s.keys[:len(s.cores)]
 	for {

@@ -447,36 +447,19 @@ func (g *edgeGen) Next() workload.Access {
 // pieces, one a single reference and two long enough to fill several
 // capture blocks.
 func TestCaptureEncodingEdges(t *testing.T) {
-	runs := []int{1, 17, 300_000, 1, 4097, 250_000}
-	gens := func() []workload.Generator {
-		var gens []workload.Generator
-		for i := uint64(1); i < maxCores; i++ {
-			gens = append(gens, workload.NewStride("s", i<<asidShift, 8*addr.MB, lineSize, 0.25, rng.New(i)))
-		}
-		return append(gens, &edgeGen{asid: 0xFFFF})
-	}
 	total := 0
-	for _, n := range runs {
+	for _, n := range edgeRuns {
 		total += n
 	}
 	l2 := sharedL2()
-	cores := refCores(gens()...)
+	cores := refCores(edgeGens()...)
 	cores[maxCores-1].asid = 0xFFFF
 	want := systemRun{reference(l2, cores, total, nil), l2.Ledger()}
 
 	l2 = sharedL2()
-	s := New(l2, Config{CaptureL1Misses: true})
-	for i, g := range gens() {
-		asid := uint16(i + 1)
-		if i == maxCores-1 {
-			asid = 0xFFFF
-		}
-		if err := s.AddCore(asid, g); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s := edgeSystem(t, l2)
 	crossed := 0
-	for _, n := range runs {
+	for _, n := range edgeRuns {
 		before := len(s.Captured())
 		run(t, s, n)
 		// A record takes at least two bytes.
@@ -499,6 +482,39 @@ func TestCaptureEncodingEdges(t *testing.T) {
 	if edge < 1000 {
 		t.Fatalf("core 15 captured %d references, want at least 1000", edge)
 	}
+}
+
+// edgeRuns are the Run lengths TestCaptureEncodingEdges issues its
+// cores in: one a single reference and two long enough to fill several
+// capture blocks.
+var edgeRuns = []int{1, 17, 300_000, 1, 4097, 250_000}
+
+// edgeGens are TestCaptureEncodingEdges's sixteen generators: fifteen
+// cores that stream over a line a reference, reads and writes mixed,
+// and an edgeGen under ASID 0xFFFF.
+func edgeGens() []workload.Generator {
+	var gens []workload.Generator
+	for i := uint64(1); i < maxCores; i++ {
+		gens = append(gens, workload.NewStride("s", i<<asidShift, 8*addr.MB, lineSize, 0.25, rng.New(i)))
+	}
+	return append(gens, &edgeGen{asid: 0xFFFF})
+}
+
+// edgeSystem builds a capturing System over l2 running edgeGens as
+// ASIDs 1-15 and 0xFFFF.
+func edgeSystem(t testing.TB, l2 engine.Cache) *System {
+	t.Helper()
+	s := New(l2, Config{CaptureL1Misses: true})
+	for i, g := range edgeGens() {
+		asid := uint16(i + 1)
+		if i == maxCores-1 {
+			asid = 0xFFFF
+		}
+		if err := s.AddCore(asid, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
 }
 
 // TestCaptureAnyAddress: the capture encoding is exact for any 64-bit

@@ -393,6 +393,36 @@ func TestHealthzEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthzReadsAccessClock: with an AccessClock, /healthz reports
+// the access clock read when asked, in the same fields, and never calls
+// State.
+func TestHealthzReadsAccessClock(t *testing.T) {
+	srv, err := obs.Serve("127.0.0.1:0", obs.Options{
+		State:       func() *obs.State { t.Error("/healthz collected a State"); return nil },
+		AccessClock: func() uint64 { return 4242 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var h struct {
+		Status           string  `json:"status"`
+		SnapshotTaken    string  `json:"snapshot_taken"`
+		SnapshotAge      float64 `json:"snapshot_age_seconds"`
+		SnapshotAtAccess uint64  `json:"snapshot_at_access"`
+	}
+	_, body := get(t, srv.URL()+"/healthz")
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatalf("/healthz not JSON: %v\n%s", err, body)
+	}
+	if h.Status != "ok" || h.SnapshotAtAccess != 4242 || h.SnapshotAge < 0 || h.SnapshotAge > 60 {
+		t.Fatalf("/healthz = %+v, want ok at access 4242 with a fresh age", h)
+	}
+	if _, err := time.Parse(time.RFC3339Nano, h.SnapshotTaken); err != nil {
+		t.Fatalf("snapshot_taken %q does not parse: %v", h.SnapshotTaken, err)
+	}
+}
+
 func TestServerBeforeFirstPublishFallsBack(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("molcache_test_total").Add(3)

@@ -16,12 +16,18 @@ import (
 // field may be nil; the matching endpoint degrades gracefully (503 for
 // /events without a tap, empty documents elsewhere).
 type Options struct {
-	// State supplies /regions, /tenants, /decisions, /healthz and —
-	// when it returns a state — /metrics. Handlers call it once per
-	// request on their own goroutines, so it returns either an immutable
-	// published State (Publisher.Latest) or one it collects under the
-	// lock that guards the simulation. A nil result means no state yet.
+	// State supplies /regions, /tenants, /decisions, /healthz (without
+	// an AccessClock) and — when it returns a state — /metrics.
+	// Handlers call it once per request on their own goroutines, so it
+	// returns either an immutable published State (Publisher.Latest) or
+	// one it collects under the lock that guards the simulation. A nil
+	// result means no state yet.
 	State func() *State
+	// AccessClock, when set, supplies /healthz in State's place: the
+	// access clock alone, which a command that collects each State
+	// under its lock reads there without a Collect, so a health check
+	// holds the lock for one load however large the simulation grows.
+	AccessClock func() uint64
 	// Registry is the /metrics fallback while State has none; only its
 	// AtomicSnapshot is taken (registry funcs stay with the simulation).
 	Registry *telemetry.Registry
@@ -83,8 +89,9 @@ func indexHandler(w http.ResponseWriter, r *http.Request) {
 
 // healthzHandler reports the observability plane's own health: whether
 // the source has a state, when it was taken and how stale it is, and
-// whether the event tap is shedding load. Everything but the tap counts
-// comes from the one state it serves.
+// whether the event tap is shedding load. With an AccessClock, the
+// access clock is read when the request asks, and the snapshot is that
+// read.
 func healthzHandler(opts Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		resp := struct {
@@ -96,12 +103,18 @@ func healthzHandler(opts Options) http.HandlerFunc {
 			EventsDropped    uint64  `json:"events_dropped"`
 			EventSubscribers int     `json:"event_subscribers"`
 		}{Status: "ok", SnapshotAge: -1}
-		if st := opts.state(); st != nil {
-			resp.SnapshotTaken = st.Taken.UTC().Format(time.RFC3339Nano)
-			resp.SnapshotAge = time.Since(st.Taken).Seconds()
-			resp.SnapshotAtAccess = st.At
-		} else {
+		var taken time.Time
+		if opts.AccessClock != nil {
+			resp.SnapshotAtAccess = opts.AccessClock()
+			taken = time.Now()
+		} else if st := opts.state(); st != nil {
+			resp.SnapshotAtAccess, taken = st.At, st.Taken
+		}
+		if taken.IsZero() {
 			resp.Status = "no-snapshot"
+		} else {
+			resp.SnapshotTaken = taken.UTC().Format(time.RFC3339Nano)
+			resp.SnapshotAge = time.Since(taken).Seconds()
 		}
 		if opts.Tap != nil {
 			resp.EventsWritten = opts.Tap.Written()

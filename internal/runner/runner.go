@@ -173,6 +173,10 @@ func Map[T, R any](ctx context.Context, p Pool, items []T,
 		})
 		t0 := clk.Now()
 		func() {
+			// A running job holds a processor, inline or on a worker,
+			// so Ahead grants no helper against it.
+			busy.Add(1)
+			defer busy.Add(-1)
 			defer func() {
 				if v := recover(); v != nil {
 					errs[i] = &PanicError{Job: label, Value: v, Stack: debug.Stack()}

@@ -235,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	if cfg.ObsListen != "" {
-		srv, err := obs.Serve(cfg.ObsListen, obs.Options{State: s.state, Tap: s.tap})
+		srv, err := obs.Serve(cfg.ObsListen, obs.Options{State: s.state, AccessClock: s.accessClock, Tap: s.tap})
 		if err != nil {
 			s.journal.Close()
 			return nil, err
@@ -666,6 +666,15 @@ func (s *Server) state() *obs.State {
 	st.Tenants = s.collectTenants(st)
 	st.Metrics = mergeSnapshots(st.Metrics, s.servReg.Snapshot())
 	return st
+}
+
+// accessClock is /healthz's source: the access clock, read under mu,
+// which costs one load at any tenant count where state costs a whole
+// Collect.
+func (s *Server) accessClock() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sim.Cache.Addresses()
 }
 
 func (s *Server) collectTenants(st *obs.State) []obs.TenantInfo {

@@ -235,7 +235,9 @@ func NewController(c *MolecularCache, cfg ResizeConfig) (*Controller, error) {
 // error naming the core, its ASID and the address at the first
 // reference outside its core's window. NewWorkload(name,
 // uint64(asid)<<36, seed) builds a generator that stays inside it, as
-// AddMix does for every application.
+// AddMix does for every application. When a processor is spare, Run
+// calls a core's generator from a helper goroutine, never from two at
+// once, so a generator must share no mutable state with another core's.
 //
 // With CaptureL1Misses, System.Captured returns the L1 misses of the
 // Runs so far as one exact-size []Ref, 16 bytes a miss. A Run records
